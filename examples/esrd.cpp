@@ -11,9 +11,12 @@
 //
 // Each process applies every site's updates in one global total order; on
 // SIGTERM (or --duration-s expiry) it stops submitting, drains until every
-// locally-originated ET is globally stable, flushes the WAL, and writes a
-// JSON status line (--status-file) whose `digest` field is equal across a
-// converged cluster.
+// locally-originated ET is globally stable (applied by every site), lingers
+// so peers can drain and learn each other's final watermarks, flushes the
+// WAL, and writes a JSON status line (--status-file). Its `digest` field is
+// equal across a converged cluster, and `stable` (stable total-order
+// positions, no-op hole fills included) equals `applied_watermark` once
+// stability has reached the site.
 
 #include <atomic>
 #include <chrono>
@@ -297,9 +300,10 @@ int main(int argc, char** argv) {
                    node.DebugStuck().c_str());
     });
   }
-  // Idle means *our* ETs are fully acknowledged — a slower peer may still
-  // be retrying its final stability notices at us. Keep serving briefly so
-  // the whole cluster can drain, not just this site.
+  // Idle means *our* ETs are stable. A slower peer may still need our apply
+  // acks for its own, and every site learns the others' final watermarks
+  // from the retry loop within one retry interval. Keep serving briefly so
+  // the whole cluster can drain and reach stability, not just this site.
   if (drained && linger_ms > 0) {
     std::this_thread::sleep_for(std::chrono::milliseconds(linger_ms));
   }

@@ -2,8 +2,9 @@
 # esrd smoke gate: boots a real 3-process ORDUP cluster on loopback TCP
 # (the deployment shape documented in README.md's esrd quickstart),
 # SIGKILLs one follower mid-run, restarts it over the same WAL directory,
-# and asserts that every site drains cleanly (exit 0) and converges to an
-# identical state digest. This is the end-to-end proof that the runtime
+# and asserts that every site drains cleanly (exit 0), converges to an
+# identical state digest, and ends with its whole applied prefix stable
+# (status `stable` == `applied_watermark`, the restarted site included). This is the end-to-end proof that the runtime
 # binding — TcpTransport, TimerWheel, thread-pool strands, WAL replay and
 # incarnation-based order-hole healing — works outside the simulator.
 #
@@ -67,5 +68,18 @@ echo "esrd smoke: digests $D0 $D1 $D2"
   exit 1
 }
 [[ "$FAIL" -eq 0 ]] || { echo "esrd smoke: drain failure (logs in $DIR)"; exit 1; }
+# Stability must reach every process: the linger after each drain (750 ms)
+# outlasts the 50 ms retry interval that carries the final watermarks.
+field() {  # field <site> <numeric status key>
+  sed -n "s/.*\"$2\":\([0-9]*\).*/\1/p" "$DIR/status_$1.json"
+}
+for site in 0 1 2; do
+  W=$(field "$site" applied_watermark); S=$(field "$site" stable)
+  echo "esrd smoke: site $site watermark $W stable $S"
+  [[ -n "$W" && "$W" == "$S" ]] || {
+    echo "esrd smoke: site $site stable $S short of watermark $W (logs in $DIR)"
+    exit 1
+  }
+done
 rm -rf "$DIR"
 echo "esrd smoke: OK"

@@ -18,20 +18,6 @@ std::string EncodeMset(const core::Mset& mset) {
   return e.Take();
 }
 
-std::string EncodeEtSite(EtId et, SiteId site) {
-  wire::Encoder e;
-  e.I64(et);
-  e.U32(static_cast<uint32_t>(site));
-  return e.Take();
-}
-
-std::string EncodeEtTs(EtId et, const LamportTimestamp& ts) {
-  wire::Encoder e;
-  e.I64(et);
-  e.Ts(ts);
-  return e.Take();
-}
-
 }  // namespace
 
 OrdupNode::OrdupNode(OrdupNodeConfig config, Transport* transport,
@@ -43,6 +29,8 @@ OrdupNode::OrdupNode(OrdupNodeConfig config, Transport* transport,
       wal_(wal),
       metrics_(metrics),
       store_(store::MvStoreOptions{.partitions = config.store_partitions}),
+      peer_applied_(static_cast<size_t>(config.num_sites), 0),
+      told_(static_cast<size_t>(config.num_sites), 0),
       seq_home_(config.sequencer_site) {
   // Seed both id counters from the incarnation: ET ids and request ids must
   // never collide with a previous life of this site (the server dedups
@@ -61,18 +49,22 @@ OrdupNode::OrdupNode(OrdupNodeConfig config, Transport* transport,
         &metrics_->GetHistogram("esr_runtime_commit_to_stable_us");
     m_submit_commit_us_ =
         &metrics_->GetHistogram("esr_runtime_submit_to_commit_us");
+    m_applied_watermark_ = &metrics_->GetGauge("esr_runtime_applied_watermark");
+    m_stable_watermark_ = &metrics_->GetGauge("esr_runtime_stable_watermark");
   }
 }
 
 void OrdupNode::Start() {
   if (running_) return;
+  // Replay before running_: re-applying the log sends no apply acks (peers
+  // learn this site's watermark from the retry loop instead).
+  ReplayWal();
   running_ = true;
   transport_->SetHandler([this](SiteId from, Message msg) {
     if (!running_) return;
     HandleMessage(from, std::move(msg));
   });
   transport_->Start();
-  ReplayWal();
   if (config_.self == config_.sequencer_site) {
     seq_server_active_ = true;
     seq_next_ = MaxOrderSeen() + 1;
@@ -114,24 +106,15 @@ void OrdupNode::Stop() {
 
 void OrdupNode::ReplayWal() {
   if (wal_ == nullptr) return;
-  const std::vector<recovery::WalRecord> records = wal_->ReadAll();
-  for (const recovery::WalRecord& rec : records) {
-    switch (rec.type) {
-      case recovery::WalRecordType::kMset:
-        if (rec.mset.global_order >= 1) {
-          Admit(rec.mset, /*persist=*/false);
-        }
-        break;
-      case recovery::WalRecordType::kStable:
-        if (order_of_.find(rec.et) != order_of_.end()) {
-          stable_.insert(rec.et);
-        }
-        break;
-      default:
-        break;
+  // Only MSets matter: stability is re-learned from peers, so kStable
+  // records that older versions wrote are skipped.
+  std::vector<recovery::WalRecord> records = wal_->ReadAll();
+  for (recovery::WalRecord& rec : records) {
+    if (rec.type == recovery::WalRecordType::kMset &&
+        rec.mset.global_order >= 1) {
+      Admit(std::move(rec.mset), /*persist=*/false);
     }
   }
-  stable_count_ = static_cast<int64_t>(stable_.size());
 }
 
 EtId OrdupNode::SubmitUpdate(std::vector<store::Operation> ops,
@@ -141,20 +124,15 @@ EtId OrdupNode::SubmitUpdate(std::vector<store::Operation> ops,
       static_cast<int64_t>(config_.self) + 1;
   LocalEt local;
   local.ops = std::move(ops);
-  local.apply_acked.assign(static_cast<size_t>(config_.num_sites), false);
-  local.stable_acked.assign(static_cast<size_t>(config_.num_sites), false);
   local.submitted_at = clock_->Now();
   local.on_stable = std::move(on_stable);
-  outstanding_.emplace(et, std::move(local));
+  ungranted_.emplace(et, std::move(local));
   ++submitted_count_;
   if (m_submitted_ != nullptr) m_submitted_->Increment();
 
   const int64_t rid = next_request_id_++;
   pending_seq_[rid] = PendingSeq{et, seq_epoch_};
-  msg::SeqBatchRequest req{rid, 1, seq_epoch_,
-                           TraceContext{et, 0, config_.self, msg::kSeqRequest},
-                           config_.incarnation};
-  SendTo(seq_home_, msg::kSeqRequest, msg::EncodeSeqBatchRequest(req), et);
+  SendSeqRequest(rid, et);
   return et;
 }
 
@@ -162,28 +140,25 @@ void OrdupNode::HandleMessage(SiteId from, Message msg) {
   switch (msg.type) {
     case core::kMsetMsg: {
       recovery::Decoder d(msg.payload);
-      const core::Mset mset = d.MsetRec();
-      if (d.ok() && mset.global_order >= 1) HandleMset(from, mset, false);
+      core::Mset mset = d.MsetRec();
+      if (d.ok() && mset.global_order >= 1) {
+        Admit(std::move(mset), /*persist=*/true);
+      }
       break;
     }
     case core::kApplyAckMsg: {
+      // Credited to the transport sender: a payload field could name any
+      // site, letting one peer make an ET stable on another's behalf.
       wire::Decoder d(msg.payload);
-      const EtId et = d.I64();
-      const SiteId replica = static_cast<SiteId>(d.U32());
-      if (d.ok()) HandleApplyAck(replica, et);
+      const SequenceNumber applied = d.I64();
+      if (d.ok()) ObservePeer(from, applied);
       break;
     }
-    case core::kStableMsg: {
+    case kWatermarkMsg: {
       wire::Decoder d(msg.payload);
-      const EtId et = d.I64();
-      (void)d.Ts();
-      if (d.ok()) HandleStable(from, et);
-      break;
-    }
-    case kStableAckMsg: {
-      wire::Decoder d(msg.payload);
-      const EtId et = d.I64();
-      if (d.ok()) HandleStableAck(from, et);
+      const SequenceNumber applied = d.I64();
+      const SequenceNumber echo = d.I64();
+      if (d.ok()) HandleWatermark(from, applied, echo);
       break;
     }
     case msg::kSeqRequest: {
@@ -218,7 +193,7 @@ void OrdupNode::HandleMessage(SiteId from, Message msg) {
       break;
     }
     case kCatchupRespMsg:
-      HandleCatchupResp(msg.payload);
+      HandleCatchupResp(from, msg.payload);
       break;
     case kPosProbeReqMsg: {
       wire::Decoder d(msg.payload);
@@ -329,12 +304,7 @@ void OrdupNode::FinishSequencerProbe() {
   // The co-located client adopts the epoch directly and re-requests.
   for (auto& [rid, pending] : pending_seq_) {
     pending.epoch = seq_epoch_;
-    msg::SeqBatchRequest req{
-        rid, 1, seq_epoch_,
-        TraceContext{pending.et, 0, config_.self, msg::kSeqRequest},
-        config_.incarnation};
-    SendTo(seq_home_, msg::kSeqRequest, msg::EncodeSeqBatchRequest(req),
-           pending.et);
+    SendSeqRequest(rid, pending.et);
   }
 }
 
@@ -349,33 +319,25 @@ void OrdupNode::HandleEpochAnnounce(SiteId /*from*/,
   // probe floor).
   for (auto& [rid, pending] : pending_seq_) {
     pending.epoch = seq_epoch_;
-    msg::SeqBatchRequest req{
-        rid, 1, seq_epoch_,
-        TraceContext{pending.et, 0, config_.self, msg::kSeqRequest},
-        config_.incarnation};
-    SendTo(seq_home_, msg::kSeqRequest, msg::EncodeSeqBatchRequest(req),
-           pending.et);
+    SendSeqRequest(rid, pending.et);
   }
 }
 
 void OrdupNode::OnGranted(EtId et, SequenceNumber position, int64_t epoch) {
   max_grant_seen_ = std::max(max_grant_seen_, position);
   (void)epoch;
-  auto it = outstanding_.find(et);
-  if (it == outstanding_.end()) return;  // lost to a restart; see header
-  LocalEt& local = it->second;
-  if (local.granted) return;
-  local.granted = true;
+  auto node = ungranted_.extract(et);
+  if (node.empty()) return;  // lost to a restart; see header
   core::Mset mset;
   mset.et = et;
   mset.origin = config_.self;
   mset.global_order = position;
   mset.timestamp = LamportTimestamp{++lamport_, config_.self};
-  mset.operations = local.ops;
+  mset.operations = std::move(node.mapped().ops);
   mset.tentative = false;
-  local.mset = mset;
-  Admit(mset, /*persist=*/true);
+  unstable_.emplace(position, std::move(node.mapped()));
   const std::string payload = EncodeMset(mset);
+  Admit(std::move(mset), /*persist=*/true);
   Broadcast(core::kMsetMsg, payload, et);
 }
 
@@ -399,14 +361,7 @@ void OrdupNode::StartHealing(SequenceNumber pos) {
 }
 
 void OrdupNode::HandlePosProbeReq(SiteId from, SequenceNumber pos) {
-  const core::Mset* found = nullptr;
-  auto h = history_.find(pos);
-  if (h != history_.end()) {
-    found = &h->second;
-  } else {
-    auto b = holdback_.find(pos);
-    if (b != holdback_.end()) found = &b->second;
-  }
+  const core::Mset* found = FindMset(pos);
   recovery::Encoder e;
   e.I64(pos);
   e.U8(found != nullptr ? 1 : 0);
@@ -422,13 +377,15 @@ void OrdupNode::HandlePosProbeResp(SiteId from, std::string_view payload) {
   auto it = healing_.find(pos);
   if (it == healing_.end()) return;  // already healed or filled naturally
   if (has) {
-    const core::Mset mset = d.MsetRec();
+    core::Mset mset = d.MsetRec();
     if (!d.ok() || mset.global_order != pos) return;
     // The predecessor did broadcast before dying — at least one site holds
     // the real MSet. Adopt and re-broadcast it; never fill with a no-op.
     healing_.erase(it);
-    Admit(mset, /*persist=*/true);
-    Broadcast(core::kMsetMsg, EncodeMset(mset), mset.et);
+    const EtId et = mset.et;
+    const std::string payload = EncodeMset(mset);
+    Admit(std::move(mset), /*persist=*/true);
+    Broadcast(core::kMsetMsg, payload, et);
     return;
   }
   it->second.erase(from);
@@ -451,18 +408,15 @@ void OrdupNode::FillHole(SequenceNumber pos) {
   noop.global_order = pos;
   noop.timestamp = LamportTimestamp{++lamport_, config_.self};
   noop.tentative = false;
-  Admit(noop, /*persist=*/true);
-  Broadcast(core::kMsetMsg, EncodeMset(noop), noop.et);
+  const EtId et = noop.et;
+  const std::string payload = EncodeMset(noop);
+  Admit(std::move(noop), /*persist=*/true);
+  Broadcast(core::kMsetMsg, payload, et);
 }
 
 /// --- Total order admission + apply ----------------------------------------
 
-void OrdupNode::HandleMset(SiteId /*from*/, const core::Mset& mset,
-                           bool /*from_catchup*/) {
-  Admit(mset, /*persist=*/true);
-}
-
-void OrdupNode::Admit(const core::Mset& mset, bool persist) {
+void OrdupNode::Admit(core::Mset mset, bool persist) {
   const SequenceNumber order = mset.global_order;
   max_grant_seen_ = std::max(max_grant_seen_, order);
   // Server healing bookkeeping: the position is no longer a candidate hole
@@ -475,105 +429,115 @@ void OrdupNode::Admit(const core::Mset& mset, bool persist) {
     if (m_duplicates_ != nullptr) m_duplicates_->Increment();
     if (running_ && order <= applied_watermark_ &&
         mset.origin != config_.self && mset.origin != kInvalidSiteId) {
-      SendTo(mset.origin, core::kApplyAckMsg,
-             EncodeEtSite(mset.et, config_.self), mset.et);
+      SendApplyAck(mset.origin, mset.et);
     }
     return;
   }
   if (persist && wal_ != nullptr) wal_->AppendMset(mset);
-  holdback_.emplace(order, mset);
+  holdback_.emplace(order, std::move(mset));
+  const SequenceNumber before = applied_watermark_;
   while (!holdback_.empty() &&
          holdback_.begin()->first == applied_watermark_ + 1) {
-    const core::Mset next = holdback_.begin()->second;
-    holdback_.erase(holdback_.begin());
-    ApplyInOrder(next);
+    ApplyInOrder(std::move(holdback_.extract(holdback_.begin()).mapped()));
   }
   gap_since_ = holdback_.empty() ? -1 : clock_->Now();
+  if (applied_watermark_ > before) {
+    if (m_applied_watermark_ != nullptr) {
+      m_applied_watermark_->Set(static_cast<double>(applied_watermark_));
+    }
+    AdvanceStable();
+  }
 }
 
-void OrdupNode::ApplyInOrder(const core::Mset& mset) {
+void OrdupNode::ApplyInOrder(core::Mset mset) {
   store_.ApplyAll(mset.operations);
   applied_watermark_ = mset.global_order;
-  history_.emplace(mset.global_order, mset);
-  order_of_[mset.et] = mset.global_order;
   lamport_ = std::max(lamport_, mset.timestamp.counter) + 1;
   ++applied_count_;
   if (m_applied_ != nullptr) m_applied_->Increment();
   if (mset.origin == config_.self) {
-    auto it = outstanding_.find(mset.et);
-    if (it != outstanding_.end()) {
+    auto it = unstable_.find(mset.global_order);
+    if (it != unstable_.end()) {
       LocalEt& local = it->second;
       local.committed_at = clock_->Now();
       if (m_submit_commit_us_ != nullptr) {
         m_submit_commit_us_->Observe(
             static_cast<double>(local.committed_at - local.submitted_at));
       }
-      local.apply_acked[static_cast<size_t>(config_.self)] = true;
-      HandleApplyAck(config_.self, mset.et);  // single-site completion path
     }
   } else if (running_ && mset.origin != kInvalidSiteId) {
-    SendTo(mset.origin, core::kApplyAckMsg,
-           EncodeEtSite(mset.et, config_.self), mset.et);
+    SendApplyAck(mset.origin, mset.et);
   }
+  history_.emplace(mset.global_order, std::move(mset));
+}
+
+const core::Mset* OrdupNode::FindMset(SequenceNumber pos) const {
+  auto h = history_.find(pos);
+  if (h != history_.end()) return &h->second;
+  auto b = holdback_.find(pos);
+  return b != holdback_.end() ? &b->second : nullptr;
 }
 
 /// --- Stability -------------------------------------------------------------
 
-void OrdupNode::HandleApplyAck(SiteId from, EtId et) {
-  auto it = outstanding_.find(et);
-  if (it == outstanding_.end()) return;
-  LocalEt& local = it->second;
-  if (from < 0 || from >= config_.num_sites) return;
-  local.apply_acked[static_cast<size_t>(from)] = true;
-  if (local.all_applied) return;
-  for (bool acked : local.apply_acked) {
-    if (!acked) return;
-  }
-  // Every site has applied: the ET is stable (ESR's commit→stable moment).
-  local.all_applied = true;
-  if (local.committed_at > 0 && m_commit_stable_us_ != nullptr) {
-    m_commit_stable_us_->Observe(
-        static_cast<double>(clock_->Now() - local.committed_at));
-  }
-  MarkStable(et);
-  local.stable_acked[static_cast<size_t>(config_.self)] = true;
-  const std::string payload = EncodeEtTs(et, local.mset.timestamp);
-  Broadcast(core::kStableMsg, payload, et);
-  if (local.on_stable) {
-    auto cb = std::move(local.on_stable);
-    local.on_stable = nullptr;
-    cb();
-  }
-  HandleStableAck(config_.self, et);  // single-site completion path
+void OrdupNode::ObservePeer(SiteId from, SequenceNumber applied) {
+  if (from < 0 || from >= config_.num_sites || from == config_.self) return;
+  SequenceNumber& known = peer_applied_[static_cast<size_t>(from)];
+  if (applied <= known) return;
+  known = applied;
+  AdvanceStable();
 }
 
-void OrdupNode::HandleStable(SiteId from, EtId et) {
-  if (order_of_.find(et) == order_of_.end()) {
-    // Not applied yet (catch-up still in flight): no ack, the origin
-    // retries and by then the apply has landed.
-    return;
-  }
-  MarkStable(et);
-  SendTo(from, kStableAckMsg, EncodeEtSite(et, config_.self), et);
+void OrdupNode::HandleWatermark(SiteId from, SequenceNumber applied,
+                                SequenceNumber echo) {
+  if (from < 0 || from >= config_.num_sites || from == config_.self) return;
+  // The peer knows less of this site than it was told: that message was
+  // lost (or is still in flight). Tell it again on the next retry tick.
+  SequenceNumber& told = told_[static_cast<size_t>(from)];
+  told = std::min(told, echo);
+  ObservePeer(from, applied);
 }
 
-void OrdupNode::HandleStableAck(SiteId from, EtId et) {
-  auto it = outstanding_.find(et);
-  if (it == outstanding_.end()) return;
-  LocalEt& local = it->second;
-  if (from < 0 || from >= config_.num_sites) return;
-  local.stable_acked[static_cast<size_t>(from)] = true;
-  for (bool acked : local.stable_acked) {
-    if (!acked) return;
+void OrdupNode::AdvanceStable() {
+  SequenceNumber stable = applied_watermark_;
+  for (SiteId s = 0; s < config_.num_sites; ++s) {
+    if (s != config_.self) {
+      stable = std::min(stable, peer_applied_[static_cast<size_t>(s)]);
+    }
   }
-  outstanding_.erase(it);  // fully applied + stability acknowledged
+  if (stable <= stable_watermark_) return;
+  if (m_stable_ != nullptr) m_stable_->Increment(stable - stable_watermark_);
+  stable_watermark_ = stable;
+  if (m_stable_watermark_ != nullptr) {
+    m_stable_watermark_->Set(static_cast<double>(stable));
+  }
+  // Extract before the callback runs: it may submit (and so re-enter).
+  while (!unstable_.empty() && unstable_.begin()->first <= stable) {
+    LocalEt local = std::move(unstable_.extract(unstable_.begin()).mapped());
+    if (local.committed_at > 0 && m_commit_stable_us_ != nullptr) {
+      m_commit_stable_us_->Observe(
+          static_cast<double>(clock_->Now() - local.committed_at));
+    }
+    if (local.on_stable) local.on_stable();
+  }
 }
 
-void OrdupNode::MarkStable(EtId et) {
-  if (!stable_.insert(et).second) return;
-  ++stable_count_;
-  if (m_stable_ != nullptr) m_stable_->Increment();
-  if (wal_ != nullptr) wal_->AppendStable(et, LamportTimestamp{});
+void OrdupNode::SendApplyAck(SiteId origin, EtId et) {
+  wire::Encoder e;
+  e.I64(applied_watermark_);
+  SendTo(origin, core::kApplyAckMsg, e.Take(), et);
+  if (origin >= 0 && origin < config_.num_sites) {
+    SequenceNumber& told = told_[static_cast<size_t>(origin)];
+    told = std::max(told, applied_watermark_);
+  }
+}
+
+void OrdupNode::SendWatermark(SiteId to) {
+  wire::Encoder e;
+  e.I64(applied_watermark_);
+  e.I64(peer_applied_[static_cast<size_t>(to)]);
+  SendTo(to, kWatermarkMsg, e.Take(), kInvalidEtId);
+  told_[static_cast<size_t>(to)] = applied_watermark_;
 }
 
 /// --- Catch-up / backfill ----------------------------------------------------
@@ -597,38 +561,36 @@ void OrdupNode::SendCatchupRequest() {
 }
 
 void OrdupNode::HandleCatchupReq(SiteId from, SequenceNumber after) {
+  ObservePeer(from, after);  // the requester's applied watermark
   wire::Encoder e;
   auto it = history_.upper_bound(after);
   int32_t n = 0;
   recovery::Encoder entries;
   for (; it != history_.end() && n < config_.catchup_batch; ++it, ++n) {
     entries.MsetRec(it->second);
-    entries.U8(stable_.count(it->second.et) > 0 ? 1 : 0);
   }
   if (n == 0) return;  // nothing to offer
+  e.I64(applied_watermark_);
   e.U32(static_cast<uint32_t>(n));
   e.Raw(entries.bytes());
   SendTo(from, kCatchupRespMsg, e.Take(), kInvalidEtId);
 }
 
-void OrdupNode::HandleCatchupResp(std::string_view payload) {
+void OrdupNode::HandleCatchupResp(SiteId from, std::string_view payload) {
   recovery::Decoder d(payload);
+  const SequenceNumber responder_applied = d.I64();
   const uint32_t n = d.U32();
   if (!d.ok()) return;
-  bool advanced = false;
+  const SequenceNumber before = applied_watermark_;
   for (uint32_t i = 0; i < n && d.ok(); ++i) {
-    const core::Mset mset = d.MsetRec();
-    const bool is_stable = d.U8() != 0;
+    core::Mset mset = d.MsetRec();
     if (!d.ok() || mset.global_order < 1) break;
-    const SequenceNumber before = applied_watermark_;
-    Admit(mset, /*persist=*/true);
-    advanced = advanced || applied_watermark_ > before;
-    if (is_stable && order_of_.find(mset.et) != order_of_.end()) {
-      MarkStable(mset.et);
-    }
+    Admit(std::move(mset), /*persist=*/true);
   }
+  ObservePeer(from, responder_applied);
   // A full batch means the responder has more; keep pulling.
-  if (advanced && n >= static_cast<uint32_t>(config_.catchup_batch)) {
+  if (applied_watermark_ > before &&
+      n >= static_cast<uint32_t>(config_.catchup_batch)) {
     SendCatchupRequest();
   }
 }
@@ -640,35 +602,38 @@ void OrdupNode::RetryTick() {
   const SimTime now = clock_->Now();
   // Re-send pending sequencer requests (server dedups by request id).
   for (const auto& [rid, pending] : pending_seq_) {
-    msg::SeqBatchRequest req{
-        rid, 1, seq_epoch_,
-        TraceContext{pending.et, 0, config_.self, msg::kSeqRequest},
-        config_.incarnation};
-    SendTo(seq_home_, msg::kSeqRequest, msg::EncodeSeqBatchRequest(req),
-           pending.et);
+    SendSeqRequest(rid, pending.et);
     if (m_retransmits_ != nullptr) m_retransmits_->Increment();
   }
-  // Re-broadcast unacknowledged MSets and stability notices.
-  for (auto& [et, local] : outstanding_) {
-    if (!local.granted) continue;
-    if (!local.all_applied) {
-      const std::string payload = EncodeMset(local.mset);
-      for (SiteId s = 0; s < config_.num_sites; ++s) {
-        if (s == config_.self || local.apply_acked[static_cast<size_t>(s)]) {
-          continue;
-        }
-        SendTo(s, core::kMsetMsg, payload, et);
-        if (m_retransmits_ != nullptr) m_retransmits_->Increment();
+  // Re-send each local MSet not yet stable to the peers whose known
+  // watermark is below its position.
+  for (const auto& [pos, local] : unstable_) {
+    const core::Mset* mset = FindMset(pos);
+    if (mset == nullptr) continue;
+    std::string payload;
+    for (SiteId s = 0; s < config_.num_sites; ++s) {
+      if (s == config_.self || peer_applied_[static_cast<size_t>(s)] >= pos) {
+        continue;
       }
-    } else {
-      const std::string payload = EncodeEtTs(et, local.mset.timestamp);
-      for (SiteId s = 0; s < config_.num_sites; ++s) {
-        if (s == config_.self || local.stable_acked[static_cast<size_t>(s)]) {
-          continue;
-        }
-        SendTo(s, core::kStableMsg, payload, et);
-        if (m_retransmits_ != nullptr) m_retransmits_->Increment();
-      }
+      if (payload.empty()) payload = EncodeMset(*mset);
+      SendTo(s, core::kMsetMsg, payload, mset->et);
+      if (m_retransmits_ != nullptr) m_retransmits_->Increment();
+    }
+  }
+  // Stability gossip: at most one watermark message per peer per tick. A
+  // peer hears this site's watermark once it moved past what the peer was
+  // told (apply acks also tell). While stability stalls for a whole tick,
+  // the peers that look behind hear it too: their reply carries fresh
+  // progress, or their echo shows a lost message to re-send.
+  const bool stalled = stable_watermark_ < applied_watermark_ &&
+                       stable_watermark_ == stable_at_last_tick_;
+  stable_at_last_tick_ = stable_watermark_;
+  for (SiteId s = 0; s < config_.num_sites; ++s) {
+    if (s == config_.self) continue;
+    const auto i = static_cast<size_t>(s);
+    if (told_[i] < applied_watermark_ ||
+        (stalled && peer_applied_[i] < applied_watermark_)) {
+      SendWatermark(s);
     }
   }
   // Re-probe while a takeover is waiting (peers may still be booting).
@@ -698,6 +663,13 @@ void OrdupNode::RetryTick() {
 }
 
 /// --- Plumbing ---------------------------------------------------------------
+
+void OrdupNode::SendSeqRequest(int64_t request_id, EtId et) {
+  msg::SeqBatchRequest req{request_id, 1, seq_epoch_,
+                           TraceContext{et, 0, config_.self, msg::kSeqRequest},
+                           config_.incarnation};
+  SendTo(seq_home_, msg::kSeqRequest, msg::EncodeSeqBatchRequest(req), et);
+}
 
 void OrdupNode::SendTo(SiteId to, int type, std::string payload, EtId et) {
   Message msg;
@@ -734,15 +706,13 @@ std::string OrdupNode::DebugStuck(int limit) const {
            ",et=" + std::to_string(pending.et) +
            ",epoch=" + std::to_string(pending.epoch) + "} ";
   }
-  for (const auto& [et, local] : outstanding_) {
+  for (const auto& [pos, local] : unstable_) {
     if (n++ >= limit) break;
-    std::string applies, stables;
-    for (bool b : local.apply_acked) applies += b ? '1' : '0';
-    for (bool b : local.stable_acked) stables += b ? '1' : '0';
-    out += "out{et=" + std::to_string(et) +
-           ",granted=" + (local.granted ? "1" : "0") +
-           ",applied=" + applies + ",stable=" + stables + "} ";
+    out += "unstable{pos=" + std::to_string(pos) + "} ";
   }
+  out += "applied=" + std::to_string(applied_watermark_) +
+         " stable=" + std::to_string(stable_watermark_) + " peers=";
+  for (SequenceNumber w : peer_applied_) out += std::to_string(w) + ",";
   return out;
 }
 

@@ -21,13 +21,15 @@ namespace esr::runtime {
 
 /// Message types the node exchanges (beyond the esr/mset.h protocol ids and
 /// the msg/mailbox.h sequencer ids it reuses verbatim).
-inline constexpr int kStableAckMsg = 112;
 inline constexpr int kCatchupReqMsg = 113;
 inline constexpr int kCatchupRespMsg = 114;
 /// Order-hole healing: the sequencer asks every site whether it holds the
 /// MSet at one total-order position (see OrdupNodeConfig::incarnation).
 inline constexpr int kPosProbeReqMsg = 115;
 inline constexpr int kPosProbeRespMsg = 116;
+/// Stability gossip: the sender's applied watermark, then the sender's
+/// knowledge of the receiver's (see the OrdupNode class comment).
+inline constexpr int kWatermarkMsg = 117;
 
 struct OrdupNodeConfig {
   SiteId self = 0;
@@ -60,19 +62,32 @@ struct OrdupNodeConfig {
 
 /// One ORDUP site as a binding-agnostic protocol core: the paper's
 /// global-total-order method (centralized order server, MSet propagation,
-/// apply acks, stability notices) written purely against the runtime seam —
-/// runtime::Transport for messages, runtime::Clock for timers, and the
-/// owning strand's single-threaded discipline instead of locks. The same
-/// object runs deterministically inside the simulator (SimTransport +
-/// Simulator) and for real inside `esrd` (TcpTransport + TimerWheel).
+/// apply acks) written purely against the runtime seam — runtime::Transport
+/// for messages, runtime::Clock for timers, and the owning strand's
+/// single-threaded discipline instead of locks. The same object runs
+/// deterministically inside the simulator (SimTransport + Simulator) and for
+/// real inside `esrd` (TcpTransport + TimerWheel).
+///
+/// Stability is a watermark, as the paper's VTNC is a counter: in a total
+/// order, position p is stable once every site's applied prefix reaches p.
+/// Each site keeps the highest applied watermark every peer has reported —
+/// on every apply ack, and in kWatermarkMsg gossip that the retry loop sends
+/// to each peer not yet told the current value — credited to the transport
+/// sender, never to a payload field. The stable watermark is the minimum of
+/// those and the site's own applied watermark, so it only rises. A local ET
+/// fires `on_stable` once its position is at or below it: at the last apply
+/// ack, with no further round. Stability is not logged; a restarted site
+/// re-learns it from its peers, which is only conservative.
 ///
 /// Reliability model: the transport is at-least-once/in-order at best and
 /// lossy at worst, so every protocol edge is duplicate-tolerant and
-/// retried: MSets are re-broadcast to unacked peers, sequencer requests are
-/// re-sent (the server dedups by request id), stability notices are re-sent
-/// until acked, and total-order gaps that outlive `gap_timeout_us` are
-/// backfilled from a peer's history (which also serves a restarted site's
-/// catch-up after WAL replay).
+/// retried: MSets are re-sent to peers whose known watermark is below their
+/// position (a duplicate is re-acked), sequencer requests are re-sent (the
+/// server dedups by request id), a site whose stability stalls for a whole
+/// retry interval re-sends its watermark to the peers that look behind
+/// (their echo of it repairs a lost gossip message), and total-order gaps
+/// that outlive `gap_timeout_us` are backfilled from a peer's history
+/// (which also serves a restarted site's catch-up after WAL replay).
 ///
 /// Threading: every method (including Start/Stop and the transport handler
 /// it installs) must run on the owner's strand.
@@ -95,8 +110,8 @@ class OrdupNode {
   void Stop();
 
   /// Submits one update ET (a set of update operations). Returns its ET id.
-  /// `on_stable` (optional) fires when the ET becomes stable — applied and
-  /// acknowledged by every site.
+  /// `on_stable` (optional) fires once, when the ET becomes stable: applied
+  /// by every site.
   EtId SubmitUpdate(std::vector<store::Operation> ops,
                     std::function<void()> on_stable = nullptr);
 
@@ -108,28 +123,19 @@ class OrdupNode {
   SequenceNumber applied_watermark() const { return applied_watermark_; }
   int64_t applied_count() const { return applied_count_; }
   int64_t submitted_count() const { return submitted_count_; }
-  int64_t stable_count() const { return stable_count_; }
-  /// No locally-originated ET still awaiting grant, acks, or stable acks.
-  bool Idle() const { return outstanding_.empty() && pending_seq_.empty(); }
+  /// Stable positions (no-op hole fills included): the stable watermark.
+  int64_t stable_count() const { return stable_watermark_; }
+  /// No locally-originated ET still awaiting its grant or stability.
+  bool Idle() const { return ungranted_.empty() && unstable_.empty(); }
   int64_t sequencer_epoch() const { return seq_epoch_; }
-  int64_t outstanding_size() const {
-    return static_cast<int64_t>(outstanding_.size());
-  }
-  int64_t pending_seq_size() const {
-    return static_cast<int64_t>(pending_seq_.size());
-  }
   /// One-line debug rendering of up to `limit` stuck local ETs.
   std::string DebugStuck(int limit = 4) const;
 
  private:
-  /// A locally-originated ET from submission to full stability.
+  /// A locally-originated ET from submission to stability. Once granted,
+  /// its MSet lives in holdback_/history_ and `ops` is empty.
   struct LocalEt {
-    core::Mset mset;                 // global_order < 0 until granted
     std::vector<store::Operation> ops;
-    std::vector<bool> apply_acked;   // [site]
-    std::vector<bool> stable_acked;  // [site]
-    bool granted = false;
-    bool all_applied = false;
     SimTime submitted_at = 0;
     SimTime committed_at = 0;  // local in-order apply time
     std::function<void()> on_stable;
@@ -143,17 +149,15 @@ class OrdupNode {
   };
 
   void HandleMessage(SiteId from, Message msg);
-  void HandleMset(SiteId from, const core::Mset& mset, bool from_catchup);
-  void HandleApplyAck(SiteId from, EtId et);
-  void HandleStable(SiteId from, EtId et);
-  void HandleStableAck(SiteId from, EtId et);
+  void HandleWatermark(SiteId from, SequenceNumber applied,
+                       SequenceNumber echo);
   void HandleSeqRequest(SiteId from, const msg::SeqBatchRequest& req);
   void HandleSeqGrant(const msg::SeqBatchGrant& grant);
   void HandleSeqProbeRequest(SiteId from, const msg::SeqProbeRequest& probe);
   void HandleSeqProbeResponse(const msg::SeqProbeResponse& resp);
   void HandleEpochAnnounce(SiteId from, const msg::SeqEpochAnnounce& ann);
   void HandleCatchupReq(SiteId from, SequenceNumber after);
-  void HandleCatchupResp(std::string_view payload);
+  void HandleCatchupResp(SiteId from, std::string_view payload);
   void HandlePosProbeReq(SiteId from, SequenceNumber pos);
   void HandlePosProbeResp(SiteId from, std::string_view payload);
   /// Begins (or continues) healing one orphaned total-order position.
@@ -163,12 +167,21 @@ class OrdupNode {
 
   void OnGranted(EtId et, SequenceNumber position, int64_t epoch);
   /// Inserts into the order buffer and drains every contiguous MSet.
-  void Admit(const core::Mset& mset, bool durable);
-  void ApplyInOrder(const core::Mset& mset);
-  void MarkStable(EtId et);
+  void Admit(core::Mset mset, bool persist);
+  void ApplyInOrder(core::Mset mset);
+  /// The MSet at `pos` if this site holds it (applied or buffered).
+  const core::Mset* FindMset(SequenceNumber pos) const;
+  /// Credits `applied` to peer `from`'s watermark and re-derives stability.
+  void ObservePeer(SiteId from, SequenceNumber applied);
+  /// Raises the stable watermark and completes every local ET below it.
+  void AdvanceStable();
+  void SendApplyAck(SiteId origin, EtId et);
+  void SendWatermark(SiteId to);
   void RetryTick();
   void SendCatchupRequest();
   void FinishSequencerProbe();
+  /// Sends (or re-sends) one pending sequencer request in the current epoch.
+  void SendSeqRequest(int64_t request_id, EtId et);
   void SendTo(SiteId to, int type, std::string payload, EtId et);
   void Broadcast(int type, const std::string& payload, EtId et);
   SequenceNumber MaxOrderSeen() const;
@@ -188,19 +201,27 @@ class OrdupNode {
   SequenceNumber applied_watermark_ = 0;
   std::map<SequenceNumber, core::Mset> holdback_;
   SimTime gap_since_ = -1;  // first moment the current gap was observed
-  /// Applied MSets by position, the catch-up/backfill source. (Unbounded:
-  /// the node is the durability boundary for its peers' catch-up; trimming
-  /// below the all-sites stable watermark is future work.)
+  /// Applied MSets by position: the catch-up/backfill source and the
+  /// retransmit source for local ETs not yet stable. (Unbounded: trimming
+  /// below the stable watermark needs snapshot catch-up for a restart
+  /// without a WAL — future work.)
   std::map<SequenceNumber, core::Mset> history_;
-  std::unordered_map<EtId, SequenceNumber> order_of_;  // applied ETs
-  std::unordered_set<EtId> stable_;
+  /// Stability, indexed by site (self entries unused): the applied
+  /// watermark each peer has reported, and the own watermark last sent to
+  /// each peer (lowered when a peer's echo shows it missed a message).
+  std::vector<SequenceNumber> peer_applied_;
+  std::vector<SequenceNumber> told_;
+  SequenceNumber stable_watermark_ = 0;
+  SequenceNumber stable_at_last_tick_ = 0;
   /// Highest total-order position this site has observed anywhere (applied,
   /// buffered, or granted) — the probe answer during a sequencer takeover.
   SequenceNumber max_grant_seen_ = 0;
   SiteId catchup_rr_ = 0;  // round-robin cursor for backfill targets
 
-  /// Locally-originated ETs in flight.
-  std::unordered_map<EtId, LocalEt> outstanding_;
+  /// Locally-originated ETs in flight: awaiting a grant (by ET id), then
+  /// awaiting stability (by total-order position).
+  std::unordered_map<EtId, LocalEt> ungranted_;
+  std::map<SequenceNumber, LocalEt> unstable_;
 
   /// Sequencer client state.
   std::unordered_map<int64_t, PendingSeq> pending_seq_;  // by request id
@@ -235,7 +256,6 @@ class OrdupNode {
 
   int64_t applied_count_ = 0;
   int64_t submitted_count_ = 0;
-  int64_t stable_count_ = 0;
 
   obs::Counter* m_submitted_ = nullptr;
   obs::Counter* m_applied_ = nullptr;
@@ -244,6 +264,8 @@ class OrdupNode {
   obs::Counter* m_duplicates_ = nullptr;
   obs::Histogram* m_commit_stable_us_ = nullptr;
   obs::Histogram* m_submit_commit_us_ = nullptr;
+  obs::Gauge* m_applied_watermark_ = nullptr;
+  obs::Gauge* m_stable_watermark_ = nullptr;
 };
 
 }  // namespace esr::runtime

@@ -13,10 +13,13 @@
 //     a timer already expired and posted but not yet executed
 //   * strand: tasks never run concurrently and run in post order
 //
-// Plus an end-to-end check: a 3-site OrdupNode cluster over the sim
-// binding converges deterministically, and a site amnesia-restart with an
-// in-flight sequencer grant is healed (the order hole is filled, the
-// cluster drains).
+// Plus end-to-end checks of OrdupNode over the sim binding: a 3-site
+// cluster converges deterministically (also under loss and reordering),
+// stability costs no messages beyond one apply ack per follower and reaches
+// every site, an apply ack counts only for the site that sent it, a WAL with
+// the stability records older versions wrote still replays, and a site
+// amnesia-restart with an in-flight sequencer grant is healed (the order
+// hole is filled, the cluster drains).
 
 #include <gtest/gtest.h>
 
@@ -24,12 +27,17 @@
 #include <chrono>
 #include <deque>
 #include <functional>
+#include <map>
 #include <memory>
 #include <mutex>
 #include <string>
 #include <thread>
 #include <vector>
 
+#include "common/wire.h"
+#include "esr/mset.h"
+#include "recovery/storage.h"
+#include "recovery/wal.h"
 #include "runtime/interfaces.h"
 #include "runtime/ordup_node.h"
 #include "runtime/sim_binding.h"
@@ -369,18 +377,43 @@ TEST(TcpTransportTest, NoDeliveryAfterStop) {
 
 /// --- End to end: OrdupNode over the sim binding ---------------------------
 
+/// Forwards to another transport and tallies, by message type, what its
+/// owner sends to other sites.
+class CountingTransport : public Transport {
+ public:
+  CountingTransport(Transport* inner, std::map<int, int>* sent)
+      : inner_(inner), sent_(sent) {}
+
+  SiteId self() const override { return inner_->self(); }
+  void SetHandler(Handler handler) override {
+    inner_->SetHandler(std::move(handler));
+  }
+  void Send(SiteId to, Message msg) override {
+    if (to != self()) ++(*sent_)[msg.type];
+    inner_->Send(to, std::move(msg));
+  }
+  void Start() override { inner_->Start(); }
+  void Stop() override { inner_->Stop(); }
+
+ private:
+  Transport* inner_;
+  std::map<int, int>* sent_;
+};
+
 struct SimCluster {
   explicit SimCluster(int n, uint64_t seed = 7,
                       sim::NetworkConfig net = LosslessFifoNetwork())
       : network(&simulator, n, net, seed) {
     for (SiteId s = 0; s < n; ++s) {
       transports.push_back(std::make_unique<SimTransport>(&network, s));
+      counting.push_back(
+          std::make_unique<CountingTransport>(transports.back().get(), &sent));
       OrdupNodeConfig cfg;
       cfg.self = s;
       cfg.num_sites = n;
       cfg.sequencer_site = 0;
       nodes.push_back(std::make_unique<OrdupNode>(
-          cfg, transports.back().get(), &simulator, nullptr, nullptr));
+          cfg, counting.back().get(), &simulator, nullptr, nullptr));
     }
     for (auto& node : nodes) node->Start();
   }
@@ -388,7 +421,10 @@ struct SimCluster {
   sim::Simulator simulator;
   sim::Network network;
   std::vector<std::unique_ptr<SimTransport>> transports;
+  std::vector<std::unique_ptr<CountingTransport>> counting;
   std::vector<std::unique_ptr<OrdupNode>> nodes;
+  /// Messages the nodes sent to other sites, by type.
+  std::map<int, int> sent;
 };
 
 TEST(OrdupNodeSimTest, ThreeSitesConvergeDeterministically) {
@@ -420,16 +456,22 @@ TEST(OrdupNodeSimTest, ThreeSitesConvergeDeterministically) {
   }
 }
 
-TEST(OrdupNodeSimTest, ConvergesUnderLossAndReordering) {
+/// Runs 15 rounds of one update per site over a lossy, jittery network and
+/// checks that the cluster converges and every update becomes stable, once,
+/// at every site.
+void ExpectConvergesUnderLoss(uint64_t seed, double loss) {
+  SCOPED_TRACE("seed " + std::to_string(seed));
   sim::NetworkConfig net;
   net.base_latency_us = 1'000;
   net.jitter_us = 900;
-  net.loss_probability = 0.05;
-  SimCluster cluster(3, /*seed=*/42, net);
+  net.loss_probability = loss;
+  SimCluster cluster(3, seed, net);
+  std::vector<int> fired(45, 0);
   for (int round = 0; round < 15; ++round) {
     for (SiteId s = 0; s < 3; ++s) {
+      const size_t i = static_cast<size_t>(round * 3 + s);
       cluster.nodes[static_cast<size_t>(s)]->SubmitUpdate(
-          {store::Operation::Increment(1 + s, 1)});
+          {store::Operation::Increment(1 + s, 1)}, [&fired, i] { ++fired[i]; });
     }
   }
   cluster.simulator.RunUntil(10'000'000);
@@ -439,7 +481,138 @@ TEST(OrdupNodeSimTest, ConvergesUnderLossAndReordering) {
     EXPECT_EQ(node.applied_watermark(), 45) << "site " << s;
     EXPECT_EQ(node.store().StateDigest(), digest) << "site " << s;
     EXPECT_TRUE(node.Idle()) << "site " << s;
+    EXPECT_EQ(node.stable_count(), 45) << "site " << s;
   }
+  for (size_t i = 0; i < fired.size(); ++i) {
+    EXPECT_EQ(fired[i], 1) << "on_stable of update " << i;
+  }
+}
+
+TEST(OrdupNodeSimTest, ConvergesUnderLossAndReordering) {
+  ExpectConvergesUnderLoss(/*seed=*/42, /*loss=*/0.05);
+}
+
+TEST(OrdupNodeSimTest, StabilityReachesEverySiteDespiteLostWatermarks) {
+  // At 20% loss some final watermark messages are lost in most of these
+  // runs; only the stall probe's echo gets them re-sent.
+  for (uint64_t seed = 1; seed <= 10; ++seed) {
+    ExpectConvergesUnderLoss(seed, /*loss=*/0.2);
+  }
+}
+
+TEST(OrdupNodeSimTest, StabilityNeedsOnlyApplyAcksAndReachesEverySite) {
+  // Sites 0 and 1 originate; site 2 only follows, so it never receives an
+  // apply ack and learns the others' progress from watermark gossip alone.
+  constexpr int kUpdates = 40;
+  constexpr SimDuration kRetry = OrdupNodeConfig{}.retry_interval_us;
+  SimCluster cluster(3);
+  int fired = 0;
+  for (int i = 0; i < kUpdates; ++i) {
+    cluster.nodes[static_cast<size_t>(i % 2)]->SubmitUpdate(
+        {store::Operation::Increment(1 + i % 4, 1)}, [&fired] { ++fired; });
+  }
+  auto all_applied = [&] {
+    for (const auto& node : cluster.nodes) {
+      if (node->applied_watermark() < kUpdates) return false;
+    }
+    return true;
+  };
+  while (!all_applied() && cluster.simulator.Now() < 5'000'000) {
+    cluster.simulator.RunUntil(cluster.simulator.Now() + 100);
+  }
+  ASSERT_TRUE(all_applied());
+  cluster.simulator.RunUntil(cluster.simulator.Now() + 2 * kRetry);
+  for (SiteId s = 0; s < 3; ++s) {
+    const OrdupNode& node = *cluster.nodes[static_cast<size_t>(s)];
+    EXPECT_EQ(node.applied_watermark(), kUpdates) << "site " << s;
+    EXPECT_EQ(node.stable_count(), node.applied_watermark()) << "site " << s;
+  }
+  EXPECT_EQ(fired, kUpdates);
+
+  // Quiet afterwards: no retransmission, no stability round.
+  cluster.simulator.RunUntil(cluster.simulator.Now() + 20 * kRetry);
+  EXPECT_EQ(cluster.sent[core::kStableMsg], 0);
+  EXPECT_EQ(cluster.sent[112], 0);  // the former stable-ack id
+  EXPECT_EQ(cluster.sent[core::kMsetMsg], 2 * kUpdates);
+  EXPECT_EQ(cluster.sent[core::kApplyAckMsg], 2 * kUpdates);
+}
+
+TEST(OrdupNodeSimTest, ApplyAckCountsOnlyForItsSender) {
+  // With site 1 down, site 0's update can never become stable. Site 2
+  // sends an apply ack in the payload format that named the acking site,
+  // naming site 1: it must not count as site 1's.
+  SimCluster cluster(3);
+  cluster.nodes[1]->Stop();
+  cluster.transports[1]->Stop();
+  bool fired = false;
+  const EtId et = cluster.nodes[0]->SubmitUpdate(
+      {store::Operation::Increment(1, 1)}, [&fired] { fired = true; });
+  cluster.simulator.RunUntil(2'000'000);
+  ASSERT_EQ(cluster.nodes[2]->applied_watermark(), 1);
+  EXPECT_FALSE(fired);
+
+  wire::Encoder spoof;
+  spoof.I64(et);
+  spoof.U32(1);
+  Message ack = Msg(core::kApplyAckMsg, spoof.Take());
+  ack.trace.et = et;
+  cluster.transports[2]->Send(0, std::move(ack));
+  cluster.simulator.RunUntil(3'000'000);
+  EXPECT_FALSE(fired);
+  EXPECT_EQ(cluster.nodes[0]->stable_count(), 0);
+  EXPECT_FALSE(cluster.nodes[0]->Idle());
+}
+
+TEST(OrdupNodeSimTest, WalWithOldStableRecordsReplaysIdentically) {
+  // Older versions appended a kStable record per stable ET. Replay must
+  // skip them: the same MSets with and without them restore the same state.
+  struct Replayed {
+    SequenceNumber watermark = 0;
+    uint64_t digest = 0;
+    size_t stable_records = 0;
+  };
+  auto replay = [](bool with_stable_records) {
+    sim::Simulator simulator;
+    sim::Network network(&simulator, 3, LosslessFifoNetwork(), 7);
+    recovery::MemoryStorage storage;
+    recovery::Wal wal(&simulator, &storage, 1, recovery::RecoveryConfig{},
+                      nullptr);
+    for (SequenceNumber pos = 1; pos <= 10; ++pos) {
+      core::Mset mset;
+      mset.et = 100 + pos;
+      mset.origin = static_cast<SiteId>(pos % 3);
+      mset.global_order = pos;
+      mset.timestamp = LamportTimestamp{pos, mset.origin};
+      mset.operations = {store::Operation::Increment(1 + pos % 4, pos)};
+      wal.AppendMset(mset);
+      if (with_stable_records && pos % 2 == 0) {
+        wal.AppendStable(mset.et - 1, LamportTimestamp{});
+        wal.AppendStable(mset.et, LamportTimestamp{});
+      }
+    }
+    wal.Flush();
+    Replayed out;
+    for (const recovery::WalRecord& rec : wal.ReadAll()) {
+      if (rec.type == recovery::WalRecordType::kStable) ++out.stable_records;
+    }
+    SimTransport transport(&network, 1);
+    OrdupNodeConfig cfg;
+    cfg.self = 1;
+    cfg.num_sites = 3;
+    OrdupNode node(cfg, &transport, &simulator, &wal, nullptr);
+    node.Start();
+    out.watermark = node.applied_watermark();
+    out.digest = node.store().StateDigest();
+    node.Stop();
+    return out;
+  };
+  const Replayed old_format = replay(true);
+  const Replayed new_format = replay(false);
+  EXPECT_EQ(old_format.stable_records, 10u);
+  EXPECT_EQ(new_format.stable_records, 0u);
+  EXPECT_EQ(old_format.watermark, 10);
+  EXPECT_EQ(new_format.watermark, 10);
+  EXPECT_EQ(old_format.digest, new_format.digest);
 }
 
 TEST(OrdupNodeSimTest, AmnesiaRestartWithInFlightGrantHealsOrderHole) {

@@ -86,6 +86,35 @@ TEST_P(Determinism, IdenticalRunsProduceIdenticalFingerprints) {
   EXPECT_FALSE(a == c) << "seed must matter";
 }
 
+// Final-state digest of every site after RunOnce(method, transport, 777).
+// The runs converge, so all three sites share one value. A change to any
+// store, codec or protocol that moves a digest fails here, not just one
+// that makes two runs disagree.
+uint64_t PinnedDigest(Method method, Transport transport) {
+  switch (method) {
+    case Method::kOrdup: return 0xe00c52a89a7a8e75ull;
+    case Method::kOrdupTs: return 0x3867254f9d9529daull;
+    case Method::kCommu:
+      return transport == Transport::kPersistentPipe ? 0x086ce9b5a0b98b05ull
+                                                     : 0xe66131ba06ec337cull;
+    case Method::kRituMulti: return 0x818699f88aa79ce8ull;
+    case Method::kRituSingle: return 0xaf88741a8eec8ae1ull;
+    case Method::kCompe: return 0xfcdfad56e5338a14ull;
+    case Method::kSync2pc: return 0xc89c90d389ace01eull;
+    case Method::kSyncQuorum: return 0x14650fb0739d0383ull;
+    case Method::kQuasiCopy: return 0x2eebd27a6d45e831ull;
+    default: return 0;
+  }
+}
+
+TEST_P(Determinism, DigestsMatchPinnedValues) {
+  const auto& [method, transport] = GetParam();
+  const uint64_t pinned = PinnedDigest(method, transport);
+  ASSERT_NE(pinned, 0u) << "no pinned digest for this parameter";
+  const Fingerprint fp = RunOnce(method, transport, 777);
+  EXPECT_EQ(fp.digests, std::vector<uint64_t>(3, pinned));
+}
+
 TEST(AdmissionDeterminism, AdaptiveControllerPreservesDeterminism) {
   // The admission loop samples only simulated-time state, so enabling it
   // must not cost the (configuration, seed) -> execution guarantee.

@@ -95,7 +95,7 @@ void LogDepthMicro() {
   for (int depth : {4, 16, 64, 256}) {
     // Non-commutative log: compensating the FIRST record rolls the rest.
     {
-      store::ObjectStore store;
+      store::MvStore store;
       store::MsetLog log;
       for (int i = 0; i < depth; ++i) {
         (void)log.ApplyAndLog(store, i + 1,
@@ -108,7 +108,7 @@ void LogDepthMicro() {
     }
     // Commutative log: compensating the first record is O(1).
     {
-      store::ObjectStore store;
+      store::MvStore store;
       store::MsetLog log;
       for (int i = 0; i < depth; ++i) {
         (void)log.ApplyAndLog(store, i + 1, {Operation::Increment(0, 1)});

@@ -3,7 +3,7 @@
 // out-of-order detection they require).
 //
 //   * micro (google-benchmark): lock-counter charge/commit, ORDUP-style
-//     overlap counting, timestamp-ordering checks, version-store snapshot
+//     overlap counting, timestamp-ordering checks, store snapshot
 //     reads — the per-read bookkeeping prices.
 //   * macro: COMMU query blocking probability and latency vs epsilon, and
 //     the update-side lock-counter throttle's effect.
@@ -16,7 +16,7 @@
 #include "cc/timestamp_ordering.h"
 #include "esr/lock_counters.h"
 #include "esr/replicated_system.h"
-#include "store/version_store.h"
+#include "store/mv_store.h"
 #include "workload/workload.h"
 
 namespace esr {
@@ -60,8 +60,8 @@ void BM_TimestampOrderingQueryRead(benchmark::State& state) {
 }
 BENCHMARK(BM_TimestampOrderingQueryRead);
 
-void BM_VersionStoreSnapshotRead(benchmark::State& state) {
-  store::VersionStore vs;
+void BM_MvStoreSnapshotRead(benchmark::State& state) {
+  store::MvStore vs;
   for (int64_t i = 1; i <= state.range(0); ++i) {
     vs.AppendVersion(0, {i, 0}, Value(i));
   }
@@ -70,7 +70,7 @@ void BM_VersionStoreSnapshotRead(benchmark::State& state) {
     benchmark::DoNotOptimize(vs.ReadAtOrBefore(0, pin));
   }
 }
-BENCHMARK(BM_VersionStoreSnapshotRead)->Arg(16)->Arg(1024)->Arg(65536);
+BENCHMARK(BM_MvStoreSnapshotRead)->Arg(16)->Arg(1024)->Arg(65536);
 
 void MacroBlockingSweep() {
   Banner("E6 macro: COMMU query blocking vs epsilon (20 ms links, hot set)");

@@ -3,11 +3,10 @@
 //
 // What it shows:
 //   * read scaling of the striped-lock partitioned store (8 partitions)
-//     against the single-partition layout (one lock = the legacy shape),
+//     against the single-partition layout (one lock),
 //   * tail read latency (p99) under each concurrency level,
 //   * stability-driven GC keeping version chains bounded under a sustained
-//     append load, versus unbounded growth with GC off,
-//   * hot-key cache hit rate under Zipf(0.99) skew.
+//     append load, versus unbounded growth with GC off.
 //
 // Results print as tables (and land in bench_mvstore.bench.json /
 // BENCH_RESULTS.json via scripts/run_benches.sh). Absolute numbers depend
@@ -220,7 +219,7 @@ int main() {
 
   Banner("Read scaling: Zipf(0.99) point reads, 1M objects");
   {
-    MvStore striped(MvStoreOptions{.partitions = 8, .hot_cache_slots = 4096});
+    MvStore striped(MvStoreOptions{.partitions = 8});
     MvStore single(MvStoreOptions{.partitions = 1});
     Preload(striped);
     Preload(single);
@@ -238,11 +237,6 @@ int main() {
                     Fmt(striped_run.p99_us, 2)});
     }
     table.Print();
-    const int64_t probes = striped.hot_hits() + striped.hot_misses();
-    std::printf("\nhot-key cache: %lld/%lld probe hits (%.1f%%)\n",
-                static_cast<long long>(striped.hot_hits()),
-                static_cast<long long>(probes),
-                probes > 0 ? 100.0 * striped.hot_hits() / probes : 0.0);
   }
 
   Banner("Mixed 90/10 read/append with stability-driven GC");

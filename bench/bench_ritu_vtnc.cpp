@@ -6,7 +6,7 @@
 // Sweep epsilon x update rate and report: fraction of snapshot
 // (VTNC-bounded) reads, the staleness of what queries actually saw
 // (version-timestamp lag behind the site's newest version), inconsistency
-// spent, and version-store growth.
+// spent, and version-chain growth.
 
 #include <cstdio>
 
@@ -65,7 +65,7 @@ Cell Run(int64_t epsilon, SimDuration think_us, uint64_t seed) {
       for (int r = 0; r < 3; ++r) {
         const ObjectId target = rng.Uniform(0, kObjects - 1);
         // Latest version the site currently stores (freshness reference).
-        auto latest = system.site_versions(site).ReadLatest(target);
+        auto latest = system.site_store(site).ReadLatest(target);
         Result<Value> v = system.TryRead(q, target);
         if (!v.ok()) continue;
         ++reads;
@@ -78,12 +78,12 @@ Cell Run(int64_t epsilon, SimDuration think_us, uint64_t seed) {
           LamportTimestamp seen_ts = latest->timestamp;
           if (pin_state != nullptr && pin_state->vtnc_pin.has_value() &&
               !(latest->value == *v)) {
-            auto snap = system.site_versions(site).ReadAtOrBefore(
+            auto snap = system.site_store(site).ReadAtOrBefore(
                 target, *pin_state->vtnc_pin);
             if (snap.has_value()) seen_ts = snap->timestamp;
           }
           // Staleness = versions strictly newer than the one seen.
-          auto* vs = &system.site_versions(site);
+          auto* vs = &system.site_store(site);
           const int64_t total = vs->VersionCount(target);
           // Approximate: count via timestamps by walking ReadAtOrBefore.
           // (Version stores are small here; linear walk acceptable.)
@@ -120,7 +120,7 @@ Cell Run(int64_t epsilon, SimDuration think_us, uint64_t seed) {
   cell.mean_inconsistency = inconsistency.mean();
   int64_t versions = 0;
   for (ObjectId o = 0; o < kObjects; ++o) {
-    versions += system.site_versions(0).VersionCount(o);
+    versions += system.site_store(0).VersionCount(o);
   }
   cell.versions_per_object = versions / kObjects;
   return cell;

@@ -50,9 +50,9 @@
 //                           rule; default 0: objects picked independently)
 //
 // Concurrent store (all methods):
-//   --store-partitions=N    hash partitions per site's multi-version store
-//                           (rounded to a power of two; default 1 — digests
-//                           are partition-count-invariant)
+//   --store-partitions=N    hash partitions of each site's store (rounded
+//                           to a power of two; default 1 — digests are
+//                           partition-count-invariant)
 //   --version-gc            RITU-MV: prune version chains below each site's
 //                           VTNC (clamped to the oldest active query pin)
 //                           on every stability advance

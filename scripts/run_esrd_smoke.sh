@@ -18,7 +18,7 @@ P0=$BASE; P1=$((BASE + 1)); P2=$((BASE + 2))
 PEERS="127.0.0.1:${P0},127.0.0.1:${P1},127.0.0.1:${P2}"
 
 cmake -B build -S .
-cmake --build build -j --target esrd
+cmake --build build -j "$(nproc)" --target esrd
 
 DIR=$(mktemp -d /tmp/esrd_smoke_XXXXXX)
 PIDS=()

@@ -13,7 +13,7 @@ set -euo pipefail
 cd "$(dirname "$0")/.."
 
 cmake -B build -S .
-cmake --build build -j --target bench_recovery
+cmake --build build -j "$(nproc)" --target bench_recovery
 
 out=$(build/bench/bench_recovery 10000 160000)
 echo "$out"

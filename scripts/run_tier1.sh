@@ -19,6 +19,6 @@ if [[ "${1:-}" == "--sanitize" ]]; then
 fi
 
 cmake -B "$BUILD_DIR" -S . "${CMAKE_ARGS[@]}"
-cmake --build "$BUILD_DIR" -j
+cmake --build "$BUILD_DIR" -j "$(nproc)"
 cd "$BUILD_DIR"
 ctest --output-on-failure -j "$(nproc)"

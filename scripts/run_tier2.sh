@@ -32,8 +32,8 @@ scripts/run_tier1.sh --sanitize
 # the real one (thread pool, strands, timer wheel, TCP) is where lifetime
 # bugs hide behind scheduling luck.
 # The mv_store suites join for the concurrent store: striped-lock
-# partitioning, hot-cache refresh on remove, and GC's erase-range pruning
-# are pointer-heavy paths worth the double run.
+# partitioning, empty-slot erasure on version removal, and GC's
+# erase-range pruning are pointer-heavy paths worth the double run.
 (
   cd build-asan
   ctest --output-on-failure \
@@ -49,7 +49,7 @@ scripts/run_tier1.sh --sanitize
 # (mv_store_stress_test is written for exactly this pass). Everything else
 # is single-threaded simulator code that TSan would only slow down.
 cmake -B build-tsan -S . -DESR_SANITIZE_THREAD=ON
-cmake --build build-tsan -j --target runtime_conformance_test \
+cmake --build build-tsan -j "$(nproc)" --target runtime_conformance_test \
   http_exporter_test mv_store_stress_test
 (
   cd build-tsan

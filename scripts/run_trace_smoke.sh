@@ -14,7 +14,7 @@ cd "$(dirname "$0")/.."
 PORT="${1:-9465}"
 
 cmake -B build -S .
-cmake --build build -j --target esrsim
+cmake --build build -j "$(nproc)" --target esrsim
 
 build/examples/esrsim --method=ordup --sites=3 --duration-ms=200 \
   --trace-ets=64 --serve-metrics-port="$PORT" --metrics-publish-ms=50 \

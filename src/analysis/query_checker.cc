@@ -4,7 +4,7 @@
 #include <cmath>
 #include <cstdlib>
 
-#include "store/object_store.h"
+#include "store/mv_store.h"
 
 namespace esr::analysis {
 
@@ -56,9 +56,9 @@ std::vector<std::pair<int64_t, int64_t>> IntersectRanges(
 std::unordered_map<ObjectId, Timeline> BuildTimelines(
     const HistoryRecorder& history, const std::vector<EtId>& serial_order) {
   std::unordered_map<ObjectId, Timeline> timelines;
-  // Replay through a real ObjectStore so timestamped writes obey the Thomas
+  // Replay through a real store so timestamped writes obey the Thomas
   // write rule, exactly as replicas applied them.
-  store::ObjectStore state;
+  store::MvStore state;
   int64_t k = 0;
   for (EtId et : serial_order) {
     const UpdateRecord* u = history.FindUpdate(et);
@@ -105,7 +105,7 @@ bool PrefixConsistentImpl(
 std::unordered_map<ObjectId, Value> ComputeSerialState(
     const HistoryRecorder& history, const std::vector<EtId>& serial_order,
     int64_t prefix) {
-  store::ObjectStore state;
+  store::MvStore state;
   int64_t k = 0;
   for (EtId et : serial_order) {
     if (prefix >= 0 && k >= prefix) break;

@@ -32,7 +32,7 @@ int64_t MakeTxnId(SiteId site, int64_t seq) {
 
 TwoPhaseCommitEngine::TwoPhaseCommitEngine(msg::Mailbox* mailbox,
                                            msg::ReliableTransport* queues,
-                                           store::ObjectStore* store,
+                                           store::MvStore* store,
                                            int num_sites)
     : mailbox_(mailbox),
       queues_(queues),

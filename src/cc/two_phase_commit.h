@@ -12,7 +12,7 @@
 #include "cc/lock_manager.h"
 #include "msg/mailbox.h"
 #include "msg/reliable_transport.h"
-#include "store/object_store.h"
+#include "store/mv_store.h"
 #include "store/operation.h"
 
 namespace esr::cc {
@@ -46,7 +46,7 @@ class TwoPhaseCommitEngine {
   using ReadCallback = std::function<void(Result<Value>)>;
 
   TwoPhaseCommitEngine(msg::Mailbox* mailbox, msg::ReliableTransport* queues,
-                       store::ObjectStore* store, int num_sites);
+                       store::MvStore* store, int num_sites);
 
   /// Coordinates a write-all transaction applying `ops` at every site.
   /// `done` fires after every participant acknowledged the decision.
@@ -85,7 +85,7 @@ class TwoPhaseCommitEngine {
 
   msg::Mailbox* mailbox_;
   msg::ReliableTransport* queues_;
-  store::ObjectStore* store_;
+  store::MvStore* store_;
   /// Wait-die: participant lock waits span coordinators on different
   /// sites, where local cycle detection cannot see distributed deadlocks.
   LockManager locks_{CompatibilityTable::kStrict2PL, WaitPolicy::kWaitDie};

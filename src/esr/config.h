@@ -167,11 +167,10 @@ struct SystemConfig {
   /// instead (no coordination).
   bool ordup_sequenced_queries = false;
 
-  /// Hash partitions of each site's multi-version store (rounded up to a
-  /// power of two). 1 (default) reproduces the legacy single-partition
-  /// layout; digests are partition-count-invariant either way, so any
-  /// value preserves the determinism digests. The real runtime defaults
-  /// higher (OrdupNodeConfig) — in the sim only scan locality changes.
+  /// Hash partitions of each site's store (rounded up to a power of two).
+  /// Digests are partition-count-invariant, so any value preserves the
+  /// determinism digests. The real runtime defaults higher
+  /// (OrdupNodeConfig) — in the sim only scan locality changes.
   int store_partitions = 1;
 
   /// Stability-driven version GC (RITU-multi): on each VTNC advance a site

@@ -29,7 +29,6 @@
 #include "sim/simulator.h"
 #include "store/mset_log.h"
 #include "store/mv_store.h"
-#include "store/object_store.h"
 
 namespace esr::recovery {
 class SiteRecovery;
@@ -48,11 +47,9 @@ struct MethodContext {
   msg::LamportClock* clock = nullptr;
   msg::SequencerClient* sequencer = nullptr;
   StabilityTracker* stability = nullptr;
-  store::ObjectStore* store = nullptr;
-  /// Multi-version store (RITU-MV chains). The concurrent MvStore replaced
-  /// the single-threaded VersionStore; in the sim all access stays on one
-  /// thread, in the real runtime reads may run off-strand.
-  store::MvStore* versions = nullptr;
+  /// The site's store: RITU-MV uses its version chains, every other
+  /// method its single current value per object.
+  store::MvStore* store = nullptr;
   store::MsetLog* mset_log = nullptr;
   ObjectClassRegistry* registry = nullptr;  // shared, schema-level
   analysis::HistoryRecorder* history = nullptr;  // shared

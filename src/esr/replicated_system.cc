@@ -19,7 +19,7 @@ namespace esr::core {
 
 struct ReplicatedSystem::SiteRuntime {
   SiteRuntime(SiteId s, store::MvStoreOptions store_options)
-      : id(s), clock(s), versions(store_options) {}
+      : id(s), clock(s), store(store_options) {}
 
   SiteId id;
   msg::LamportClock clock;
@@ -33,8 +33,7 @@ struct ReplicatedSystem::SiteRuntime {
   std::vector<std::unique_ptr<msg::SequencerServer>> shard_seq_servers;
   std::vector<std::unique_ptr<msg::SequencerClient>> shard_seq_clients;
   std::unique_ptr<StabilityTracker> stability;
-  store::ObjectStore store;
-  store::MvStore versions;
+  store::MvStore store;
   store::MsetLog mset_log;
   std::unique_ptr<ReplicaControlMethod> method;
   std::unique_ptr<cc::TwoPhaseCommitEngine> tpc;
@@ -472,7 +471,6 @@ MethodContext ReplicatedSystem::MakeContext(SiteId s) {
   }
   ctx.stability = site.stability.get();
   ctx.store = &site.store;
-  ctx.versions = &site.versions;
   ctx.mset_log = &site.mset_log;
   ctx.registry = &registry_;
   ctx.history = &history_;
@@ -506,7 +504,7 @@ void ReplicatedSystem::InstallVersionGc(SiteId s) {
         floor = std::min(floor, *q.vtnc_pin);
       }
     }
-    const int64_t pruned = site.versions.GcBelow(floor);
+    const int64_t pruned = site.store.GcBelow(floor);
     if (pruned > 0) counters_.Increment("esr.versions_gc_pruned", pruned);
   };
 }
@@ -541,8 +539,8 @@ void ReplicatedSystem::BindRecoverySite(SiteId s) {
     }
     out.clock_counter = site.clock.Now().counter;
     out.store_entries = site.store.SnapshotEntries();
-    out.versions = site.versions.SnapshotVersions();
-    out.version_gc_floor = site.versions.gc_floor();
+    out.versions = site.store.SnapshotVersions();
+    out.version_gc_floor = site.store.gc_floor();
     out.mset_log = site.mset_log.Snapshot();
     MethodDurableState m;
     site.method->SnapshotDurable(m);
@@ -565,14 +563,14 @@ void ReplicatedSystem::BindRecoverySite(SiteId s) {
       site.store.RestoreEntry(object, value, ts);
     }
     for (const auto& [object, ts, value] : data.versions) {
-      site.versions.AppendVersion(object, ts, value);
+      site.store.AppendVersion(object, ts, value);
     }
     // Re-seed the GC floor so the recovering site knows how far it had
     // pruned. WAL replay may transiently resurrect pruned versions (the
     // MSets re-apply); the next VTNC advance re-prunes them below the
     // floor, so the store never answers reads it couldn't before the
     // crash.
-    site.versions.SetGcFloor(data.version_gc_floor);
+    site.store.SetGcFloor(data.version_gc_floor);
     // The MSet log must be back before RestoreDurable: COMPE rebuilds its
     // tentative lock counters by scanning it.
     for (const store::MsetLog::RecordSnapshot& rec : data.mset_log) {
@@ -708,8 +706,7 @@ void ReplicatedSystem::AmnesiaRestart(SiteId s) {
   // queues outlive the crash, and the client's abandoned-id set is the
   // bookkeeping that routes their eventual grants to the orphan release.
   site.method.reset();
-  site.store = store::ObjectStore();
-  site.versions.Clear();  // MvStore is not assignable (per-partition locks)
+  site.store.Clear();  // MvStore is not assignable (per-partition locks)
   site.mset_log = store::MsetLog();
   site.clock = msg::LamportClock(s);
   site.stability = std::make_unique<StabilityTracker>(s, config_.num_sites);
@@ -1715,9 +1712,7 @@ ReplicatedSystem::DivergenceScan ReplicatedSystem::ScanDivergence(
     }
     objects.assign(all.begin(), all.end());
   } else {
-    objects = config_.method == Method::kRituMulti
-                  ? sites_[0]->versions.ObjectIds()
-                  : sites_[0]->store.ObjectIds();
+    objects = sites_[0]->store.ObjectIds();
   }
   std::vector<SiteId> everyone;
   for (SiteId s = 0; s < config_.num_sites; ++s) everyone.push_back(s);
@@ -1815,21 +1810,14 @@ bool ReplicatedSystem::Converged() const {
     // quorum intersection); treat as trivially converged.
     return true;
   }
-  if (config_.method == Method::kRituMulti) {
+  if (config_.method == Method::kRituMulti && config_.version_gc) {
     // With version GC on, sites prune at independently-advancing VTNCs, so
     // full-chain digests differ transiently even when the replicas agree on
     // every object's latest value. Compare the GC-invariant latest-version
     // digest instead (GC never removes a chain's newest version).
-    if (config_.version_gc) {
-      const uint64_t digest0 = sites_[0]->versions.LatestDigest();
-      for (const auto& site : sites_) {
-        if (site->versions.LatestDigest() != digest0) return false;
-      }
-      return true;
-    }
-    const uint64_t digest0 = sites_[0]->versions.StateDigest();
+    const uint64_t digest0 = sites_[0]->store.LatestDigest();
     for (const auto& site : sites_) {
-      if (site->versions.StateDigest() != digest0) return false;
+      if (site->store.LatestDigest() != digest0) return false;
     }
     return true;
   }
@@ -1864,24 +1852,18 @@ Value ReplicatedSystem::SiteValue(SiteId site, ObjectId object) const {
     return sites_[site]->quorum->LocalValue(object);
   }
   if (config_.method == Method::kRituMulti) {
-    auto v = sites_[site]->versions.ReadLatest(object);
+    auto v = sites_[site]->store.ReadLatest(object);
     return v.has_value() ? v->value : Value();
   }
   return sites_[site]->store.Read(object);
 }
 
 uint64_t ReplicatedSystem::SiteDigest(SiteId site) const {
-  if (config_.method == Method::kRituMulti) {
-    return sites_[site]->versions.StateDigest();
-  }
   return sites_[site]->store.StateDigest();
 }
 
-store::ObjectStore& ReplicatedSystem::site_store(SiteId site) {
+store::MvStore& ReplicatedSystem::site_store(SiteId site) {
   return sites_[site]->store;
-}
-store::MvStore& ReplicatedSystem::site_versions(SiteId site) {
-  return sites_[site]->versions;
 }
 store::MsetLog& ReplicatedSystem::site_mset_log(SiteId site) {
   return sites_[site]->mset_log;

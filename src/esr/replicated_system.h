@@ -212,8 +212,7 @@ class ReplicatedSystem {
 
   uint64_t SiteDigest(SiteId site) const;
 
-  store::ObjectStore& site_store(SiteId site);
-  store::MvStore& site_versions(SiteId site);
+  store::MvStore& site_store(SiteId site);
   store::MsetLog& site_mset_log(SiteId site);
   msg::ReliableTransport& site_queues(SiteId site);
   ReplicaControlMethod* site_method(SiteId site);

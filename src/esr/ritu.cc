@@ -25,8 +25,8 @@ Status RituMethod::AdmitUpdate(const std::vector<store::Operation>& ops) {
 void RituMethod::SubmitUpdate(EtId et, std::vector<store::Operation> ops,
                               CommitFn done) {
   const LamportTimestamp ts = ctx_.clock->Tick();
-  // Stamp every write with the ET's timestamp; the store (or version store)
-  // resolves concurrent writes by it.
+  // Stamp every write with the ET's timestamp; the store resolves
+  // concurrent writes by it (Thomas rule, or the version chain's order).
   for (store::Operation& op : ops) op.timestamp = ts;
   outgoing_ts_.emplace(et, ts);
   Mset mset;
@@ -64,7 +64,7 @@ void RituMethod::OnReplayReflected(const Mset& mset) {
 void RituMethod::ApplyRitu(const Mset& mset) {
   if (multiversion_) {
     for (const store::Operation& op : mset.operations) {
-      ctx_.versions->AppendVersion(op.object, op.timestamp, op.value);
+      ctx_.store->AppendVersion(op.object, op.timestamp, op.value);
     }
   } else {
     // Single-version overwrite under the Thomas write rule, with the
@@ -91,7 +91,7 @@ Result<Value> RituMethod::TryQueryRead(QueryState& query, ObjectId object) {
     query.vtnc_pin = ctx_.stability->Vtnc();
   }
   const LamportTimestamp pin = *query.vtnc_pin;
-  const auto latest = ctx_.versions->ReadLatest(object);
+  const auto latest = ctx_.store->ReadLatest(object);
   Value v;
   int64_t inc = 0;
   if (latest.has_value() && latest->timestamp > pin) {
@@ -106,7 +106,7 @@ Result<Value> RituMethod::TryQueryRead(QueryState& query, ObjectId object) {
     } else {
       // Fall back to the pinned snapshot: versions at-or-below the pin are
       // immutable and complete, so this read is serializable and free.
-      const auto snap = ctx_.versions->ReadAtOrBefore(object, pin);
+      const auto snap = ctx_.store->ReadAtOrBefore(object, pin);
       v = snap.has_value() ? snap->value : Value();
       ctx_.counters->Increment("esr.ritu_snapshot_reads");
     }

@@ -5,7 +5,7 @@
 
 namespace esr::store {
 
-Status MsetLog::ApplyAndLog(ObjectStore& store, int64_t mset_id,
+Status MsetLog::ApplyAndLog(MvStore& store, int64_t mset_id,
                             std::vector<Operation> update_ops) {
   if (Contains(mset_id)) {
     return Status::AlreadyExists("mset " + std::to_string(mset_id) +
@@ -46,7 +46,7 @@ bool MsetLog::FastPathLegal(size_t index) const {
   return true;
 }
 
-Status MsetLog::Compensate(ObjectStore& store, int64_t mset_id) {
+Status MsetLog::Compensate(MvStore& store, int64_t mset_id) {
   size_t index = records_.size();
   for (size_t i = 0; i < records_.size(); ++i) {
     if (records_[i].mset_id == mset_id) {

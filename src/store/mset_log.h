@@ -10,7 +10,7 @@
 #include "common/status.h"
 #include "common/types.h"
 #include "common/value.h"
-#include "store/object_store.h"
+#include "store/mv_store.h"
 #include "store/operation.h"
 
 namespace esr::store {
@@ -50,12 +50,12 @@ class MsetLog {
 
   /// Captures before-images of the objects updated by `update_ops`, applies
   /// them to `store`, and appends a log record. `mset_id` must be new.
-  Status ApplyAndLog(ObjectStore& store, int64_t mset_id,
+  Status ApplyAndLog(MvStore& store, int64_t mset_id,
                      std::vector<Operation> update_ops);
 
   /// Compensates a previously logged MSet (applies the fast path when legal,
   /// the general rollback-and-replay otherwise) and removes its record.
-  Status Compensate(ObjectStore& store, int64_t mset_id);
+  Status Compensate(MvStore& store, int64_t mset_id);
 
   bool Contains(int64_t mset_id) const;
 

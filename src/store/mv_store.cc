@@ -1,6 +1,7 @@
 #include "store/mv_store.h"
 
 #include <algorithm>
+#include <iterator>
 #include <string>
 
 namespace esr::store {
@@ -19,41 +20,13 @@ MvStore::MvStore(MvStoreOptions options)
     : partitions_(static_cast<size_t>(
           RoundUpPow2(std::clamp(options.partitions, 1, 4096)))) {
   partition_mask_ = partitions_.size() - 1;
-  if (options.hot_cache_slots > 0) {
-    const int per_partition = RoundUpPow2(std::max(
-        1, options.hot_cache_slots / static_cast<int>(partitions_.size())));
-    for (StorePartition& p : partitions_) {
-      p.hot.assign(static_cast<size_t>(per_partition), HotSlot{});
-    }
-  }
-}
-
-void MvStore::RefreshHot(StorePartition& p, ObjectId object,
-                         const ObjectSlot& slot) {
-  if (p.hot.empty()) return;
-  HotSlot& h = p.hot[HotIndex(object, p)];
-  if (slot.versions.empty()) {
-    // Chain gone: invalidate only if this slot actually cached `object`
-    // (a colliding object may own the slot).
-    if (h.id == object) h.id = kInvalidObjectId;
-    return;
-  }
-  const auto& [ts, value] = *slot.versions.rbegin();
-  h.id = object;
-  h.latest = Version{ts, value};
 }
 
 void MvStore::AppendVersion(ObjectId object, LamportTimestamp timestamp,
                             Value value) {
   StorePartition& p = partitions_[PartitionIndex(object)];
   std::unique_lock<std::shared_mutex> lock(p.mu);
-  ObjectSlot& slot = p.slots[object];
-  auto [it, inserted] = slot.versions.insert_or_assign(timestamp,
-                                                       std::move(value));
-  (void)it;
-  if (inserted) ++p.version_count;
-  p.max_timestamp = std::max(p.max_timestamp, timestamp);
-  RefreshHot(p, object, slot);
+  p.slots[object].versions.insert_or_assign(timestamp, std::move(value));
 }
 
 Status MvStore::RemoveVersion(ObjectId object, LamportTimestamp timestamp) {
@@ -67,35 +40,13 @@ Status MvStore::RemoveVersion(ObjectId object, LamportTimestamp timestamp) {
   if (slot.versions.erase(timestamp) == 0) {
     return Status::NotFound("no version at timestamp " + ToString(timestamp));
   }
-  --p.version_count;
-  RefreshHot(p, object, slot);
   if (slot.versions.empty() && !slot.has_current) p.slots.erase(it);
-  if (timestamp == p.max_timestamp) {
-    // The removed version carried this partition's maximum (COMPE's
-    // remove-version compensation deletes the newest version it just
-    // added); recompute so MaxTimestamp() never reports a phantom
-    // timestamp — same invariant as VersionStore::RemoveVersion.
-    p.max_timestamp = kZeroTimestamp;
-    for (const auto& [id, s] : p.slots) {
-      if (!s.versions.empty()) {
-        p.max_timestamp = std::max(p.max_timestamp, s.versions.rbegin()->first);
-      }
-    }
-  }
   return Status::Ok();
 }
 
 std::optional<Version> MvStore::ReadLatest(ObjectId object) const {
   const StorePartition& p = partitions_[PartitionIndex(object)];
   std::shared_lock<std::shared_mutex> lock(p.mu);
-  if (!p.hot.empty()) {
-    const HotSlot& h = p.hot[HotIndex(object, p)];
-    if (h.id == object) {
-      hot_hits_.fetch_add(1, std::memory_order_relaxed);
-      return h.latest;
-    }
-    hot_misses_.fetch_add(1, std::memory_order_relaxed);
-  }
   auto it = p.slots.find(object);
   if (it == p.slots.end() || it->second.versions.empty()) return std::nullopt;
   const auto& [ts, value] = *it->second.versions.rbegin();
@@ -106,15 +57,6 @@ std::optional<Version> MvStore::ReadAtOrBefore(ObjectId object,
                                                LamportTimestamp at) const {
   const StorePartition& p = partitions_[PartitionIndex(object)];
   std::shared_lock<std::shared_mutex> lock(p.mu);
-  if (!p.hot.empty()) {
-    // The cached version is the chain's newest overall; if it is <= `at`
-    // it is also the newest at-or-before `at`.
-    const HotSlot& h = p.hot[HotIndex(object, p)];
-    if (h.id == object && h.latest.timestamp <= at) {
-      hot_hits_.fetch_add(1, std::memory_order_relaxed);
-      return h.latest;
-    }
-  }
   auto it = p.slots.find(object);
   if (it == p.slots.end() || it->second.versions.empty()) return std::nullopt;
   const auto& versions = it->second.versions;
@@ -132,27 +74,21 @@ int64_t MvStore::VersionCount(ObjectId object) const {
   return static_cast<int64_t>(it->second.versions.size());
 }
 
-LamportTimestamp MvStore::MaxTimestamp() const {
-  LamportTimestamp max = kZeroTimestamp;
-  for (const StorePartition& p : partitions_) {
-    std::shared_lock<std::shared_mutex> lock(p.mu);
-    max = std::max(max, p.max_timestamp);
-  }
-  return max;
-}
-
 Status MvStore::Apply(const Operation& op) {
   if (!op.IsUpdate()) {
     return Status::InvalidArgument("cannot apply a read operation");
   }
   StorePartition& p = partitions_[PartitionIndex(op.object)];
   std::unique_lock<std::shared_mutex> lock(p.mu);
-  // Materialize before the Thomas check, mirroring ObjectStore::Apply
-  // (an ignored stale write still creates the entry).
+  // Materialize before the Thomas check: an ignored stale write still
+  // creates the entry.
   ObjectSlot& slot = p.slots[op.object];
   slot.has_current = true;
   if (op.kind == OpKind::kTimestampedWrite) {
     // Thomas write rule: ignore writes older than the latest applied one.
+    // This is exactly what makes RITU single-version updates
+    // order-insensitive ("an RITU update trying to overwrite a newer
+    // version is ignored", paper section 3.3).
     if (op.timestamp < slot.write_timestamp) return Status::Ok();
     slot.write_timestamp = op.timestamp;
     slot.current = op.value;
@@ -230,8 +166,6 @@ int64_t MvStore::GcBelow(LamportTimestamp watermark) {
       if (n == 0) continue;
       slot.versions.erase(slot.versions.begin(), keep);
       pruned += static_cast<int64_t>(n);
-      p.version_count -= static_cast<int64_t>(n);
-      // Hot cache untouched: GC never removes a chain's newest version.
     }
   }
   {
@@ -252,13 +186,16 @@ void MvStore::SetGcFloor(LamportTimestamp floor) {
   gc_floor_ = std::max(gc_floor_, floor);
 }
 
-uint64_t MvStore::StateDigest() const {
-  std::vector<ObjectId> ids = ObjectIds();
+uint64_t MvStore::StateDigest() const { return Digest(false); }
+
+uint64_t MvStore::LatestDigest() const { return Digest(true); }
+
+uint64_t MvStore::Digest(bool latest_only) const {
+  // FNV-1a over the rendering of each field. Every field is terminated
+  // with a 0x1f unit separator (a byte no rendering contains): without it,
+  // distinct states like (id=1, value=23) and (id=12, value=3) render to
+  // the same byte stream and collide.
   uint64_t h = 1469598103934665603ULL;
-  // Same rendering and 0x1f field separators as VersionStore::StateDigest
-  // and ObjectStore::StateDigest, so a single-role MvStore digests
-  // byte-identically to the legacy store it replaces (sim binding pins
-  // these values).
   auto mix = [&h](const std::string& s) {
     for (unsigned char c : s) {
       h ^= c;
@@ -267,44 +204,20 @@ uint64_t MvStore::StateDigest() const {
     h ^= 0x1f;
     h *= 1099511628211ULL;
   };
-  for (ObjectId id : ids) {
+  for (ObjectId id : ObjectIds()) {
     const StorePartition& p = partitions_[PartitionIndex(id)];
     std::shared_lock<std::shared_mutex> lock(p.mu);
     auto it = p.slots.find(id);
     if (it == p.slots.end()) continue;  // concurrently removed
     const ObjectSlot& slot = it->second;
     mix(std::to_string(id));
-    for (const auto& [ts, value] : slot.versions) {
-      mix(ToString(ts));
-      mix(value.ToString());
+    auto first = slot.versions.begin();
+    if (latest_only && !slot.versions.empty()) {
+      first = std::prev(slot.versions.end());
     }
-    if (slot.has_current) mix(slot.current.ToString());
-  }
-  return h;
-}
-
-uint64_t MvStore::LatestDigest() const {
-  std::vector<ObjectId> ids = ObjectIds();
-  uint64_t h = 1469598103934665603ULL;
-  auto mix = [&h](const std::string& s) {
-    for (unsigned char c : s) {
-      h ^= c;
-      h *= 1099511628211ULL;
-    }
-    h ^= 0x1f;
-    h *= 1099511628211ULL;
-  };
-  for (ObjectId id : ids) {
-    const StorePartition& p = partitions_[PartitionIndex(id)];
-    std::shared_lock<std::shared_mutex> lock(p.mu);
-    auto it = p.slots.find(id);
-    if (it == p.slots.end()) continue;
-    const ObjectSlot& slot = it->second;
-    mix(std::to_string(id));
-    if (!slot.versions.empty()) {
-      const auto& [ts, value] = *slot.versions.rbegin();
-      mix(ToString(ts));
-      mix(value.ToString());
+    for (auto v = first; v != slot.versions.end(); ++v) {
+      mix(ToString(v->first));
+      mix(v->second.ToString());
     }
     if (slot.has_current) mix(slot.current.ToString());
   }
@@ -358,15 +271,6 @@ MvStore::SnapshotEntries() const {
   return out;
 }
 
-int64_t MvStore::TotalVersionCount() const {
-  int64_t total = 0;
-  for (const StorePartition& p : partitions_) {
-    std::shared_lock<std::shared_mutex> lock(p.mu);
-    total += p.version_count;
-  }
-  return total;
-}
-
 int64_t MvStore::MaxChainLength() const {
   int64_t max_len = 0;
   for (const StorePartition& p : partitions_) {
@@ -383,17 +287,12 @@ void MvStore::Clear() {
   for (StorePartition& p : partitions_) {
     std::unique_lock<std::shared_mutex> lock(p.mu);
     p.slots.clear();
-    p.max_timestamp = kZeroTimestamp;
-    p.version_count = 0;
-    std::fill(p.hot.begin(), p.hot.end(), HotSlot{});
   }
   {
     std::lock_guard<std::mutex> lock(floor_mu_);
     gc_floor_ = kZeroTimestamp;
   }
   gc_pruned_total_.store(0, std::memory_order_relaxed);
-  hot_hits_.store(0, std::memory_order_relaxed);
-  hot_misses_.store(0, std::memory_order_relaxed);
 }
 
 }  // namespace esr::store

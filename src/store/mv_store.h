@@ -17,36 +17,45 @@
 
 namespace esr::store {
 
-/// Tuning knobs of the concurrent store. The defaults reproduce the legacy
-/// single-threaded stores exactly: one partition (legacy iteration order)
-/// and no hot-key cache.
+/// One immutable version of an object.
+struct Version {
+  LamportTimestamp timestamp;
+  Value value;
+
+  friend bool operator==(const Version&, const Version&) = default;
+};
+
+/// Shape of the concurrent store. The default (one partition) serializes
+/// all writers, which is all the single-threaded simulator needs.
 struct MvStoreOptions {
   /// Number of hash partitions; rounded up to a power of two and clamped
   /// to [1, 4096]. One partition serializes all writers (still safe, just
   /// unscaled); the real runtime wants >= the worker thread count.
   int partitions = 1;
-  /// Total hot-key cache slots across all partitions (direct-mapped;
-  /// rounded up to a power of two per partition). 0 disables the cache.
-  int hot_cache_slots = 0;
 };
 
-/// Concurrent, partitioned multi-version object store — the storage layer
-/// behind every replica control method once the runtime seam lets readers
-/// run off-strand.
+/// The object store of one replica site: concurrent, partitioned, and
+/// holding both the single current value of each object and, for RITU's
+/// multi-version mode, its timestamp-ordered version chain.
 ///
 /// The object space is hashed over N power-of-two partitions, each guarded
 /// by its own shared_mutex (striped locking): point reads take the shared
 /// side and never block each other, writers contend only within their
 /// partition, and scans (digests, snapshots, divergence gauges) proceed
-/// partition-at-a-time without any global lock. One MvStore serves both
-/// store roles of the legacy layer:
+/// partition-at-a-time without any global lock. Each method uses one of
+/// two roles:
 ///
-///  * VersionStore role (RITU-MV): AppendVersion / RemoveVersion /
-///    ReadLatest / ReadAtOrBefore over timestamp-ordered immutable version
-///    chains, with the VTNC visibility rule implemented by the caller.
-///  * ObjectStore role (ORDUP / COMMU / COMPE / RITU-SV): Apply / Read /
-///    Restore over a single current value per object, with the Thomas
-///    write rule for timestamped writes.
+///  * Multi-version role (RITU-MV, paper section 3.3): AppendVersion /
+///    RemoveVersion / ReadLatest / ReadAtOrBefore over timestamp-ordered
+///    immutable version chains. Visibility follows the Modular
+///    Synchronization Method's visible transaction number counter (VTNC),
+///    implemented by the caller: a query reading at-or-below the VTNC is
+///    serializable; reading above it is the controlled inconsistency RITU
+///    charges against the query's counter.
+///  * Single-version role (ORDUP / COMMU / COMPE / RITU-SV / 2PC): Apply /
+///    Read / Restore over one current value per object, with the Thomas
+///    write rule for timestamped writes. Objects spring into existence on
+///    first access with the default value (integer 0); there is no delete.
 ///
 /// *Version GC.* GcBelow(watermark) prunes versions strictly below the
 /// given stability watermark but always keeps the newest version at or
@@ -56,24 +65,14 @@ struct MvStoreOptions {
 /// clamp the watermark to the oldest live query pin, so no reachable
 /// snapshot read can need a pruned version (DESIGN.md §15).
 ///
-/// *Hot-key cache.* An optional direct-mapped per-partition cache of the
-/// newest version of recently-written objects. Coherence rule: the cache
-/// is only ever written under the partition's exclusive lock — updated
-/// write-through on AppendVersion, refreshed or invalidated on
-/// RemoveVersion — and probed under the shared lock, so a hit is always
-/// the chain's true newest version. GC never removes a chain's newest
-/// version, so it never touches the cache.
-///
 /// *Determinism.* All digests and snapshots are computed over globally
 /// sorted object ids (and timestamp-sorted chains), so their results are
-/// independent of the partition count and byte-identical to the legacy
-/// stores' — the sim binding keeps its digests regardless of partitioning.
+/// independent of the partition count.
 ///
 /// Thread safety: every method is safe to call concurrently. Scans are
 /// partition-at-a-time and therefore *fuzzy* under concurrent writers
 /// (they see each partition at a possibly different instant); quiescent
-/// scans are exact. StateDigest() matches VersionStore::StateDigest() /
-/// ObjectStore::StateDigest() byte-for-byte on equivalent contents.
+/// scans are exact.
 class MvStore {
  public:
   explicit MvStore(MvStoreOptions options = {});
@@ -81,16 +80,16 @@ class MvStore {
   MvStore(const MvStore&) = delete;
   MvStore& operator=(const MvStore&) = delete;
 
-  /// --- Multi-version role (VersionStore-compatible) -----------------------
+  /// --- Multi-version role -------------------------------------------------
 
   /// Appends a version. Appending an identical (timestamp, value) pair is
   /// idempotent; a different value at an existing timestamp replaces it
-  /// (COMPE's same-timestamp compensation).
+  /// (COMPE's "adding another version with the same timestamp but bearing
+  /// the previous value").
   void AppendVersion(ObjectId object, LamportTimestamp timestamp, Value value);
 
-  /// Removes the version at `timestamp` exactly. Returns NotFound if
-  /// absent. Recomputes the partition's max timestamp when the removed
-  /// version carried it (the VersionStore::MaxTimestamp invariant).
+  /// Removes the version at `timestamp` exactly (the other compensation
+  /// strategy for multi-version RITU). Returns NotFound if absent.
   Status RemoveVersion(ObjectId object, LamportTimestamp timestamp);
 
   /// Latest version by timestamp; nullopt when the object has none.
@@ -103,13 +102,12 @@ class MvStore {
   /// Number of versions stored for `object`.
   int64_t VersionCount(ObjectId object) const;
 
-  /// Timestamp of the newest version across all objects (zero when empty).
-  LamportTimestamp MaxTimestamp() const;
+  /// --- Single-version role ------------------------------------------------
 
-  /// --- Single-version role (ObjectStore-compatible) -----------------------
-
-  /// Applies one update operation (Thomas write rule for timestamped
-  /// writes; see ObjectStore::Apply).
+  /// Applies one update operation. For kTimestampedWrite, enforces the
+  /// Thomas write rule: a write older than the object's latest applied
+  /// write is ignored (returns OK — being ignored is the operation's
+  /// defined semantics, not an error).
   Status Apply(const Operation& op);
 
   /// Applies every update in `ops` (reads skipped); stops at first failure.
@@ -118,7 +116,8 @@ class MvStore {
   /// Current value (default-initialized if never written).
   Value Read(ObjectId object) const;
 
-  /// Overwrites an object's value directly (compensation rollback).
+  /// Overwrites an object's value directly, bypassing operation semantics
+  /// (compensation rollback restores before-images with it).
   void Restore(ObjectId object, Value value);
 
   /// Timestamp of the latest applied timestamped write (zero if none).
@@ -128,7 +127,7 @@ class MvStore {
   int64_t ObjectCount() const;
 
   /// Restores one checkpointed single-version entry with its Thomas-rule
-  /// write timestamp.
+  /// write timestamp (Restore() would leave it unchanged).
   void RestoreEntry(ObjectId object, Value value,
                     LamportTimestamp write_timestamp);
 
@@ -154,11 +153,10 @@ class MvStore {
 
   /// --- Scans, digests, snapshots (partition-at-a-time, sorted output) -----
 
-  /// Deterministic digest over the full contents: per sorted object id,
-  /// every (timestamp, value) version pair then the current value if the
-  /// single-version role materialized the object. Byte-identical to
-  /// VersionStore::StateDigest() (multi-version contents) and
-  /// ObjectStore::StateDigest() (single-version contents).
+  /// Deterministic FNV-1a digest over the full contents: per sorted object
+  /// id, every (timestamp, value) version pair then the current value if
+  /// the single-version role materialized the object. Two replicas
+  /// converged to the same state iff their digests match.
   uint64_t StateDigest() const;
 
   /// Digest over each object's *newest* version only. Invariant under
@@ -182,31 +180,13 @@ class MvStore {
   std::vector<std::tuple<ObjectId, Value, LamportTimestamp>> SnapshotEntries()
       const;
 
-  /// Visits every object partition-at-a-time under that partition's shared
-  /// lock: fn(ObjectId, const ObjectSlot&). Iteration order is unspecified
-  /// (per-partition hash order); use the sorted accessors for determinism.
-  /// `fn` must not call back into this store (lock is held).
-  template <typename Fn>
-  void VisitObjects(Fn&& fn) const {
-    for (const StorePartition& p : partitions_) {
-      std::shared_lock<std::shared_mutex> lock(p.mu);
-      for (const auto& [id, slot] : p.slots) fn(id, slot);
-    }
-  }
-
   /// --- Introspection ------------------------------------------------------
 
   int partition_count() const { return static_cast<int>(partitions_.size()); }
-  int64_t hot_hits() const { return hot_hits_.load(std::memory_order_relaxed); }
-  int64_t hot_misses() const {
-    return hot_misses_.load(std::memory_order_relaxed);
-  }
-  /// Total versions across all chains.
-  int64_t TotalVersionCount() const;
   /// Length of the longest version chain (O(objects) scan).
   int64_t MaxChainLength() const;
 
-  /// Drops all contents and statistics; partitioning/cache shape is kept.
+  /// Drops all contents and statistics; the partitioning is kept.
   /// (The amnesia-restart reset — MvStore is not assignable.)
   void Clear();
 
@@ -218,14 +198,10 @@ class MvStore {
         static_cast<uint64_t>(object) * 0x9E3779B97F4A7C15ULL;
     return static_cast<size_t>((mixed >> 33) & partition_mask_);
   }
-  size_t HotIndex(ObjectId object, const StorePartition& p) const {
-    const uint64_t mixed =
-        static_cast<uint64_t>(object) * 0x9E3779B97F4A7C15ULL;
-    return static_cast<size_t>((mixed >> 7) & (p.hot.size() - 1));
-  }
-  /// Refreshes (or invalidates) the hot-cache slot for `object` from its
-  /// chain. Caller holds the partition's exclusive lock.
-  void RefreshHot(StorePartition& p, ObjectId object, const ObjectSlot& slot);
+
+  /// Shared body of StateDigest / LatestDigest: `latest_only` mixes just
+  /// each chain's newest version instead of the whole chain.
+  uint64_t Digest(bool latest_only) const;
 
   std::vector<StorePartition> partitions_;
   uint64_t partition_mask_ = 0;
@@ -234,8 +210,6 @@ class MvStore {
   LamportTimestamp gc_floor_;  // guarded by floor_mu_
 
   std::atomic<int64_t> gc_pruned_total_{0};
-  mutable std::atomic<int64_t> hot_hits_{0};
-  mutable std::atomic<int64_t> hot_misses_{0};
 };
 
 }  // namespace esr::store

@@ -4,16 +4,14 @@
 #include <map>
 #include <shared_mutex>
 #include <unordered_map>
-#include <vector>
 
 #include "common/types.h"
 #include "common/value.h"
-#include "store/version_store.h"
 
 namespace esr::store {
 
-/// One object's slot in the concurrent store. The slot carries both store
-/// roles side by side:
+/// One object's slot in the store. The slot carries both store roles side
+/// by side:
 ///
 ///  * the *multi-version* role (RITU-MV): the timestamp-ordered version
 ///    chain that AppendVersion/ReadAtOrBefore operate on, and
@@ -29,37 +27,20 @@ struct ObjectSlot {
   /// Single-version role: latest applied kTimestampedWrite (Thomas rule).
   LamportTimestamp write_timestamp;
   /// True once the single-version role materialized this slot (Apply /
-  /// Restore / RestoreEntry) — mirrors ObjectStore's entry existence.
+  /// Restore / RestoreEntry).
   bool has_current = false;
   /// Multi-version role: versions keyed (and thus sorted) by timestamp.
   std::map<LamportTimestamp, Value> versions;
 };
 
-/// Direct-mapped hot-key cache entry: the newest version of one object,
-/// maintained write-through under the partition's exclusive lock (see the
-/// coherence rule in MvStore's class comment / DESIGN.md §15).
-struct HotSlot {
-  ObjectId id = kInvalidObjectId;
-  Version latest;
-};
-
-/// One hash partition of the concurrent store. Everything in the partition
-/// — slots, hot cache, aggregates — is guarded by `mu`: readers take it
-/// shared (ReadLatest / ReadAtOrBefore / Read never block each other),
-/// writers exclusive. Partitions are independent, so writes to different
-/// partitions never contend and a scan can proceed partition-at-a-time
-/// without any global lock.
+/// One hash partition of the store. Its slots are guarded by `mu`:
+/// readers take it shared (ReadLatest / ReadAtOrBefore / Read never block
+/// each other), writers exclusive. Partitions are independent, so writes
+/// to different partitions never contend and a scan can proceed
+/// partition-at-a-time without any global lock.
 struct StorePartition {
   mutable std::shared_mutex mu;
   std::unordered_map<ObjectId, ObjectSlot> slots;
-  /// Direct-mapped hot-key cache (size is a power of two; empty = disabled).
-  std::vector<HotSlot> hot;
-  /// Max version timestamp present in this partition (zero when none);
-  /// recomputed when the carrying version is removed, so the store-wide
-  /// MaxTimestamp() invariant survives compensation removals.
-  LamportTimestamp max_timestamp;
-  /// Total versions across this partition's chains.
-  int64_t version_count = 0;
 };
 
 }  // namespace esr::store

@@ -6,7 +6,7 @@ namespace esr::store {
 namespace {
 
 TEST(MsetLogTest, ApplyAndLogAppliesOps) {
-  ObjectStore store;
+  MvStore store;
   MsetLog log;
   ASSERT_TRUE(log.ApplyAndLog(store, 1, {Operation::Increment(0, 10)}).ok());
   EXPECT_EQ(store.Read(0).AsInt(), 10);
@@ -15,7 +15,7 @@ TEST(MsetLogTest, ApplyAndLogAppliesOps) {
 }
 
 TEST(MsetLogTest, DuplicateMsetIdRejected) {
-  ObjectStore store;
+  MvStore store;
   MsetLog log;
   ASSERT_TRUE(log.ApplyAndLog(store, 1, {Operation::Increment(0, 1)}).ok());
   EXPECT_EQ(log.ApplyAndLog(store, 1, {Operation::Increment(0, 1)}).code(),
@@ -23,13 +23,13 @@ TEST(MsetLogTest, DuplicateMsetIdRejected) {
 }
 
 TEST(MsetLogTest, ReadOperationsRejected) {
-  ObjectStore store;
+  MvStore store;
   MsetLog log;
   EXPECT_FALSE(log.ApplyAndLog(store, 1, {Operation::Read(0)}).ok());
 }
 
 TEST(MsetLogTest, FastPathCompensatesTailIncrement) {
-  ObjectStore store;
+  MvStore store;
   MsetLog log;
   ASSERT_TRUE(log.ApplyAndLog(store, 1, {Operation::Increment(0, 10)}).ok());
   ASSERT_TRUE(log.ApplyAndLog(store, 2, {Operation::Increment(0, 5)}).ok());
@@ -43,7 +43,7 @@ TEST(MsetLogTest, FastPathCompensatesTailIncrement) {
 TEST(MsetLogTest, PaperExampleIncThenMulNeedsRollback) {
   // Inc(x,10) . Mul(x,2): compensating the Inc must NOT just apply Dec —
   // the log is rolled back and replayed (paper section 4.1).
-  ObjectStore store;
+  MvStore store;
   store.Restore(0, Value(int64_t{1}));
   MsetLog log;
   ASSERT_TRUE(log.ApplyAndLog(store, 1, {Operation::Increment(0, 10)}).ok());
@@ -57,7 +57,7 @@ TEST(MsetLogTest, PaperExampleIncThenMulNeedsRollback) {
 }
 
 TEST(MsetLogTest, GeneralRollbackReplaysSuffix) {
-  ObjectStore store;
+  MvStore store;
   MsetLog log;
   ASSERT_TRUE(log.ApplyAndLog(store, 1, {Operation::Write(0, Value(int64_t{5}))}).ok());
   ASSERT_TRUE(log.ApplyAndLog(store, 2, {Operation::Write(0, Value(int64_t{7}))}).ok());
@@ -71,7 +71,7 @@ TEST(MsetLogTest, GeneralRollbackReplaysSuffix) {
 }
 
 TEST(MsetLogTest, FastPathAdjustsLaterBeforeImages) {
-  ObjectStore store;
+  MvStore store;
   MsetLog log;
   ASSERT_TRUE(log.ApplyAndLog(store, 1, {Operation::Increment(0, 10)}).ok());
   ASSERT_TRUE(log.ApplyAndLog(store, 2, {Operation::Increment(0, 5)}).ok());
@@ -85,13 +85,13 @@ TEST(MsetLogTest, FastPathAdjustsLaterBeforeImages) {
 }
 
 TEST(MsetLogTest, CompensateUnknownMsetFails) {
-  ObjectStore store;
+  MvStore store;
   MsetLog log;
   EXPECT_TRUE(log.Compensate(store, 99).IsNotFound());
 }
 
 TEST(MsetLogTest, CompensateSoleRecord) {
-  ObjectStore store;
+  MvStore store;
   MsetLog log;
   ASSERT_TRUE(log.ApplyAndLog(store, 1, {Operation::Write(0, Value(int64_t{3}))}).ok());
   ASSERT_TRUE(log.Compensate(store, 1).ok());
@@ -102,7 +102,7 @@ TEST(MsetLogTest, CompensateSoleRecord) {
 TEST(MsetLogTest, RituOverwriteRollbackRestoresOldValue) {
   // "In order to rollback RITU with overwrite we must also record the value
   // being overwritten on the log."
-  ObjectStore store;
+  MvStore store;
   MsetLog log;
   ASSERT_TRUE(store
                   .Apply(Operation::TimestampedWrite(0, Value(int64_t{1}),
@@ -118,7 +118,7 @@ TEST(MsetLogTest, RituOverwriteRollbackRestoresOldValue) {
 }
 
 TEST(MsetLogTest, TruncateStableDropsPrefixOnly) {
-  ObjectStore store;
+  MvStore store;
   MsetLog log;
   for (int64_t id = 1; id <= 4; ++id) {
     ASSERT_TRUE(log.ApplyAndLog(store, id, {Operation::Increment(0, 1)}).ok());
@@ -131,7 +131,7 @@ TEST(MsetLogTest, TruncateStableDropsPrefixOnly) {
 }
 
 TEST(MsetLogTest, MultiObjectMsetBeforeImagesPerObject) {
-  ObjectStore store;
+  MvStore store;
   MsetLog log;
   store.Restore(0, Value(int64_t{100}));
   store.Restore(1, Value(int64_t{200}));

@@ -25,7 +25,7 @@ LamportTimestamp PredStress(LamportTimestamp ts) {
 // snapshots partition-at-a-time — all simultaneously. Assertions check
 // what stays invariant under fuzziness; TSan checks the locking.
 TEST(MvStoreStressTest, ConcurrentAppendReadGcSnapshot) {
-  MvStore store(MvStoreOptions{.partitions = 8, .hot_cache_slots = 256});
+  MvStore store(MvStoreOptions{.partitions = 8});
   constexpr int kWriters = 3;
   constexpr int kReaders = 2;
   constexpr int64_t kObjects = 64;
@@ -94,7 +94,6 @@ TEST(MvStoreStressTest, ConcurrentAppendReadGcSnapshot) {
         // Sorted by (object, timestamp) even when taken mid-write.
         EXPECT_LE(std::get<0>(snap[i - 1]), std::get<0>(snap[i]));
       }
-      (void)store.MaxTimestamp();
     }
   });
 
@@ -106,11 +105,9 @@ TEST(MvStoreStressTest, ConcurrentAppendReadGcSnapshot) {
   // chain to [watermark, newest] and keeps the watermark read servable.
   const LamportTimestamp floor{watermark_counter.load(), 0};
   store.GcBelow(floor);
-  EXPECT_EQ(store.TotalVersionCount(), [&store] {
-    int64_t total = 0;
-    for (ObjectId id : store.ObjectIds()) total += store.VersionCount(id);
-    return total;
-  }());
+  int64_t chained = 0;
+  for (ObjectId id : store.ObjectIds()) chained += store.VersionCount(id);
+  EXPECT_EQ(static_cast<int64_t>(store.SnapshotVersions().size()), chained);
   for (ObjectId id : store.ObjectIds()) {
     auto latest = store.ReadLatest(id);
     ASSERT_TRUE(latest.has_value());

@@ -2,8 +2,10 @@
 
 #include <gtest/gtest.h>
 
-#include "store/object_store.h"
-#include "store/version_store.h"
+#include <algorithm>
+#include <string>
+#include <tuple>
+#include <vector>
 
 namespace esr::store {
 namespace {
@@ -12,16 +14,24 @@ LamportTimestamp Ts(int64_t counter, SiteId site = 0) {
   return LamportTimestamp{counter, site};
 }
 
-// --- Multi-version role parity with VersionStore ---------------------------
+// --- Multi-version role -----------------------------------------------------
+
+TEST(MvStoreTest, EmptyObjectHasNoVersions) {
+  MvStore store;
+  EXPECT_FALSE(store.ReadLatest(0).has_value());
+  EXPECT_FALSE(store.ReadAtOrBefore(0, Ts(100)).has_value());
+  EXPECT_EQ(store.VersionCount(0), 0);
+}
 
 TEST(MvStoreTest, AppendAndReadLatest) {
   MvStore store;
   store.AppendVersion(1, Ts(5), Value(int64_t{50}));
-  store.AppendVersion(1, Ts(3), Value(int64_t{30}));
+  store.AppendVersion(1, Ts(3), Value(int64_t{30}));  // out of order
   auto latest = store.ReadLatest(1);
   ASSERT_TRUE(latest.has_value());
   EXPECT_EQ(latest->timestamp, Ts(5));
   EXPECT_EQ(latest->value.AsInt(), 50);
+  EXPECT_EQ(store.VersionCount(1), 2);
   EXPECT_FALSE(store.ReadLatest(2).has_value());
 }
 
@@ -31,66 +41,128 @@ TEST(MvStoreTest, ReadAtOrBeforeWalksTheChain) {
   store.AppendVersion(7, Ts(4), Value(int64_t{4}));
   store.AppendVersion(7, Ts(9), Value(int64_t{9}));
   EXPECT_FALSE(store.ReadAtOrBefore(7, Ts(1)).has_value());
-  EXPECT_EQ(store.ReadAtOrBefore(7, Ts(2))->value.AsInt(), 2);
+  EXPECT_EQ(store.ReadAtOrBefore(7, Ts(2))->value.AsInt(), 2)
+      << "at-or-before is inclusive";
   EXPECT_EQ(store.ReadAtOrBefore(7, Ts(5))->value.AsInt(), 4);
   EXPECT_EQ(store.ReadAtOrBefore(7, Ts(100))->value.AsInt(), 9);
 }
 
-TEST(MvStoreTest, DigestMatchesVersionStoreByteForByte) {
-  // The sim binding pins RITU-MV determinism digests; the concurrent store
-  // must reproduce VersionStore's digest exactly, at any partition count.
-  VersionStore legacy;
-  legacy.AppendVersion(3, Ts(1, 2), Value(int64_t{10}));
-  legacy.AppendVersion(3, Ts(4, 0), Value(std::string("x")));
-  legacy.AppendVersion(11, Ts(2, 1), Value(int64_t{-5}));
+TEST(MvStoreTest, SiteBreaksTimestampTies) {
+  MvStore store;
+  store.AppendVersion(0, Ts(5, 1), Value(int64_t{11}));
+  store.AppendVersion(0, Ts(5, 2), Value(int64_t{22}));
+  EXPECT_EQ(store.ReadLatest(0)->value.AsInt(), 22);
+  auto snap = store.ReadAtOrBefore(0, Ts(5, 1));
+  ASSERT_TRUE(snap.has_value());
+  EXPECT_EQ(snap->value.AsInt(), 11);
+}
+
+TEST(MvStoreTest, SameTimestampAppendIsIdempotentOrReplaces) {
+  MvStore store;
+  store.AppendVersion(0, Ts(5), Value(int64_t{7}));
+  store.AppendVersion(0, Ts(5), Value(int64_t{7}));
+  EXPECT_EQ(store.VersionCount(0), 1) << "identical append is idempotent";
+  // COMPE's "add another version with the same timestamp but bearing the
+  // previous value".
+  store.AppendVersion(0, Ts(5), Value(int64_t{0}));
+  EXPECT_EQ(store.ReadLatest(0)->value.AsInt(), 0);
+  EXPECT_EQ(store.VersionCount(0), 1);
+}
+
+TEST(MvStoreTest, RemoveVersionNotFound) {
+  MvStore store;
+  EXPECT_TRUE(store.RemoveVersion(1, Ts(1)).IsNotFound());
+  store.AppendVersion(1, Ts(1), Value(int64_t{1}));
+  store.AppendVersion(1, Ts(2), Value(int64_t{2}));
+  EXPECT_TRUE(store.RemoveVersion(1, Ts(3)).IsNotFound());
+  ASSERT_TRUE(store.RemoveVersion(1, Ts(2)).ok());
+  EXPECT_EQ(store.ReadLatest(1)->value.AsInt(), 1);
+  EXPECT_TRUE(store.RemoveVersion(1, Ts(2)).IsNotFound());
+  // Removing the last version drops the object id.
+  EXPECT_TRUE(store.RemoveVersion(1, Ts(1)).ok());
+  EXPECT_TRUE(store.ObjectIds().empty());
+  EXPECT_EQ(store.VersionCount(1), 0);
+}
+
+// The simulator's determinism digests rest on the digest rendering. These
+// values were computed by the earlier single-threaded stores over the same
+// contents and must hold at every partition count.
+TEST(MvStoreTest, MultiVersionDigestMatchesPinnedValue) {
+  const std::vector<std::tuple<ObjectId, LamportTimestamp, Value>> expected =
+      {{3, Ts(1, 2), Value(int64_t{10})},
+       {3, Ts(4, 0), Value(std::string("x"))},
+       {11, Ts(2, 1), Value(int64_t{-5})}};
   for (int parts : {1, 2, 8, 64}) {
     MvStore store(MvStoreOptions{.partitions = parts});
     store.AppendVersion(3, Ts(1, 2), Value(int64_t{10}));
     store.AppendVersion(3, Ts(4, 0), Value(std::string("x")));
     store.AppendVersion(11, Ts(2, 1), Value(int64_t{-5}));
-    EXPECT_EQ(store.StateDigest(), legacy.StateDigest()) << parts;
-    EXPECT_EQ(store.ObjectIds(), legacy.ObjectIds()) << parts;
-    EXPECT_EQ(store.SnapshotVersions(), legacy.SnapshotVersions()) << parts;
+    EXPECT_EQ(store.StateDigest(), 0x6553620c85ae6ab5ull) << parts;
+    EXPECT_EQ(store.ObjectIds(), (std::vector<ObjectId>{3, 11})) << parts;
+    EXPECT_EQ(store.SnapshotVersions(), expected) << parts;
   }
 }
 
-TEST(MvStoreTest, DigestMatchesObjectStoreByteForByte) {
-  ObjectStore legacy;
-  ASSERT_TRUE(legacy.Apply(Operation::Increment(1, 23)).ok());
-  ASSERT_TRUE(legacy.Apply(Operation::Append(12, "s")).ok());
-  for (int parts : {1, 8}) {
-    MvStore store(MvStoreOptions{.partitions = parts});
-    ASSERT_TRUE(store.Apply(Operation::Increment(1, 23)).ok());
-    ASSERT_TRUE(store.Apply(Operation::Append(12, "s")).ok());
-    EXPECT_EQ(store.StateDigest(), legacy.StateDigest()) << parts;
-    EXPECT_EQ(store.SnapshotEntries(), legacy.SnapshotEntries()) << parts;
+TEST(MvStoreTest, MultiVersionDigestOrderIndependent) {
+  MvStore a, b(MvStoreOptions{.partitions = 8});
+  a.AppendVersion(0, Ts(1), Value(int64_t{1}));
+  a.AppendVersion(1, Ts(2), Value(int64_t{2}));
+  b.AppendVersion(1, Ts(2), Value(int64_t{2}));
+  b.AppendVersion(0, Ts(1), Value(int64_t{1}));
+  EXPECT_EQ(a.StateDigest(), b.StateDigest());
+}
+
+TEST(MvStoreTest, MultiVersionDigestSeparatesFields) {
+  // Each pair renders to the same byte stream without field separators;
+  // distinct states must not collide.
+  struct Chain {
+    ObjectId id;
+    LamportTimestamp ts;
+    int64_t value;
+  };
+  const std::vector<std::pair<Chain, Chain>> pairs = {
+      {{1, Ts(23), 0}, {12, Ts(3), 0}},         // id | timestamp: "123.0"
+      {{0, Ts(2, 1), 11}, {0, Ts(2, 11), 1}},   // timestamp | value: "2.111"
+      {{0, Ts(1), 1}, {0, Ts(1), 2}},           // value alone
+  };
+  for (const auto& [x, y] : pairs) {
+    MvStore a, b;
+    a.AppendVersion(x.id, x.ts, Value(x.value));
+    b.AppendVersion(y.id, y.ts, Value(y.value));
+    EXPECT_NE(a.StateDigest(), b.StateDigest()) << x.id << " vs " << y.id;
   }
 }
 
-TEST(MvStoreTest, MaxTimestampRecomputedWhenMaxVersionRemoved) {
-  MvStore store(MvStoreOptions{.partitions = 8});
-  store.AppendVersion(1, Ts(1), Value(int64_t{1}));
-  store.AppendVersion(2, Ts(5), Value(int64_t{5}));
-  store.AppendVersion(3, Ts(9), Value(int64_t{9}));
-  ASSERT_EQ(store.MaxTimestamp(), Ts(9));
-  ASSERT_TRUE(store.RemoveVersion(3, Ts(9)).ok());
-  EXPECT_EQ(store.MaxTimestamp(), Ts(5));
-  ASSERT_TRUE(store.RemoveVersion(2, Ts(5)).ok());
-  EXPECT_EQ(store.MaxTimestamp(), Ts(1));
-  ASSERT_TRUE(store.RemoveVersion(1, Ts(1)).ok());
-  EXPECT_EQ(store.MaxTimestamp(), kZeroTimestamp);
-}
+// --- Single-version role ---------------------------------------------------
 
-TEST(MvStoreTest, RemoveVersionNotFound) {
+TEST(MvStoreTest, FreshObjectsReadAsZero) {
   MvStore store;
-  EXPECT_FALSE(store.RemoveVersion(1, Ts(1)).ok());
-  store.AppendVersion(1, Ts(1), Value(int64_t{1}));
-  EXPECT_FALSE(store.RemoveVersion(1, Ts(2)).ok());
-  EXPECT_TRUE(store.RemoveVersion(1, Ts(1)).ok());
-  EXPECT_TRUE(store.ObjectIds().empty());
+  EXPECT_EQ(store.Read(42), Value());
+  EXPECT_EQ(store.ObjectCount(), 0);
 }
 
-// --- Single-version role parity with ObjectStore ---------------------------
+TEST(MvStoreTest, ApplyIncrementAndMultiply) {
+  MvStore store(MvStoreOptions{.partitions = 4});
+  ASSERT_TRUE(store.Apply(Operation::Increment(1, 10)).ok());
+  ASSERT_TRUE(store.Apply(Operation::Multiply(1, 3)).ok());
+  EXPECT_EQ(store.Read(1).AsInt(), 30);
+}
+
+TEST(MvStoreTest, ApplyAllSkipsReadsAndStopsAtFirstFailure) {
+  MvStore store;
+  ASSERT_TRUE(store
+                  .ApplyAll({Operation::Read(1), Operation::Increment(1, 5),
+                             Operation::Read(1)})
+                  .ok());
+  EXPECT_EQ(store.Read(1).AsInt(), 5);
+  ASSERT_TRUE(store.Apply(Operation::Append(2, "s")).ok());
+  const Status s = store.ApplyAll(
+      {Operation::Increment(0, 1), Operation::Increment(2, 1),
+       Operation::Increment(3, 1)});
+  EXPECT_FALSE(s.ok());
+  EXPECT_EQ(store.Read(0).AsInt(), 1) << "first op applied before failure";
+  EXPECT_EQ(store.Read(3), Value()) << "ops after the failure not applied";
+}
 
 TEST(MvStoreTest, ThomasWriteRuleIgnoresStaleWrites) {
   MvStore store(MvStoreOptions{.partitions = 2});
@@ -108,12 +180,26 @@ TEST(MvStoreTest, ThomasWriteRuleIgnoresStaleWrites) {
   EXPECT_EQ(store.Read(0).AsInt(), 7);
 }
 
+TEST(MvStoreTest, TimestampedWritesConvergeRegardlessOfOrder) {
+  std::vector<Operation> ops = {
+      Operation::TimestampedWrite(0, Value(int64_t{1}), Ts(1, 0)),
+      Operation::TimestampedWrite(0, Value(int64_t{2}), Ts(2, 1)),
+      Operation::TimestampedWrite(0, Value(int64_t{3}), Ts(3, 0)),
+  };
+  MvStore forward, reverse;
+  ASSERT_TRUE(forward.ApplyAll(ops).ok());
+  std::reverse(ops.begin(), ops.end());
+  ASSERT_TRUE(reverse.ApplyAll(ops).ok());
+  EXPECT_EQ(forward.Read(0).AsInt(), 3);
+  EXPECT_EQ(forward.Read(0), reverse.Read(0));
+  EXPECT_EQ(forward.StateDigest(), reverse.StateDigest());
+}
+
 TEST(MvStoreTest, ApplyRejectsReadAndMaterializesIgnoredWrites) {
   MvStore store;
   EXPECT_FALSE(store.Apply(Operation::Read(0)).ok());
   EXPECT_EQ(store.ObjectCount(), 0);
-  // A Thomas-ignored stale write still materializes the entry, exactly as
-  // ObjectStore::Apply does (entries_[op.object] before the check).
+  // A Thomas-ignored stale write still materializes the entry.
   ASSERT_TRUE(
       store.Apply(Operation::TimestampedWrite(1, Value(int64_t{9}), Ts(5)))
           .ok());
@@ -121,6 +207,50 @@ TEST(MvStoreTest, ApplyRejectsReadAndMaterializesIgnoredWrites) {
       store.Apply(Operation::TimestampedWrite(2, Value(int64_t{1}), Ts(0)))
           .ok());
   EXPECT_EQ(store.ObjectCount(), 2);
+}
+
+TEST(MvStoreTest, RestoreBypassesSemantics) {
+  MvStore store;
+  ASSERT_TRUE(store.Apply(Operation::Increment(9, 4)).ok());
+  store.Restore(9, Value(int64_t{-1}));
+  EXPECT_EQ(store.Read(9).AsInt(), -1);
+}
+
+TEST(MvStoreTest, ObjectIdsSorted) {
+  MvStore store(MvStoreOptions{.partitions = 8});
+  ASSERT_TRUE(store.Apply(Operation::Increment(9, 1)).ok());
+  ASSERT_TRUE(store.Apply(Operation::Increment(2, 1)).ok());
+  store.AppendVersion(7, Ts(1), Value(int64_t{1}));
+  ASSERT_TRUE(store.Apply(Operation::Increment(5, 1)).ok());
+  EXPECT_EQ(store.ObjectIds(), (std::vector<ObjectId>{2, 5, 7, 9}));
+}
+
+TEST(MvStoreTest, SingleVersionDigestMatchesPinnedValue) {
+  const std::vector<std::tuple<ObjectId, Value, LamportTimestamp>> expected =
+      {{1, Value(int64_t{23}), kZeroTimestamp},
+       {12, Value(std::string("s")), kZeroTimestamp}};
+  for (int parts : {1, 8}) {
+    MvStore store(MvStoreOptions{.partitions = parts});
+    ASSERT_TRUE(store.Apply(Operation::Increment(1, 23)).ok());
+    ASSERT_TRUE(store.Apply(Operation::Append(12, "s")).ok());
+    EXPECT_EQ(store.StateDigest(), 0xfd3fd8795a45686full) << parts;
+    EXPECT_EQ(store.SnapshotEntries(), expected) << parts;
+  }
+}
+
+TEST(MvStoreTest, SingleVersionDigestSeparatesIdAndValueFields) {
+  // (id=1, value=23) and (id=12, value=3) both render to the byte stream
+  // "123" without a field separator — distinct states must not collide.
+  MvStore a, b;
+  ASSERT_TRUE(a.Apply(Operation::Write(1, Value(int64_t{23}))).ok());
+  ASSERT_TRUE(b.Apply(Operation::Write(12, Value(int64_t{3}))).ok());
+  EXPECT_NE(a.StateDigest(), b.StateDigest());
+  // Equal states digest equally however they were reached.
+  MvStore c, d;
+  ASSERT_TRUE(c.Apply(Operation::Increment(3, 7)).ok());
+  ASSERT_TRUE(d.Apply(Operation::Increment(3, 3)).ok());
+  ASSERT_TRUE(d.Apply(Operation::Increment(3, 4)).ok());
+  EXPECT_EQ(c.StateDigest(), d.StateDigest());
 }
 
 TEST(MvStoreTest, RestoreEntryRoundTripsSnapshot) {
@@ -206,58 +336,17 @@ TEST(MvStoreTest, SetGcFloorIsMonotone) {
   EXPECT_EQ(store.gc_floor(), Ts(5));
 }
 
-// --- Hot-key cache ----------------------------------------------------------
-
-TEST(MvStoreTest, HotCacheHitsAfterAppend) {
-  MvStore store(MvStoreOptions{.partitions = 2, .hot_cache_slots = 64});
-  store.AppendVersion(1, Ts(1), Value(int64_t{1}));
-  store.AppendVersion(1, Ts(2), Value(int64_t{2}));
-  auto v = store.ReadLatest(1);
-  ASSERT_TRUE(v.has_value());
-  EXPECT_EQ(v->timestamp, Ts(2));
-  EXPECT_EQ(v->value.AsInt(), 2);
-  EXPECT_GE(store.hot_hits(), 1);
-}
-
-TEST(MvStoreTest, HotCacheRefreshedOnRemove) {
-  MvStore store(MvStoreOptions{.partitions = 1, .hot_cache_slots = 64});
-  store.AppendVersion(1, Ts(1), Value(int64_t{1}));
-  store.AppendVersion(1, Ts(2), Value(int64_t{2}));
-  // COMPE-style compensation removes the newest version; the cached entry
-  // must fall back to the survivor, never serve the removed version.
-  ASSERT_TRUE(store.RemoveVersion(1, Ts(2)).ok());
-  auto v = store.ReadLatest(1);
-  ASSERT_TRUE(v.has_value());
-  EXPECT_EQ(v->timestamp, Ts(1));
-  ASSERT_TRUE(store.RemoveVersion(1, Ts(1)).ok());
-  EXPECT_FALSE(store.ReadLatest(1).has_value());
-}
-
-TEST(MvStoreTest, HotCacheServesWatermarkReads) {
-  MvStore store(MvStoreOptions{.partitions = 1, .hot_cache_slots = 8});
-  store.AppendVersion(1, Ts(3), Value(int64_t{3}));
-  // Newest version <= watermark: answerable straight from the cache.
-  const int64_t hits_before = store.hot_hits();
-  auto v = store.ReadAtOrBefore(1, Ts(10));
-  ASSERT_TRUE(v.has_value());
-  EXPECT_EQ(v->timestamp, Ts(3));
-  EXPECT_GT(store.hot_hits(), hits_before);
-  // Watermark below the cached version: falls through to the chain.
-  EXPECT_FALSE(store.ReadAtOrBefore(1, Ts(2)).has_value());
-}
-
 // --- Clear ------------------------------------------------------------------
 
 TEST(MvStoreTest, ClearDropsEverything) {
-  MvStore store(MvStoreOptions{.partitions = 4, .hot_cache_slots = 16});
+  MvStore store(MvStoreOptions{.partitions = 4});
   store.AppendVersion(1, Ts(1), Value(int64_t{1}));
   ASSERT_TRUE(store.Apply(Operation::Increment(2, 5)).ok());
   store.GcBelow(Ts(1));
   store.Clear();
   EXPECT_TRUE(store.ObjectIds().empty());
   EXPECT_EQ(store.ObjectCount(), 0);
-  EXPECT_EQ(store.TotalVersionCount(), 0);
-  EXPECT_EQ(store.MaxTimestamp(), kZeroTimestamp);
+  EXPECT_TRUE(store.SnapshotVersions().empty());
   EXPECT_EQ(store.gc_floor(), kZeroTimestamp);
   EXPECT_FALSE(store.ReadLatest(1).has_value());
   EXPECT_EQ(store.Read(2), Value());

@@ -34,7 +34,7 @@ TEST(RituTest, MultiVersionAppendsVersions) {
   system.RunUntilQuiescent();
   EXPECT_TRUE(system.Converged());
   for (SiteId s = 0; s < 3; ++s) {
-    EXPECT_EQ(system.site_versions(s).VersionCount(0), 2) << "site " << s;
+    EXPECT_EQ(system.site_store(s).VersionCount(0), 2) << "site " << s;
   }
 }
 
@@ -197,10 +197,10 @@ TEST(RituTest, VersionGcPrunesChainsAndStillConverges) {
   EXPECT_GT(system.counters().Get("esr.versions_gc_pruned"), 0)
       << "sustained same-object writes must trigger stability-driven GC";
   for (SiteId s = 0; s < 3; ++s) {
-    EXPECT_LE(system.site_versions(s).VersionCount(0), 2)
+    EXPECT_LE(system.site_store(s).VersionCount(0), 2)
         << "site " << s << ": chain stays bounded once the VTNC passes";
     // The latest value survives pruning.
-    auto latest = system.site_versions(s).ReadLatest(0);
+    auto latest = system.site_store(s).ReadLatest(0);
     ASSERT_TRUE(latest.has_value());
     EXPECT_EQ(latest->value.AsInt(), 129);
   }

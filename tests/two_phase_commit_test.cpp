@@ -20,7 +20,7 @@ class TwoPhaseCommitTest : public ::testing::Test {
       mailboxes_.push_back(std::make_unique<msg::Mailbox>(net_.get(), s));
       queues_.push_back(std::make_unique<msg::StableQueueManager>(
           &sim_, mailboxes_.back().get(), msg::StableQueueConfig{}));
-      stores_.push_back(std::make_unique<store::ObjectStore>());
+      stores_.push_back(std::make_unique<store::MvStore>());
       engines_.push_back(std::make_unique<TwoPhaseCommitEngine>(
           mailboxes_.back().get(), queues_.back().get(), stores_.back().get(),
           num_sites));
@@ -32,7 +32,7 @@ class TwoPhaseCommitTest : public ::testing::Test {
   std::unique_ptr<sim::Network> net_;
   std::vector<std::unique_ptr<msg::Mailbox>> mailboxes_;
   std::vector<std::unique_ptr<msg::StableQueueManager>> queues_;
-  std::vector<std::unique_ptr<store::ObjectStore>> stores_;
+  std::vector<std::unique_ptr<store::MvStore>> stores_;
   std::vector<std::unique_ptr<TwoPhaseCommitEngine>> engines_;
 };
 

@@ -173,5 +173,118 @@ TEST(SequencerFailoverTest, FailoverWorksWithBatchingEnabled) {
   EXPECT_EQ(system.sequencer_home(), 2);
 }
 
+// --- Pinned runs -----------------------------------------------------------
+//
+// Each run below pins every site digest, the order of every committed
+// update and every site's transport counters, captured before the global
+// order server and the per-shard order servers shared one table in the
+// simulator. Any change to how an order server is built, configured,
+// failed over, checkpointed or rebuilt that moves a simulated event shows
+// up here.
+
+/// Increments and multiplications over four objects from sites 1 and 2,
+/// `per_round` submissions per `gap`. The multiplications make the final
+/// state depend on the total order, so the digests pin the order too.
+void SubmitMixedStream(ReplicatedSystem& system, int count, int per_round,
+                       SimDuration gap) {
+  for (int i = 0; i < count; ++i) {
+    const ObjectId object = i % 4;
+    MustSubmit(system, 1 + (i % 2),
+               {i % 3 == 2 ? Operation::Multiply(object, 2)
+                           : Operation::Increment(object, 1 + i)});
+    if (i % per_round == per_round - 1) system.RunFor(gap);
+  }
+  system.RunUntilQuiescent();
+  EXPECT_TRUE(system.Converged());
+}
+
+TEST(SequencerFailoverTest, StandbyTakeoverPinnedDigests) {
+  SystemConfig config = Config(Method::kOrdup, 3, 203);
+  config.sequencer_standby = 2;
+  ReplicatedSystem system(config);
+  system.failures().ScheduleCrash(
+      sim::CrashSpec{0, /*crash_at=*/35'000, /*restart_at=*/250'000,
+                     /*amnesia=*/false});
+  SubmitMixedStream(system, 20, 1, 10'000);
+  EXPECT_EQ(system.sequencer_home(), 2);
+  test::ExpectPinnedRun(
+      test::CapturePinnedRun(system),
+      {{0xee3b1afd9624e5f8ull, 0xee3b1afd9624e5f8ull, 0xee3b1afd9624e5f8ull},
+       {1, 2, 3, 4, 6, 5, 7, 8, 9, 10, 11, 12, 13, 14, 15, 16, 17, 18, 19, 20},
+       {"queue.delivered=60 queue.retransmit=115 queue.sent=38",
+        "queue.delivered=66 queue.duplicate=7 queue.retransmit=168 "
+        "queue.sent=76",
+        "queue.delivered=65 queue.duplicate=1 queue.retransmit=209 "
+        "queue.sent=77"}});
+}
+
+TEST(SequencerFailoverTest, AmnesiaCrashOfHomePinnedDigests) {
+  SystemConfig config = Config(Method::kOrdup, 3, 201);
+  config.recovery.enabled = true;
+  config.recovery.checkpoint_interval_us = 40'000;
+  ReplicatedSystem system(config);
+  system.failures().ScheduleCrash(
+      sim::CrashSpec{0, /*crash_at=*/55'000, /*restart_at=*/150'000,
+                     /*amnesia=*/true});
+  SubmitMixedStream(system, 18, 1, 10'000);
+  ASSERT_NE(system.site_seq_server(0), nullptr);
+  EXPECT_GE(system.site_seq_server(0)->epoch(), 2);
+  test::ExpectPinnedRun(
+      test::CapturePinnedRun(system),
+      {{0x81847577464b36cdull, 0x81847577464b36cdull, 0x81847577464b36cdull},
+       {1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 11, 12, 13, 14, 15, 16, 17, 18},
+       {"queue.delivered=72 queue.duplicate=2 queue.retransmit=37 "
+        "queue.sent=49",
+        "queue.delivered=57 queue.retransmit=34 queue.sent=69",
+        "queue.delivered=58 queue.duplicate=1 queue.retransmit=42 "
+        "queue.sent=69"}});
+}
+
+TEST(SequencerFailoverTest, DeposedHomeAmnesiaPinnedDigests) {
+  SystemConfig config = Config(Method::kOrdup, 3, 205);
+  config.recovery.enabled = true;
+  config.recovery.checkpoint_interval_us = 40'000;
+  config.sequencer_standby = 2;
+  ReplicatedSystem system(config);
+  system.failures().ScheduleCrash(
+      sim::CrashSpec{0, /*crash_at=*/45'000, /*restart_at=*/160'000,
+                     /*amnesia=*/true});
+  SubmitMixedStream(system, 16, 1, 10'000);
+  EXPECT_EQ(system.site_seq_server(0), nullptr);
+  test::ExpectPinnedRun(
+      test::CapturePinnedRun(system),
+      {{0xafe859685bead48dull, 0xafe859685bead48dull, 0xafe859685bead48dull},
+       {1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 11, 12, 13, 14, 15, 16},
+       {"queue.delivered=53 queue.retransmit=50 queue.sent=36",
+        "queue.delivered=56 queue.duplicate=2 queue.retransmit=60 "
+        "queue.sent=62",
+        "queue.delivered=53 queue.duplicate=6 queue.retransmit=78 "
+        "queue.sent=64"}});
+}
+
+TEST(SequencerFailoverTest, BatchedGrantsPinnedDigests) {
+  SystemConfig config = Config(Method::kOrdup, 3, 207);
+  config.sequencer_standby = 2;
+  config.seq_batch_max = 8;
+  config.seq_batch_linger_us = 1'000;
+  config.seq_service_us = 500;
+  ReplicatedSystem system(config);
+  system.failures().ScheduleCrash(
+      sim::CrashSpec{0, /*crash_at=*/30'000, /*restart_at=*/200'000,
+                     /*amnesia=*/false});
+  SubmitMixedStream(system, 32, 4, 8'000);
+  EXPECT_EQ(system.sequencer_home(), 2);
+  test::ExpectPinnedRun(
+      test::CapturePinnedRun(system),
+      {{0x5723c1c797d9a7c2ull, 0x5723c1c797d9a7c2ull, 0x5723c1c797d9a7c2ull},
+       {1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 11, 12, 13, 14, 15, 16, 17, 18, 19, 20,
+        21, 22, 23, 24, 25, 26, 27, 28, 29, 30, 31, 32},
+       {"queue.delivered=85 queue.retransmit=72 queue.sent=48",
+        "queue.delivered=81 queue.duplicate=2 queue.retransmit=219 "
+        "queue.sent=98",
+        "queue.delivered=80 queue.duplicate=2 queue.retransmit=225 "
+        "queue.sent=100"}});
+}
+
 }  // namespace
 }  // namespace esr::core

@@ -351,5 +351,128 @@ TEST(ShardingIntegrationTest, FailoverDuringCrossShardMixStaysConsistent) {
   }
 }
 
+// --- Pinned runs -----------------------------------------------------------
+//
+// Each run below pins every site digest, the order of every committed
+// update and every site's transport counters, captured before the global
+// order server and the per-shard order servers shared one table in the
+// simulator. Any change to how a shard order server is built, configured,
+// failed over, checkpointed or rebuilt that moves a simulated event shows
+// up here.
+
+/// Single-shard increments and multiplications over two objects per shard,
+/// plus a shard-0/shard-2 ET every other round, from rotating origins that
+/// skip `avoid`; one round per 10 ms.
+void SubmitShardedStream(ReplicatedSystem& system, SiteId avoid, int rounds) {
+  std::vector<ObjectId> objects;
+  for (ShardId k = 0; k < 4; ++k) {
+    for (ObjectId o : ObjectsInShard(system, k, 2)) objects.push_back(o);
+  }
+  for (int i = 0; i < rounds; ++i) {
+    const SiteId origin = static_cast<SiteId>((avoid + 1 + (i % 7)) % 8);
+    const ObjectId object = objects[static_cast<size_t>(i) % objects.size()];
+    MustSubmit(system, origin,
+               {i % 3 == 2 ? Operation::Multiply(object, 2)
+                           : Operation::Increment(object, 1 + i)});
+    if (i % 2 == 0) {
+      MustSubmit(system, origin,
+                 {Operation::Increment(objects[0], 1),
+                  Operation::Increment(objects[5], 1)});
+    }
+    system.RunFor(10'000);
+  }
+  system.RunUntilQuiescent();
+  EXPECT_TRUE(system.Converged());
+}
+
+TEST(ShardingIntegrationTest, ShardHomeFailStopPinnedDigests) {
+  ReplicatedSystem system(ShardedConfig(4, 2, 8, 309));
+  const SiteId home = system.shard_sequencer_home(1);
+  system.failures().ScheduleCrash(sim::CrashSpec{
+      home, /*crash_at=*/40'000, /*restart_at=*/250'000, /*amnesia=*/false});
+  SubmitShardedStream(system, home, 30);
+  EXPECT_EQ(system.shard_sequencer_home(1), system.placement()->Owners(1)[1]);
+  test::ExpectPinnedRun(
+      test::CapturePinnedRun(system),
+      {{0xea02cc9acb3c5cc7ull, 0x6d834f34b24489c8ull, 0x14650fb0739d0383ull,
+        0x375c76444b07481bull, 0x14650fb0739d0383ull, 0xbe0e773d774dd48aull,
+        0x9b7abc4c1276016bull, 0x14650fb0739d0383ull},
+       {1, 2, 3, 1, 4, 2, 3, 5, 5, 1, 6, 2, 7, 8, 9, 3, 10, 4, 9, 11, 11, 3,
+        12, 4, 13, 14, 15, 5, 16, 6, 15, 17, 17, 5, 18, 6, 19, 20, 21, 7, 22, 8,
+        21, 23, 23},
+       {"queue.delivered=172 queue.retransmit=74 queue.sent=145",
+        "queue.delivered=94 queue.duplicate=2 queue.retransmit=343 "
+        "queue.sent=79",
+        "queue.delivered=95 queue.retransmit=80 queue.sent=119",
+        "queue.delivered=157 queue.retransmit=60 queue.sent=138",
+        "queue.delivered=87 queue.retransmit=43 queue.sent=104",
+        "queue.delivered=137 queue.retransmit=57 queue.sent=123",
+        "queue.delivered=103 queue.retransmit=103 queue.sent=120",
+        "queue.delivered=87 queue.retransmit=60 queue.sent=104"}});
+}
+
+TEST(ShardingIntegrationTest, ShardHomeAmnesiaPinnedDigests) {
+  // The standby takes the shard over during the outage, so the home comes
+  // back as a deposed primary.
+  SystemConfig config = ShardedConfig(4, 2, 8, 311);
+  config.recovery.enabled = true;
+  config.recovery.checkpoint_interval_us = 30'000;
+  ReplicatedSystem system(config);
+  const SiteId home = system.shard_sequencer_home(1);
+  system.failures().ScheduleCrash(sim::CrashSpec{
+      home, /*crash_at=*/60'000, /*restart_at=*/200'000, /*amnesia=*/true});
+  SubmitShardedStream(system, home, 30);
+  EXPECT_EQ(system.shard_sequencer_home(1), system.placement()->Owners(1)[1]);
+  test::ExpectPinnedRun(
+      test::CapturePinnedRun(system),
+      {{0xea02cc9acb3c5cc7ull, 0x6d834f34b24489c8ull, 0x14650fb0739d0383ull,
+        0x375c76444b07481bull, 0x14650fb0739d0383ull, 0xbe0e773d774dd48aull,
+        0x9b7abc4c1276016bull, 0x14650fb0739d0383ull},
+       {1, 2, 3, 1, 4, 2, 3, 5, 5, 1, 6, 2, 7, 8, 9, 3, 10, 4, 9, 11, 11, 3,
+        12, 4, 13, 14, 15, 5, 16, 6, 15, 17, 17, 5, 18, 6, 19, 20, 21, 7, 22, 8,
+        21, 23, 23},
+       {"queue.delivered=173 queue.retransmit=29 queue.sent=146",
+        "queue.delivered=96 queue.duplicate=2 queue.retransmit=203 "
+        "queue.sent=82",
+        "queue.delivered=95 queue.retransmit=50 queue.sent=119",
+        "queue.delivered=157 queue.retransmit=32 queue.sent=138",
+        "queue.delivered=87 queue.retransmit=23 queue.sent=104",
+        "queue.delivered=138 queue.retransmit=35 queue.sent=123",
+        "queue.delivered=104 queue.retransmit=44 queue.sent=121",
+        "queue.delivered=87 queue.retransmit=18 queue.sent=104"}});
+}
+
+TEST(ShardingIntegrationTest, ShardHomeAmnesiaReseedPinnedDigests) {
+  // No takeover within the outage: the restarted home re-seeds its own
+  // shard server from the checkpoint floor and the peer probe.
+  SystemConfig config = ShardedConfig(4, 2, 8, 317);
+  config.recovery.enabled = true;
+  config.recovery.checkpoint_interval_us = 20'000;
+  config.seq_failover_detect_us = 5'000'000;
+  ReplicatedSystem system(config);
+  const SiteId home = system.shard_sequencer_home(1);
+  system.failures().ScheduleCrash(sim::CrashSpec{
+      home, /*crash_at=*/90'000, /*restart_at=*/200'000, /*amnesia=*/true});
+  SubmitShardedStream(system, home, 30);
+  EXPECT_EQ(system.shard_sequencer_home(1), home);
+  test::ExpectPinnedRun(
+      test::CapturePinnedRun(system),
+      {{0xea02cc9acb3c5cc7ull, 0x08b7228e7bb403c6ull, 0x14650fb0739d0383ull,
+        0x375c76444b07481bull, 0x14650fb0739d0383ull, 0xbe0e773d774dd48aull,
+        0xac01ce4c1b98c7f1ull, 0x14650fb0739d0383ull},
+       {1, 2, 3, 1, 4, 2, 3, 5, 5, 1, 6, 2, 7, 8, 9, 10, 9, 11, 11, 3, 12, 4,
+        13, 14, 15, 16, 15, 17, 17, 3, 4, 5, 6, 5, 18, 6, 19, 20, 21, 7, 22, 8,
+        21, 23, 23},
+       {"queue.delivered=173 queue.retransmit=17 queue.sent=146",
+        "queue.delivered=111 queue.duplicate=6 queue.retransmit=98 "
+        "queue.sent=100",
+        "queue.delivered=95 queue.retransmit=22 queue.sent=119",
+        "queue.delivered=157 queue.retransmit=19 queue.sent=138",
+        "queue.delivered=87 queue.retransmit=10 queue.sent=104",
+        "queue.delivered=137 queue.retransmit=19 queue.sent=124",
+        "queue.delivered=97 queue.retransmit=35 queue.sent=108",
+        "queue.delivered=87 queue.retransmit=18 queue.sent=105"}});
+}
+
 }  // namespace
 }  // namespace esr::core

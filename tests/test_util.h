@@ -2,6 +2,7 @@
 #define ESR_TESTS_TEST_UTIL_H_
 
 #include <cctype>
+#include <cstdio>
 #include <cstdlib>
 #include <functional>
 #include <limits>
@@ -239,6 +240,64 @@ inline EtId MustSubmit(core::ReplicatedSystem& system, SiteId origin,
   auto result = system.SubmitUpdate(origin, std::move(ops), std::move(done));
   EXPECT_TRUE(result.ok()) << result.status().ToString();
   return result.ok() ? *result : kInvalidEtId;
+}
+
+/// What a pinned-run test compares against constants captured at a
+/// known-good commit: every site's state digest, the order position of
+/// every committed update (history order), and every site's transport
+/// counters as "name=value" pairs.
+struct PinnedRun {
+  std::vector<uint64_t> digests;
+  std::vector<SequenceNumber> orders;
+  std::vector<std::string> transport;
+};
+
+inline PinnedRun CapturePinnedRun(core::ReplicatedSystem& system) {
+  PinnedRun run;
+  for (SiteId s = 0; s < system.config().num_sites; ++s) {
+    run.digests.push_back(system.SiteDigest(s));
+    std::string counters;
+    for (const auto& [name, value] :
+         system.site_queues(s).counters().Snapshot()) {
+      if (!counters.empty()) counters += ' ';
+      counters += name + "=" + std::to_string(value);
+    }
+    run.transport.push_back(std::move(counters));
+  }
+  for (const analysis::UpdateRecord& u : system.history().updates()) {
+    if (!u.aborted) run.orders.push_back(u.order);
+  }
+  return run;
+}
+
+/// `run` as a PinnedRun initializer, printed when a pin does not match.
+inline std::string FormatPinnedRun(const PinnedRun& run) {
+  std::string out = "{{";
+  char hex[32];
+  for (size_t i = 0; i < run.digests.size(); ++i) {
+    std::snprintf(hex, sizeof(hex), "%s0x%016llxull", i == 0 ? "" : ", ",
+                  static_cast<unsigned long long>(run.digests[i]));
+    out += hex;
+  }
+  out += "},\n {";
+  for (size_t i = 0; i < run.orders.size(); ++i) {
+    out += (i == 0 ? "" : ", ") + std::to_string(run.orders[i]);
+  }
+  out += "},\n {";
+  for (size_t i = 0; i < run.transport.size(); ++i) {
+    out += (i == 0 ? "\"" : ",\n  \"") + run.transport[i] + "\"";
+  }
+  return out + "}}";
+}
+
+inline void ExpectPinnedRun(const PinnedRun& actual, const PinnedRun& pinned) {
+  EXPECT_EQ(actual.digests, pinned.digests);
+  EXPECT_EQ(actual.orders, pinned.orders);
+  EXPECT_EQ(actual.transport, pinned.transport);
+  if (actual.digests != pinned.digests || actual.orders != pinned.orders ||
+      actual.transport != pinned.transport) {
+    ADD_FAILURE() << "actual run:\n" << FormatPinnedRun(actual);
+  }
 }
 
 /// Runs a whole query ET synchronously from the test's point of view:

@@ -1,0 +1,55 @@
+#!/usr/bin/env bash
+# Prints one sha256 per deterministic simulator output, so a change meant
+# to keep simulated behaviour byte-identical is checked with one diff:
+#
+#   scripts/sim_fingerprint.sh > before.txt    # on the base commit
+#   scripts/sim_fingerprint.sh > after.txt     # on the change
+#   diff before.txt after.txt
+#
+# Covered outputs (each read identical across repeated runs):
+#   - esrsim --verify stdout for all 10 methods
+#   - a sharded esrsim run (4 shards, RF 2, 8 sites) with a global standby
+#     sequencer and an amnesia crash of site 0 recovered from file-backed
+#     storage: its stdout plus every site's .ckpt and .wal file
+#   - stdout and .metrics.prom of bench_table1_methods, bench_sharding and
+#     bench_ordup_ordering_ablation
+#
+# Usage:
+#   scripts/sim_fingerprint.sh [BUILD_DIR]   # default: build
+set -euo pipefail
+cd "$(dirname "$0")/.."
+
+BUILD_DIR=${1:-build}
+BENCHES="bench_table1_methods bench_sharding bench_ordup_ordering_ablation"
+
+# Build logs go to stderr so stdout is only the fingerprint.
+cmake -B "$BUILD_DIR" -S . >&2
+# shellcheck disable=SC2086
+cmake --build "$BUILD_DIR" -j "$(nproc)" --target esrsim $BENCHES >&2
+BUILD_DIR=$(cd "$BUILD_DIR" && pwd)
+
+WORK=$(mktemp -d)
+trap 'rm -rf "$WORK"' EXIT
+cd "$WORK"
+
+hash() { sha256sum "$1" | cut -d' ' -f1; }
+
+for method in ordup ordup-ts commu ritu ritu-sv compe compe-ord 2pc quorum \
+              quasi; do
+  "$BUILD_DIR/examples/esrsim" --method="$method" --verify > esrsim.out
+  echo "$(hash esrsim.out)  esrsim --method=$method --verify"
+done
+
+"$BUILD_DIR/examples/esrsim" --method=ordup --sites=8 --shards=4 \
+  --replication-factor=2 --sequencer-standby=1 --amnesia-crash=0:100:300 \
+  --recovery-dir=recovery --seed=7 --verify > sharded.out
+echo "$(hash sharded.out)  esrsim sharded amnesia run: stdout"
+for file in recovery/*; do
+  echo "$(hash "$file")  esrsim sharded amnesia run: $(basename "$file")"
+done
+
+for bench in $BENCHES; do
+  "$BUILD_DIR/bench/$bench" > "$bench.out"
+  echo "$(hash "$bench.out")  $bench: stdout"
+  echo "$(hash "$bench.metrics.prom")  $bench: $bench.metrics.prom"
+done

@@ -220,7 +220,10 @@ class ReplicatedSystem {
   cc::QuorumEngine* site_quorum(SiteId site);
 
   /// Site currently hosting the active order server (moves on failover).
-  SiteId sequencer_home() const { return seq_home_; }
+  SiteId sequencer_home() const {
+    return order_services_.empty() ? config_.sequencer_site
+                                   : order_services_[0].home;
+  }
   /// A site's order-server client (null for the sync baselines).
   msg::SequencerClient* site_seq_client(SiteId site);
   /// The order server hosted at `site` (null unless `site` is the
@@ -235,7 +238,7 @@ class ReplicatedSystem {
   const shard::PlacementMap* placement() const { return placement_.get(); }
   /// Site hosting shard `k`'s active order server (moves on failover).
   SiteId shard_sequencer_home(ShardId shard) const {
-    return shard_seq_home_[shard];
+    return order_services_[static_cast<size_t>(shard) + 1].home;
   }
   /// A site's order client for shard `k` (null when unsharded).
   msg::SequencerClient* site_shard_seq_client(SiteId site, ShardId shard);
@@ -264,17 +267,12 @@ class ReplicatedSystem {
   void AmnesiaCrash(SiteId s);
   void AmnesiaRestart(SiteId s);
   /// Installs metrics, the service-time model, and the local
-  /// high-watermark reader on the order server hosted at `s`.
-  void ConfigureSeqServer(SiteId s);
-  /// Same for shard `k`'s order server hosted at `s` (partial replication).
-  void ConfigureShardSeqServer(SiteId s, ShardId k);
-  /// Arms the standby takeover after the active sequencer site went down
+  /// high-watermark reader on order service `i`'s server hosted at `s`.
+  void ConfigureSeqServer(SiteId s, size_t i);
+  /// Arms order service `i`'s standby takeover after its home went down
   /// (fires config_.seq_failover_detect_us later; skipped if the home came
   /// back, the standby is down, or a failover already happened).
-  void ScheduleSequencerFailover(SiteId down_home);
-  /// Per-shard variant: shard `k`'s home went down; its second owner (the
-  /// standby) takes over that shard's order service.
-  void ScheduleShardSequencerFailover(ShardId k, SiteId down_home);
+  void ScheduleSequencerFailover(size_t i, SiteId down_home);
   /// Partial replication: forwards one divergence-bounded read of a
   /// non-locally-owned object to the first owner of the object's shard.
   void ForwardRead(EtId query, ObjectId object, ReadCallback done);
@@ -334,11 +332,29 @@ class ReplicatedSystem {
   /// deterministic object -> shard -> owner-set assignment every routing,
   /// ordering, and recovery decision reads. Null when unsharded.
   std::unique_ptr<shard::PlacementMap> placement_;
-  /// Per shard: site hosting the shard's active order server (starts at the
-  /// shard's first owner, moves to the second owner on failover).
-  std::vector<SiteId> shard_seq_home_;
-  /// Per shard: the standby owner (kInvalidSiteId when RF == 1).
-  std::vector<SiteId> shard_seq_standby_;
+  /// One centralized order server (paper section 3.1) and where it runs.
+  /// Entry 0 of order_services_ is the global server; with partial
+  /// replication, entry k + 1 orders placement shard k. Empty for the
+  /// sync baselines.
+  struct OrderService {
+    /// Metric label and method-hook shard; -1 for the global server.
+    ShardId shard = -1;
+    /// Shifts every sequencer message type so all instances share one
+    /// mailbox (kShardSeqTypeBase + k * kShardSeqTypeStride; 0 = global).
+    msg::MessageType type_offset = 0;
+    /// Site whose server grants: config.sequencer_site or the shard's
+    /// first owner, moving to `standby` on failover.
+    SiteId home = kInvalidSiteId;
+    /// Site of the sealed standby server: config.sequencer_standby or the
+    /// shard's second owner (kInvalidSiteId when there is none).
+    SiteId standby = kInvalidSiteId;
+    /// Durable grant floor (next-to-grant, epoch) staged by the
+    /// checkpoint-restore binding for the AmnesiaRestart re-seed; 0/0 when
+    /// the restarted site's checkpoint holds none.
+    SequenceNumber restored_floor = 0;
+    int64_t restored_epoch = 0;
+  };
+  std::vector<OrderService> order_services_;
   /// One in-flight forwarded read (partial replication).
   struct RemoteRead {
     EtId query = kInvalidEtId;
@@ -353,18 +369,6 @@ class ReplicatedSystem {
   std::map<std::pair<SiteId, EtId>, QueryState> shadow_queries_;
   /// Owners each live query has forwarded reads to (QueryFinish fan-out).
   std::unordered_map<EtId, std::vector<SiteId>> forwarded_owners_;
-  /// Site whose order server currently grants (starts at
-  /// config_.sequencer_site, moves to the standby on failover).
-  SiteId seq_home_ = 0;
-  /// Sequencer durable floor staged by the checkpoint-restore binding for
-  /// the AmnesiaRestart re-seed (0/0 when the checkpoint predates v2 or
-  /// the site held no active server).
-  SequenceNumber seq_restored_floor_ = 0;
-  int64_t seq_restored_epoch_ = 0;
-  /// Per-shard sequencer floors staged the same way (checkpoint v4): shard
-  /// -> (next-to-grant, epoch) for shard order servers the restarted site
-  /// hosted. Absent shards fall back to the peer high-watermark probe.
-  std::map<ShardId, std::pair<SequenceNumber, int64_t>> shard_seq_restored_;
   EtId next_et_ = 1;
   std::unordered_map<EtId, QueryState> active_queries_;
   struct Saga {

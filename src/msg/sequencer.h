@@ -75,6 +75,10 @@ class SequencerServer {
   SequencerServer(Mailbox* mailbox, ReliableTransport* queues,
                   bool start_sealed = false, int64_t epoch = 1,
                   SequenceNumber first = 1, MessageType type_offset = 0);
+  /// Hands the server's message types back to no-op handlers on its
+  /// mailbox, so a site that no longer hosts this order service swallows
+  /// requests still addressed to it. A successor server on the same
+  /// mailbox and offset must therefore be constructed after this runs.
   ~SequencerServer();
 
   SequenceNumber LastIssued() const { return next_ - 1; }

@@ -26,7 +26,7 @@
 #include "obs/metric_registry.h"
 #include "msg/sequencer.h"
 #include "msg/reliable_transport.h"
-#include "sim/simulator.h"
+#include "runtime/interfaces.h"
 #include "store/mset_log.h"
 #include "store/mv_store.h"
 
@@ -41,7 +41,9 @@ namespace esr::core {
 struct MethodContext {
   SiteId site = kInvalidSiteId;
   int num_sites = 0;
-  sim::Simulator* simulator = nullptr;
+  /// Time source for history, tracer and hop timestamps (the simulator
+  /// under the sim facade).
+  runtime::Clock* simulator = nullptr;
   msg::Mailbox* mailbox = nullptr;
   msg::ReliableTransport* queues = nullptr;
   msg::LamportClock* clock = nullptr;

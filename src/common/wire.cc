@@ -109,17 +109,19 @@ void FrameAppend(std::string& out, std::string_view payload) {
   out.append(payload);
 }
 
-bool FrameNext(std::string_view in, size_t* pos, std::string_view* payload) {
-  if (in.size() - *pos < 8) return false;
+FrameResult FrameRead(std::string_view in, size_t* pos,
+                      std::string_view* payload, size_t max_payload) {
+  if (in.size() - *pos < 8) return FrameResult::kIncomplete;
   Decoder header(in.substr(*pos, 8));
   uint32_t len = header.U32();
   uint32_t crc = header.U32();
-  if (in.size() - *pos - 8 < len) return false;  // torn tail
+  if (len > max_payload) return FrameResult::kCorrupt;
+  if (in.size() - *pos - 8 < len) return FrameResult::kIncomplete;  // torn
   std::string_view body = in.substr(*pos + 8, len);
-  if (Crc32(body) != crc) return false;  // corrupt record
+  if (Crc32(body) != crc) return FrameResult::kCorrupt;
   *payload = body;
   *pos += 8 + len;
-  return true;
+  return FrameResult::kFrame;
 }
 
 }  // namespace esr::wire

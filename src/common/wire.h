@@ -1,6 +1,7 @@
 #ifndef ESR_COMMON_WIRE_H_
 #define ESR_COMMON_WIRE_H_
 
+#include <cstddef>
 #include <cstdint>
 #include <string>
 #include <string_view>
@@ -68,13 +69,33 @@ class Decoder {
 /// [u32 payload_len][u32 crc32(payload)][payload].
 void FrameAppend(std::string& out, std::string_view payload);
 
+/// Outcome of reading one framed record.
+enum class FrameResult {
+  /// A whole record with a matching CRC; `*payload` and `*pos` are set.
+  kFrame,
+  /// End of input, a short header or a short payload: more bytes may
+  /// still complete the record.
+  kIncomplete,
+  /// CRC mismatch, or a length prefix above the reader's limit: no further
+  /// input can make this record valid.
+  kCorrupt,
+};
+
 /// Reads the next framed record starting at `*pos`, advancing `*pos` past
-/// it. Returns false at end-of-input or on a torn/corrupt frame (short
-/// header, short payload, CRC mismatch) — the WAL-reader contract: stop at
-/// the first record that was not durably written. Stream readers (the TCP
-/// transport) use the same contract per connection: a bad frame ends the
-/// connection epoch.
-bool FrameNext(std::string_view in, size_t* pos, std::string_view* payload);
+/// it on kFrame. A length prefix above `max_payload` is kCorrupt before any
+/// payload is buffered. Stream readers (the TCP transport) wait for more
+/// bytes on kIncomplete and drop the connection on kCorrupt.
+FrameResult FrameRead(std::string_view in, size_t* pos,
+                      std::string_view* payload,
+                      size_t max_payload = SIZE_MAX);
+
+/// The WAL-reader contract over FrameRead: true only for a whole valid
+/// record, so a reader stops at the first record that was not durably
+/// written, torn and corrupt alike.
+inline bool FrameNext(std::string_view in, size_t* pos,
+                      std::string_view* payload) {
+  return FrameRead(in, pos, payload) == FrameResult::kFrame;
+}
 
 }  // namespace esr::wire
 

@@ -249,6 +249,13 @@ int main(int argc, char** argv) {
                  "recovery flags need an asynchronous ESR method\n");
     return 2;
   }
+  if (config.sequencer_standby != esr::kInvalidSiteId &&
+      (config.sequencer_standby < 0 ||
+       config.sequencer_standby >= config.num_sites)) {
+    std::fprintf(stderr,
+                 "--sequencer-standby must name a site below --sites\n");
+    return 2;
+  }
   if (config.shard.num_shards > 1 && config.method != Method::kOrdup) {
     std::fprintf(stderr,
                  "partial replication (--shards > 1) requires "

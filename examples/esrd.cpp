@@ -16,7 +16,8 @@
 // WAL, and writes a JSON status line (--status-file). Its `digest` field is
 // equal across a converged cluster, and `stable` (stable total-order
 // positions, no-op hole fills included) equals `applied_watermark` once
-// stability has reached the site.
+// stability has reached the site; `history_msets` (applied MSets held
+// above the stable watermark) is then 0.
 
 #include <atomic>
 #include <chrono>
@@ -315,6 +316,8 @@ int main(int argc, char** argv) {
     int64_t submitted = 0;
     int64_t stable = 0;
     int64_t epoch = 0;
+    int64_t history_msets = 0;
+    int64_t snapshots_installed = 0;
     double stable_p50 = 0, stable_p95 = 0, stable_p99 = 0;
     double commit_p50 = 0;
   } fin;
@@ -327,6 +330,9 @@ int main(int argc, char** argv) {
     fin.submitted = node.submitted_count();
     fin.stable = node.stable_count();
     fin.epoch = node.sequencer_epoch();
+    fin.history_msets = node.history_msets();
+    fin.snapshots_installed =
+        metrics.GetCounter("esr_runtime_snapshots_installed_total").value();
     const auto& stable_h =
         metrics.GetHistogram("esr_runtime_commit_to_stable_us");
     fin.stable_p50 = QuantileOr(stable_h, 0.5, 0);
@@ -354,7 +360,8 @@ int main(int argc, char** argv) {
       json, sizeof(json),
       "{\"site\":%d,\"drained\":%s,\"digest\":\"%016llx\","
       "\"applied_watermark\":%lld,\"applied\":%lld,\"submitted\":%lld,"
-      "\"stable\":%lld,\"sequencer_epoch\":%lld,\"wall_s\":%.3f,"
+      "\"stable\":%lld,\"sequencer_epoch\":%lld,\"history_msets\":%lld,"
+      "\"snapshots_installed\":%lld,\"wall_s\":%.3f,"
       "\"submitted_per_sec\":%.1f,"
       "\"commit_to_stable_p50_us\":%.0f,\"commit_to_stable_p95_us\":%.0f,"
       "\"commit_to_stable_p99_us\":%.0f,\"submit_to_commit_p50_us\":%.0f,"
@@ -365,7 +372,9 @@ int main(int argc, char** argv) {
       static_cast<long long>(fin.applied),
       static_cast<long long>(fin.submitted),
       static_cast<long long>(fin.stable),
-      static_cast<long long>(fin.epoch), wall_s,
+      static_cast<long long>(fin.epoch),
+      static_cast<long long>(fin.history_msets),
+      static_cast<long long>(fin.snapshots_installed), wall_s,
       wall_s > 0 ? fin.submitted / wall_s : 0, fin.stable_p50, fin.stable_p95,
       fin.stable_p99, fin.commit_p50,
       static_cast<long long>(transport.dropped_sends()));

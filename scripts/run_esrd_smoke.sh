@@ -1,12 +1,17 @@
 #!/usr/bin/env bash
 # esrd smoke gate: boots a real 3-process ORDUP cluster on loopback TCP
 # (the deployment shape documented in README.md's esrd quickstart),
-# SIGKILLs one follower mid-run, restarts it over the same WAL directory,
-# and asserts that every site drains cleanly (exit 0), converges to an
-# identical state digest, and ends with its whole applied prefix stable
-# (status `stable` == `applied_watermark`, the restarted site included). This is the end-to-end proof that the runtime
-# binding — TcpTransport, TimerWheel, thread-pool strands, WAL replay and
-# incarnation-based order-hole healing — works outside the simulator.
+# SIGKILLs one follower mid-run and restarts it over the same WAL
+# directory, then SIGKILLs it again and restarts it with its data directory
+# wiped. It asserts that every site drains cleanly (exit 0), converges to
+# an identical state digest, ends with its whole applied prefix stable
+# (status `stable` == `applied_watermark`, the restarted site included)
+# and so holds no history (`history_msets` == 0), and that the wiped site
+# caught up through a snapshot (`snapshots_installed` >= 1). This is the
+# end-to-end proof that the runtime binding — TcpTransport, TimerWheel,
+# thread-pool strands, WAL replay, incarnation-based order-hole healing and
+# snapshot catch-up below the peers' trimmed history — works outside the
+# simulator.
 #
 # Usage:
 #   scripts/run_esrd_smoke.sh [base-port]   # default: a random high port
@@ -36,9 +41,9 @@ spawn() {  # spawn <site> <duration_s>
   PIDS[$site]=$!
 }
 
-spawn 0 8
-spawn 1 8
-spawn 2 8
+spawn 0 10
+spawn 1 10
+spawn 2 10
 echo "esrd smoke: 3 sites up (ports $P0 $P1 $P2), dir $DIR"
 
 sleep 2
@@ -46,8 +51,19 @@ echo "esrd smoke: SIGKILL follower site 2"
 kill -9 "${PIDS[2]}"
 wait "${PIDS[2]}" 2>/dev/null || true
 sleep 0.5
-spawn 2 5   # restarts over the same WAL, finishing with the others
+spawn 2 7   # restarts over the same WAL
 echo "esrd smoke: site 2 restarted over its WAL"
+
+sleep 2.5
+echo "esrd smoke: SIGKILL follower site 2 again"
+kill -9 "${PIDS[2]}"
+wait "${PIDS[2]}" 2>/dev/null || true
+rm -rf "$DIR/site_2"
+sleep 0.5
+# Nothing to replay: the peers have trimmed their history below their
+# stable watermarks, so only a snapshot can bring this site back.
+spawn 2 4.5   # finishes with the others
+echo "esrd smoke: site 2 restarted with its data directory wiped"
 
 FAIL=0
 for site in 0 1 2; do
@@ -75,11 +91,23 @@ field() {  # field <site> <numeric status key>
 }
 for site in 0 1 2; do
   W=$(field "$site" applied_watermark); S=$(field "$site" stable)
-  echo "esrd smoke: site $site watermark $W stable $S"
+  H=$(field "$site" history_msets)
+  echo "esrd smoke: site $site watermark $W stable $S history $H"
   [[ -n "$W" && "$W" == "$S" ]] || {
     echo "esrd smoke: site $site stable $S short of watermark $W (logs in $DIR)"
     exit 1
   }
+  # Stable equals applied, so every applied MSet was trimmed.
+  [[ "$H" == "0" ]] || {
+    echo "esrd smoke: site $site still holds $H MSets (logs in $DIR)"
+    exit 1
+  }
 done
+SNAP=$(field 2 snapshots_installed)
+echo "esrd smoke: site 2 installed ${SNAP:-0} snapshot(s)"
+[[ -n "$SNAP" && "$SNAP" -ge 1 ]] || {
+  echo "esrd smoke: wiped site 2 did not catch up by snapshot (logs in $DIR)"
+  exit 1
+}
 rm -rf "$DIR"
 echo "esrd smoke: OK"

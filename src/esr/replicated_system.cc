@@ -753,11 +753,9 @@ void ReplicatedSystem::ConfigureSeqServer(SiteId s, size_t i) {
   msg::SequencerServer* server = sites_[s]->seq_servers[i].get();
   assert(server != nullptr);
   const ShardId shard = order_services_[i].shard;
-  // set_metrics publishes the initial epoch before the shard label is set,
-  // so a shard server's first epoch lands on the unlabelled gauge. Swapping
-  // the two calls changes the metrics exposition.
-  server->set_metrics(&metrics_);
+  // The label first: set_metrics publishes the initial epoch under it.
   server->set_metric_shard(shard);
+  server->set_metrics(&metrics_);
   server->set_service_time_us(config_.seq_service_us);
   server->set_local_high_watermark([this, s, i, shard]() {
     const SiteRuntime& site = *sites_[s];

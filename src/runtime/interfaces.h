@@ -1,6 +1,7 @@
 #ifndef ESR_RUNTIME_INTERFACES_H_
 #define ESR_RUNTIME_INTERFACES_H_
 
+#include <cstddef>
 #include <cstdint>
 #include <functional>
 #include <string>
@@ -69,6 +70,16 @@ struct Message {
   std::string payload;
   TraceContext trace;
 };
+
+/// Largest frame payload the real binding carries; TcpTransport treats a
+/// longer length prefix as corruption and closes the connection. A frame
+/// holds one Message: its payload plus an envelope of under 64 bytes. The
+/// largest messages OrdupNode builds are a full catch-up response
+/// (catchup_batch, 256 by default, MSets; a 16-increment MSet encodes to
+/// about 650 bytes) and a snapshot response, whose size grows with the
+/// store (about 30 bytes per object): a store above roughly two million
+/// objects has no snapshot that fits, and OrdupNode does not send one.
+inline constexpr size_t kMaxFramePayloadBytes = size_t{64} << 20;
 
 /// Site-to-site message channel. Send() is non-blocking and may be called
 /// from the owner's strand only; delivery of inbound messages invokes the

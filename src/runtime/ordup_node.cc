@@ -6,6 +6,7 @@
 #include "common/wire.h"
 #include "msg/mailbox.h"
 #include "msg/sequencer_wire.h"
+#include "recovery/checkpointer.h"
 #include "recovery/codec.h"
 
 namespace esr::runtime {
@@ -45,12 +46,17 @@ OrdupNode::OrdupNode(OrdupNodeConfig config, Transport* transport,
     m_stable_ = &metrics_->GetCounter("esr_runtime_ets_stable_total");
     m_retransmits_ = &metrics_->GetCounter("esr_runtime_retransmits_total");
     m_duplicates_ = &metrics_->GetCounter("esr_runtime_duplicates_total");
+    m_snapshots_sent_ =
+        &metrics_->GetCounter("esr_runtime_snapshots_sent_total");
+    m_snapshots_installed_ =
+        &metrics_->GetCounter("esr_runtime_snapshots_installed_total");
     m_commit_stable_us_ =
         &metrics_->GetHistogram("esr_runtime_commit_to_stable_us");
     m_submit_commit_us_ =
         &metrics_->GetHistogram("esr_runtime_submit_to_commit_us");
     m_applied_watermark_ = &metrics_->GetGauge("esr_runtime_applied_watermark");
     m_stable_watermark_ = &metrics_->GetGauge("esr_runtime_stable_watermark");
+    m_history_msets_ = &metrics_->GetGauge("esr_runtime_history_msets");
   }
 }
 
@@ -194,6 +200,9 @@ void OrdupNode::HandleMessage(SiteId from, Message msg) {
     }
     case kCatchupRespMsg:
       HandleCatchupResp(from, msg.payload);
+      break;
+    case kSnapshotRespMsg:
+      HandleSnapshotResp(from, msg.payload);
       break;
     case kPosProbeReqMsg: {
       wire::Decoder d(msg.payload);
@@ -361,6 +370,10 @@ void OrdupNode::StartHealing(SequenceNumber pos) {
 }
 
 void OrdupNode::HandlePosProbeReq(SiteId from, SequenceNumber pos) {
+  // A trimmed position was applied everywhere, so no live server probes
+  // it; should one ask anyway, stay silent rather than deny holding it (a
+  // denial from every site would fill a real MSet's position with a no-op).
+  if (pos <= history_floor_) return;
   const core::Mset* found = FindMset(pos);
   recovery::Encoder e;
   e.I64(pos);
@@ -435,6 +448,10 @@ void OrdupNode::Admit(core::Mset mset, bool persist) {
   }
   if (persist && wal_ != nullptr) wal_->AppendMset(mset);
   holdback_.emplace(order, std::move(mset));
+  DrainHoldback();
+}
+
+void OrdupNode::DrainHoldback() {
   const SequenceNumber before = applied_watermark_;
   while (!holdback_.empty() &&
          holdback_.begin()->first == applied_watermark_ + 1) {
@@ -505,11 +522,20 @@ void OrdupNode::AdvanceStable() {
       stable = std::min(stable, peer_applied_[static_cast<size_t>(s)]);
     }
   }
-  if (stable <= stable_watermark_) return;
-  if (m_stable_ != nullptr) m_stable_->Increment(stable - stable_watermark_);
-  stable_watermark_ = stable;
-  if (m_stable_watermark_ != nullptr) {
-    m_stable_watermark_->Set(static_cast<double>(stable));
+  if (stable > stable_watermark_) {
+    if (m_stable_ != nullptr) m_stable_->Increment(stable - stable_watermark_);
+    stable_watermark_ = stable;
+    if (m_stable_watermark_ != nullptr) {
+      m_stable_watermark_->Set(static_cast<double>(stable));
+    }
+    // Every site has applied the stable prefix, so no live peer asks for it
+    // again; a restarted one that lost it gets a snapshot instead.
+    history_.erase(history_.begin(), history_.upper_bound(stable));
+    history_floor_ = std::max(history_floor_, stable);
+  }
+  // Refreshed on every call: Admit calls here after each applied batch.
+  if (m_history_msets_ != nullptr) {
+    m_history_msets_->Set(static_cast<double>(history_.size()));
   }
   // Extract before the callback runs: it may submit (and so re-enter).
   while (!unstable_.empty() && unstable_.begin()->first <= stable) {
@@ -562,6 +588,10 @@ void OrdupNode::SendCatchupRequest() {
 
 void OrdupNode::HandleCatchupReq(SiteId from, SequenceNumber after) {
   ObservePeer(from, after);  // the requester's applied watermark
+  if (after < history_floor_) {
+    SendSnapshot(from);
+    return;
+  }
   wire::Encoder e;
   auto it = history_.upper_bound(after);
   int32_t n = 0;
@@ -593,6 +623,52 @@ void OrdupNode::HandleCatchupResp(SiteId from, std::string_view payload) {
       n >= static_cast<uint32_t>(config_.catchup_batch)) {
     SendCatchupRequest();
   }
+}
+
+void OrdupNode::SendSnapshot(SiteId to) {
+  // The applied prefix is a consistent cut of the total order, so the
+  // store as it stands is the image at applied_watermark_.
+  recovery::CheckpointData image;
+  image.order_watermark = applied_watermark_;
+  image.clock_counter = lamport_;
+  image.store_entries = store_.SnapshotEntries();
+  std::string payload = recovery::EncodeCheckpoint(image);
+  // Leave room for the transport's per-message envelope.
+  if (payload.size() + 64 > kMaxFramePayloadBytes) return;
+  SendTo(to, kSnapshotRespMsg, std::move(payload), kInvalidEtId);
+  if (m_snapshots_sent_ != nullptr) m_snapshots_sent_->Increment();
+}
+
+void OrdupNode::HandleSnapshotResp(SiteId from, std::string_view payload) {
+  recovery::CheckpointData image;
+  if (!recovery::DecodeCheckpoint(payload, &image)) return;
+  const SequenceNumber image_watermark = image.order_watermark;
+  if (image_watermark <= applied_watermark_) return;  // stale
+  // The image replaces the whole applied prefix: the responder applied the
+  // same total order up to image_watermark.
+  store_.Clear();
+  for (auto& [object, value, write_ts] : image.store_entries) {
+    store_.RestoreEntry(object, std::move(value), write_ts);
+  }
+  applied_watermark_ = image_watermark;
+  max_grant_seen_ = std::max(max_grant_seen_, image_watermark);
+  lamport_ = std::max(lamport_, image.clock_counter);
+  history_.clear();
+  history_floor_ = image_watermark;
+  auto drop_through = [image_watermark](auto& by_position) {
+    by_position.erase(by_position.begin(),
+                      by_position.upper_bound(image_watermark));
+  };
+  drop_through(holdback_);
+  drop_through(unfilled_grants_);
+  drop_through(healing_);
+  if (m_snapshots_installed_ != nullptr) m_snapshots_installed_->Increment();
+  if (m_applied_watermark_ != nullptr) {
+    m_applied_watermark_->Set(static_cast<double>(applied_watermark_));
+  }
+  DrainHoldback();
+  ObservePeer(from, image_watermark);
+  AdvanceStable();
 }
 
 /// --- Retry loop -------------------------------------------------------------
@@ -691,10 +767,7 @@ SequenceNumber OrdupNode::MaxOrderSeen() const {
   if (!holdback_.empty()) {
     max_seen = std::max(max_seen, holdback_.rbegin()->first);
   }
-  if (!history_.empty()) {
-    max_seen = std::max(max_seen, history_.rbegin()->first);
-  }
-  return max_seen;
+  return max_seen;  // history_ holds only applied positions
 }
 
 std::string OrdupNode::DebugStuck(int limit) const {

@@ -30,6 +30,10 @@ inline constexpr int kPosProbeRespMsg = 116;
 /// Stability gossip: the sender's applied watermark, then the sender's
 /// knowledge of the receiver's (see the OrdupNode class comment).
 inline constexpr int kWatermarkMsg = 117;
+/// Catch-up from below the responder's trimmed history: one store image at
+/// the responder's applied watermark, in the recovery codec's checkpoint
+/// format (see the OrdupNode class comment).
+inline constexpr int kSnapshotRespMsg = 118;
 
 struct OrdupNodeConfig {
   SiteId self = 0;
@@ -89,6 +93,14 @@ struct OrdupNodeConfig {
 /// that outlive `gap_timeout_us` are backfilled from a peer's history
 /// (which also serves a restarted site's catch-up after WAL replay).
 ///
+/// Bounded history: a site keeps applied MSets only above its stable
+/// watermark. Every peer has applied a stable position in its current life,
+/// so no live peer asks for it again; only a restart that lost state (no
+/// WAL, or a WAL that lost its unflushed tail) can ask from below the trim
+/// point. Such a catch-up request is answered with kSnapshotRespMsg: the
+/// responder's store image at its applied watermark, which the requester
+/// installs in place of the MSets it missed (DESIGN.md §14).
+///
 /// Threading: every method (including Start/Stop and the transport handler
 /// it installs) must run on the owner's strand.
 class OrdupNode {
@@ -128,6 +140,11 @@ class OrdupNode {
   /// No locally-originated ET still awaiting its grant or stability.
   bool Idle() const { return ungranted_.empty() && unstable_.empty(); }
   int64_t sequencer_epoch() const { return seq_epoch_; }
+  /// Applied MSets still held as the catch-up source: those above the
+  /// stable watermark (zero once every site applied everything).
+  int64_t history_msets() const {
+    return static_cast<int64_t>(history_.size());
+  }
   /// One-line debug rendering of up to `limit` stuck local ETs.
   std::string DebugStuck(int limit = 4) const;
 
@@ -158,6 +175,12 @@ class OrdupNode {
   void HandleEpochAnnounce(SiteId from, const msg::SeqEpochAnnounce& ann);
   void HandleCatchupReq(SiteId from, SequenceNumber after);
   void HandleCatchupResp(SiteId from, std::string_view payload);
+  /// Answers a catch-up request from below history_floor_ with this site's
+  /// store image (skipped when it exceeds kMaxFramePayloadBytes).
+  void SendSnapshot(SiteId to);
+  /// Installs a peer's store image above this site's applied watermark;
+  /// a corrupt or stale image leaves the node unchanged.
+  void HandleSnapshotResp(SiteId from, std::string_view payload);
   void HandlePosProbeReq(SiteId from, SequenceNumber pos);
   void HandlePosProbeResp(SiteId from, std::string_view payload);
   /// Begins (or continues) healing one orphaned total-order position.
@@ -168,12 +191,15 @@ class OrdupNode {
   void OnGranted(EtId et, SequenceNumber position, int64_t epoch);
   /// Inserts into the order buffer and drains every contiguous MSet.
   void Admit(core::Mset mset, bool persist);
+  /// Applies every hold-back MSet contiguous with the applied prefix.
+  void DrainHoldback();
   void ApplyInOrder(core::Mset mset);
   /// The MSet at `pos` if this site holds it (applied or buffered).
   const core::Mset* FindMset(SequenceNumber pos) const;
   /// Credits `applied` to peer `from`'s watermark and re-derives stability.
   void ObservePeer(SiteId from, SequenceNumber applied);
-  /// Raises the stable watermark and completes every local ET below it.
+  /// Raises the stable watermark, trims history_ to the positions above it,
+  /// and completes every local ET at or below it.
   void AdvanceStable();
   void SendApplyAck(SiteId origin, EtId et);
   void SendWatermark(SiteId to);
@@ -201,11 +227,15 @@ class OrdupNode {
   SequenceNumber applied_watermark_ = 0;
   std::map<SequenceNumber, core::Mset> holdback_;
   SimTime gap_since_ = -1;  // first moment the current gap was observed
-  /// Applied MSets by position: the catch-up/backfill source and the
-  /// retransmit source for local ETs not yet stable. (Unbounded: trimming
-  /// below the stable watermark needs snapshot catch-up for a restart
-  /// without a WAL — future work.)
+  /// Applied MSets above the stable watermark, by position: the
+  /// catch-up/backfill source and the retransmit source for local ETs not
+  /// yet stable. AdvanceStable erases every entry at or below the stable
+  /// watermark, so the map holds only the applied-but-unstable window.
   std::map<SequenceNumber, core::Mset> history_;
+  /// Highest position this site no longer holds as an MSet (trimmed, or
+  /// covered by an installed snapshot). A catch-up request from below it is
+  /// answered with a snapshot instead.
+  SequenceNumber history_floor_ = 0;
   /// Stability, indexed by site (self entries unused): the applied
   /// watermark each peer has reported, and the own watermark last sent to
   /// each peer (lowered when a peer's echo shows it missed a message).
@@ -262,10 +292,13 @@ class OrdupNode {
   obs::Counter* m_stable_ = nullptr;
   obs::Counter* m_retransmits_ = nullptr;
   obs::Counter* m_duplicates_ = nullptr;
+  obs::Counter* m_snapshots_sent_ = nullptr;
+  obs::Counter* m_snapshots_installed_ = nullptr;
   obs::Histogram* m_commit_stable_us_ = nullptr;
   obs::Histogram* m_submit_commit_us_ = nullptr;
   obs::Gauge* m_applied_watermark_ = nullptr;
   obs::Gauge* m_stable_watermark_ = nullptr;
+  obs::Gauge* m_history_msets_ = nullptr;
 };
 
 }  // namespace esr::runtime

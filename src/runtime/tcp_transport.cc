@@ -421,8 +421,17 @@ void TcpTransport::IoLoop() {
         wire::Decoder d(payload);
         const uint8_t kind = d.U8();
         if (kind == kFrameHello) {
-          conn.from = static_cast<SiteId>(d.U32());
-          if (!d.ok()) conn.bad = true;
+          // One hello per connection, naming a peer: a second hello would
+          // let the sender speak as another site.
+          const SiteId from = static_cast<SiteId>(d.U32());
+          if (!d.ok() || conn.from != kInvalidSiteId || from < 0 ||
+              from >= static_cast<SiteId>(config_.peers.size()) ||
+              from == config_.self) {
+            corrupt_frames_.fetch_add(1, std::memory_order_relaxed);
+            conn.bad = true;
+            break;
+          }
+          conn.from = from;
           continue;
         }
         if (kind != kFrameMessage || conn.from == kInvalidSiteId) {

@@ -16,12 +16,6 @@
 
 namespace esr::runtime {
 
-/// Largest frame payload a TcpTransport accepts; a longer length prefix is
-/// corruption. Sized from the largest message OrdupNode builds, a full
-/// catch-up response: catchup_batch (256 by default) MSets of up to 256 KiB
-/// each, where a 16-increment MSet encodes to about 650 bytes.
-inline constexpr size_t kMaxFramePayloadBytes = size_t{64} << 20;
-
 /// Static endpoint table for a TcpTransport: `peers[s]` is site s's
 /// "host:port" listen address (this site's own entry gives its listen
 /// port; "host:0" binds an ephemeral port, readable via port()).
@@ -45,7 +39,10 @@ struct TcpTransportConfig {
 ///
 /// Wiring: site i's *outbound* connection to peer j carries only i→j
 /// messages; inbound connections are accept()ed and identified by a hello
-/// frame carrying the sender's site id. Messages are length+CRC framed
+/// frame carrying the sender's site id. A connection gets exactly one
+/// hello, naming a peer other than this site; a second hello, or one
+/// naming this site or a site outside `peers`, ends the connection and
+/// counts in corrupt_frames(). Messages are length+CRC framed
 /// with the WAL codec (esr::wire). A partial frame waits for more bytes; a
 /// frame with a bad CRC or a length above kMaxFramePayloadBytes ends the
 /// connection (epoch) at once, and the dialer reconnects with backoff.
@@ -88,8 +85,8 @@ class TcpTransport : public Transport {
     return dropped_sends_.load(std::memory_order_relaxed);
   }
 
-  /// Inbound frames with a bad CRC or an over-limit length; each one closed
-  /// its connection.
+  /// Inbound frames with a bad CRC or an over-limit length, and rejected
+  /// hellos; each one closed its connection.
   int64_t corrupt_frames() const {
     return corrupt_frames_.load(std::memory_order_relaxed);
   }

@@ -19,9 +19,13 @@
 // every site, an apply ack counts only for the site that sent it, a WAL with
 // the stability records older versions wrote still replays, and a site
 // amnesia-restart with an in-flight sequencer grant is healed (the order
-// hole is filled, the cluster drains). Two raw-socket tests check the TCP
-// framing guard: a bad-CRC frame or an oversized length prefix closes the
-// connection, and a fresh connection still delivers.
+// hole is filled, the cluster drains). History is trimmed to the
+// applied-but-unstable window; a site restarted below its peers' trim
+// point (no WAL, or a WAL that lost its tail) converges by snapshot; a
+// corrupt or stale snapshot changes nothing. Raw-socket tests check the
+// TCP guards: a bad-CRC frame or an oversized length prefix closes the
+// connection, and a fresh connection still delivers; a second hello, or a
+// hello naming the receiver itself or no peer, closes the connection.
 
 #include <gtest/gtest.h>
 
@@ -44,6 +48,8 @@
 
 #include "common/wire.h"
 #include "esr/mset.h"
+#include "obs/metric_registry.h"
+#include "recovery/checkpointer.h"
 #include "recovery/storage.h"
 #include "recovery/wal.h"
 #include "runtime/interfaces.h"
@@ -445,13 +451,14 @@ class RawPeer {
   bool connected_ = false;
 };
 
-/// A started two-site TcpTransport at site 0 whose handler records what
-/// arrives; raw peers pose as site 1.
+/// A started TcpTransport at site 0 of `sites` whose handler records what
+/// arrives; raw peers pose as the other sites.
 struct TcpReceiver {
-  explicit TcpReceiver(ThreadPool* pool) : strand(pool->MakeStrand()) {
+  explicit TcpReceiver(ThreadPool* pool, int sites = 2)
+      : strand(pool->MakeStrand()) {
     TcpTransportConfig cfg;
     cfg.self = 0;
-    cfg.peers = {"127.0.0.1:0", "127.0.0.1:0"};
+    cfg.peers.assign(static_cast<size_t>(sites), "127.0.0.1:0");
     transport = std::make_unique<TcpTransport>(cfg, strand.get());
     transport->SetHandler([this](SiteId from, Message msg) {
       std::lock_guard<std::mutex> lock(mu);
@@ -530,6 +537,51 @@ TEST(TcpTransportTest, OversizedLengthClosesConnectionAndFreshOneDelivers) {
   EXPECT_EQ(rx.got[0], (std::pair<SiteId, std::string>{1, "after"}));
 }
 
+TEST(TcpTransportTest, SecondHelloClosesConnection) {
+  // A re-binding hello would let site 1's connection speak as site 2.
+  ThreadPool pool(2);
+  TcpReceiver rx(&pool, /*sites=*/3);
+  {
+    RawPeer peer(rx.transport->port());
+    ASSERT_TRUE(peer.connected());
+    ASSERT_TRUE(peer.Write(RawPeer::HelloFrame(1) +
+                           RawPeer::MessageFrame(3, "as-1") +
+                           RawPeer::HelloFrame(2) +
+                           RawPeer::MessageFrame(3, "as-2")));
+    EXPECT_TRUE(peer.WaitClosed(5000))
+        << "a second hello must end the connection";
+  }
+  EXPECT_EQ(rx.transport->corrupt_frames(), 1);
+  EXPECT_EQ(rx.WaitFor(1), 1u);
+  rx.transport->Stop();
+  pool.Shutdown();
+  ASSERT_EQ(rx.got.size(), 1u);
+  EXPECT_EQ(rx.got[0], (std::pair<SiteId, std::string>{1, "as-1"}));
+}
+
+TEST(TcpTransportTest, HelloNamingSelfOrUnknownSiteClosesConnection) {
+  ThreadPool pool(2);
+  TcpReceiver rx(&pool);
+  for (SiteId claimed : {SiteId{0}, SiteId{2}, SiteId{-1}}) {
+    RawPeer peer(rx.transport->port());
+    ASSERT_TRUE(peer.connected());
+    ASSERT_TRUE(peer.Write(RawPeer::HelloFrame(claimed) +
+                           RawPeer::MessageFrame(3, "spoofed")));
+    EXPECT_TRUE(peer.WaitClosed(5000))
+        << "a hello naming site " << claimed << " must end the connection";
+  }
+  EXPECT_EQ(rx.transport->corrupt_frames(), 3);
+  RawPeer fresh(rx.transport->port());
+  ASSERT_TRUE(fresh.connected());
+  ASSERT_TRUE(fresh.Write(RawPeer::HelloFrame(1) +
+                          RawPeer::MessageFrame(4, "after")));
+  EXPECT_EQ(rx.WaitFor(1), 1u);
+  rx.transport->Stop();
+  pool.Shutdown();
+  ASSERT_EQ(rx.got.size(), 1u);
+  EXPECT_EQ(rx.got[0], (std::pair<SiteId, std::string>{1, "after"}));
+}
+
 /// --- End to end: OrdupNode over the sim binding ---------------------------
 
 /// Forwards to another transport and tallies, by message type, what its
@@ -556,30 +608,92 @@ class CountingTransport : public Transport {
 };
 
 struct SimCluster {
+  /// `wals[s]`, where given and non-null, is site s's WAL.
   explicit SimCluster(int n, uint64_t seed = 7,
-                      sim::NetworkConfig net = LosslessFifoNetwork())
-      : network(&simulator, n, net, seed) {
+                      sim::NetworkConfig net = LosslessFifoNetwork(),
+                      std::vector<recovery::Wal*> wals = {})
+      : num_sites(n), network(&simulator, n, net, seed) {
+    wals.resize(static_cast<size_t>(n), nullptr);
     for (SiteId s = 0; s < n; ++s) {
-      transports.push_back(std::make_unique<SimTransport>(&network, s));
-      counting.push_back(
-          std::make_unique<CountingTransport>(transports.back().get(), &sent));
-      OrdupNodeConfig cfg;
-      cfg.self = s;
-      cfg.num_sites = n;
-      cfg.sequencer_site = 0;
-      nodes.push_back(std::make_unique<OrdupNode>(
-          cfg, counting.back().get(), &simulator, nullptr, nullptr));
+      metrics.push_back(std::make_unique<obs::MetricRegistry>());
+      AddNode(s, /*incarnation=*/0, wals[static_cast<size_t>(s)]);
     }
     for (auto& node : nodes) node->Start();
   }
 
+  /// Site `s` dies (losing everything not in `wal`) and a new incarnation
+  /// starts over `wal` on a fresh transport and metric registry.
+  OrdupNode& Restart(SiteId s, int64_t incarnation, recovery::Wal* wal) {
+    const auto i = static_cast<size_t>(s);
+    nodes[i]->Stop();
+    transports[i]->Stop();
+    retired_metrics.push_back(std::move(metrics[i]));
+    metrics[i] = std::make_unique<obs::MetricRegistry>();
+    AddNode(s, incarnation, wal);
+    nodes[i]->Start();
+    return *nodes[i];
+  }
+
+  int64_t Counter(SiteId s, const std::string& name) {
+    return metrics[static_cast<size_t>(s)]->GetCounter(name).value();
+  }
+
+  void RunUntilAllApplied(SequenceNumber watermark, SimTime horizon) {
+    auto all_applied = [&] {
+      for (const auto& node : nodes) {
+        if (node->applied_watermark() < watermark || !node->Idle()) {
+          return false;
+        }
+      }
+      return true;
+    };
+    while (!all_applied() && simulator.Now() < horizon) {
+      simulator.RunUntil(simulator.Now() + 1'000);
+    }
+  }
+
+  int num_sites;
   sim::Simulator simulator;
   sim::Network network;
+  std::vector<std::unique_ptr<obs::MetricRegistry>> metrics;
   std::vector<std::unique_ptr<SimTransport>> transports;
   std::vector<std::unique_ptr<CountingTransport>> counting;
   std::vector<std::unique_ptr<OrdupNode>> nodes;
   /// Messages the nodes sent to other sites, by type.
   std::map<int, int> sent;
+
+ private:
+  void AddNode(SiteId s, int64_t incarnation, recovery::Wal* wal) {
+    const auto i = static_cast<size_t>(s);
+    auto transport = std::make_unique<SimTransport>(&network, s);
+    auto counted = std::make_unique<CountingTransport>(transport.get(), &sent);
+    OrdupNodeConfig cfg;
+    cfg.self = s;
+    cfg.num_sites = num_sites;
+    cfg.sequencer_site = 0;
+    cfg.incarnation = incarnation;
+    auto node = std::make_unique<OrdupNode>(cfg, counted.get(), &simulator,
+                                            wal, metrics[i].get());
+    if (i < nodes.size()) {
+      // The dead incarnation's objects outlive it: late timer callbacks
+      // and deliveries still reach them and must find them stopped.
+      retired.push_back(std::move(nodes[i]));
+      retired_transports.push_back(std::move(transports[i]));
+      retired_counting.push_back(std::move(counting[i]));
+      nodes[i] = std::move(node);
+      transports[i] = std::move(transport);
+      counting[i] = std::move(counted);
+    } else {
+      nodes.push_back(std::move(node));
+      transports.push_back(std::move(transport));
+      counting.push_back(std::move(counted));
+    }
+  }
+
+  std::vector<std::unique_ptr<obs::MetricRegistry>> retired_metrics;
+  std::vector<std::unique_ptr<OrdupNode>> retired;
+  std::vector<std::unique_ptr<SimTransport>> retired_transports;
+  std::vector<std::unique_ptr<CountingTransport>> retired_counting;
 };
 
 TEST(OrdupNodeSimTest, ThreeSitesConvergeDeterministically) {
@@ -612,8 +726,8 @@ TEST(OrdupNodeSimTest, ThreeSitesConvergeDeterministically) {
 }
 
 /// Runs 15 rounds of one update per site over a lossy, jittery network and
-/// checks that the cluster converges and every update becomes stable, once,
-/// at every site.
+/// checks that the cluster converges, every update becomes stable, once, at
+/// every site, and every site trimmed its history without a snapshot.
 void ExpectConvergesUnderLoss(uint64_t seed, double loss) {
   SCOPED_TRACE("seed " + std::to_string(seed));
   sim::NetworkConfig net;
@@ -637,6 +751,9 @@ void ExpectConvergesUnderLoss(uint64_t seed, double loss) {
     EXPECT_EQ(node.store().StateDigest(), digest) << "site " << s;
     EXPECT_TRUE(node.Idle()) << "site " << s;
     EXPECT_EQ(node.stable_count(), 45) << "site " << s;
+    EXPECT_EQ(node.history_msets(), 0) << "site " << s;
+    EXPECT_EQ(cluster.Counter(s, "esr_runtime_snapshots_sent_total"), 0)
+        << "site " << s;
   }
   for (size_t i = 0; i < fired.size(); ++i) {
     EXPECT_EQ(fired[i], 1) << "on_stable of update " << i;
@@ -652,6 +769,14 @@ TEST(OrdupNodeSimTest, StabilityReachesEverySiteDespiteLostWatermarks) {
   // runs; only the stall probe's echo gets them re-sent.
   for (uint64_t seed = 1; seed <= 10; ++seed) {
     ExpectConvergesUnderLoss(seed, /*loss=*/0.2);
+  }
+}
+
+TEST(OrdupNodeSimTest, HeavyLossLeavesNoSiteStuck) {
+  // With the 5% and 20% cases above, the loss sweep: trimming history must
+  // never leave a gap that only a snapshot could fill.
+  for (uint64_t seed = 1; seed <= 5; ++seed) {
+    ExpectConvergesUnderLoss(seed, /*loss=*/0.4);
   }
 }
 
@@ -815,6 +940,183 @@ TEST(OrdupNodeSimTest, AmnesiaRestartWithInFlightGrantHealsOrderHole) {
   EXPECT_EQ(restarted.store().Read(1).AsInt(), 0);
   EXPECT_EQ(restarted.store().Read(2).AsInt(), 5);
   EXPECT_EQ(restarted.store().Read(3).AsInt(), 7);
+}
+
+/// Submits `rounds` rounds of one increment per site (objects 1..4).
+void SubmitRounds(SimCluster& cluster, int rounds, int64_t amount = 1) {
+  for (int round = 0; round < rounds; ++round) {
+    for (SiteId s = 0; s < cluster.num_sites; ++s) {
+      cluster.nodes[static_cast<size_t>(s)]->SubmitUpdate(
+          {store::Operation::Increment(1 + round % 4, amount + s)});
+    }
+  }
+}
+
+/// Every site at `watermark` and idle, with one state digest.
+void ExpectConverged(SimCluster& cluster, SequenceNumber watermark) {
+  const uint64_t digest = cluster.nodes[0]->store().StateDigest();
+  for (SiteId s = 0; s < cluster.num_sites; ++s) {
+    const OrdupNode& node = *cluster.nodes[static_cast<size_t>(s)];
+    EXPECT_EQ(node.applied_watermark(), watermark) << "site " << s;
+    EXPECT_EQ(node.store().StateDigest(), digest) << "site " << s;
+    EXPECT_TRUE(node.Idle()) << "site " << s;
+  }
+}
+
+TEST(OrdupNodeSimTest, HistoryIsTrimmedToTheUnstableWindow) {
+  SimCluster cluster(3);
+  SubmitRounds(cluster, 20);
+  // Mid-run, each site holds exactly its applied-but-unstable positions.
+  for (SimTime t = 2'000; t <= 60'000; t += 2'000) {
+    cluster.simulator.RunUntil(t);
+    for (SiteId s = 0; s < 3; ++s) {
+      const OrdupNode& node = *cluster.nodes[static_cast<size_t>(s)];
+      EXPECT_EQ(node.history_msets(),
+                node.applied_watermark() - node.stable_count())
+          << "site " << s << " at t=" << t;
+    }
+  }
+  cluster.RunUntilAllApplied(60, 5'000'000);
+  cluster.simulator.RunUntil(cluster.simulator.Now() + 200'000);
+  ExpectConverged(cluster, 60);
+  for (SiteId s = 0; s < 3; ++s) {
+    const OrdupNode& node = *cluster.nodes[static_cast<size_t>(s)];
+    EXPECT_EQ(node.stable_count(), 60) << "site " << s;
+    EXPECT_EQ(node.history_msets(), 0) << "site " << s;
+    EXPECT_EQ(cluster.metrics[static_cast<size_t>(s)]
+                  ->GetGauge("esr_runtime_history_msets")
+                  .value(),
+              0.0)
+        << "site " << s;
+  }
+  // Asked about a trimmed position, a site stays silent: denying it would
+  // let the order server fill a real MSet's position with a no-op.
+  wire::Encoder probe;
+  probe.I64(30);
+  cluster.transports[0]->Send(1, Msg(kPosProbeReqMsg, probe.Take()));
+  cluster.simulator.RunUntil(cluster.simulator.Now() + 10'000);
+  EXPECT_EQ(cluster.sent[kPosProbeRespMsg], 0);
+}
+
+TEST(OrdupNodeSimTest, AmnesiaRestartWithoutWalConvergesBySnapshot) {
+  SimCluster cluster(3);
+  SubmitRounds(cluster, 10);
+  cluster.RunUntilAllApplied(30, 5'000'000);
+  cluster.simulator.RunUntil(cluster.simulator.Now() + 200'000);
+  ASSERT_EQ(cluster.nodes[0]->history_msets(), 0);  // nothing to replay
+
+  OrdupNode& restarted =
+      cluster.Restart(2, /*incarnation=*/1'000'000, /*wal=*/nullptr);
+  cluster.RunUntilAllApplied(30, 5'000'000);
+  ExpectConverged(cluster, 30);
+  EXPECT_EQ(cluster.Counter(2, "esr_runtime_snapshots_installed_total"), 1);
+  EXPECT_EQ(cluster.Counter(0, "esr_runtime_snapshots_sent_total") +
+                cluster.Counter(1, "esr_runtime_snapshots_sent_total"),
+            1);
+
+  // New updates flow afterwards, the restarted site's own included.
+  SubmitRounds(cluster, 5, /*amount=*/10);
+  cluster.RunUntilAllApplied(45, 10'000'000);
+  cluster.simulator.RunUntil(cluster.simulator.Now() + 200'000);
+  ExpectConverged(cluster, 45);
+  EXPECT_EQ(restarted.stable_count(), 45);
+  EXPECT_EQ(restarted.history_msets(), 0);
+  // Objects 1..4 received 15 rounds of increments from every site.
+  int64_t total = 0;
+  for (ObjectId o = 1; o <= 4; ++o) total += restarted.store().Read(o).AsInt();
+  EXPECT_EQ(total, 10 * (1 + 2 + 3) + 5 * (10 + 11 + 12));
+}
+
+TEST(OrdupNodeSimTest, WalRestartBelowTrimPointConvergesBySnapshot) {
+  // Site 2's WAL flushes only when told to, so a crash loses its tail: its
+  // group-commit timer runs on a clock that never advances, and the record
+  // threshold is out of reach.
+  sim::Simulator wal_clock;
+  recovery::MemoryStorage storage;
+  recovery::RecoveryConfig rcfg;
+  rcfg.group_commit_records = 1'000'000;
+  recovery::Wal wal(&wal_clock, &storage, 2, rcfg, nullptr);
+  SimCluster cluster(3, 7, LosslessFifoNetwork(), {nullptr, nullptr, &wal});
+
+  SubmitRounds(cluster, 4);  // positions 1..12 reach the WAL's durable part
+  cluster.RunUntilAllApplied(12, 5'000'000);
+  wal.Flush();
+  SubmitRounds(cluster, 6);  // 13..30 stay in the volatile tail
+  cluster.RunUntilAllApplied(30, 5'000'000);
+  cluster.simulator.RunUntil(cluster.simulator.Now() + 200'000);
+  ASSERT_EQ(cluster.nodes[0]->history_msets(), 0);
+  ASSERT_EQ(cluster.nodes[1]->history_msets(), 0);
+
+  // Crash: the tail is lost, so replay stops at 12, below every peer's
+  // trim point (30). The peers can only answer with a snapshot.
+  wal.DropUnflushed();
+  OrdupNode& first = cluster.Restart(2, /*incarnation=*/2'000, &wal);
+  EXPECT_EQ(first.applied_watermark(), 12);
+  cluster.RunUntilAllApplied(30, 5'000'000);
+  ExpectConverged(cluster, 30);
+  EXPECT_EQ(cluster.Counter(2, "esr_runtime_snapshots_installed_total"), 1);
+
+  // Updates after the snapshot reach the WAL above a gap: it now holds
+  // 1..12 and 31..39, but not 13..30.
+  SubmitRounds(cluster, 3, /*amount=*/7);
+  cluster.RunUntilAllApplied(39, 5'000'000);
+  cluster.simulator.RunUntil(cluster.simulator.Now() + 200'000);
+  ExpectConverged(cluster, 39);
+  wal.Flush();
+
+  // A second restart over the gapped WAL: 1..12 apply, 31..39 wait in the
+  // hold-back, and the snapshot at 39 replaces both.
+  OrdupNode& second = cluster.Restart(2, /*incarnation=*/3'000, &wal);
+  EXPECT_EQ(second.applied_watermark(), 12);
+  cluster.RunUntilAllApplied(39, 5'000'000);
+  ExpectConverged(cluster, 39);
+  EXPECT_EQ(cluster.Counter(2, "esr_runtime_snapshots_installed_total"), 1);
+
+  SubmitRounds(cluster, 2, /*amount=*/3);
+  cluster.RunUntilAllApplied(45, 5'000'000);
+  cluster.simulator.RunUntil(cluster.simulator.Now() + 200'000);
+  ExpectConverged(cluster, 45);
+  EXPECT_EQ(second.stable_count(), 45);
+}
+
+TEST(OrdupNodeSimTest, CorruptOrStaleSnapshotLeavesNodeUnchanged) {
+  SimCluster cluster(3);
+  SubmitRounds(cluster, 4);
+  cluster.RunUntilAllApplied(12, 5'000'000);
+  cluster.simulator.RunUntil(cluster.simulator.Now() + 200'000);
+  OrdupNode& node = *cluster.nodes[1];
+  const uint64_t digest = node.store().StateDigest();
+
+  auto image_at = [](SequenceNumber watermark) {
+    recovery::CheckpointData image;
+    image.order_watermark = watermark;
+    image.clock_counter = 1'000;
+    image.store_entries = {{ObjectId{1}, Value(int64_t{99}), LamportTimestamp{}},
+                           {ObjectId{7}, Value(int64_t{5}), LamportTimestamp{}}};
+    return recovery::EncodeCheckpoint(image);
+  };
+  auto deliver = [&](std::string payload) {
+    cluster.transports[0]->Send(1, Msg(kSnapshotRespMsg, std::move(payload)));
+    cluster.simulator.RunUntil(cluster.simulator.Now() + 10'000);
+  };
+  const std::string fresh = image_at(100);
+  std::string flipped = fresh;
+  flipped[flipped.size() / 2] ^= 0x5a;
+  deliver(fresh.substr(0, fresh.size() - 3));  // truncated
+  deliver(flipped);                            // CRC mismatch
+  deliver(image_at(12));                       // at the applied watermark
+  deliver(image_at(5));                        // below it
+  EXPECT_EQ(node.applied_watermark(), 12);
+  EXPECT_EQ(node.store().StateDigest(), digest);
+  EXPECT_EQ(cluster.Counter(1, "esr_runtime_snapshots_installed_total"), 0);
+
+  // The same image above the watermark is installed whole.
+  deliver(fresh);
+  EXPECT_EQ(node.applied_watermark(), 100);
+  EXPECT_EQ(node.store().Read(1).AsInt(), 99);
+  EXPECT_EQ(node.store().Read(7).AsInt(), 5);
+  EXPECT_EQ(node.store().Read(2).AsInt(), 0);
+  EXPECT_EQ(cluster.Counter(1, "esr_runtime_snapshots_installed_total"), 1);
 }
 
 }  // namespace

@@ -385,6 +385,40 @@ void SubmitShardedStream(ReplicatedSystem& system, SiteId avoid, int rounds) {
   EXPECT_TRUE(system.Converged());
 }
 
+TEST(ShardingIntegrationTest, UnlabelledEpochGaugeIsTheGlobalServers) {
+  // The global order server fails over to its standby (epoch 2) while its
+  // home, site 0, is down. Later a shard home amnesia-restarts within the
+  // failure-detection delay and rebuilds its shard server in epoch 1. That
+  // epoch belongs on the {shard="k"} gauge, never on the unlabelled one,
+  // which is the global server's.
+  SystemConfig config = ShardedConfig(4, 2, 8, 7);
+  config.sequencer_standby = 1;
+  config.recovery.enabled = true;
+  ReplicatedSystem system(config);
+  const ShardId shard = 2;
+  const SiteId shard_home = system.shard_sequencer_home(shard);
+  ASSERT_NE(shard_home, 0);
+  ASSERT_NE(shard_home, 1);
+  system.failures().ScheduleCrash(sim::CrashSpec{
+      0, /*crash_at=*/100'000, /*restart_at=*/300'000, /*amnesia=*/true});
+  system.failures().ScheduleCrash(sim::CrashSpec{
+      shard_home, /*crash_at=*/500'000, /*restart_at=*/505'000,
+      /*amnesia=*/true});
+  for (int i = 0; i < 60; ++i) {
+    const SiteId origin = static_cast<SiteId>(1 + i % 7);
+    MustSubmit(system, origin, {Operation::Increment(i % 16, 1)});
+    system.RunFor(10'000);
+  }
+  system.RunUntilQuiescent();
+  ASSERT_TRUE(system.Converged());
+  ASSERT_EQ(system.sequencer_home(), 1);
+  ASSERT_EQ(system.shard_sequencer_home(shard), shard_home);
+  const int64_t global_epoch = system.site_seq_server(1)->epoch();
+  EXPECT_EQ(global_epoch, 2);
+  EXPECT_EQ(system.metrics().GetGauge("esr_seq_epoch").value(),
+            static_cast<double>(global_epoch));
+}
+
 TEST(ShardingIntegrationTest, ShardHomeFailStopPinnedDigests) {
   ReplicatedSystem system(ShardedConfig(4, 2, 8, 309));
   const SiteId home = system.shard_sequencer_home(1);

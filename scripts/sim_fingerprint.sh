@@ -14,6 +14,13 @@
 #   - stdout and .metrics.prom of bench_table1_methods, bench_sharding and
 #     bench_ordup_ordering_ablation
 #
+# scripts/sim_fingerprint.expected holds the committed output, and
+# scripts/run_tier2.sh fails when a fresh run differs from it. A change
+# meant to alter simulator output regenerates the file and commits it with
+# the change, saying which lines moved and why:
+#
+#   scripts/sim_fingerprint.sh > scripts/sim_fingerprint.expected
+#
 # Usage:
 #   scripts/sim_fingerprint.sh [BUILD_DIR]   # default: build
 set -euo pipefail

@@ -29,21 +29,6 @@ void MvStore::AppendVersion(ObjectId object, LamportTimestamp timestamp,
   p.slots[object].versions.insert_or_assign(timestamp, std::move(value));
 }
 
-Status MvStore::RemoveVersion(ObjectId object, LamportTimestamp timestamp) {
-  StorePartition& p = partitions_[PartitionIndex(object)];
-  std::unique_lock<std::shared_mutex> lock(p.mu);
-  auto it = p.slots.find(object);
-  if (it == p.slots.end() || it->second.versions.empty()) {
-    return Status::NotFound("object has no versions");
-  }
-  ObjectSlot& slot = it->second;
-  if (slot.versions.erase(timestamp) == 0) {
-    return Status::NotFound("no version at timestamp " + ToString(timestamp));
-  }
-  if (slot.versions.empty() && !slot.has_current) p.slots.erase(it);
-  return Status::Ok();
-}
-
 std::optional<Version> MvStore::ReadLatest(ObjectId object) const {
   const StorePartition& p = partitions_[PartitionIndex(object)];
   std::shared_lock<std::shared_mutex> lock(p.mu);

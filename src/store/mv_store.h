@@ -46,8 +46,8 @@ struct MvStoreOptions {
 /// two roles:
 ///
 ///  * Multi-version role (RITU-MV, paper section 3.3): AppendVersion /
-///    RemoveVersion / ReadLatest / ReadAtOrBefore over timestamp-ordered
-///    immutable version chains. Visibility follows the Modular
+///    ReadLatest / ReadAtOrBefore over timestamp-ordered immutable version
+///    chains; GcBelow is the only way a version goes. Visibility follows the Modular
 ///    Synchronization Method's visible transaction number counter (VTNC),
 ///    implemented by the caller: a query reading at-or-below the VTNC is
 ///    serializable; reading above it is the controlled inconsistency RITU
@@ -87,10 +87,6 @@ class MvStore {
   /// (COMPE's "adding another version with the same timestamp but bearing
   /// the previous value").
   void AppendVersion(ObjectId object, LamportTimestamp timestamp, Value value);
-
-  /// Removes the version at `timestamp` exactly (the other compensation
-  /// strategy for multi-version RITU). Returns NotFound if absent.
-  Status RemoveVersion(ObjectId object, LamportTimestamp timestamp);
 
   /// Latest version by timestamp; nullopt when the object has none.
   std::optional<Version> ReadLatest(ObjectId object) const;

@@ -69,21 +69,6 @@ TEST(MvStoreTest, SameTimestampAppendIsIdempotentOrReplaces) {
   EXPECT_EQ(store.VersionCount(0), 1);
 }
 
-TEST(MvStoreTest, RemoveVersionNotFound) {
-  MvStore store;
-  EXPECT_TRUE(store.RemoveVersion(1, Ts(1)).IsNotFound());
-  store.AppendVersion(1, Ts(1), Value(int64_t{1}));
-  store.AppendVersion(1, Ts(2), Value(int64_t{2}));
-  EXPECT_TRUE(store.RemoveVersion(1, Ts(3)).IsNotFound());
-  ASSERT_TRUE(store.RemoveVersion(1, Ts(2)).ok());
-  EXPECT_EQ(store.ReadLatest(1)->value.AsInt(), 1);
-  EXPECT_TRUE(store.RemoveVersion(1, Ts(2)).IsNotFound());
-  // Removing the last version drops the object id.
-  EXPECT_TRUE(store.RemoveVersion(1, Ts(1)).ok());
-  EXPECT_TRUE(store.ObjectIds().empty());
-  EXPECT_EQ(store.VersionCount(1), 0);
-}
-
 // The simulator's determinism digests rest on the digest rendering. These
 // values were computed by the earlier single-threaded stores over the same
 // contents and must hold at every partition count.

@@ -3,11 +3,14 @@
 # (the deployment shape documented in README.md's esrd quickstart),
 # SIGKILLs one follower mid-run and restarts it over the same WAL
 # directory, then SIGKILLs it again and restarts it with its data directory
-# wiped. It asserts that every site drains cleanly (exit 0), converges to
+# wiped, and finally SIGKILLs the sequencer site and restarts it over its
+# WAL. It asserts that every site drains cleanly (exit 0), converges to
 # an identical state digest, ends with its whole applied prefix stable
 # (status `stable` == `applied_watermark`, the restarted site included)
-# and so holds no history (`history_msets` == 0), and that the wiped site
-# caught up through a snapshot (`snapshots_installed` >= 1). This is the
+# and so holds no history (`history_msets` == 0), that the wiped site
+# caught up through a snapshot (`snapshots_installed` >= 1), and that
+# every site runs in the epoch the restarted sequencer's seal–probe–unseal
+# opened (`sequencer_epoch` == 3). This is the
 # end-to-end proof that the runtime binding — TcpTransport, TimerWheel,
 # thread-pool strands, WAL replay, incarnation-based order-hole healing and
 # snapshot catch-up below the peers' trimmed history — works outside the
@@ -65,6 +68,16 @@ sleep 0.5
 spawn 2 4.5   # finishes with the others
 echo "esrd smoke: site 2 restarted with its data directory wiped"
 
+sleep 1.5
+echo "esrd smoke: SIGKILL sequencer site 0"
+kill -9 "${PIDS[0]}"
+wait "${PIDS[0]}" 2>/dev/null || true
+sleep 0.5
+# The restarted order server comes up sealed and probes sites 1 and 2
+# before it grants again, in epoch 3.
+spawn 0 2.5   # finishes with the others
+echo "esrd smoke: site 0 restarted over its WAL"
+
 FAIL=0
 for site in 0 1 2; do
   if ! wait "${PIDS[$site]}"; then
@@ -100,6 +113,11 @@ for site in 0 1 2; do
   # Stable equals applied, so every applied MSet was trimmed.
   [[ "$H" == "0" ]] || {
     echo "esrd smoke: site $site still holds $H MSets (logs in $DIR)"
+    exit 1
+  }
+  E=$(field "$site" sequencer_epoch)
+  [[ "$E" == "3" ]] || {
+    echo "esrd smoke: site $site in sequencer epoch $E, not 3 (logs in $DIR)"
     exit 1
   }
 done

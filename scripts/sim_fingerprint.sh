@@ -11,8 +11,12 @@
 #   - a sharded esrsim run (4 shards, RF 2, 8 sites) with a global standby
 #     sequencer and an amnesia crash of site 0 recovered from file-backed
 #     storage: its stdout plus every site's .ckpt and .wal file
-#   - stdout and .metrics.prom of bench_table1_methods, bench_sharding and
-#     bench_ordup_ordering_ablation
+#   - the same kind of run fully replicated (ORDUP, 4 sites, a global
+#     standby sequencer, an amnesia crash of site 2): its stdout plus every
+#     site's .ckpt and .wal file
+#   - stdout and .metrics.prom of bench_table1_methods, bench_sharding,
+#     bench_ordup_ordering_ablation, bench_epsilon_bound, bench_convergence
+#     and bench_async_vs_sync
 #
 # scripts/sim_fingerprint.expected holds the committed output, and
 # scripts/run_tier2.sh fails when a fresh run differs from it. A change
@@ -27,7 +31,8 @@ set -euo pipefail
 cd "$(dirname "$0")/.."
 
 BUILD_DIR=${1:-build}
-BENCHES="bench_table1_methods bench_sharding bench_ordup_ordering_ablation"
+BENCHES="bench_table1_methods bench_sharding bench_ordup_ordering_ablation
+  bench_epsilon_bound bench_convergence bench_async_vs_sync"
 
 # Build logs go to stderr so stdout is only the fingerprint.
 cmake -B "$BUILD_DIR" -S . >&2
@@ -54,6 +59,19 @@ echo "$(hash sharded.out)  esrsim sharded amnesia run: stdout"
 for file in recovery/*; do
   echo "$(hash "$file")  esrsim sharded amnesia run: $(basename "$file")"
 done
+
+mkdir full
+(
+  cd full
+  "$BUILD_DIR/examples/esrsim" --method=ordup --sites=4 \
+    --sequencer-standby=1 --amnesia-crash=2:100:300 --recovery-dir=recovery \
+    --seed=7 --verify > full.out
+  echo "$(hash full.out)  esrsim full-replication amnesia run: stdout"
+  for file in recovery/*; do
+    echo "$(hash "$file")  esrsim full-replication amnesia run:" \
+      "$(basename "$file")"
+  done
+)
 
 for bench in $BENCHES; do
   "$BUILD_DIR/bench/$bench" > "$bench.out"

@@ -32,8 +32,6 @@ class CommuMethod : public ReplicaControlMethod {
  public:
   explicit CommuMethod(const MethodContext& ctx);
 
-  std::string_view Name() const override { return "COMMU"; }
-
   Status AdmitUpdate(const std::vector<store::Operation>& ops) override;
   void SubmitUpdate(EtId et, std::vector<store::Operation> ops,
                     CommitFn done) override;

@@ -2,15 +2,27 @@
 
 #include <algorithm>
 #include <cassert>
+#include <limits>
 
 namespace esr::core {
 
+namespace {
+/// Non-owned shards report "infinity" in checkpoint watermarks: this site
+/// never needs records of those streams.
+constexpr SequenceNumber kShardWatermarkInfinity =
+    std::numeric_limits<SequenceNumber>::max();
+}  // namespace
+
 OrdupMethod::OrdupMethod(const MethodContext& ctx)
-    : ReplicaControlMethod(ctx),
-      buffer_([this](SequenceNumber seq, const std::any& payload) {
-        ApplyOrdered(seq, payload);
-      }) {
-  assert(ctx_.sequencer != nullptr);
+    : ReplicaControlMethod(ctx) {
+  if (ctx_.placement == nullptr) {
+    assert(ctx_.sequencer != nullptr);
+    streams_[kGlobalOrder];  // default-construct the stream
+  } else {
+    assert(static_cast<int>(ctx_.shard_sequencers.size()) ==
+           ctx_.placement->num_shards());
+    for (ShardId k : ctx_.placement->OwnedShards(ctx_.site)) streams_[k];
+  }
   ctx_.mailbox->RegisterHandler(
       kMsetMsg, [this](SiteId /*source*/, const std::any& body) {
         const auto* mset = std::any_cast<Mset>(&body);
@@ -19,84 +31,292 @@ OrdupMethod::OrdupMethod(const MethodContext& ctx)
       });
 }
 
+OrdupMethod::Positions OrdupMethod::PositionsOf(const Mset& mset) {
+  if (mset.shard_positions.empty()) return {{kGlobalOrder, mset.global_order}};
+  return mset.shard_positions;
+}
+
+msg::SequencerClient* OrdupMethod::Client(ShardId service) const {
+  return service == kGlobalOrder ? ctx_.sequencer
+                                 : ctx_.shard_sequencers[service];
+}
+
+Mset OrdupMethod::Noop(ShardId service, SequenceNumber seq) const {
+  Mset noop;
+  noop.et = kInvalidEtId;
+  noop.origin = ctx_.site;
+  if (service == kGlobalOrder) {
+    noop.global_order = seq;
+  } else {
+    noop.shard_positions = {{service, seq}};
+  }
+  return noop;
+}
+
+void OrdupMethod::ReleasePositionRemotely(ShardId service,
+                                          SequenceNumber seq) {
+  Mset noop = Noop(service, seq);
+  noop.timestamp = ctx_.clock->Tick();
+  PropagateMset(noop);
+}
+
 void OrdupMethod::SubmitUpdate(EtId et, std::vector<store::Operation> ops,
                                CommitFn done) {
   const LamportTimestamp ts = ctx_.clock->Tick();
   outgoing_ts_.emplace(et, ts);
-  // "Sorting time: at update" — the global order is obtained before the
-  // update commits, and that round trip is the price ORDUP pays up front.
-  ctx_.sequencer->Request([this, et, ts, ops = std::move(ops),
-                           done = std::move(done)](SequenceNumber seq) {
-    Mset mset;
-    mset.et = et;
-    mset.origin = ctx_.site;
-    mset.global_order = seq;
-    mset.timestamp = ts;
-    mset.operations = ops;
-    if (ctx_.config->record_history) {
-      analysis::UpdateRecord record;
-      record.et = et;
-      record.origin = ctx_.site;
-      record.commit_time = ctx_.simulator->Now();
-      record.ops = ops;
-      record.order = seq;
-      record.timestamp = ts;
-      ctx_.history->RecordUpdateCommit(std::move(record));
+  // "Sorting time: at update" — the order is obtained before the update
+  // commits, and that round trip is the price ORDUP pays up front.
+  std::vector<ShardId> services =
+      ctx_.placement == nullptr ? std::vector<ShardId>{kGlobalOrder}
+                                : ctx_.placement->ShardsOf(ops);
+  assert(!services.empty());
+  if (services.size() == 1) {
+    // One order service: one round trip, and no coordination with any
+    // site that does not follow it.
+    const ShardId k = services.front();
+    Client(k)->Request(
+        [this, et, ts, k, ops = std::move(ops),
+         done = std::move(done)](SequenceNumber seq) mutable {
+          FinishCommit(et, ts, std::move(ops), {{k, seq}}, std::move(done));
+        },
+        TraceContext{.et = et, .origin = ctx_.site});
+    return;
+  }
+  auto state = std::make_shared<CrossCommit>();
+  state->et = et;
+  state->ts = ts;
+  state->ops = std::move(ops);
+  state->done = std::move(done);
+  state->shards = std::move(services);
+  AcquireNextShard(std::move(state));
+}
+
+void OrdupMethod::AcquireNextShard(std::shared_ptr<CrossCommit> state) {
+  if (state->next_shard == state->shards.size()) {
+    // Every touched shard's position is held under its cross lock; the
+    // vector is now immutable, so release all locks and commit.
+    for (const auto& [k, token] : state->tokens) {
+      Client(k)->ReleaseCross(token);
     }
-    TraceLocalCommit(et);
-    PropagateMset(mset);
-    buffer_.Offer(seq, std::any(std::move(mset)));
-    ctx_.counters->Increment("esr.updates_committed");
-    if (done) done(Status::Ok());
-  }, TraceContext{.et = et, .origin = ctx_.site});
+    FinishCommit(state->et, state->ts, std::move(state->ops),
+                 std::move(state->positions), std::move(state->done));
+    return;
+  }
+  const ShardId k = state->shards[state->next_shard];
+  Client(k)->RequestCross(
+      [this, state, k](SequenceNumber pos, int64_t token) {
+        state->positions.emplace_back(k, pos);
+        state->tokens.emplace_back(k, token);
+        ++state->next_shard;
+        AcquireNextShard(state);
+      },
+      TraceContext{.et = state->et, .origin = ctx_.site});
+}
+
+void OrdupMethod::FinishCommit(EtId et, LamportTimestamp ts,
+                               std::vector<store::Operation> ops,
+                               Positions positions, CommitFn done) {
+  std::sort(positions.begin(), positions.end());
+  Mset mset;
+  mset.et = et;
+  mset.origin = ctx_.site;
+  mset.timestamp = ts;
+  mset.operations = std::move(ops);
+  if (positions.front().first == kGlobalOrder) {
+    mset.global_order = positions.front().second;
+  } else {
+    mset.shard_positions = positions;  // per-shard positions carry the order
+  }
+  if (ctx_.config->record_history) {
+    analysis::UpdateRecord record;
+    record.et = et;
+    record.origin = ctx_.site;
+    record.commit_time = ctx_.simulator->Now();
+    record.ops = mset.operations;
+    record.order = positions.front().second;
+    record.timestamp = ts;
+    ctx_.history->RecordUpdateCommit(std::move(record));
+  }
+  if (ctx_.placement != nullptr) {
+    // Owner-set stability: the ET is stable once every owner of its shards
+    // applied it — non-owners never see it and never ack.
+    std::vector<ShardId> shards;
+    shards.reserve(positions.size());
+    for (const auto& [k, pos] : positions) shards.push_back(k);
+    ctx_.stability->SetExpected(
+        et, static_cast<int>(ctx_.placement->OwnersOf(shards).size()));
+  }
+  TraceLocalCommit(et);
+  PropagateMset(mset);
+  OfferMset(mset);  // applies locally iff this site follows a named stream
+  ctx_.counters->Increment("esr.updates_committed");
+  if (done) done(Status::Ok());
 }
 
 void OrdupMethod::OnMsetDelivered(const Mset& mset) {
   if (RecoveryFilterDelivery(mset)) return;
-  buffer_.Offer(mset.global_order, std::any(mset));
+  if (ctx_.placement != nullptr && InReplay() && mset.origin == ctx_.site) {
+    // A WAL-replayed own MSet whose shards this site does not own never
+    // reaches ApplyNow (no owned stream holds it), but the origin-side ack
+    // expectation still has to come back.
+    const bool names_owned_stream = std::any_of(
+        mset.shard_positions.begin(), mset.shard_positions.end(),
+        [this](const auto& position) {
+          return streams_.count(position.first) != 0;
+        });
+    if (!names_owned_stream) {
+      MaybeReinstallOrigin(mset);
+      return;
+    }
+  }
+  OfferMset(mset);
+}
+
+void OrdupMethod::OfferMset(const Mset& mset) {
+  auto held = std::make_shared<const Held>(Held{mset, PositionsOf(mset)});
+  bool offered = false;
+  for (const auto& [k, p] : held->positions) {
+    auto it = streams_.find(k);
+    if (it == streams_.end()) continue;  // not followed at this site
+    Stream& st = it->second;
+    st.max_offered = std::max(st.max_offered, p);
+    if (p < st.next) continue;  // duplicate of an applied position
+    st.pending.emplace(p, held);
+    offered = true;
+  }
+  if (offered) Drain();
+}
+
+bool OrdupMethod::AtBarrier(const Held& held) const {
+  for (const auto& [k, p] : held.positions) {
+    auto it = streams_.find(k);
+    if (it == streams_.end()) continue;
+    if (it->second.next != p) return false;
+  }
+  return true;
+}
+
+void OrdupMethod::Drain() {
+  if (pause_depth_ > 0) return;
+  bool progress = true;
+  while (progress) {
+    progress = false;
+    // Ascending service order keeps the drain deterministic. A head MSet
+    // that spans streams applies only when at the head of all of them;
+    // applying one MSet can unblock another, so restart from the lowest.
+    for (auto& [k, st] : streams_) {
+      auto it = st.pending.find(st.next);
+      if (it == st.pending.end()) continue;
+      const std::shared_ptr<const Held> held = it->second;
+      if (!AtBarrier(*held)) continue;
+      ApplyNow(*held);
+      progress = true;
+      break;
+    }
+    if (pause_depth_ > 0) return;
+  }
+}
+
+void OrdupMethod::ApplyNow(const Held& held) {
+  // Advance (and clear) every followed stream the MSet names, atomically
+  // with respect to the drain: the barrier held, so each named stream is
+  // at exactly this MSet's position.
+  for (const auto& [k, p] : held.positions) {
+    auto it = streams_.find(k);
+    if (it == streams_.end()) continue;
+    assert(it->second.next == p);
+    it->second.pending.erase(p);
+    it->second.next = p + 1;
+  }
+  const Mset& mset = held.mset;
+  // No-op filling a sequenced query's or an orphaned position: advance
+  // only.
+  if (mset.et == kInvalidEtId) return;
+  // Apply only the operations on objects this site owns; the rest belong
+  // to owners of the MSet's other shards.
+  Mset local = mset;
+  if (ctx_.placement != nullptr) {
+    std::erase_if(local.operations, [this](const store::Operation& op) {
+      return !ctx_.placement->OwnsObject(ctx_.site, op.object);
+    });
+  }
+  Status s = ctx_.store->ApplyAll(local.operations);
+  assert(s.ok());
+  (void)s;
+  ++apply_index_;
+  // Index the write for query-overlap counting: one entry per (ET, object).
+  std::unordered_set<ObjectId> seen;
+  for (const store::Operation& op : local.operations) {
+    if (op.IsUpdate() && seen.insert(op.object).second) {
+      applied_writes_[op.object].push_back(apply_index_);
+    }
+  }
+  if (InReplay()) MaybeReinstallOrigin(mset);
+  RecordApplied(local);
+}
+
+void OrdupMethod::MaybeReinstallOrigin(const Mset& mset) {
+  if (ctx_.placement == nullptr) return;
+  if (mset.origin != ctx_.site || mset.et <= 0) return;
+  if (ctx_.stability->IsStable(mset.et)) return;
+  if (outgoing_ts_.find(mset.et) == outgoing_ts_.end()) {
+    outgoing_ts_.emplace(mset.et, mset.timestamp);
+  }
+  std::vector<ShardId> shards;
+  shards.reserve(mset.shard_positions.size());
+  for (const auto& [k, pos] : mset.shard_positions) shards.push_back(k);
+  ctx_.stability->SetExpected(
+      mset.et, static_cast<int>(ctx_.placement->OwnersOf(shards).size()));
+  outgoing_targets_[mset.et] = MsetTargets(mset);
+}
+
+void OrdupMethod::OnReplayReflected(const Mset& mset) {
+  // A checkpoint-reflected MSet replayed from the WAL: store effects are
+  // present (or the site never applies it — a non-owner origin), but the
+  // origin-side ack expectation must still be rebuilt.
+  MaybeReinstallOrigin(mset);
 }
 
 void OrdupMethod::SnapshotDurable(MethodDurableState& out) const {
   ReplicaControlMethod::SnapshotDurable(out);
-  out.order_watermark = buffer_.Watermark();
+  auto global = streams_.find(kGlobalOrder);
+  if (global != streams_.end()) out.order_watermark = global->second.next - 1;
+  if (ctx_.placement == nullptr) return;
+  out.shard_watermarks.clear();
+  for (ShardId k = 0; k < ctx_.placement->num_shards(); ++k) {
+    auto it = streams_.find(k);
+    out.shard_watermarks.emplace_back(
+        k, it != streams_.end() ? it->second.next - 1
+                                : kShardWatermarkInfinity);
+  }
 }
 
 void OrdupMethod::RestoreDurable(const MethodDurableState& in) {
   ReplicaControlMethod::RestoreDurable(in);
-  buffer_.RestoreWatermark(in.order_watermark);
-}
-
-void OrdupMethod::ReleaseOrphanPosition(SequenceNumber seq) {
-  // The position was granted to an update that died in an amnesia crash:
-  // fill it with a no-op everywhere, locally included, so no site's
-  // hold-back buffer waits forever.
-  ReleasePositionRemotely(seq);
-  Mset noop;
-  noop.et = kInvalidEtId;
-  noop.origin = ctx_.site;
-  noop.global_order = seq;
-  buffer_.Offer(seq, std::any(std::move(noop)));
-}
-
-void OrdupMethod::ApplyOrdered(SequenceNumber seq, const std::any& payload) {
-  const auto* mset = std::any_cast<Mset>(&payload);
-  assert(mset != nullptr);
-  if (mset->et == kInvalidEtId) {
-    // No-op MSet releasing a sequenced query's position: advance only.
-    (void)seq;
-    return;
-  }
-  Status s = ctx_.store->ApplyAll(mset->operations);
-  assert(s.ok());
-  (void)s;
-  // Index the write for query-overlap counting: one entry per (ET, object).
-  std::unordered_set<ObjectId> seen;
-  for (const store::Operation& op : mset->operations) {
-    if (op.IsUpdate() && seen.insert(op.object).second) {
-      applied_writes_[op.object].push_back(seq);
+  Positions watermarks = in.shard_watermarks;
+  watermarks.emplace_back(kGlobalOrder, in.order_watermark);
+  for (const auto& [k, wm] : watermarks) {
+    auto it = streams_.find(k);
+    if (it == streams_.end() || wm == kShardWatermarkInfinity) continue;
+    Stream& st = it->second;
+    if (st.next == 1 && st.pending.empty() && wm >= 0) {
+      st.next = wm + 1;
+      st.max_offered = std::max(st.max_offered, wm);
     }
   }
-  RecordApplied(*mset);
+}
+
+void OrdupMethod::ReleaseOrphanPosition(ShardId service, SequenceNumber seq) {
+  // The position was granted to an update that died in an amnesia crash:
+  // fill it with a no-op at every site following the service (locally
+  // included) so no stream waits forever.
+  ReleasePositionRemotely(service, seq);
+  OfferMset(Noop(service, seq));
+}
+
+SequenceNumber OrdupMethod::MaxOrderSeen(ShardId service) const {
+  auto it = streams_.find(service);
+  return it == streams_.end() ? 0 : it->second.max_offered;
 }
 
 int64_t OrdupMethod::ChargeFor(const QueryState& query,
@@ -104,26 +324,27 @@ int64_t OrdupMethod::ChargeFor(const QueryState& query,
   auto it = applied_writes_.find(object);
   if (it == applied_writes_.end()) return 0;
   auto mit = query.charged_marks.find(object);
-  const SequenceNumber mark =
-      mit == query.charged_marks.end() ? query.order_pin : mit->second;
-  const std::vector<SequenceNumber>& seqs = it->second;
-  // Entries with order > mark (all applied entries are <= watermark).
+  const int64_t mark = mit == query.charged_marks.end()
+                           ? static_cast<int64_t>(query.order_pin)
+                           : mit->second;
+  const std::vector<int64_t>& idxs = it->second;
   return static_cast<int64_t>(
-      seqs.end() - std::upper_bound(seqs.begin(), seqs.end(), mark));
+      idxs.end() - std::upper_bound(idxs.begin(), idxs.end(), mark));
 }
 
-SequenceNumber OrdupMethod::QueryPosition(EtId query) const {
-  auto it = query_positions_.find(query);
-  return it == query_positions_.end() ? 0 : it->second;
-}
-
-void OrdupMethod::ReleasePositionRemotely(SequenceNumber position) {
-  Mset noop;
-  noop.et = kInvalidEtId;
-  noop.origin = ctx_.site;
-  noop.global_order = position;
-  noop.timestamp = ctx_.clock->Tick();
-  PropagateMset(noop);
+void OrdupMethod::RecordRead(const QueryState& query, ObjectId object,
+                             const Value& v, int64_t inc) {
+  if (!ctx_.config->record_history) return;
+  analysis::ReadRecord r;
+  r.query = query.id;
+  r.site = ctx_.site;
+  r.object = object;
+  r.value = v;
+  r.time = ctx_.simulator->Now();
+  r.inconsistency_increment = inc;
+  r.pin = query.order_pin;
+  r.site_apply_index = apply_index_;
+  ctx_.history->RecordRead(std::move(r));
 }
 
 Result<Value> OrdupMethod::TrySequencedRead(QueryState& query,
@@ -135,32 +356,22 @@ Result<Value> OrdupMethod::TrySequencedRead(QueryState& query,
     return Status::Unavailable("awaiting the query's global order number");
   }
   const SequenceNumber position = it->second;
-  if (buffer_.Watermark() < position - 1) {
+  const SequenceNumber watermark = streams_.at(kGlobalOrder).next - 1;
+  if (watermark < position - 1) {
     // Not yet at the query's serialization point: earlier updates are
     // still outstanding.
     ++query.blocked_attempts;
     return Status::Unavailable("applier has not reached the query position");
   }
   // Watermark is exactly position-1 (the query's own number gaps the
-  // buffer, so it can never pass). Reads here are one-copy serializable —
+  // stream, so it can never pass). Reads here are one-copy serializable —
   // "the overlap will be empty, yielding an SRlog".
-  assert(buffer_.Watermark() == position - 1);
+  assert(watermark == position - 1);
   query.pinned = true;
-  query.order_pin = position - 1;
+  query.order_pin = apply_index_;
   Value v = ctx_.store->Read(object);
   ++query.reads;
-  if (ctx_.config->record_history) {
-    analysis::ReadRecord r;
-    r.query = query.id;
-    r.site = ctx_.site;
-    r.object = object;
-    r.value = v;
-    r.time = ctx_.simulator->Now();
-    r.inconsistency_increment = 0;
-    r.pin = query.order_pin;
-    r.site_apply_index = buffer_.Watermark();
-    ctx_.history->RecordRead(std::move(r));
-  }
+  RecordRead(query, object, v, /*inc=*/0);
   return v;
 }
 
@@ -168,12 +379,19 @@ Result<Value> OrdupMethod::TryQueryRead(QueryState& query, ObjectId object) {
   if (ctx_.config->ordup_sequenced_queries) {
     return TrySequencedRead(query, object);
   }
+  if (ctx_.placement != nullptr &&
+      !ctx_.placement->OwnsObject(ctx_.site, object)) {
+    // The facade forwards reads of non-owned objects to an owner site
+    // before reaching the method; getting here is a routing bug.
+    assert(false && "read of a non-owned object reached the method");
+    return Status::FailedPrecondition("object not owned at this site");
+  }
   if (!query.pinned) {
     query.pinned = true;
-    query.order_pin = buffer_.Watermark();
-    // Strict (restarted, or epsilon already exhausted at start) queries run
-    // "in the global order": freeze the applier at the pin so every read
-    // sees exactly the state after update #pin.
+    query.order_pin = apply_index_;
+    // Strict (restarted, or epsilon already exhausted at start) queries
+    // read at an exact point of the site's apply order: freeze the
+    // followed streams at the pin.
     if ((query.strict || query.epsilon - query.inconsistency <= 0) &&
         !query.holds_pause) {
       PauseApplier();
@@ -191,21 +409,10 @@ Result<Value> OrdupMethod::TryQueryRead(QueryState& query, ObjectId object) {
         std::to_string(inc) + " units past epsilon");
   }
   query.inconsistency += inc;
-  query.charged_marks[object] = buffer_.Watermark();
+  query.charged_marks[object] = apply_index_;
   Value v = ctx_.store->Read(object);
   ++query.reads;
-  if (ctx_.config->record_history) {
-    analysis::ReadRecord r;
-    r.query = query.id;
-    r.site = ctx_.site;
-    r.object = object;
-    r.value = v;
-    r.time = ctx_.simulator->Now();
-    r.inconsistency_increment = inc;
-    r.pin = query.order_pin;
-    r.site_apply_index = buffer_.Watermark();
-    ctx_.history->RecordRead(std::move(r));
-  }
+  RecordRead(query, object, v, inc);
   return v;
 }
 
@@ -216,14 +423,11 @@ void OrdupMethod::OnQueryBegin(QueryState& query) {
   // so every read happens exactly at the query's serial position.
   const EtId id = query.id;
   ctx_.sequencer->Request([this, id](SequenceNumber position) {
-    ReleasePositionRemotely(position);
+    ReleasePositionRemotely(kGlobalOrder, position);
     if (ended_before_position_.erase(id) > 0) {
       // The query was abandoned before its number arrived: release the
       // local gap too.
-      Mset noop;
-      noop.et = kInvalidEtId;
-      noop.global_order = position;
-      buffer_.Offer(position, std::any(std::move(noop)));
+      OfferMset(Noop(kGlobalOrder, position));
       return;
     }
     query_positions_.emplace(id, position);
@@ -241,32 +445,28 @@ void OrdupMethod::OnQueryEnd(QueryState& query) {
       ended_before_position_.insert(query.id);
       return;
     }
-    Mset noop;
-    noop.et = kInvalidEtId;
-    noop.global_order = it->second;
-    buffer_.Offer(it->second, std::any(std::move(noop)));
+    const SequenceNumber position = it->second;
     query_positions_.erase(it);
+    OfferMset(Noop(kGlobalOrder, position));
   }
 }
 
 void OrdupMethod::OnQueryRestart(QueryState& query) {
   // The restarted attempt is abandoned but the query lives on: release the
   // applier pause (ResetForRestart() must not clear the flag itself — that
-  // would leave pause_depth_ elevated and the TotalOrderBuffer frozen).
-  // A sequenced query keeps its order position across restarts.
+  // would leave pause_depth_ elevated and the streams frozen). A sequenced
+  // query keeps its order position across restarts.
   if (query.holds_pause) {
     query.holds_pause = false;
     ResumeApplier();
   }
 }
 
-void OrdupMethod::PauseApplier() {
-  if (pause_depth_++ == 0) buffer_.Pause();
-}
+void OrdupMethod::PauseApplier() { ++pause_depth_; }
 
 void OrdupMethod::ResumeApplier() {
   assert(pause_depth_ > 0);
-  if (--pause_depth_ == 0) buffer_.Resume();
+  if (--pause_depth_ == 0) Drain();
 }
 
 }  // namespace esr::core

@@ -1,38 +1,63 @@
 #ifndef ESR_ESR_ORDUP_H_
 #define ESR_ESR_ORDUP_H_
 
+#include <map>
+#include <memory>
 #include <unordered_map>
+#include <unordered_set>
+#include <utility>
 #include <vector>
 
 #include "esr/replica_control.h"
-#include "msg/total_order_buffer.h"
 
 namespace esr::core {
 
-/// Ordered updates (ORDUP, paper section 3.1).
+/// Ordered updates (ORDUP, paper section 3.1), fully or partially
+/// replicated.
 ///
-/// *MSet delivery*: the origin obtains a global order number from the
-/// centralized order server, stamps the MSet, and broadcasts it; MSets may
-/// arrive in any order and a hold-back buffer at each site releases them in
-/// global order ("each site simply waits for the next MSet in the execution
-/// sequence to show up").
+/// *Ordering*: the origin obtains a position from each order service its
+/// update touches before it commits. Fully replicated, that is the one
+/// global order server (`kGlobalOrder`). Under partial replication every
+/// placement shard has its own server: a single-shard update takes one
+/// position from its shard's server (one round trip, never coordinating
+/// with non-owner sites); an update spanning shards acquires one position
+/// per touched shard in ascending shard order through the sequencer's
+/// cross-shard protocol. Every touched shard's server grants a position and
+/// holds a per-shard lock until the origin has collected all of them, then
+/// the origin releases every lock. Two cross-shard updates sharing two or
+/// more shards are serialized by their lowest common shard while both hold
+/// it, so their relative positions agree on every shard they share — the
+/// per-shard total orders compose into one serializable order. Ascending
+/// acquisition makes the locking deadlock-free.
 ///
-/// *MSet processing*: released MSets are applied immediately; since every
-/// site applies the same total order, update ETs are trivially SR.
+/// *MSet delivery*: the MSet carries its positions (`global_order`, or the
+/// `shard_positions` vector) and is delivered to every site, or to the
+/// owner sites of its shards only. A site runs one hold-back stream per
+/// order service it follows ("each site simply waits for the next MSet in
+/// the execution sequence to show up") and applies an MSet when it is at
+/// the head of EVERY followed stream the MSet names (a barrier across the
+/// site's streams); it then advances all of them at once. Only operations
+/// on locally-owned objects are applied. Since every site applies each
+/// stream's total order, update ETs are SR.
 ///
-/// *Divergence bounding*: a query pins its own order number (the applied
-/// watermark at its first read). Each read is charged one inconsistency
-/// unit per conflicting update ET applied past the pin. When the budget
-/// would be exceeded the query can no longer read consistently at its pin —
-/// the facade restarts it in *strict* mode, where the query pauses the
-/// site's applier at its (fresh) pin and reads exactly "in the global
-/// order", accumulating zero inconsistency. epsilon = 0 queries run strict
-/// from the start and are one-copy serializable.
+/// *Divergence bounding*: a query pins the site's apply index (one tick
+/// per applied MSet) at its first read. Each read is charged one
+/// inconsistency unit per conflicting update ET applied past the pin. When
+/// the budget would be exceeded the query can no longer read consistently
+/// at its pin — the facade restarts it in *strict* mode, where the query
+/// pauses the site's streams at its (fresh) pin and reads at an exact
+/// point of the site's apply order, accumulating zero inconsistency.
+/// epsilon = 0 queries run strict from the start and are one-copy
+/// serializable. Reads of non-owned objects are forwarded by the facade to
+/// an owner.
+///
+/// *Sequenced queries* (config.ordup_sequenced_queries, full replication
+/// only): a query takes its own position in the global order. Other sites
+/// skip it at once; the query's site holds the gap until the query ends,
+/// so every read happens exactly at the query's serial position.
 class OrdupMethod : public ReplicaControlMethod {
  public:
   explicit OrdupMethod(const MethodContext& ctx);
-
-  std::string_view Name() const override { return "ORDUP"; }
 
   void SubmitUpdate(EtId et, std::vector<store::Operation> ops,
                     CommitFn done) override;
@@ -42,37 +67,82 @@ class OrdupMethod : public ReplicaControlMethod {
   void OnQueryEnd(QueryState& query) override;
   void OnQueryRestart(QueryState& query) override;
 
-  /// Sequenced-query support (config.ordup_sequenced_queries): reads the
-  /// query's assigned global position, or 0 if none yet.
-  SequenceNumber QueryPosition(EtId query) const;
-
   void SnapshotDurable(MethodDurableState& out) const override;
   void RestoreDurable(const MethodDurableState& in) override;
-  void ReleaseOrphanPosition(SequenceNumber seq) override;
-  SequenceNumber MaxOrderSeen() const override {
-    return buffer_.MaxOffered();
-  }
-
-  /// Applied watermark of this site (highest contiguously applied order).
-  SequenceNumber Watermark() const { return buffer_.Watermark(); }
+  void OnReplayReflected(const Mset& mset) override;
+  void ReleaseOrphanPosition(ShardId service, SequenceNumber seq) override;
+  SequenceNumber MaxOrderSeen(ShardId service) const override;
 
  private:
-  void ApplyOrdered(SequenceNumber seq, const std::any& payload);
-  /// Conflicting applied updates on `object` with order in
-  /// (already-charged mark, watermark].
+  /// (order service, position) pairs, ascending by service.
+  using Positions = std::vector<std::pair<ShardId, SequenceNumber>>;
+
+  /// An MSet held back in the streams, with the positions it names.
+  struct Held {
+    Mset mset;
+    Positions positions;
+  };
+
+  /// One hold-back stream per followed order service, releasing positions
+  /// in order.
+  struct Stream {
+    SequenceNumber next = 1;
+    SequenceNumber max_offered = 0;
+    std::map<SequenceNumber, std::shared_ptr<const Held>> pending;
+  };
+
+  /// In-flight cross-shard position acquisition (ascending shard order).
+  struct CrossCommit {
+    EtId et = kInvalidEtId;
+    LamportTimestamp ts;
+    std::vector<store::Operation> ops;
+    CommitFn done;
+    std::vector<ShardId> shards;
+    size_t next_shard = 0;
+    Positions positions;
+    std::vector<std::pair<ShardId, int64_t>> tokens;
+  };
+
+  /// The MSet's positions: its shard positions, or its one global one.
+  static Positions PositionsOf(const Mset& mset);
+  /// This site's client of order service `service`.
+  msg::SequencerClient* Client(ShardId service) const;
+  /// A no-op MSet that fills `seq` on order service `service`.
+  Mset Noop(ShardId service, SequenceNumber seq) const;
+  /// Propagates a no-op filling `seq` on `service` to the other sites.
+  void ReleasePositionRemotely(ShardId service, SequenceNumber seq);
+
+  void AcquireNextShard(std::shared_ptr<CrossCommit> state);
+  void FinishCommit(EtId et, LamportTimestamp ts,
+                    std::vector<store::Operation> ops, Positions positions,
+                    CommitFn done);
+  /// Inserts the MSet into every followed stream it names, then drains.
+  void OfferMset(const Mset& mset);
+  /// True when the MSet is at the head of all followed streams it names.
+  bool AtBarrier(const Held& held) const;
+  void Drain();
+  void ApplyNow(const Held& held);
+  /// Partial replication, replay-time origin bookkeeping: a recovered
+  /// origin re-seeing its own MSet re-installs the owner-set ack
+  /// expectation and stability-notice targets that died with the site.
+  void MaybeReinstallOrigin(const Mset& mset);
+  /// Conflicting applied updates on `object` with apply index in
+  /// (already-charged mark, apply index].
   int64_t ChargeFor(const QueryState& query, ObjectId object) const;
   void PauseApplier();
   void ResumeApplier();
-  /// Broadcasts the no-op MSet releasing a sequenced query's position to
-  /// the other sites (they skip it immediately; the local site holds it
-  /// until the query ends).
-  void ReleasePositionRemotely(SequenceNumber position);
   Result<Value> TrySequencedRead(QueryState& query, ObjectId object);
+  void RecordRead(const QueryState& query, ObjectId object, const Value& v,
+                  int64_t inc);
 
-  msg::TotalOrderBuffer buffer_;
-  /// Per object: global order numbers of applied update ETs that wrote it
+  /// Followed order service id -> hold-back stream, ascending
+  /// (deterministic drain).
+  std::map<ShardId, Stream> streams_;
+  /// Site-local apply index: +1 per MSet applied here (any stream).
+  int64_t apply_index_ = 0;
+  /// Per object: apply indices of applied update ETs that wrote it
   /// (appended in order, hence sorted).
-  std::unordered_map<ObjectId, std::vector<SequenceNumber>> applied_writes_;
+  std::unordered_map<ObjectId, std::vector<int64_t>> applied_writes_;
   int pause_depth_ = 0;
   /// Sequenced queries: assigned global positions, by query ET.
   std::unordered_map<EtId, SequenceNumber> query_positions_;

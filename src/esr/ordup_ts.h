@@ -38,8 +38,6 @@ class OrdupTsMethod : public ReplicaControlMethod {
  public:
   explicit OrdupTsMethod(const MethodContext& ctx);
 
-  std::string_view Name() const override { return "ORDUP-TS"; }
-
   void SubmitUpdate(EtId et, std::vector<store::Operation> ops,
                     CommitFn done) override;
   void OnMsetDelivered(const Mset& mset) override;

@@ -37,8 +37,6 @@ class QuasiCopyMethod : public ReplicaControlMethod {
  public:
   explicit QuasiCopyMethod(const MethodContext& ctx);
 
-  std::string_view Name() const override { return "QUASI"; }
-
   void SubmitUpdate(EtId et, std::vector<store::Operation> ops,
                     CommitFn done) override;
   void OnMsetDelivered(const Mset& mset) override;

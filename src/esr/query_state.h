@@ -58,8 +58,8 @@ struct QueryState {
 
   /// True once the query's serialization point has been pinned (first read).
   bool pinned = false;
-  /// ORDUP: the query's pinned position in the global order (valid when
-  /// `pinned`).
+  /// ORDUP: the site's apply index (MSets applied there) at the query's
+  /// pin (valid when `pinned`).
   SequenceNumber order_pin = 0;
   /// ORDUP: true once the query has paused the site's applier to run "in
   /// the global order".
@@ -103,7 +103,7 @@ struct QueryState {
   /// ReplicaControlMethod::OnQueryRestart(). This function deliberately
   /// does NOT touch `holds_pause`: clearing the flag here without resuming
   /// the applier would leak the pause and freeze the site's
-  /// TotalOrderBuffer forever. If the precondition is violated the flag
+  /// hold-back forever. If the precondition is violated the flag
   /// stays true, the pin path skips re-acquiring, and OnQueryEnd still
   /// releases the pause exactly once.
   void ResetForRestart() {

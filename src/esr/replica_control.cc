@@ -8,7 +8,6 @@
 #include "esr/commu.h"
 #include "esr/compe.h"
 #include "esr/ordup.h"
-#include "esr/ordup_sharded.h"
 #include "esr/ordup_ts.h"
 #include "esr/quasi_copy.h"
 #include "esr/ritu.h"
@@ -112,8 +111,6 @@ void ReplicaControlMethod::RestoreDurable(const MethodDurableState& in) {
 void ReplicaControlMethod::OnReplayReflected(const Mset& /*mset*/) {}
 
 void ReplicaControlMethod::ReplayDecision(EtId /*et*/, bool /*commit*/) {}
-
-void ReplicaControlMethod::ReleaseOrphanPosition(SequenceNumber /*seq*/) {}
 
 bool ReplicaControlMethod::InReplay() const {
   return ctx_.recovery != nullptr && ctx_.recovery->in_replay();
@@ -340,9 +337,6 @@ void ReplicaControlMethod::OnHeartbeatMsg(SiteId source,
 std::unique_ptr<ReplicaControlMethod> MakeMethod(const MethodContext& ctx) {
   switch (ctx.config->method) {
     case Method::kOrdup:
-      if (ctx.placement != nullptr) {
-        return std::make_unique<ShardedOrdupMethod>(ctx);
-      }
       return std::make_unique<OrdupMethod>(ctx);
     case Method::kOrdupTs:
       return std::make_unique<OrdupTsMethod>(ctx);

@@ -4,7 +4,6 @@
 #include <any>
 #include <functional>
 #include <memory>
-#include <string_view>
 #include <unordered_map>
 #include <unordered_set>
 #include <vector>
@@ -35,6 +34,10 @@ class SiteRecovery;
 }  // namespace esr::recovery
 
 namespace esr::core {
+
+/// Order-service id of the global order server. Each placement shard's
+/// order service is identified by its ShardId (0, 1, ...).
+constexpr ShardId kGlobalOrder = -1;
 
 /// Everything a per-site replica control method instance needs. All
 /// pointers are owned by the ReplicatedSystem facade and outlive the method.
@@ -69,8 +72,8 @@ struct MethodContext {
   recovery::SiteRecovery* recovery = nullptr;
   /// Partial replication: the deterministic object -> shard -> owner-set
   /// map, shared across sites. Null (default) = fully replicated; non-null
-  /// switches MSet/ack/stability routing to owner sites and selects the
-  /// sharded ORDUP method.
+  /// switches MSet/ack/stability routing to owner sites and ORDUP to
+  /// per-shard order services.
   const shard::PlacementMap* placement = nullptr;
   /// Per-shard sequencer clients of this site, indexed by ShardId. Empty
   /// unless placement is set (then `sequencer` above is unused).
@@ -120,8 +123,6 @@ class ReplicaControlMethod {
 
   ReplicaControlMethod(const ReplicaControlMethod&) = delete;
   ReplicaControlMethod& operator=(const ReplicaControlMethod&) = delete;
-
-  virtual std::string_view Name() const = 0;
 
   /// Admission check: may `ops` run under this method? (COMMU:
   /// commutativity classes; RITU: read independence.) Called at the origin
@@ -186,24 +187,21 @@ class ReplicaControlMethod {
   /// Default: no-op (only COMPE logs decisions).
   virtual void ReplayDecision(EtId et, bool commit);
 
-  /// A sequencer position granted to this site was orphaned by an amnesia
-  /// crash (the requesting update died with the site). Ordered methods
-  /// release it as a no-op so the global total order keeps no gap.
-  /// Default: no-op.
-  virtual void ReleaseOrphanPosition(SequenceNumber seq);
+  /// Position `seq` of order service `service` (kGlobalOrder or a shard
+  /// id), granted to this site, was orphaned by an amnesia crash (the
+  /// requesting update died with the site). Ordered methods release it as
+  /// a no-op so that service's total order keeps no gap. Default: no-op.
+  virtual void ReleaseOrphanPosition(ShardId /*service*/,
+                                     SequenceNumber /*seq*/) {}
 
-  /// Per-shard variant of ReleaseOrphanPosition (sharded ORDUP only).
-  virtual void ReleaseOrphanShardPosition(ShardId /*shard*/,
-                                          SequenceNumber /*seq*/) {}
-
-  /// Highest total-order position this site has observed at the protocol
-  /// layer (applied or held back), independent of its sequencer client's
-  /// own grants. A sequencer takeover probes this to recover the grant
-  /// high watermark. Methods that consume no global order return 0.
-  virtual SequenceNumber MaxOrderSeen() const { return 0; }
-
-  /// Per-shard variant of MaxOrderSeen (sharded ORDUP only).
-  virtual SequenceNumber ShardOrderSeen(ShardId /*shard*/) const { return 0; }
+  /// Highest position of order service `service` this site has observed at
+  /// the protocol layer (applied or held back), independent of its
+  /// sequencer client's own grants. A sequencer takeover probes this to
+  /// recover the grant high watermark. Methods that consume no order from
+  /// the service return 0.
+  virtual SequenceNumber MaxOrderSeen(ShardId /*service*/) const {
+    return 0;
+  }
 
  protected:
   /// Reliable propagation of an MSet. Fully replicated: broadcast to every

@@ -151,12 +151,11 @@ StabilityTracker::Snapshot DecodeStabilitySnapshot(std::string_view bytes) {
   return s;
 }
 
-/// The method's highest observed position on order service `shard` (-1 =
-/// the global order); 0 while the site has no method instance.
+/// The method's highest observed position on order service `service`; 0
+/// while the site has no method instance.
 SequenceNumber MethodOrderSeen(const ReplicaControlMethod* method,
-                               ShardId shard) {
-  if (method == nullptr) return 0;
-  return shard < 0 ? method->MaxOrderSeen() : method->ShardOrderSeen(shard);
+                               ShardId service) {
+  return method == nullptr ? 0 : method->MaxOrderSeen(service);
 }
 
 }  // namespace
@@ -256,7 +255,7 @@ ReplicatedSystem::ReplicatedSystem(const SystemConfig& config)
     assert(standby == kInvalidSiteId ||
            (standby >= 0 && standby < config_.num_sites));
     order_services_.push_back(
-        OrderService{-1, 0, config_.sequencer_site, standby});
+        OrderService{kGlobalOrder, 0, config_.sequencer_site, standby});
     const ShardId num_shards =
         placement_ != nullptr ? placement_->num_shards() : 0;
     for (ShardId k = 0; k < num_shards; ++k) {
@@ -330,12 +329,7 @@ ReplicatedSystem::ReplicatedSystem(const SystemConfig& config)
       });
       client->set_orphan_handler([this, s, shard](SequenceNumber seq) {
         ReplicaControlMethod* method = sites_[s]->method.get();
-        if (method == nullptr) return;
-        if (shard < 0) {
-          method->ReleaseOrphanPosition(seq);
-        } else {
-          method->ReleaseOrphanShardPosition(shard, seq);
-        }
+        if (method != nullptr) method->ReleaseOrphanPosition(shard, seq);
       });
       if (hop_tracer_ != nullptr) client->set_hop_tracer(hop_tracer_.get());
       site.seq_clients.push_back(std::move(client));

@@ -337,8 +337,9 @@ class ReplicatedSystem {
   /// replication, entry k + 1 orders placement shard k. Empty for the
   /// sync baselines.
   struct OrderService {
-    /// Metric label and method-hook shard; -1 for the global server.
-    ShardId shard = -1;
+    /// Order-service id (metric label, method hooks): a shard id, or
+    /// kGlobalOrder for the global server.
+    ShardId shard = kGlobalOrder;
     /// Shifts every sequencer message type so all instances share one
     /// mailbox (kShardSeqTypeBase + k * kShardSeqTypeStride; 0 = global).
     msg::MessageType type_offset = 0;

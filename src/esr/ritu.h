@@ -34,10 +34,6 @@ class RituMethod : public CommuMethod {
  public:
   RituMethod(const MethodContext& ctx, bool multiversion);
 
-  std::string_view Name() const override {
-    return multiversion_ ? "RITU-MV" : "RITU-SV";
-  }
-
   Status AdmitUpdate(const std::vector<store::Operation>& ops) override;
   void SubmitUpdate(EtId et, std::vector<store::Operation> ops,
                     CommitFn done) override;

@@ -17,6 +17,9 @@
 #   - stdout and .metrics.prom of bench_table1_methods, bench_sharding,
 #     bench_ordup_ordering_ablation, bench_epsilon_bound, bench_convergence
 #     and bench_async_vs_sync
+#   - stdout, .metrics.prom and .bench.json of bench_transport_ablation, the
+#     one deterministic output that runs stable queues and persistent pipes
+#     under loss
 #
 # scripts/sim_fingerprint.expected holds the committed output, and
 # scripts/run_tier2.sh fails when a fresh run differs from it. A change
@@ -37,7 +40,8 @@ BENCHES="bench_table1_methods bench_sharding bench_ordup_ordering_ablation
 # Build logs go to stderr so stdout is only the fingerprint.
 cmake -B "$BUILD_DIR" -S . >&2
 # shellcheck disable=SC2086
-cmake --build "$BUILD_DIR" -j "$(nproc)" --target esrsim $BENCHES >&2
+cmake --build "$BUILD_DIR" -j "$(nproc)" --target esrsim $BENCHES \
+  bench_transport_ablation >&2
 BUILD_DIR=$(cd "$BUILD_DIR" && pwd)
 
 WORK=$(mktemp -d)
@@ -77,4 +81,11 @@ for bench in $BENCHES; do
   "$BUILD_DIR/bench/$bench" > "$bench.out"
   echo "$(hash "$bench.out")  $bench: stdout"
   echo "$(hash "$bench.metrics.prom")  $bench: $bench.metrics.prom"
+done
+
+bench=bench_transport_ablation
+"$BUILD_DIR/bench/$bench" > "$bench.out"
+echo "$(hash "$bench.out")  $bench: stdout"
+for file in "$bench.metrics.prom" "$bench.bench.json"; do
+  echo "$(hash "$file")  $bench: $file"
 done

@@ -23,7 +23,9 @@
 // applied-but-unstable window; a site restarted below its peers' trim
 // point (no WAL, or a WAL that lost its tail) converges by snapshot; a
 // corrupt or stale snapshot changes nothing. The order server at site 0
-// restarts without reissuing a position, unseals once its probe times out,
+// restarts without reissuing a position (a survivor's probe answer covers
+// positions it holds only in the hold-back buffer or under an installed
+// snapshot), unseals once its probe times out,
 // credits a probe answer only to its sender, drops a request for an
 // out-of-range count, and costs one request and one grant per update in
 // steady state. Raw-socket tests check the
@@ -43,6 +45,7 @@
 #include <chrono>
 #include <deque>
 #include <functional>
+#include <limits>
 #include <map>
 #include <memory>
 #include <mutex>
@@ -58,6 +61,7 @@
 #include "msg/sequencer_wire.h"
 #include "obs/metric_registry.h"
 #include "recovery/checkpointer.h"
+#include "recovery/codec.h"
 #include "recovery/storage.h"
 #include "recovery/wal.h"
 #include "runtime/interfaces.h"
@@ -1174,6 +1178,77 @@ TEST(OrdupNodeSimTest, SequencerSiteRestartNeverReissuesPositions) {
     total += cluster.nodes[0]->store().Read(o).AsInt();
   }
   EXPECT_EQ(total, 10 * (1 + 2) + 5 * (10 + 11 + 12));
+}
+
+TEST(OrdupNodeSimTest, ProbeAnswerCoversHeldBackAndSnapshotPositions) {
+  // A survivor's probe answer is the highest position it knows of in any
+  // form. Site 1 knows position 9 only as an MSet held back above a gap
+  // (7 and 8 never arrive); site 2 knows 20 only as an installed snapshot's
+  // watermark. A restarted order server must hear both, or it re-grants a
+  // position some site already holds.
+  SimCluster cluster(3);
+  SubmitRounds(cluster, 2);
+  cluster.RunUntilAllApplied(6, 5'000'000);
+
+  auto last_probe_answer = [&](SiteId from) {
+    std::optional<msg::SeqProbeResponse> answer;
+    for (const SeqSent& sent : cluster.seq_sent) {
+      if (sent.msg.type == msg::kSeqProbeResponse && sent.from == from) {
+        answer = msg::DecodeSeqProbeResponse(sent.msg.payload);
+      }
+    }
+    return answer;
+  };
+  auto lowest_grant = [&] {
+    SequenceNumber lowest = std::numeric_limits<SequenceNumber>::max();
+    for (const SeqSent& sent : cluster.seq_sent) {
+      if (sent.msg.type != msg::kSeqResponse) continue;
+      auto grant = msg::DecodeSeqBatchGrant(sent.msg.payload);
+      if (grant) lowest = std::min(lowest, grant->first);
+    }
+    return lowest;
+  };
+
+  core::Mset held;
+  held.et = 1'000;
+  held.origin = 2;
+  held.global_order = 9;
+  held.timestamp = LamportTimestamp{100, 2};
+  held.operations = {store::Operation::Increment(1, 1)};
+  recovery::Encoder mset_bytes;
+  mset_bytes.MsetRec(held);
+  cluster.transports[2]->Send(1, Msg(core::kMsetMsg, mset_bytes.Take()));
+  cluster.simulator.RunUntil(cluster.simulator.Now() + 10'000);
+  ASSERT_EQ(cluster.nodes[1]->applied_watermark(), 6);
+
+  cluster.seq_sent.clear();
+  cluster.Restart(0, /*incarnation=*/1'000'000, /*wal=*/nullptr);
+  cluster.simulator.RunUntil(cluster.simulator.Now() + 10'000);
+  auto answer = last_probe_answer(1);
+  ASSERT_TRUE(answer.has_value());
+  EXPECT_GE(answer->max_seen, 9);
+  cluster.nodes[2]->SubmitUpdate({store::Operation::Increment(2, 1)});
+  cluster.simulator.RunUntil(cluster.simulator.Now() + 10'000);
+  EXPECT_GT(lowest_grant(), 9);
+
+  recovery::CheckpointData image;
+  image.order_watermark = 20;
+  image.clock_counter = 1'000;
+  image.store_entries = {{ObjectId{1}, Value(int64_t{99}), LamportTimestamp{}}};
+  cluster.transports[0]->Send(
+      2, Msg(kSnapshotRespMsg, recovery::EncodeCheckpoint(image)));
+  cluster.simulator.RunUntil(cluster.simulator.Now() + 10'000);
+  ASSERT_EQ(cluster.nodes[2]->applied_watermark(), 20);
+
+  cluster.seq_sent.clear();
+  cluster.Restart(0, /*incarnation=*/2'000'000, /*wal=*/nullptr);
+  cluster.simulator.RunUntil(cluster.simulator.Now() + 10'000);
+  answer = last_probe_answer(2);
+  ASSERT_TRUE(answer.has_value());
+  EXPECT_GE(answer->max_seen, 20);
+  cluster.nodes[1]->SubmitUpdate({store::Operation::Increment(2, 1)});
+  cluster.simulator.RunUntil(cluster.simulator.Now() + 10'000);
+  EXPECT_GT(lowest_grant(), 20);
 }
 
 TEST(OrdupNodeSimTest, SequencerUnsealsAfterProbeTimeout) {

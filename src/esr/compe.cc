@@ -8,11 +8,7 @@
 namespace esr::core {
 
 CompeMethod::CompeMethod(const MethodContext& ctx, bool ordered)
-    : ReplicaControlMethod(ctx),
-      ordered_(ordered),
-      buffer_([this](SequenceNumber seq, const std::any& payload) {
-        ApplyOrdered(seq, payload);
-      }) {
+    : ReplicaControlMethod(ctx), ordered_(ordered) {
   ctx_.mailbox->RegisterHandler(
       kMsetMsg, [this](SiteId /*source*/, const std::any& body) {
         const auto* mset = std::any_cast<Mset>(&body);
@@ -75,7 +71,7 @@ void CompeMethod::SubmitUpdate(EtId et, std::vector<store::Operation> ops,
       }
       TraceLocalCommit(mset.et);
       PropagateMset(mset);
-      buffer_.Offer(seq, std::any(std::move(mset)));
+      OfferOrdered(std::move(mset));
       ctx_.counters->Increment("esr.updates_committed");
       if (done) done(Status::Ok());
     }, TraceContext{.et = et, .origin = ctx_.site});
@@ -92,27 +88,29 @@ void CompeMethod::SubmitUpdate(EtId et, std::vector<store::Operation> ops,
 void CompeMethod::OnMsetDelivered(const Mset& mset) {
   if (RecoveryFilterDelivery(mset)) return;
   if (ordered_) {
-    buffer_.Offer(mset.global_order, std::any(mset));
+    OfferOrdered(mset);
   } else {
     ApplyLocal(mset);
   }
 }
 
-void CompeMethod::ApplyOrdered(SequenceNumber /*seq*/,
-                               const std::any& payload) {
-  const auto* mset = std::any_cast<Mset>(&payload);
-  assert(mset != nullptr);
-  if (mset->et == kInvalidEtId) {
-    // Gap-filler no-op (an orphaned order position released after an
-    // amnesia crash): advance the watermark only.
-    return;
+void CompeMethod::OfferOrdered(Mset mset) {
+  const SequenceNumber seq = mset.global_order;
+  if (!buffer_.Offer(seq, std::move(mset))) return;  // duplicate
+  while (buffer_.Head() != nullptr) {
+    const Mset next = buffer_.Pop();
+    if (next.et == kInvalidEtId) {
+      // Gap-filler no-op (an orphaned order position released after an
+      // amnesia crash): advance the watermark only.
+      continue;
+    }
+    if (abort_before_apply_.erase(next.et) > 0) {
+      // The global abort outran the ordered release; never apply.
+      ctx_.counters->Increment("esr.compe_apply_skipped");
+      continue;
+    }
+    ApplyLocal(next);
   }
-  if (abort_before_apply_.erase(mset->et) > 0) {
-    // The global abort outran the ordered release; never apply.
-    ctx_.counters->Increment("esr.compe_apply_skipped");
-    return;
-  }
-  ApplyLocal(*mset);
 }
 
 void CompeMethod::ApplyLocal(const Mset& mset) {
@@ -238,7 +236,7 @@ void CompeMethod::SnapshotDurable(MethodDurableState& out) const {
 
 void CompeMethod::RestoreDurable(const MethodDurableState& in) {
   ReplicaControlMethod::RestoreDurable(in);
-  if (ordered_) buffer_.RestoreWatermark(in.order_watermark);
+  if (ordered_) buffer_.SkipThrough(in.order_watermark);
   decided_commit_ = std::unordered_set<EtId>(in.decided_commit.begin(),
                                              in.decided_commit.end());
   abort_before_apply_ = std::unordered_set<EtId>(in.abort_before_apply.begin(),
@@ -269,7 +267,7 @@ void CompeMethod::ReleaseOrphanPosition(ShardId /*service*/,
   noop.global_order = seq;
   noop.timestamp = ctx_.clock->Tick();
   PropagateMset(noop);
-  buffer_.Offer(seq, std::any(std::move(noop)));
+  OfferOrdered(std::move(noop));
 }
 
 void CompeMethod::OnStable(EtId et) {

@@ -72,12 +72,14 @@ class CompeMethod : public ReplicaControlMethod {
 
  private:
   void ApplyLocal(const Mset& mset);
-  void ApplyOrdered(SequenceNumber seq, const std::any& payload);
+  /// Ordered mode: holds the MSet at its global position and applies
+  /// every MSet the position's arrival makes contiguous.
+  void OfferOrdered(Mset mset);
   void OnDecisionMsg(SiteId source, const std::any& body);
   void HandleDecision(EtId et, bool commit);
 
   bool ordered_;
-  msg::TotalOrderBuffer buffer_;
+  msg::TotalOrderBuffer<Mset> buffer_;
   LockCounterTable counters_;
   /// Objects (with change magnitudes) whose counters this site incremented
   /// for a tentative ET.

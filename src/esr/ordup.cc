@@ -178,11 +178,7 @@ void OrdupMethod::OfferMset(const Mset& mset) {
   for (const auto& [k, p] : held->positions) {
     auto it = streams_.find(k);
     if (it == streams_.end()) continue;  // not followed at this site
-    Stream& st = it->second;
-    st.max_offered = std::max(st.max_offered, p);
-    if (p < st.next) continue;  // duplicate of an applied position
-    st.pending.emplace(p, held);
-    offered = true;
+    offered |= it->second.Offer(p, std::shared_ptr<const Held>(held));
   }
   if (offered) Drain();
 }
@@ -191,7 +187,7 @@ bool OrdupMethod::AtBarrier(const Held& held) const {
   for (const auto& [k, p] : held.positions) {
     auto it = streams_.find(k);
     if (it == streams_.end()) continue;
-    if (it->second.next != p) return false;
+    if (it->second.Watermark() != p - 1) return false;
   }
   return true;
 }
@@ -204,12 +200,10 @@ void OrdupMethod::Drain() {
     // Ascending service order keeps the drain deterministic. A head MSet
     // that spans streams applies only when at the head of all of them;
     // applying one MSet can unblock another, so restart from the lowest.
-    for (auto& [k, st] : streams_) {
-      auto it = st.pending.find(st.next);
-      if (it == st.pending.end()) continue;
-      const std::shared_ptr<const Held> held = it->second;
-      if (!AtBarrier(*held)) continue;
-      ApplyNow(*held);
+    for (const auto& [k, st] : streams_) {
+      const std::shared_ptr<const Held>* head = st.Head();
+      if (head == nullptr || !AtBarrier(**head)) continue;
+      ApplyNow(*head);
       progress = true;
       break;
     }
@@ -217,18 +211,17 @@ void OrdupMethod::Drain() {
   }
 }
 
-void OrdupMethod::ApplyNow(const Held& held) {
-  // Advance (and clear) every followed stream the MSet names, atomically
-  // with respect to the drain: the barrier held, so each named stream is
-  // at exactly this MSet's position.
-  for (const auto& [k, p] : held.positions) {
+void OrdupMethod::ApplyNow(std::shared_ptr<const Held> held) {
+  // Pop every followed stream the MSet names, atomically with respect to
+  // the drain: the barrier held, so each named stream's head is this
+  // MSet's position.
+  for (const auto& [k, p] : held->positions) {
     auto it = streams_.find(k);
     if (it == streams_.end()) continue;
-    assert(it->second.next == p);
-    it->second.pending.erase(p);
-    it->second.next = p + 1;
+    assert(it->second.Watermark() == p - 1);
+    it->second.Pop();
   }
-  const Mset& mset = held.mset;
+  const Mset& mset = held->mset;
   // No-op filling a sequenced query's or an orphaned position: advance
   // only.
   if (mset.et == kInvalidEtId) return;
@@ -280,13 +273,15 @@ void OrdupMethod::OnReplayReflected(const Mset& mset) {
 void OrdupMethod::SnapshotDurable(MethodDurableState& out) const {
   ReplicaControlMethod::SnapshotDurable(out);
   auto global = streams_.find(kGlobalOrder);
-  if (global != streams_.end()) out.order_watermark = global->second.next - 1;
+  if (global != streams_.end()) {
+    out.order_watermark = global->second.Watermark();
+  }
   if (ctx_.placement == nullptr) return;
   out.shard_watermarks.clear();
   for (ShardId k = 0; k < ctx_.placement->num_shards(); ++k) {
     auto it = streams_.find(k);
     out.shard_watermarks.emplace_back(
-        k, it != streams_.end() ? it->second.next - 1
+        k, it != streams_.end() ? it->second.Watermark()
                                 : kShardWatermarkInfinity);
   }
 }
@@ -298,11 +293,7 @@ void OrdupMethod::RestoreDurable(const MethodDurableState& in) {
   for (const auto& [k, wm] : watermarks) {
     auto it = streams_.find(k);
     if (it == streams_.end() || wm == kShardWatermarkInfinity) continue;
-    Stream& st = it->second;
-    if (st.next == 1 && st.pending.empty() && wm >= 0) {
-      st.next = wm + 1;
-      st.max_offered = std::max(st.max_offered, wm);
-    }
+    it->second.SkipThrough(wm);
   }
 }
 
@@ -316,7 +307,7 @@ void OrdupMethod::ReleaseOrphanPosition(ShardId service, SequenceNumber seq) {
 
 SequenceNumber OrdupMethod::MaxOrderSeen(ShardId service) const {
   auto it = streams_.find(service);
-  return it == streams_.end() ? 0 : it->second.max_offered;
+  return it == streams_.end() ? 0 : it->second.MaxOffered();
 }
 
 int64_t OrdupMethod::ChargeFor(const QueryState& query,
@@ -356,7 +347,7 @@ Result<Value> OrdupMethod::TrySequencedRead(QueryState& query,
     return Status::Unavailable("awaiting the query's global order number");
   }
   const SequenceNumber position = it->second;
-  const SequenceNumber watermark = streams_.at(kGlobalOrder).next - 1;
+  const SequenceNumber watermark = streams_.at(kGlobalOrder).Watermark();
   if (watermark < position - 1) {
     // Not yet at the query's serialization point: earlier updates are
     // still outstanding.

@@ -9,6 +9,7 @@
 #include <vector>
 
 #include "esr/replica_control.h"
+#include "msg/total_order_buffer.h"
 
 namespace esr::core {
 
@@ -84,12 +85,8 @@ class OrdupMethod : public ReplicaControlMethod {
   };
 
   /// One hold-back stream per followed order service, releasing positions
-  /// in order.
-  struct Stream {
-    SequenceNumber next = 1;
-    SequenceNumber max_offered = 0;
-    std::map<SequenceNumber, std::shared_ptr<const Held>> pending;
-  };
+  /// in order. An MSet naming several followed services is held by each.
+  using Stream = msg::TotalOrderBuffer<std::shared_ptr<const Held>>;
 
   /// In-flight cross-shard position acquisition (ascending shard order).
   struct CrossCommit {
@@ -121,7 +118,8 @@ class OrdupMethod : public ReplicaControlMethod {
   /// True when the MSet is at the head of all followed streams it names.
   bool AtBarrier(const Held& held) const;
   void Drain();
-  void ApplyNow(const Held& held);
+  /// Pops the MSet off every followed stream it names and applies it.
+  void ApplyNow(std::shared_ptr<const Held> held);
   /// Partial replication, replay-time origin bookkeeping: a recovered
   /// origin re-seeing its own MSet re-installs the owner-set ack
   /// expectation and stability-notice targets that died with the site.

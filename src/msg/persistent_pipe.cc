@@ -121,33 +121,23 @@ void PersistentPipeManager::OnData(SiteId source, const std::any& body) {
   const auto* data = std::any_cast<PipeData>(&body);
   assert(data != nullptr);
   Inbound& in = inbound_[source];
-  if (data->seq == in.expected) {
-    ++in.expected;
-    counters_.Increment("pipe.delivered");
-    RecordDeliverHop(source, data->payload);
-    if (deliver_) deliver_(source, data->payload);
-    // Drain the reorder buffer's contiguous run.
-    auto it = in.reorder.find(in.expected);
-    while (it != in.reorder.end()) {
-      std::any payload = std::move(it->second);
-      in.reorder.erase(it);
-      ++in.expected;
-      counters_.Increment("pipe.delivered");
-      RecordDeliverHop(source, payload);
-      if (deliver_) deliver_(source, payload);
-      it = in.reorder.find(in.expected);
-    }
-  } else if (data->seq > in.expected &&
-             data->seq < in.expected + 2 * config_.window &&
-             !in.reorder.count(data->seq)) {
-    // Future segment within the window horizon: absorb the reordering.
-    in.reorder.emplace(data->seq, data->payload);
-    counters_.Increment("pipe.buffered_out_of_order");
-  } else {
+  const SequenceNumber expected = in.Watermark() + 1;
+  // Segments beyond the window horizon, and duplicates, are dropped.
+  if (data->seq >= expected + 2 * config_.window ||
+      !in.Offer(data->seq, std::any(data->payload))) {
     counters_.Increment("pipe.dropped_out_of_order");
+  } else if (data->seq > expected) {
+    // Future segment within the window horizon: absorb the reordering.
+    counters_.Increment("pipe.buffered_out_of_order");
+  }
+  while (in.Head() != nullptr) {
+    std::any payload = in.Pop();
+    counters_.Increment("pipe.delivered");
+    RecordDeliverHop(source, payload);
+    if (deliver_) deliver_(source, payload);
   }
   // Cumulative ack of everything contiguously delivered.
-  mailbox_->Send(source, Envelope{kPipeAck, PipeAck{in.expected - 1}},
+  mailbox_->Send(source, Envelope{kPipeAck, PipeAck{in.Watermark()}},
                  /*size_bytes=*/32);
 }
 

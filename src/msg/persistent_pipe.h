@@ -9,6 +9,7 @@
 #include "common/types.h"
 #include "msg/mailbox.h"
 #include "msg/reliable_transport.h"
+#include "msg/total_order_buffer.h"
 #include "sim/simulator.h"
 
 namespace esr::msg {
@@ -67,13 +68,11 @@ class PersistentPipeManager : public ReliableTransport {
     bool in_recovery = false;
     SequenceNumber max_transmitted = 0;  // retransmission accounting
   };
-  struct Inbound {
-    SequenceNumber expected = 1;
-    /// Bounded reorder buffer: jitter-induced reordering within the send
-    /// window is absorbed here instead of triggering go-back-N recovery
-    /// (which remains the loss path). Bounded by the sender's window.
-    std::map<SequenceNumber, std::any> reorder;
-  };
+  /// Per-source reorder buffer: jitter-induced reordering within the send
+  /// window is absorbed here instead of triggering go-back-N recovery
+  /// (which remains the loss path). OnData bounds it to twice the window
+  /// above the delivered prefix.
+  using Inbound = TotalOrderBuffer<std::any>;
 
   void Pump(SiteId destination);
   void ArmTimer(SiteId destination);

@@ -134,17 +134,12 @@ void StableQueueManager::OnData(SiteId source, const std::any& body) {
                  /*size_bytes=*/32);
   Inbound& in = inbound_[source];
   if (config_.fifo) {
-    if (data->seq < in.next_expected || in.holdback.count(data->seq)) {
+    if (!in.fifo.Offer(data->seq, std::any(data->payload))) {
       counters_.Increment("queue.duplicate");
       return;
     }
-    in.holdback.emplace(data->seq, data->payload);
-    while (true) {
-      auto it = in.holdback.find(in.next_expected);
-      if (it == in.holdback.end()) break;
-      std::any payload = std::move(it->second);
-      in.holdback.erase(it);
-      ++in.next_expected;
+    while (in.fifo.Head() != nullptr) {
+      std::any payload = in.fifo.Pop();
       counters_.Increment("queue.delivered");
       RecordDeliverHop(source, payload);
       if (deliver_) deliver_(source, payload);

@@ -11,6 +11,7 @@
 #include "common/types.h"
 #include "msg/mailbox.h"
 #include "msg/reliable_transport.h"
+#include "msg/total_order_buffer.h"
 #include "sim/simulator.h"
 
 namespace esr::msg {
@@ -71,8 +72,7 @@ class StableQueueManager : public ReliableTransport {
     sim::EventId retry_event = 0;  // 0 when no timer pending
   };
   struct Inbound {
-    SequenceNumber next_expected = 1;  // fifo mode
-    std::map<SequenceNumber, std::any> holdback;
+    TotalOrderBuffer<std::any> fifo;  // fifo mode
     // Unordered mode: contiguous watermark + sparse set above it.
     SequenceNumber delivered_upto = 0;
     std::unordered_set<SequenceNumber> delivered_sparse;

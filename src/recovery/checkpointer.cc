@@ -69,14 +69,14 @@ std::string EncodeCheckpoint(const CheckpointData& data) {
   enc.Str(data.stability_blob);
 
   std::string out;
-  FrameAppend(out, enc.Take());
+  wire::FrameAppend(out, enc.Take());
   return out;
 }
 
 bool DecodeCheckpoint(std::string_view bytes, CheckpointData* out) {
   size_t pos = 0;
   std::string_view payload;
-  if (!FrameNext(bytes, &pos, &payload)) return false;
+  if (!wire::FrameNext(bytes, &pos, &payload)) return false;
   Decoder dec(payload);
   if (dec.U32() != kCheckpointMagic) return false;
   const uint32_t version = dec.U32();

@@ -14,11 +14,6 @@
 
 namespace esr::recovery {
 
-/// CRC-32 (IEEE, reflected) over `bytes`. Delegates to the shared
-/// esr::wire implementation (identical output); kept as a named function so
-/// recovery call sites stay source-compatible.
-inline uint32_t Crc32(std::string_view bytes) { return wire::Crc32(bytes); }
-
 /// WAL/checkpoint encoder: the generic little-endian byte layer lives in
 /// esr::wire::Encoder; this subclass adds the protocol-value composites
 /// (Value, Operation, Mset) that depend on store/esr types.
@@ -43,21 +38,6 @@ class Decoder : public wire::Decoder {
   store::Operation Op();
   core::Mset MsetRec();
 };
-
-/// Appends one length- and CRC-framed record to `out`:
-/// [u32 payload_len][u32 crc32(payload)][payload].
-inline void FrameAppend(std::string& out, std::string_view payload) {
-  wire::FrameAppend(out, payload);
-}
-
-/// Reads the next framed record starting at `*pos`, advancing `*pos` past
-/// it. Returns false at end-of-input or on a torn/corrupt frame (short
-/// header, short payload, CRC mismatch) — the WAL-reader contract: stop at
-/// the first record that was not durably written.
-inline bool FrameNext(std::string_view in, size_t* pos,
-                      std::string_view* payload) {
-  return wire::FrameNext(in, pos, payload);
-}
 
 }  // namespace esr::recovery
 

@@ -123,7 +123,7 @@ void Wal::Flush() {
   if (buffer_.empty()) return;
   std::string bytes;
   for (const WalRecord& record : buffer_) {
-    FrameAppend(bytes, EncodeRecord(record));
+    wire::FrameAppend(bytes, EncodeRecord(record));
   }
   storage_->AppendWal(site_, bytes);
   BumpWalCounter(metrics_, "esr_wal_flushes_total", site_);
@@ -147,7 +147,7 @@ std::vector<WalRecord> Wal::ReadAll() const {
   const std::string bytes = storage_->ReadWal(site_);
   size_t pos = 0;
   std::string_view payload;
-  while (FrameNext(bytes, &pos, &payload)) {
+  while (wire::FrameNext(bytes, &pos, &payload)) {
     Decoder dec(payload);
     WalRecord record;
     record.type = static_cast<WalRecordType>(dec.U8());
@@ -184,7 +184,7 @@ int64_t Wal::Truncate(const std::function<bool(const WalRecord&)>& keep) {
   int64_t dropped = 0;
   for (const WalRecord& record : records) {
     if (keep(record)) {
-      FrameAppend(bytes, EncodeRecord(record));
+      wire::FrameAppend(bytes, EncodeRecord(record));
     } else {
       ++dropped;
     }

@@ -90,7 +90,7 @@ void OrdupNode::Start() {
       seq_server_->BeginTakeover(/*durable_floor=*/1, peers);
     }
   }
-  if (config_.num_sites > 1 && applied_watermark_ >= 0) {
+  if (config_.num_sites > 1 && applied_watermark() >= 0) {
     SendCatchupRequest();
   }
   retry_timer_ =
@@ -297,7 +297,6 @@ void OrdupNode::AnnounceEpoch(const msg::SeqEpochAnnounce& announce) {
 }
 
 void OrdupNode::OnGranted(EtId et, SequenceNumber position, LocalEt local) {
-  max_grant_seen_ = std::max(max_grant_seen_, position);
   core::Mset mset;
   mset.et = et;
   mset.origin = config_.self;
@@ -314,8 +313,8 @@ void OrdupNode::OnGranted(EtId et, SequenceNumber position, LocalEt local) {
 /// --- Order-hole healing (sequencer server only) ----------------------------
 
 void OrdupNode::StartHealing(SequenceNumber pos) {
-  if (healing_.count(pos) > 0) return;                          // in flight
-  if (pos <= applied_watermark_ || holdback_.count(pos) > 0) return;  // seen
+  if (healing_.count(pos) > 0) return;  // in flight
+  if (pos <= applied_watermark() || order_.Find(pos) != nullptr) return;
   std::unordered_set<SiteId>& awaiting = healing_[pos];
   for (SiteId s = 0; s < config_.num_sites; ++s) {
     if (s != config_.self) awaiting.insert(s);
@@ -374,7 +373,7 @@ void OrdupNode::HandlePosProbeResp(SiteId from, std::string_view payload) {
 }
 
 void OrdupNode::FillHole(SequenceNumber pos) {
-  if (pos <= applied_watermark_ || holdback_.count(pos) > 0) return;
+  if (pos <= applied_watermark() || order_.Find(pos) != nullptr) return;
   core::Mset noop;
   noop.et = submit_counter_++ * static_cast<int64_t>(config_.num_sites) +
             static_cast<int64_t>(config_.self) + 1;
@@ -392,36 +391,31 @@ void OrdupNode::FillHole(SequenceNumber pos) {
 
 void OrdupNode::Admit(core::Mset mset, bool persist) {
   const SequenceNumber order = mset.global_order;
-  max_grant_seen_ = std::max(max_grant_seen_, order);
   // Server healing bookkeeping: the position is no longer a candidate hole
   // (no-ops at non-servers — both maps stay empty there).
   unfilled_grants_.erase(order);
   healing_.erase(order);
-  if (order <= applied_watermark_ || holdback_.count(order) > 0) {
-    // Duplicate. If it reached the applied prefix and originated elsewhere,
-    // our ack was probably lost — repeat it.
+  if (!order_.Offer(order, std::move(mset))) {
+    // Duplicate, and `mset` is untouched. If it reached the applied prefix
+    // and originated elsewhere, our ack was probably lost — repeat it.
     if (m_duplicates_ != nullptr) m_duplicates_->Increment();
-    if (running_ && order <= applied_watermark_ &&
+    if (running_ && order <= applied_watermark() &&
         mset.origin != config_.self && mset.origin != kInvalidSiteId) {
       SendApplyAck(mset.origin, mset.et);
     }
     return;
   }
-  if (persist && wal_ != nullptr) wal_->AppendMset(mset);
-  holdback_.emplace(order, std::move(mset));
+  if (persist && wal_ != nullptr) wal_->AppendMset(*order_.Find(order));
   DrainHoldback();
 }
 
 void OrdupNode::DrainHoldback() {
-  const SequenceNumber before = applied_watermark_;
-  while (!holdback_.empty() &&
-         holdback_.begin()->first == applied_watermark_ + 1) {
-    ApplyInOrder(std::move(holdback_.extract(holdback_.begin()).mapped()));
-  }
-  gap_since_ = holdback_.empty() ? -1 : clock_->Now();
-  if (applied_watermark_ > before) {
+  const SequenceNumber before = applied_watermark();
+  while (order_.Head() != nullptr) ApplyInOrder(order_.Pop());
+  gap_since_ = order_.Empty() ? -1 : clock_->Now();
+  if (applied_watermark() > before) {
     if (m_applied_watermark_ != nullptr) {
-      m_applied_watermark_->Set(static_cast<double>(applied_watermark_));
+      m_applied_watermark_->Set(static_cast<double>(applied_watermark()));
     }
     AdvanceStable();
   }
@@ -429,7 +423,6 @@ void OrdupNode::DrainHoldback() {
 
 void OrdupNode::ApplyInOrder(core::Mset mset) {
   store_.ApplyAll(mset.operations);
-  applied_watermark_ = mset.global_order;
   lamport_ = std::max(lamport_, mset.timestamp.counter) + 1;
   ++applied_count_;
   if (m_applied_ != nullptr) m_applied_->Increment();
@@ -452,8 +445,7 @@ void OrdupNode::ApplyInOrder(core::Mset mset) {
 const core::Mset* OrdupNode::FindMset(SequenceNumber pos) const {
   auto h = history_.find(pos);
   if (h != history_.end()) return &h->second;
-  auto b = holdback_.find(pos);
-  return b != holdback_.end() ? &b->second : nullptr;
+  return order_.Find(pos);
 }
 
 /// --- Stability -------------------------------------------------------------
@@ -477,7 +469,7 @@ void OrdupNode::HandleWatermark(SiteId from, SequenceNumber applied,
 }
 
 void OrdupNode::AdvanceStable() {
-  SequenceNumber stable = applied_watermark_;
+  SequenceNumber stable = applied_watermark();
   for (SiteId s = 0; s < config_.num_sites; ++s) {
     if (s != config_.self) {
       stable = std::min(stable, peer_applied_[static_cast<size_t>(s)]);
@@ -511,20 +503,20 @@ void OrdupNode::AdvanceStable() {
 
 void OrdupNode::SendApplyAck(SiteId origin, EtId et) {
   wire::Encoder e;
-  e.I64(applied_watermark_);
+  e.I64(applied_watermark());
   SendTo(origin, core::kApplyAckMsg, e.Take(), et);
   if (origin >= 0 && origin < config_.num_sites) {
     SequenceNumber& told = told_[static_cast<size_t>(origin)];
-    told = std::max(told, applied_watermark_);
+    told = std::max(told, applied_watermark());
   }
 }
 
 void OrdupNode::SendWatermark(SiteId to) {
   wire::Encoder e;
-  e.I64(applied_watermark_);
+  e.I64(applied_watermark());
   e.I64(peer_applied_[static_cast<size_t>(to)]);
   SendTo(to, kWatermarkMsg, e.Take(), kInvalidEtId);
-  told_[static_cast<size_t>(to)] = applied_watermark_;
+  told_[static_cast<size_t>(to)] = applied_watermark();
 }
 
 /// --- Catch-up / backfill ----------------------------------------------------
@@ -543,7 +535,7 @@ void OrdupNode::SendCatchupRequest() {
   }
   if (target == kInvalidSiteId) return;
   wire::Encoder e;
-  e.I64(applied_watermark_);
+  e.I64(applied_watermark());
   SendTo(target, kCatchupReqMsg, e.Take(), kInvalidEtId);
 }
 
@@ -561,7 +553,7 @@ void OrdupNode::HandleCatchupReq(SiteId from, SequenceNumber after) {
     entries.MsetRec(it->second);
   }
   if (n == 0) return;  // nothing to offer
-  e.I64(applied_watermark_);
+  e.I64(applied_watermark());
   e.U32(static_cast<uint32_t>(n));
   e.Raw(entries.bytes());
   SendTo(from, kCatchupRespMsg, e.Take(), kInvalidEtId);
@@ -572,7 +564,7 @@ void OrdupNode::HandleCatchupResp(SiteId from, std::string_view payload) {
   const SequenceNumber responder_applied = d.I64();
   const uint32_t n = d.U32();
   if (!d.ok()) return;
-  const SequenceNumber before = applied_watermark_;
+  const SequenceNumber before = applied_watermark();
   for (uint32_t i = 0; i < n && d.ok(); ++i) {
     core::Mset mset = d.MsetRec();
     if (!d.ok() || mset.global_order < 1) break;
@@ -580,7 +572,7 @@ void OrdupNode::HandleCatchupResp(SiteId from, std::string_view payload) {
   }
   ObservePeer(from, responder_applied);
   // A full batch means the responder has more; keep pulling.
-  if (applied_watermark_ > before &&
+  if (applied_watermark() > before &&
       n >= static_cast<uint32_t>(config_.catchup_batch)) {
     SendCatchupRequest();
   }
@@ -588,9 +580,9 @@ void OrdupNode::HandleCatchupResp(SiteId from, std::string_view payload) {
 
 void OrdupNode::SendSnapshot(SiteId to) {
   // The applied prefix is a consistent cut of the total order, so the
-  // store as it stands is the image at applied_watermark_.
+  // store as it stands is the image at applied_watermark().
   recovery::CheckpointData image;
-  image.order_watermark = applied_watermark_;
+  image.order_watermark = applied_watermark();
   image.clock_counter = lamport_;
   image.store_entries = store_.SnapshotEntries();
   std::string payload = recovery::EncodeCheckpoint(image);
@@ -604,15 +596,14 @@ void OrdupNode::HandleSnapshotResp(SiteId from, std::string_view payload) {
   recovery::CheckpointData image;
   if (!recovery::DecodeCheckpoint(payload, &image)) return;
   const SequenceNumber image_watermark = image.order_watermark;
-  if (image_watermark <= applied_watermark_) return;  // stale
+  if (image_watermark <= applied_watermark()) return;  // stale
   // The image replaces the whole applied prefix: the responder applied the
   // same total order up to image_watermark.
   store_.Clear();
   for (auto& [object, value, write_ts] : image.store_entries) {
     store_.RestoreEntry(object, std::move(value), write_ts);
   }
-  applied_watermark_ = image_watermark;
-  max_grant_seen_ = std::max(max_grant_seen_, image_watermark);
+  order_.SkipThrough(image_watermark);
   lamport_ = std::max(lamport_, image.clock_counter);
   history_.clear();
   history_floor_ = image_watermark;
@@ -620,12 +611,11 @@ void OrdupNode::HandleSnapshotResp(SiteId from, std::string_view payload) {
     by_position.erase(by_position.begin(),
                       by_position.upper_bound(image_watermark));
   };
-  drop_through(holdback_);
   drop_through(unfilled_grants_);
   drop_through(healing_);
   if (m_snapshots_installed_ != nullptr) m_snapshots_installed_->Increment();
   if (m_applied_watermark_ != nullptr) {
-    m_applied_watermark_->Set(static_cast<double>(applied_watermark_));
+    m_applied_watermark_->Set(static_cast<double>(applied_watermark()));
   }
   DrainHoldback();
   ObservePeer(from, image_watermark);
@@ -671,14 +661,14 @@ void OrdupNode::RetryTick() {
   // told (apply acks also tell). While stability stalls for a whole tick,
   // the peers that look behind hear it too: their reply carries fresh
   // progress, or their echo shows a lost message to re-send.
-  const bool stalled = stable_watermark_ < applied_watermark_ &&
+  const bool stalled = stable_watermark_ < applied_watermark() &&
                        stable_watermark_ == stable_at_last_tick_;
   stable_at_last_tick_ = stable_watermark_;
   for (SiteId s = 0; s < config_.num_sites; ++s) {
     if (s == config_.self) continue;
     const auto i = static_cast<size_t>(s);
-    if (told_[i] < applied_watermark_ ||
-        (stalled && peer_applied_[i] < applied_watermark_)) {
+    if (told_[i] < applied_watermark() ||
+        (stalled && peer_applied_[i] < applied_watermark())) {
       SendWatermark(s);
     }
   }
@@ -717,14 +707,6 @@ void OrdupNode::Broadcast(int type, const std::string& payload, EtId et) {
   }
 }
 
-SequenceNumber OrdupNode::MaxOrderSeen() const {
-  SequenceNumber max_seen = std::max(applied_watermark_, max_grant_seen_);
-  if (!holdback_.empty()) {
-    max_seen = std::max(max_seen, holdback_.rbegin()->first);
-  }
-  return max_seen;  // history_ holds only applied positions
-}
-
 std::string OrdupNode::DebugStuck(int limit) const {
   std::string out =
       "ungranted=" + std::to_string(seq_client_.PendingCount()) + " ";
@@ -734,7 +716,7 @@ std::string OrdupNode::DebugStuck(int limit) const {
     out += "unstable{pos=" + std::to_string(pos) + "} ";
   }
   out += "epoch=" + std::to_string(seq_client_.epoch()) +
-         " applied=" + std::to_string(applied_watermark_) +
+         " applied=" + std::to_string(applied_watermark()) +
          " stable=" + std::to_string(stable_watermark_) + " peers=";
   for (SequenceNumber w : peer_applied_) out += std::to_string(w) + ",";
   return out;

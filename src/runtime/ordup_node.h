@@ -11,6 +11,7 @@
 
 #include "esr/mset.h"
 #include "msg/sequencer.h"
+#include "msg/total_order_buffer.h"
 #include "obs/metric_registry.h"
 #include "recovery/wal.h"
 #include "runtime/interfaces.h"
@@ -137,7 +138,7 @@ class OrdupNode : private msg::SequencerPort {
   /// locks), so point reads and digests may run off-strand — e.g. from an
   /// exporter thread — while the strand applies MSets.
   const store::MvStore& store() const { return store_; }
-  SequenceNumber applied_watermark() const { return applied_watermark_; }
+  SequenceNumber applied_watermark() const { return order_.Watermark(); }
   int64_t applied_count() const { return applied_count_; }
   int64_t submitted_count() const { return submitted_count_; }
   /// Stable positions (no-op hole fills included): the stable watermark.
@@ -159,7 +160,7 @@ class OrdupNode : private msg::SequencerPort {
  private:
   /// A locally-originated ET from submission to stability: held by its
   /// sequencer request until the grant, then in unstable_ (its MSet in
-  /// holdback_/history_, `ops` empty).
+  /// order_/history_, `ops` empty).
   struct LocalEt {
     std::vector<store::Operation> ops;
     SimTime submitted_at = 0;
@@ -191,7 +192,7 @@ class OrdupNode : private msg::SequencerPort {
   void OnGranted(EtId et, SequenceNumber position, LocalEt local);
   /// Inserts into the order buffer and drains every contiguous MSet.
   void Admit(core::Mset mset, bool persist);
-  /// Applies every hold-back MSet contiguous with the applied prefix.
+  /// Applies every held MSet contiguous with the applied prefix.
   void DrainHoldback();
   void ApplyInOrder(core::Mset mset);
   /// The MSet at `pos` if this site holds it (applied or buffered).
@@ -207,7 +208,10 @@ class OrdupNode : private msg::SequencerPort {
   void SendCatchupRequest();
   void SendTo(SiteId to, int type, std::string payload, EtId et);
   void Broadcast(int type, const std::string& payload, EtId et);
-  SequenceNumber MaxOrderSeen() const;
+  /// Highest total-order position this site has observed anywhere
+  /// (applied, held, granted, or under an installed snapshot): the probe
+  /// answer during a sequencer takeover.
+  SequenceNumber MaxOrderSeen() const { return order_.MaxOffered(); }
   void ReplayWal();
 
   /// msg::SequencerPort: each sequencer message is one Message.
@@ -230,9 +234,8 @@ class OrdupNode : private msg::SequencerPort {
   int64_t lamport_ = 0;
   int64_t submit_counter_ = 0;
 
-  /// Total order state: contiguously applied prefix + holdback for gaps.
-  SequenceNumber applied_watermark_ = 0;
-  std::map<SequenceNumber, core::Mset> holdback_;
+  /// Total order state: the applied prefix, and the MSets held above a gap.
+  msg::TotalOrderBuffer<core::Mset> order_;
   SimTime gap_since_ = -1;  // first moment the current gap was observed
   /// Applied MSets above the stable watermark, by position: the
   /// catch-up/backfill source and the retransmit source for local ETs not
@@ -250,9 +253,6 @@ class OrdupNode : private msg::SequencerPort {
   std::vector<SequenceNumber> told_;
   SequenceNumber stable_watermark_ = 0;
   SequenceNumber stable_at_last_tick_ = 0;
-  /// Highest total-order position this site has observed anywhere (applied,
-  /// buffered, or granted) — the probe answer during a sequencer takeover.
-  SequenceNumber max_grant_seen_ = 0;
   SiteId catchup_rr_ = 0;  // round-robin cursor for backfill targets
 
   /// Locally-originated ETs granted and awaiting stability, by position.

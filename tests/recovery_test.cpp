@@ -77,40 +77,41 @@ TEST(CodecTest, DecoderLatchesOnTruncatedInput) {
 
 TEST(CodecTest, FramingStopsAtTornAndCorruptFrames) {
   std::string log;
-  FrameAppend(log, "alpha");
-  FrameAppend(log, "beta");
-  FrameAppend(log, "gamma");
+  wire::FrameAppend(log, "alpha");
+  wire::FrameAppend(log, "beta");
+  wire::FrameAppend(log, "gamma");
 
   size_t pos = 0;
   std::string_view payload;
-  ASSERT_TRUE(FrameNext(log, &pos, &payload));
+  ASSERT_TRUE(wire::FrameNext(log, &pos, &payload));
   EXPECT_EQ(payload, "alpha");
-  ASSERT_TRUE(FrameNext(log, &pos, &payload));
+  ASSERT_TRUE(wire::FrameNext(log, &pos, &payload));
   EXPECT_EQ(payload, "beta");
-  ASSERT_TRUE(FrameNext(log, &pos, &payload));
+  ASSERT_TRUE(wire::FrameNext(log, &pos, &payload));
   EXPECT_EQ(payload, "gamma");
-  EXPECT_FALSE(FrameNext(log, &pos, &payload)) << "clean end of log";
+  EXPECT_FALSE(wire::FrameNext(log, &pos, &payload)) << "clean end of log";
 
   // Torn tail: the last frame lost bytes in the crash.
   std::string torn = log.substr(0, log.size() - 3);
   pos = 0;
-  ASSERT_TRUE(FrameNext(torn, &pos, &payload));
-  ASSERT_TRUE(FrameNext(torn, &pos, &payload));
-  EXPECT_FALSE(FrameNext(torn, &pos, &payload)) << "torn frame rejected";
+  ASSERT_TRUE(wire::FrameNext(torn, &pos, &payload));
+  ASSERT_TRUE(wire::FrameNext(torn, &pos, &payload));
+  EXPECT_FALSE(wire::FrameNext(torn, &pos, &payload)) << "torn frame rejected";
 
   // Bit flip inside the second frame's payload: CRC must catch it.
   std::string corrupt = log;
   corrupt[8 + 5 + 8 + 2] ^= 0x40;  // inside "beta"'s payload
   pos = 0;
-  ASSERT_TRUE(FrameNext(corrupt, &pos, &payload));
+  ASSERT_TRUE(wire::FrameNext(corrupt, &pos, &payload));
   EXPECT_EQ(payload, "alpha");
-  EXPECT_FALSE(FrameNext(corrupt, &pos, &payload)) << "CRC mismatch stops";
+  EXPECT_FALSE(wire::FrameNext(corrupt, &pos, &payload))
+      << "CRC mismatch stops";
 }
 
 TEST(CodecTest, Crc32DetectsChanges) {
-  EXPECT_NE(Crc32("abc"), Crc32("abd"));
-  EXPECT_EQ(Crc32("abc"), Crc32("abc"));
-  EXPECT_NE(Crc32(""), Crc32("a"));
+  EXPECT_NE(wire::Crc32("abc"), wire::Crc32("abd"));
+  EXPECT_EQ(wire::Crc32("abc"), wire::Crc32("abc"));
+  EXPECT_NE(wire::Crc32(""), wire::Crc32("a"));
 }
 
 class WalTest : public ::testing::Test {

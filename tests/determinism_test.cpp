@@ -7,6 +7,8 @@
 
 #include <gtest/gtest.h>
 
+#include <string>
+
 #include "test_util.h"
 #include "workload/workload.h"
 
@@ -22,9 +24,29 @@ struct Fingerprint {
   int64_t blocked_attempts = 0;
   int64_t restarts = 0;
   double inconsistency_sum = 0;
+  /// FNV-1a over every field of every recorded read, in record order.
+  uint64_t reads_digest = 0;
 
   friend bool operator==(const Fingerprint&, const Fingerprint&) = default;
 };
+
+uint64_t DigestReads(const std::vector<analysis::ReadRecord>& reads) {
+  uint64_t h = 0xcbf29ce484222325ull;
+  for (const analysis::ReadRecord& r : reads) {
+    const std::string line =
+        std::to_string(r.query) + ' ' + std::to_string(r.site) + ' ' +
+        std::to_string(r.object) + ' ' + r.value.ToString() + ' ' +
+        std::to_string(r.time) + ' ' +
+        std::to_string(r.inconsistency_increment) + ' ' +
+        std::to_string(r.pin) + ' ' + std::to_string(r.site_apply_index) +
+        '\n';
+    for (unsigned char c : line) {
+      h ^= c;
+      h *= 0x100000001b3ull;
+    }
+  }
+  return h;
+}
 
 Fingerprint RunOnce(Method method, Transport transport, uint64_t seed,
                     bool adaptive_admission = false) {
@@ -70,6 +92,7 @@ Fingerprint RunOnce(Method method, Transport transport, uint64_t seed,
   fp.blocked_attempts = result.query_blocked_attempts;
   fp.restarts = result.query_restarts;
   fp.inconsistency_sum = result.query_inconsistency.sum();
+  fp.reads_digest = DigestReads(system.history().reads());
   return fp;
 }
 
@@ -113,6 +136,37 @@ TEST_P(Determinism, DigestsMatchPinnedValues) {
   ASSERT_NE(pinned, 0u) << "no pinned digest for this parameter";
   const Fingerprint fp = RunOnce(method, transport, 777);
   EXPECT_EQ(fp.digests, std::vector<uint64_t>(3, pinned));
+}
+
+// Every recorded read of RunOnce(method, transport, 777): query, site,
+// object, value, time, charge, pin and the site's apply index, hashed in
+// record order. A change to how a method builds its read records must
+// leave this unchanged.
+uint64_t PinnedReadsDigest(Method method, Transport transport) {
+  switch (method) {
+    case Method::kOrdup: return 0x510656f8d226ab96ull;
+    case Method::kOrdupTs: return 0x8233440928bd67c4ull;
+    case Method::kCommu:
+      return transport == Transport::kPersistentPipe ? 0xde3613cb0b9d9710ull
+                                                     : 0x0602250fe4621039ull;
+    case Method::kRituMulti: return 0xa8099c6747b47d52ull;
+    case Method::kRituSingle: return 0xdecb5e9eb03a5159ull;
+    case Method::kCompe: return 0x592ec62fdd2191e2ull;
+    case Method::kSync2pc: return 0x69ba4ebe3429a300ull;
+    case Method::kSyncQuorum: return 0x75552fd25519636eull;
+    case Method::kQuasiCopy: return 0x251f76782fc51f4dull;
+    default: return 0;
+  }
+}
+
+TEST_P(Determinism, ReadRecordsMatchPinnedValues) {
+  const auto& [method, transport] = GetParam();
+  const uint64_t pinned = PinnedReadsDigest(method, transport);
+  ASSERT_NE(pinned, 0u) << "no pinned read digest for this parameter";
+  const Fingerprint fp = RunOnce(method, transport, 777);
+  EXPECT_GT(fp.reads_recorded, 0);
+  EXPECT_EQ(fp.reads_digest, pinned)
+      << "actual: 0x" << std::hex << fp.reads_digest << "ull";
 }
 
 TEST(AdmissionDeterminism, AdaptiveControllerPreservesDeterminism) {

@@ -223,5 +223,66 @@ TEST(OrdupTsTest, CrashedOriginStallsReleasesButNotCommits) {
   EXPECT_EQ(system.SiteValue(0, 0).AsInt(), 5);
 }
 
+// Overlapping finite-epsilon queries under churn, captured at a known-good
+// commit: every query's reads and final accounting, the limit-hit count and
+// every site's digest. A change to how ORDUP-TS indexes released writes,
+// charges reads or pauses the release path must leave all of them
+// unchanged.
+TEST(OrdupTsTest, OverlappingBoundedQueriesUnderChurnPinnedDigests) {
+  auto config = Config(Method::kOrdupTs, 3, 29);
+  config.network.jitter_us = 2'000;
+  config.heartbeat_interval_us = 5'000;
+  ReplicatedSystem system(config);
+  const std::vector<ObjectId> objects = {0, 1, 2, 3};
+  for (SimTime t = 0; t < 150'000; t += 1'500) {
+    system.simulator().ScheduleAt(t, [&system, t]() {
+      const int i = static_cast<int>(t / 1'500);
+      (void)system.SubmitUpdate(i % 3, {Operation::Increment(i % 4, 1)});
+    });
+  }
+  const std::vector<test::QueryOutcome> outcomes = test::RunOverlappingQueries(
+      system, {0, 1, 2}, objects, /*rounds=*/24, /*lifetime=*/4,
+      /*gap_us=*/4'000);
+  system.RunUntilQuiescent();
+  ASSERT_TRUE(system.Converged());
+  test::ExpectOutcomes(system, outcomes,
+                       {{{0, 0, 1, 1}, 0, 1},
+                        {{0, 1, 2, 2}, 0, 1},
+                        {{1, 2, 3, 3}, 2, 0},
+                        {{1, 2, 3, 3}, 0, 1},
+                        {{1, 3, 3, 4}, 0, 1},
+                        {{3, 4, 4, 5}, 2, 0},
+                        {{3, 4, 5, 5}, 0, 1},
+                        {{4, 5, 5, 6}, 2, 0},
+                        {{4, 5, 6, 6}, 2, 0},
+                        {{5, 7, 7, 7}, 0, 1},
+                        {{6, 7, 8, 9}, 0, 1},
+                        {{7, 7, 8, 8}, 1, 0},
+                        {{6, 8, 8, 8}, 0, 1},
+                        {{8, 9, 10, 10}, 2, 0},
+                        {{9, 10, 10, 11}, 2, 0},
+                        {{8, 10, 10, 10}, 0, 1},
+                        {{10, 10, 11, 12}, 2, 0},
+                        {{11, 12, 13, 14}, 3, 0},
+                        {{11, 12, 13, 13}, 0, 1},
+                        {{12, 13, 14, 14}, 2, 0},
+                        {{12, 12, 14, 15}, 3, 0},
+                        {{13, 14, 15}, 0, 1},
+                        {{13, 15}, 2, 0},
+                        {{15}, 0, 0}},
+                       /*pinned_limit_hits=*/11);
+  // ORDUP-TS takes no order position: every committed update's is 0.
+  test::ExpectPinnedRun(
+      test::CapturePinnedRun(system),
+      {{0xe5bbf05ba2c8ec0full, 0xe5bbf05ba2c8ec0full, 0xe5bbf05ba2c8ec0full},
+       std::vector<SequenceNumber>(100, 0),
+       {"queue.delivered=244 queue.duplicate=76 queue.retransmit=59 "
+        "queue.sent=246",
+        "queue.delivered=244 queue.duplicate=77 queue.retransmit=82 "
+        "queue.sent=243",
+        "queue.delivered=244 queue.duplicate=75 queue.retransmit=87 "
+        "queue.sent=243"}});
+}
+
 }  // namespace
 }  // namespace esr::core

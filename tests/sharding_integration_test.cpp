@@ -508,5 +508,75 @@ TEST(ShardingIntegrationTest, ShardHomeAmnesiaReseedPinnedDigests) {
         "queue.delivered=87 queue.retransmit=18 queue.sent=105"}});
 }
 
+// Overlapping finite-epsilon queries whose reads all forward to shard 1's
+// owners, captured at a known-good commit. The only pins at those owners
+// are the queries' shadows, so a change that stopped honouring shadow pins
+// when charging forwarded reads moves these values.
+TEST(ShardingIntegrationTest, ForwardedBoundedQueriesUnderChurnPinnedDigests) {
+  ReplicatedSystem system(ShardedConfig(4, 2, 8, 313));
+  const std::vector<ObjectId> hot = ObjectsInShard(system, 1, 3);
+  std::vector<SiteId> outsiders;
+  for (SiteId s = 0; s < 8; ++s) {
+    if (!system.placement()->Owns(s, 1)) outsiders.push_back(s);
+  }
+  for (SimTime t = 0; t < 150'000; t += 1'500) {
+    system.simulator().ScheduleAt(t, [&system, &hot, t]() {
+      const int i = static_cast<int>(t / 1'500);
+      (void)system.SubmitUpdate(static_cast<SiteId>(i % 8),
+                                {Operation::Increment(hot[i % 3], 1)});
+    });
+  }
+  const std::vector<test::QueryOutcome> outcomes = test::RunOverlappingQueries(
+      system, outsiders, hot, /*rounds=*/24, /*lifetime=*/4, /*gap_us=*/4'000);
+  system.RunUntilQuiescent();
+  ASSERT_TRUE(system.Converged());
+  EXPECT_GT(system.counters().Get("esr.reads_forwarded"), 0);
+  test::ExpectOutcomes(system, outcomes,
+                       {{{0, 1, 2, 2}, 0, 1},
+                        {{0, 2, 2, 4}, 0, 1},
+                        {{1, 2, 2, 4}, 3, 0},
+                        {{2, 2, 5, 5}, 0, 1},
+                        {{2, 4, 5, 5}, 0, 1},
+                        {{4, 4, 4, 7}, 3, 0},
+                        {{5, 5, 8, 8}, 0, 1},
+                        {{5, 7, 7, 9}, 0, 1},
+                        {{7, 7, 8, 9}, 2, 0},
+                        {{8, 9, 10, 10}, 0, 1},
+                        {{9, 9, 10, 10}, 1, 0},
+                        {{9, 10, 11, 12}, 3, 0},
+                        {{10, 12, 12, 12}, 0, 1},
+                        {{11, 12, 12, 15}, 0, 1},
+                        {{12, 12, 14, 15}, 3, 0},
+                        {{12, 12, 16, 16}, 0, 1},
+                        {{12, 16, 16, 16}, 0, 1},
+                        {{14, 15, 15, 15}, 1, 0},
+                        {{16, 16, 16, 20}, 0, 1},
+                        {{16, 16, 19, 19}, 0, 1},
+                        {{15, 18, 19, 19}, 0, 1},
+                        {{19, 20, 20}, 1, 0},
+                        {{19, 19}, 0, 0},
+                        {{19}, 0, 0}},
+                       /*pinned_limit_hits=*/14);
+  test::ExpectPinnedRun(
+      test::CapturePinnedRun(system),
+      {{0x14650fb0739d0383ull, 0x0dbbe6c1ba68381bull, 0x14650fb0739d0383ull,
+        0x14650fb0739d0383ull, 0x14650fb0739d0383ull, 0x14650fb0739d0383ull,
+        0x0dbbe6c1ba68381bull, 0x14650fb0739d0383ull},
+       {2, 1, 3, 4, 5, 6, 7, 8, 10, 9, 11, 12, 13, 14, 15, 16, 18, 17, 19, 20,
+        21, 22, 23, 24, 26, 25, 27, 28, 29, 30, 31, 32, 34, 33, 35, 36, 37, 38,
+        39, 40, 42, 41, 43, 44, 45, 46, 47, 48, 50, 49, 51, 52, 53, 54, 55, 56,
+        58, 57, 59, 60, 61, 62, 63, 64, 66, 65, 67, 68, 69, 70, 71, 72, 74, 73,
+        75, 76, 77, 78, 79, 80, 82, 81, 83, 84, 85, 86, 87, 88, 90, 89, 91, 92,
+        93, 94, 95, 96, 98, 97, 99, 100},
+       {"queue.delivered=93 queue.retransmit=1 queue.sent=124",
+        "queue.delivered=436 queue.duplicate=6 queue.sent=339",
+        "queue.delivered=93 queue.retransmit=2 queue.sent=124",
+        "queue.delivered=90 queue.retransmit=1 queue.sent=121",
+        "queue.delivered=88 queue.retransmit=1 queue.sent=117",
+        "queue.delivered=86 queue.retransmit=1 queue.sent=115",
+        "queue.delivered=234 queue.sent=159",
+        "queue.delivered=84 queue.sent=105"}});
+}
+
 }  // namespace
 }  // namespace esr::core

@@ -336,6 +336,103 @@ inline std::vector<Value> RunQuery(core::ReplicatedSystem& system,
   return values;
 }
 
+/// One query of an overlapping mix: the values it read, in read order, and
+/// its accounting just before it ended.
+struct QueryOutcome {
+  std::vector<int64_t> values;
+  int64_t inconsistency = 0;
+  int64_t restarts = 0;
+
+  friend bool operator==(const QueryOutcome&, const QueryOutcome&) = default;
+};
+
+/// Runs `rounds` rounds of overlapping query ETs against whatever load the
+/// caller scheduled. Round r begins one query at `sites[r % sites.size()]`
+/// with epsilon `1 + r % 3`; then every live query issues one read, the
+/// i-th live query reading `objects[(r + i) % objects.size()]`, and the
+/// simulator runs `gap_us`. A query ends after `lifetime` reads, once they
+/// have all completed, so up to `lifetime` queries with staggered pins are
+/// live at a time. Returns one outcome per query, in begin order.
+inline std::vector<QueryOutcome> RunOverlappingQueries(
+    core::ReplicatedSystem& system, const std::vector<SiteId>& sites,
+    const std::vector<ObjectId>& objects, int rounds, int lifetime,
+    SimDuration gap_us) {
+  struct Live {
+    EtId id;
+    size_t outcome;
+    int issued = 0;
+    int pending = 0;
+  };
+  std::vector<QueryOutcome> outcomes;
+  std::vector<Live> live;
+  auto end_oldest = [&]() {
+    Live& q = live.front();
+    int64_t guard = 0;
+    while (q.pending > 0 && guard++ < 10'000'000) {
+      if (!system.simulator().Step()) break;
+    }
+    EXPECT_EQ(q.pending, 0) << "read of query " << q.id << " never completed";
+    const core::QueryState* state = system.query_state(q.id);
+    EXPECT_NE(state, nullptr);
+    if (state != nullptr) {
+      outcomes[q.outcome].inconsistency = state->inconsistency;
+      outcomes[q.outcome].restarts = state->restarts;
+    }
+    EXPECT_TRUE(system.EndQuery(q.id).ok());
+    live.erase(live.begin());
+  };
+  for (int r = 0; r < rounds; ++r) {
+    outcomes.emplace_back();
+    live.push_back(Live{system.BeginQuery(sites[r % sites.size()], 1 + r % 3),
+                        outcomes.size() - 1});
+    for (size_t i = 0; i < live.size(); ++i) {
+      Live& q = live[i];
+      ++q.issued;
+      ++q.pending;
+      // `live` only shrinks from the front, between rounds: index by id.
+      const EtId id = q.id;
+      const size_t outcome = q.outcome;
+      system.Read(id, objects[(r + i) % objects.size()],
+                  [&live, &outcomes, id, outcome](Result<Value> v) {
+                    EXPECT_TRUE(v.ok()) << v.status().ToString();
+                    if (v.ok()) outcomes[outcome].values.push_back(v->AsInt());
+                    for (Live& l : live) {
+                      if (l.id == id) --l.pending;
+                    }
+                  });
+    }
+    system.RunFor(gap_us);
+    if (live.front().issued == lifetime) end_oldest();
+  }
+  while (!live.empty()) end_oldest();
+  return outcomes;
+}
+
+/// `outcomes` as a QueryOutcome vector initializer.
+inline std::string FormatOutcomes(const std::vector<QueryOutcome>& outcomes) {
+  std::string out = "{";
+  for (size_t i = 0; i < outcomes.size(); ++i) {
+    out += i == 0 ? "{{" : ",\n {{";
+    for (size_t j = 0; j < outcomes[i].values.size(); ++j) {
+      out += (j == 0 ? "" : ", ") + std::to_string(outcomes[i].values[j]);
+    }
+    out += "}, " + std::to_string(outcomes[i].inconsistency) + ", " +
+           std::to_string(outcomes[i].restarts) + "}";
+  }
+  return out + "}";
+}
+
+/// Compares a query mix's outcomes and the run's limit-hit count against
+/// values captured at a known-good commit.
+inline void ExpectOutcomes(core::ReplicatedSystem& system,
+                           const std::vector<QueryOutcome>& actual,
+                           const std::vector<QueryOutcome>& pinned,
+                           int64_t pinned_limit_hits) {
+  EXPECT_EQ(system.counters().Get("esr.query_limit_hits"), pinned_limit_hits);
+  EXPECT_TRUE(actual == pinned) << "actual outcomes:\n"
+                                << FormatOutcomes(actual);
+}
+
 }  // namespace esr::test
 
 #endif  // ESR_TESTS_TEST_UTIL_H_

@@ -193,7 +193,7 @@ bool OrdupMethod::AtBarrier(const Held& held) const {
 }
 
 void OrdupMethod::Drain() {
-  if (pause_depth_ > 0) return;
+  if (ledger_.paused()) return;
   bool progress = true;
   while (progress) {
     progress = false;
@@ -207,7 +207,7 @@ void OrdupMethod::Drain() {
       progress = true;
       break;
     }
-    if (pause_depth_ > 0) return;
+    if (ledger_.paused()) return;
   }
 }
 
@@ -236,14 +236,7 @@ void OrdupMethod::ApplyNow(std::shared_ptr<const Held> held) {
   Status s = ctx_.store->ApplyAll(local.operations);
   assert(s.ok());
   (void)s;
-  ++apply_index_;
-  // Index the write for query-overlap counting: one entry per (ET, object).
-  std::unordered_set<ObjectId> seen;
-  for (const store::Operation& op : local.operations) {
-    if (op.IsUpdate() && seen.insert(op.object).second) {
-      applied_writes_[op.object].push_back(apply_index_);
-    }
-  }
+  ledger_.RecordApply(local.operations);
   if (InReplay()) MaybeReinstallOrigin(mset);
   RecordApplied(local);
 }
@@ -310,34 +303,6 @@ SequenceNumber OrdupMethod::MaxOrderSeen(ShardId service) const {
   return it == streams_.end() ? 0 : it->second.MaxOffered();
 }
 
-int64_t OrdupMethod::ChargeFor(const QueryState& query,
-                               ObjectId object) const {
-  auto it = applied_writes_.find(object);
-  if (it == applied_writes_.end()) return 0;
-  auto mit = query.charged_marks.find(object);
-  const int64_t mark = mit == query.charged_marks.end()
-                           ? static_cast<int64_t>(query.order_pin)
-                           : mit->second;
-  const std::vector<int64_t>& idxs = it->second;
-  return static_cast<int64_t>(
-      idxs.end() - std::upper_bound(idxs.begin(), idxs.end(), mark));
-}
-
-void OrdupMethod::RecordRead(const QueryState& query, ObjectId object,
-                             const Value& v, int64_t inc) {
-  if (!ctx_.config->record_history) return;
-  analysis::ReadRecord r;
-  r.query = query.id;
-  r.site = ctx_.site;
-  r.object = object;
-  r.value = v;
-  r.time = ctx_.simulator->Now();
-  r.inconsistency_increment = inc;
-  r.pin = query.order_pin;
-  r.site_apply_index = apply_index_;
-  ctx_.history->RecordRead(std::move(r));
-}
-
 Result<Value> OrdupMethod::TrySequencedRead(QueryState& query,
                                             ObjectId object) {
   auto it = query_positions_.find(query.id);
@@ -356,13 +321,14 @@ Result<Value> OrdupMethod::TrySequencedRead(QueryState& query,
   }
   // Watermark is exactly position-1 (the query's own number gaps the
   // stream, so it can never pass). Reads here are one-copy serializable —
-  // "the overlap will be empty, yielding an SRlog".
+  // "the overlap will be empty, yielding an SRlog". The charge is always
+  // 0, so the pin is not registered with the ledger.
   assert(watermark == position - 1);
   query.pinned = true;
-  query.order_pin = apply_index_;
+  query.order_pin = ledger_.applied();
   Value v = ctx_.store->Read(object);
   ++query.reads;
-  RecordRead(query, object, v, /*inc=*/0);
+  RecordRead(query, object, v, /*inc=*/0, ledger_.applied());
   return v;
 }
 
@@ -377,33 +343,19 @@ Result<Value> OrdupMethod::TryQueryRead(QueryState& query, ObjectId object) {
     assert(false && "read of a non-owned object reached the method");
     return Status::FailedPrecondition("object not owned at this site");
   }
-  if (!query.pinned) {
-    query.pinned = true;
-    query.order_pin = apply_index_;
-    // Strict (restarted, or epsilon already exhausted at start) queries
-    // read at an exact point of the site's apply order: freeze the
-    // followed streams at the pin.
-    if ((query.strict || query.epsilon - query.inconsistency <= 0) &&
-        !query.holds_pause) {
-      PauseApplier();
-      query.holds_pause = true;
-    }
-  }
-  const int64_t inc = ChargeFor(query, object);
-  if (query.epsilon != kUnboundedEpsilon &&
-      query.inconsistency + inc > query.epsilon) {
+  // Strict (restarted, or epsilon already exhausted at start) queries
+  // read at an exact point of the site's apply order: the ledger freezes
+  // the followed streams at the pin.
+  Result<int64_t> inc = ledger_.Charge(query, object);
+  if (!inc.ok()) {
     // The conflicting updates are already applied; this attempt can never
     // proceed within budget. The facade restarts the query strictly.
     ctx_.counters->Increment("esr.query_limit_hits");
-    return Status::InconsistencyLimit(
-        "read of object " + std::to_string(object) + " would add " +
-        std::to_string(inc) + " units past epsilon");
+    return inc.status();
   }
-  query.inconsistency += inc;
-  query.charged_marks[object] = apply_index_;
   Value v = ctx_.store->Read(object);
   ++query.reads;
-  RecordRead(query, object, v, inc);
+  RecordRead(query, object, v, *inc, ledger_.applied());
   return v;
 }
 
@@ -426,10 +378,7 @@ void OrdupMethod::OnQueryBegin(QueryState& query) {
 }
 
 void OrdupMethod::OnQueryEnd(QueryState& query) {
-  if (query.holds_pause) {
-    query.holds_pause = false;
-    ResumeApplier();
-  }
+  if (ledger_.Release(query)) Drain();
   if (ctx_.config->ordup_sequenced_queries) {
     auto it = query_positions_.find(query.id);
     if (it == query_positions_.end()) {
@@ -443,21 +392,11 @@ void OrdupMethod::OnQueryEnd(QueryState& query) {
 }
 
 void OrdupMethod::OnQueryRestart(QueryState& query) {
-  // The restarted attempt is abandoned but the query lives on: release the
-  // applier pause (ResetForRestart() must not clear the flag itself — that
-  // would leave pause_depth_ elevated and the streams frozen). A sequenced
-  // query keeps its order position across restarts.
-  if (query.holds_pause) {
-    query.holds_pause = false;
-    ResumeApplier();
-  }
-}
-
-void OrdupMethod::PauseApplier() { ++pause_depth_; }
-
-void OrdupMethod::ResumeApplier() {
-  assert(pause_depth_ > 0);
-  if (--pause_depth_ == 0) Drain();
+  // The restarted attempt is abandoned but the query lives on: release its
+  // pin and applier pause (ResetForRestart() must not clear the flag
+  // itself — that would leave the ledger's pause held and the streams
+  // frozen). A sequenced query keeps its order position across restarts.
+  if (ledger_.Release(query)) Drain();
 }
 
 }  // namespace esr::core

@@ -8,6 +8,7 @@
 #include <utility>
 #include <vector>
 
+#include "esr/apply_ledger.h"
 #include "esr/replica_control.h"
 #include "msg/total_order_buffer.h"
 
@@ -41,13 +42,13 @@ namespace esr::core {
 /// on locally-owned objects are applied. Since every site applies each
 /// stream's total order, update ETs are SR.
 ///
-/// *Divergence bounding*: a query pins the site's apply index (one tick
-/// per applied MSet) at its first read. Each read is charged one
-/// inconsistency unit per conflicting update ET applied past the pin. When
-/// the budget would be exceeded the query can no longer read consistently
-/// at its pin — the facade restarts it in *strict* mode, where the query
-/// pauses the site's streams at its (fresh) pin and reads at an exact
-/// point of the site's apply order, accumulating zero inconsistency.
+/// *Divergence bounding* (ApplyLedger): a query pins the site's apply
+/// index (one tick per applied update MSet) at its first read. Each read is
+/// charged one inconsistency unit per conflicting update ET applied past
+/// the pin. When the budget would be exceeded the query can no longer read
+/// consistently at its pin — the facade restarts it in *strict* mode, where
+/// the query pauses the site's streams at its (fresh) pin and reads at an
+/// exact point of the site's apply order, accumulating zero inconsistency.
 /// epsilon = 0 queries run strict from the start and are one-copy
 /// serializable. Reads of non-owned objects are forwarded by the facade to
 /// an owner.
@@ -124,24 +125,14 @@ class OrdupMethod : public ReplicaControlMethod {
   /// origin re-seeing its own MSet re-installs the owner-set ack
   /// expectation and stability-notice targets that died with the site.
   void MaybeReinstallOrigin(const Mset& mset);
-  /// Conflicting applied updates on `object` with apply index in
-  /// (already-charged mark, apply index].
-  int64_t ChargeFor(const QueryState& query, ObjectId object) const;
-  void PauseApplier();
-  void ResumeApplier();
   Result<Value> TrySequencedRead(QueryState& query, ObjectId object);
-  void RecordRead(const QueryState& query, ObjectId object, const Value& v,
-                  int64_t inc);
 
   /// Followed order service id -> hold-back stream, ascending
   /// (deterministic drain).
   std::map<ShardId, Stream> streams_;
-  /// Site-local apply index: +1 per MSet applied here (any stream).
-  int64_t apply_index_ = 0;
-  /// Per object: apply indices of applied update ETs that wrote it
-  /// (appended in order, hence sorted).
-  std::unordered_map<ObjectId, std::vector<int64_t>> applied_writes_;
-  int pause_depth_ = 0;
+  /// Apply index (+1 per update MSet applied here, any stream), write
+  /// index, charges and the strict pause. The index is not durable.
+  ApplyLedger ledger_;
   /// Sequenced queries: assigned global positions, by query ET.
   std::unordered_map<EtId, SequenceNumber> query_positions_;
   /// Queries that ended before their sequence response arrived.

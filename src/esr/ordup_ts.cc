@@ -1,6 +1,5 @@
 #include "esr/ordup_ts.h"
 
-#include <algorithm>
 #include <cassert>
 
 namespace esr::core {
@@ -59,7 +58,7 @@ void OrdupTsMethod::OnMsetDelivered(const Mset& mset) {
 }
 
 void OrdupTsMethod::TryRelease() {
-  if (pause_depth_ > 0) return;
+  if (ledger_.paused()) return;
   while (!holdback_.empty()) {
     const LamportTimestamp floor = ctx_.stability->WatermarkFloor();
     auto it = holdback_.begin();
@@ -69,93 +68,42 @@ void OrdupTsMethod::TryRelease() {
     Status s = ctx_.store->ApplyAll(mset.operations);
     assert(s.ok());
     (void)s;
-    ++release_index_;
-    std::unordered_set<ObjectId> seen;
-    for (const store::Operation& op : mset.operations) {
-      if (op.IsUpdate() && seen.insert(op.object).second) {
-        applied_writes_[op.object].push_back(release_index_);
-      }
-    }
+    ledger_.RecordApply(mset.operations);
     RecordApplied(mset);
   }
 }
 
 void OrdupTsMethod::SnapshotDurable(MethodDurableState& out) const {
   ReplicaControlMethod::SnapshotDurable(out);
-  out.release_index = release_index_;
+  out.release_index = ledger_.applied();
 }
 
 void OrdupTsMethod::RestoreDurable(const MethodDurableState& in) {
   ReplicaControlMethod::RestoreDurable(in);
-  release_index_ = in.release_index;
-}
-
-int64_t OrdupTsMethod::ChargeFor(const QueryState& query,
-                                 ObjectId object) const {
-  auto it = applied_writes_.find(object);
-  if (it == applied_writes_.end()) return 0;
-  auto mit = query.charged_marks.find(object);
-  const int64_t mark =
-      mit == query.charged_marks.end() ? query.order_pin : mit->second;
-  const std::vector<int64_t>& indexes = it->second;
-  return static_cast<int64_t>(
-      indexes.end() - std::upper_bound(indexes.begin(), indexes.end(), mark));
+  ledger_.RestoreApplied(in.release_index);
 }
 
 Result<Value> OrdupTsMethod::TryQueryRead(QueryState& query,
                                           ObjectId object) {
-  if (!query.pinned) {
-    query.pinned = true;
-    query.order_pin = release_index_;
-    if ((query.strict || query.epsilon - query.inconsistency <= 0) &&
-        !query.holds_pause) {
-      ++pause_depth_;
-      query.holds_pause = true;
-    }
-  }
-  const int64_t inc = ChargeFor(query, object);
-  if (query.epsilon != kUnboundedEpsilon &&
-      query.inconsistency + inc > query.epsilon) {
+  Result<int64_t> inc = ledger_.Charge(query, object);
+  if (!inc.ok()) {
     ctx_.counters->Increment("esr.query_limit_hits");
-    return Status::InconsistencyLimit(
-        "read of object " + std::to_string(object) + " would add " +
-        std::to_string(inc) + " units past epsilon");
+    return inc.status();
   }
-  query.inconsistency += inc;
-  query.charged_marks[object] = release_index_;
   Value v = ctx_.store->Read(object);
   ++query.reads;
-  if (ctx_.config->record_history) {
-    analysis::ReadRecord r;
-    r.query = query.id;
-    r.site = ctx_.site;
-    r.object = object;
-    r.value = v;
-    r.time = ctx_.simulator->Now();
-    r.inconsistency_increment = inc;
-    r.pin = query.order_pin;
-    r.site_apply_index = release_index_;
-    ctx_.history->RecordRead(std::move(r));
-  }
+  RecordRead(query, object, v, *inc, ledger_.applied());
   return v;
 }
 
 void OrdupTsMethod::OnQueryEnd(QueryState& query) {
-  if (query.holds_pause) {
-    query.holds_pause = false;
-    assert(pause_depth_ > 0);
-    if (--pause_depth_ == 0) TryRelease();
-  }
+  if (ledger_.Release(query)) TryRelease();
 }
 
 void OrdupTsMethod::OnQueryRestart(QueryState& query) {
-  // Same contract as ORDUP: the abandoned attempt's release pause must be
-  // handed back here, never dropped by ResetForRestart() alone.
-  if (query.holds_pause) {
-    query.holds_pause = false;
-    assert(pause_depth_ > 0);
-    if (--pause_depth_ == 0) TryRelease();
-  }
+  // Same contract as ORDUP: the abandoned attempt's pin and release pause
+  // must be handed back here, never dropped by ResetForRestart() alone.
+  if (ledger_.Release(query)) TryRelease();
 }
 
 }  // namespace esr::core

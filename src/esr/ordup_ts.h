@@ -2,9 +2,8 @@
 #define ESR_ESR_ORDUP_TS_H_
 
 #include <map>
-#include <unordered_map>
-#include <vector>
 
+#include "esr/apply_ledger.h"
 #include "esr/replica_control.h"
 
 namespace esr::core {
@@ -28,12 +27,11 @@ namespace esr::core {
 /// moves from the origin's commit path to every site's release path. The
 /// ablation bench (bench_ordup_ordering_ablation) quantifies that trade.
 ///
-/// *Divergence bounding*: identical in spirit to centralized ORDUP, with
-/// the site's release index as the order: a query pins the release
-/// watermark at first read and is charged per conflicting released update
-/// past its pin; strict (restarted or epsilon-exhausted-at-start) queries
-/// pause the release at their pin and read a true prefix of the timestamp
-/// order.
+/// *Divergence bounding*: centralized ORDUP's ApplyLedger, with the
+/// site's release index as the order: a query pins the release watermark
+/// at first read and is charged per conflicting released update past its
+/// pin; strict (restarted or epsilon-exhausted-at-start) queries pause the
+/// release at their pin and read a true prefix of the timestamp order.
 class OrdupTsMethod : public ReplicaControlMethod {
  public:
   explicit OrdupTsMethod(const MethodContext& ctx);
@@ -46,7 +44,7 @@ class OrdupTsMethod : public ReplicaControlMethod {
   void OnQueryRestart(QueryState& query) override;
 
   /// Number of MSets applied at this site (the release watermark).
-  int64_t ReleaseIndex() const { return release_index_; }
+  int64_t ReleaseIndex() const { return ledger_.applied(); }
   /// MSets currently held back waiting for the watermark floor.
   int64_t HeldCount() const { return static_cast<int64_t>(holdback_.size()); }
 
@@ -58,15 +56,12 @@ class OrdupTsMethod : public ReplicaControlMethod {
 
  private:
   void TryRelease();
-  int64_t ChargeFor(const QueryState& query, ObjectId object) const;
 
   /// Arrived-but-unreleased MSets, sorted by timestamp (the total order).
   std::map<LamportTimestamp, Mset> holdback_;
-  /// Count of released (applied) MSets: the local order index.
-  int64_t release_index_ = 0;
-  /// Per object: release indexes of applied updates that wrote it (sorted).
-  std::unordered_map<ObjectId, std::vector<int64_t>> applied_writes_;
-  int pause_depth_ = 0;
+  /// Release index (count of released MSets, restored from checkpoints),
+  /// write index, charges and the strict release pause.
+  ApplyLedger ledger_;
 };
 
 }  // namespace esr::core

@@ -123,15 +123,7 @@ Result<Value> QuasiCopyMethod::TryQueryRead(QueryState& query,
   query.pinned = true;
   Value v = ctx_.store->Read(object);
   ++query.reads;
-  if (ctx_.config->record_history) {
-    analysis::ReadRecord r;
-    r.query = query.id;
-    r.site = ctx_.site;
-    r.object = object;
-    r.value = v;
-    r.time = ctx_.simulator->Now();
-    ctx_.history->RecordRead(std::move(r));
-  }
+  RecordRead(query, object, v, /*inc=*/0, /*site_apply_index=*/0);
   return v;
 }
 

@@ -86,11 +86,12 @@ struct QueryState {
   /// already read (always covered by the up-front potential charge).
   int64_t compensation_hits = 0;
 
-  /// Per-object charge marks. Semantics are method-specific: ORDUP stores
-  /// the global-order watermark already charged per object; counter-based
-  /// methods (COMMU / RITU-single / COMPE) store the cumulative
-  /// lock-counter arrival mark. Either way the invariant is the same — a
-  /// query is charged at most once per overlapping update ET.
+  /// Per-object charge marks. Semantics are method-specific: ORDUP and
+  /// ORDUP-TS store the site's apply index at the last charged read (see
+  /// ApplyLedger); counter-based methods (COMMU / RITU-single / COMPE)
+  /// store the cumulative lock-counter arrival mark. Either way the
+  /// invariant is the same — a query is charged at most once per
+  /// overlapping update ET.
   std::unordered_map<ObjectId, int64_t> charged_marks;
   /// Cumulative-weight marks for the value-units accounting.
   std::unordered_map<ObjectId, int64_t> charged_weight_marks;

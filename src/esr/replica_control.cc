@@ -196,6 +196,22 @@ void ReplicaControlMethod::PropagateMset(const Mset& mset) {
   }
 }
 
+void ReplicaControlMethod::RecordRead(const QueryState& query,
+                                      ObjectId object, const Value& v,
+                                      int64_t inc, int64_t site_apply_index) {
+  if (!ctx_.config->record_history) return;
+  analysis::ReadRecord r;
+  r.query = query.id;
+  r.site = ctx_.site;
+  r.object = object;
+  r.value = v;
+  r.time = ctx_.simulator->Now();
+  r.inconsistency_increment = inc;
+  r.pin = query.order_pin;
+  r.site_apply_index = site_apply_index;
+  ctx_.history->RecordRead(std::move(r));
+}
+
 void ReplicaControlMethod::RecordApplied(const Mset& mset) {
   // During WAL replay the pre-crash run already recorded this apply in the
   // shared history/tracer/metrics; re-recording would double-count it.

@@ -233,6 +233,17 @@ class ReplicaControlMethod {
   /// MSet's operations by its own rule.
   void RecordApplied(const Mset& mset);
 
+  /// Records a read served at this site in the history, when enabled:
+  /// `inc` is its charge and `site_apply_index` the site's apply position
+  /// at read time. The pin is `query.order_pin`, which only ORDUP sets.
+  void RecordRead(const QueryState& query, ObjectId object, const Value& v,
+                  int64_t inc, int64_t site_apply_index);
+
+  /// Applies the history holds for this site (for methods with no index).
+  int64_t HistoryApplyCount() const {
+    return static_cast<int64_t>(ctx_.history->site_applies(ctx_.site).size());
+  }
+
   /// Sends this site's Lamport clock to everyone (heartbeat); scheduled
   /// periodically by the facade.
   void SendHeartbeat();

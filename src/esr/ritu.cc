@@ -115,18 +115,7 @@ Result<Value> RituMethod::TryQueryRead(QueryState& query, ObjectId object) {
   }
   query.inconsistency += inc;
   ++query.reads;
-  if (ctx_.config->record_history) {
-    analysis::ReadRecord r;
-    r.query = query.id;
-    r.site = ctx_.site;
-    r.object = object;
-    r.value = v;
-    r.time = ctx_.simulator->Now();
-    r.inconsistency_increment = inc;
-    r.site_apply_index = static_cast<int64_t>(
-        ctx_.history->site_applies(ctx_.site).size());
-    ctx_.history->RecordRead(std::move(r));
-  }
+  RecordRead(query, object, v, inc, HistoryApplyCount());
   return v;
 }
 

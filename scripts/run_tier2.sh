@@ -37,11 +37,13 @@ scripts/run_tier1.sh --sanitize
 # runtime's OrdupNode, ordered COMPE, stable queues and persistent pipes)
 # join because all of them release through the buffer's pop-then-deliver
 # path: the payload leaves the buffer before a delivery callback runs,
-# and that callback may re-enter its owner.
+# and that callback may re-enter its owner. The apply ledger joins with
+# ORDUP and ORDUP-TS (both matched by 'ordup'): its trim pops two deques
+# and erases map entries while pins come and go.
 (
   cd build-asan
   ctest --output-on-failure \
-    -R 'recovery|failure|http_exporter|hop_trace|critical_path|quantile|sequencer|shard|runtime|mv_store|total_order_buffer|stable_queue|persistent_pipe|ordup|compe' \
+    -R 'recovery|failure|http_exporter|hop_trace|critical_path|quantile|sequencer|shard|runtime|mv_store|total_order_buffer|stable_queue|persistent_pipe|ordup|compe|apply_ledger' \
     --repeat until-fail:2 -j "$(nproc)"
 )
 

@@ -8,6 +8,9 @@
 #
 # Covered outputs (each read identical across repeated runs):
 #   - esrsim --verify stdout for all 10 methods
+#   - hop traces: stdout and the --trace-out waterfall JSONL of traced
+#     esrsim --verify runs of ORDUP and COMPE (with aborts), and of the
+#     fully replicated amnesia run below
 #   - a sharded esrsim run (4 shards, RF 2, 8 sites) with a global standby
 #     sequencer and an amnesia crash of site 0 recovered from file-backed
 #     storage: its stdout plus every site's .ckpt and .wal file
@@ -56,6 +59,14 @@ for method in ordup ordup-ts commu ritu ritu-sv compe compe-ord 2pc quorum \
   echo "$(hash esrsim.out)  esrsim --method=$method --verify"
 done
 
+for method in ordup compe; do
+  "$BUILD_DIR/examples/esrsim" --method="$method" --verify \
+    --trace-out=trace.jsonl > traced.out
+  echo "$(hash traced.out)  esrsim --method=$method --verify --trace-out: stdout"
+  echo "$(hash trace.jsonl)  esrsim --method=$method --verify --trace-out:" \
+    "trace.jsonl"
+done
+
 "$BUILD_DIR/examples/esrsim" --method=ordup --sites=8 --shards=4 \
   --replication-factor=2 --sequencer-standby=1 --amnesia-crash=0:100:300 \
   --recovery-dir=recovery --seed=7 --verify > sharded.out
@@ -75,6 +86,18 @@ mkdir full
     echo "$(hash "$file")  esrsim full-replication amnesia run:" \
       "$(basename "$file")"
   done
+)
+
+mkdir full-traced
+(
+  cd full-traced
+  "$BUILD_DIR/examples/esrsim" --method=ordup --sites=4 \
+    --sequencer-standby=1 --amnesia-crash=2:100:300 --recovery-dir=recovery \
+    --seed=7 --verify --trace-out=trace.jsonl > full.out
+  echo "$(hash full.out)  esrsim full-replication amnesia run --trace-out:" \
+    "stdout"
+  echo "$(hash trace.jsonl)  esrsim full-replication amnesia run" \
+    "--trace-out: trace.jsonl"
 )
 
 for bench in $BENCHES; do

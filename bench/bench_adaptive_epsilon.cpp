@@ -79,7 +79,6 @@ CellResult RunCell(core::Method method, int64_t static_epsilon) {
   config.seed = 811;
   config.network.base_latency_us = 20'000;  // stability lag keeps locks hot
   config.record_history = false;
-  config.record_spans = false;
   if (static_epsilon < 0) {
     config.admission.enabled = true;
     config.admission.initial_scale = 0.0;  // start at the min, like tight

@@ -236,9 +236,9 @@ int main(int argc, char** argv) {
                    "without bound)\n");
       verify = false;
     }
-    // An endless session must keep memory bounded: no history, and span
-    // recording switches to the deterministic reservoir.
-    if (config.span_reservoir_size <= 0) config.span_reservoir_size = 4096;
+    // An endless session records no history. Memory still grows by one
+    // entry per ET: the ET tracer's lifecycle map and each site's
+    // stability tracker never drop finished ETs.
   }
   config.record_history = verify;
   if (config.recovery.enabled &&
@@ -306,8 +306,8 @@ int main(int argc, char** argv) {
   }
 
   auto emit_traces = [&]() {
-    const esr::obs::HopTracer* hops = system.hop_tracer();
-    if (hops == nullptr) return;
+    const esr::obs::EtTracer& tracer = system.tracer();
+    if (!tracer.hops_enabled()) return;
     esr::analysis::ProtocolTypes types;
     types.mset = esr::core::kMsetMsg;
     types.apply_ack = esr::core::kApplyAckMsg;
@@ -316,13 +316,13 @@ int main(int argc, char** argv) {
         esr::core::MethodToString(config.method));
     std::printf("\n%s", esr::analysis::RenderReportTable(
                             esr::analysis::BuildReport(
-                                hops->completed(), method_name, types))
+                                tracer.completed(), method_name, types))
                             .c_str());
     if (!trace_out.empty()) {
       const esr::Status written = esr::analysis::WriteWaterfallsJsonl(
-          hops->completed(), method_name, trace_out, types);
+          tracer.completed(), method_name, trace_out, types);
       if (written.ok()) {
-        std::printf("wrote %zu waterfalls to %s\n", hops->completed().size(),
+        std::printf("wrote %zu waterfalls to %s\n", tracer.completed().size(),
                     trace_out.c_str());
       } else {
         std::fprintf(stderr, "trace export failed: %s\n",

@@ -8,7 +8,7 @@
 
 #include "common/status.h"
 #include "common/types.h"
-#include "obs/hop_tracer.h"
+#include "obs/et_tracer.h"
 
 namespace esr::analysis {
 

@@ -88,25 +88,4 @@ Status WriteHistoryJsonl(const HistoryRecorder& history, int num_sites,
   return Status::Ok();
 }
 
-std::string ExportSpansJsonl(const obs::EtTracer& tracer) {
-  std::ostringstream os;
-  for (const obs::SpanEvent& e : tracer.events()) {
-    os << "{\"kind\":\"span\",\"et\":" << e.et << ",\"phase\":\""
-       << obs::EtPhaseToString(e.phase) << "\",\"site\":" << e.site
-       << ",\"time\":" << e.time << ",\"detail\":" << e.detail << "}\n";
-  }
-  return os.str();
-}
-
-Status WriteSpansJsonl(const obs::EtTracer& tracer, const std::string& path) {
-  std::ofstream out(path, std::ios::trunc);
-  if (!out) {
-    return Status::InvalidArgument("cannot open " + path + " for writing");
-  }
-  out << ExportSpansJsonl(tracer);
-  out.close();
-  if (!out) return Status::Internal("short write to " + path);
-  return Status::Ok();
-}
-
 }  // namespace esr::analysis

@@ -5,7 +5,6 @@
 
 #include "analysis/history.h"
 #include "common/status.h"
-#include "obs/et_tracer.h"
 
 namespace esr::analysis {
 
@@ -27,16 +26,6 @@ std::string ExportHistoryJsonl(const HistoryRecorder& history, int num_sites);
 /// Writes ExportHistoryJsonl's output to `path`.
 Status WriteHistoryJsonl(const HistoryRecorder& history, int num_sites,
                          const std::string& path);
-
-/// Renders the EtTracer's lifecycle spans as JSON Lines, one event per
-/// line, in recording order (deterministic for a seeded run):
-///
-///   {"kind":"span","et":...,"phase":"submit|local_commit|enqueue|apply|
-///    stable|aborted","site":...,"time":...,"detail":...}
-std::string ExportSpansJsonl(const obs::EtTracer& tracer);
-
-/// Writes ExportSpansJsonl's output to `path`.
-Status WriteSpansJsonl(const obs::EtTracer& tracer, const std::string& path);
 
 }  // namespace esr::analysis
 

@@ -170,13 +170,11 @@ void CompeMethod::HandleDecision(EtId et, bool commit) {
   // Abort: compensate the local application (or suppress it if it has not
   // been released yet in ordered mode).
   if (!replaying) ctx_.counters->Increment("esr.compe_aborts");
-  // The tracer keeps one terminal span per ET; the origin processes its own
-  // decision first, so the aborted span carries the origin site.
+  // The tracer counts one terminal phase per ET and closes its hop trace
+  // once; the origin processes its own decision first, so the aborted
+  // phase carries the origin site.
   if (ctx_.tracer != nullptr && et > 0 && !replaying) {
     ctx_.tracer->OnAborted(et, ctx_.site, ctx_.simulator->Now());
-  }
-  if (ctx_.hops != nullptr && et > 0 && !replaying) {
-    ctx_.hops->OnAborted(et, ctx_.simulator->Now());
   }
   if (ctx_.config->record_history && !replaying) {
     ctx_.history->RecordUpdateAborted(et);

@@ -197,21 +197,12 @@ struct SystemConfig {
   /// benchmark runs where only counters matter).
   bool record_history = true;
 
-  /// Record ET lifecycle span events into the EtTracer (disable for very
-  /// long benchmark runs; live gauges and metric counters stay on either
-  /// way — only the per-event span vector stops growing).
-  bool record_spans = true;
-
-  /// Bounded span recording: when > 0 the EtTracer keeps a uniform random
-  /// reservoir of at most this many span events (deterministic for a fixed
-  /// seed) instead of the exact unbounded vector. 0 = exact mode (default).
-  int64_t span_reservoir_size = 0;
-
-  /// Hop-level causal tracing (obs::HopTracer): record per-message hop
-  /// spans — transport deliveries, sequencer round trips, total-order
-  /// waits, catch-up exchanges — for the critical-path waterfall analyzer.
-  /// Off by default; when off no tracer is installed and the per-message
-  /// hot path is untouched.
+  /// Hop-level causal tracing (the EtTracer's hop side): record
+  /// per-message hop spans — transport deliveries, sequencer round trips,
+  /// total-order waits, catch-up exchanges — for the critical-path
+  /// waterfall analyzer. Off by default; when off the transports and
+  /// sequencer clients get no tracer, so the per-message hot path is
+  /// untouched.
   bool record_hops = false;
 
   /// Completed hop traces kept (FIFO ring, oldest evicted) when

@@ -21,7 +21,6 @@
 #include "msg/lamport_clock.h"
 #include "msg/mailbox.h"
 #include "obs/et_tracer.h"
-#include "obs/hop_tracer.h"
 #include "obs/metric_registry.h"
 #include "msg/sequencer.h"
 #include "msg/reliable_transport.h"
@@ -61,9 +60,6 @@ struct MethodContext {
   Counters* counters = nullptr;                  // shared
   obs::MetricRegistry* metrics = nullptr;        // shared
   obs::EtTracer* tracer = nullptr;               // shared
-  /// Hop-level causal tracer; null unless SystemConfig::record_hops (every
-  /// use is pointer-guarded, so disabled tracing costs nothing).
-  obs::HopTracer* hops = nullptr;  // shared
   const SystemConfig* config = nullptr;
   /// Per-site durability handle; null unless SystemConfig::recovery.enabled.
   /// Methods call its Log*/AlreadyApplied hooks at their message-processing

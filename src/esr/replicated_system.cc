@@ -163,11 +163,6 @@ SequenceNumber MethodOrderSeen(const ReplicaControlMethod* method,
 ReplicatedSystem::ReplicatedSystem(const SystemConfig& config)
     : config_(config), tracer_(&metrics_, config.num_sites) {
   assert(config_.num_sites > 0);
-  tracer_.set_record_events(config_.record_spans);
-  if (config_.span_reservoir_size > 0) {
-    tracer_.ConfigureSpanReservoir(config_.span_reservoir_size,
-                                   config_.seed ^ 0xA5A5A5A5ULL);
-  }
   metrics_.Describe("esr_info", "Static run configuration (always 1)");
   metrics_
       .GetGauge("esr_info",
@@ -182,15 +177,14 @@ ReplicatedSystem::ReplicatedSystem(const SystemConfig& config)
       &simulator_, network_.get(), config_.seed ^ 0x9e3779b97f4a7c15ULL);
 
   if (config_.record_hops) {
-    hop_tracer_ = std::make_unique<obs::HopTracer>(config_.num_sites,
-                                                   config_.trace_max_ets);
+    tracer_.EnableHops(config_.trace_max_ets);
     // The network reports every successful delivery whose wire envelope
     // carries a valid trace — the per-hop "arrive" milestone (raw datagram
     // at the destination, before any transport hold-back).
     network_->SetHopObserver([this](const TraceContext& trace, SiteId source,
                                     SiteId destination, SimTime /*sent_at*/,
                                     SimTime now) {
-      hop_tracer_->NetArrive(trace, source, destination, now);
+      tracer_.NetArrive(trace, source, destination, now);
     });
   }
 
@@ -238,7 +232,7 @@ ReplicatedSystem::ReplicatedSystem(const SystemConfig& config)
       site.queues = std::make_unique<msg::StableQueueManager>(
           &simulator_, site.mailbox.get(), config_.queue);
     }
-    if (hop_tracer_ != nullptr) site.queues->set_hop_tracer(hop_tracer_.get());
+    if (config_.record_hops) site.queues->set_tracer(&tracer_);
     site.stability =
         std::make_unique<StabilityTracker>(s, config_.num_sites);
     InstallVersionGc(s);
@@ -331,7 +325,7 @@ ReplicatedSystem::ReplicatedSystem(const SystemConfig& config)
         ReplicaControlMethod* method = sites_[s]->method.get();
         if (method != nullptr) method->ReleaseOrphanPosition(shard, seq);
       });
-      if (hop_tracer_ != nullptr) client->set_hop_tracer(hop_tracer_.get());
+      if (config_.record_hops) client->set_tracer(&tracer_);
       site.seq_clients.push_back(std::move(client));
     }
     if (placement_ != nullptr) BindQueryForwarding(s);
@@ -443,7 +437,6 @@ MethodContext ReplicatedSystem::MakeContext(SiteId s) {
   ctx.counters = &counters_;
   ctx.metrics = &metrics_;
   ctx.tracer = &tracer_;
-  ctx.hops = hop_tracer_.get();
   ctx.config = &config_;
   ctx.recovery = recovery_ != nullptr ? recovery_->site(s) : nullptr;
   ctx.for_each_active_query =
@@ -608,10 +601,7 @@ void ReplicatedSystem::BindRecoverySite(SiteId s) {
       [this, s](SiteId /*source*/, const std::any& body) {
         const auto* resp = std::any_cast<recovery::CatchupResponse>(&body);
         assert(resp != nullptr);
-        if (hop_tracer_ != nullptr) {
-          hop_tracer_->CatchupEnd(resp->exchange, s, resp->from,
-                                  simulator_.Now());
-        }
+        tracer_.CatchupEnd(resp->exchange, s, resp->from, simulator_.Now());
         recovery_->ApplyCatchupResponse(s, *resp);
       });
 }
@@ -745,9 +735,7 @@ void ReplicatedSystem::AmnesiaRestart(SiteId s) {
   }
   const int64_t size_bytes = 64 + 16 * config_.num_sites;
   for (SiteId d : catchup_targets) {
-    if (hop_tracer_ != nullptr) {
-      hop_tracer_->CatchupBegin(request.exchange, s, d, simulator_.Now());
-    }
+    tracer_.CatchupBegin(request.exchange, s, d, simulator_.Now());
     site.queues->Send(d, msg::Envelope{recovery::kCatchupRequestMsg, request},
                       size_bytes);
   }
@@ -914,12 +902,12 @@ void ReplicatedSystem::ShutdownMetricsEndpoint() {
 }
 
 std::string ReplicatedSystem::TracesJson() const {
-  if (hop_tracer_ == nullptr) return "[]";
+  if (!tracer_.hops_enabled()) return "[]";
   analysis::ProtocolTypes types;
   types.mset = kMsetMsg;
   types.apply_ack = kApplyAckMsg;
   types.stable = kStableMsg;
-  return analysis::WaterfallsJson(hop_tracer_->completed(),
+  return analysis::WaterfallsJson(tracer_.completed(),
                                   config_.trace_max_ets, types);
 }
 
@@ -993,11 +981,8 @@ Result<EtId> ReplicatedSystem::SubmitUpdate(SiteId origin,
     --next_et_;
     return admitted;
   }
-  tracer_.OnSubmit(et, origin, simulator_.Now());
-  if (hop_tracer_ != nullptr) {
-    hop_tracer_->OnSubmit(et, origin, simulator_.Now(),
-                          ObjectClassLabel(ops));
-  }
+  tracer_.OnSubmit(et, origin, simulator_.Now(),
+                   tracer_.hops_enabled() ? ObjectClassLabel(ops) : "");
   metrics_.GetCounter("esr_updates_submitted_total").Increment();
   sites_[origin]->method->SubmitUpdate(et, std::move(ops), std::move(done));
   return et;

@@ -16,7 +16,6 @@
 #include "esr/config.h"
 #include "esr/replica_control.h"
 #include "obs/et_tracer.h"
-#include "obs/hop_tracer.h"
 #include "obs/metric_registry.h"
 #include "recovery/recovery_manager.h"
 #include "shard/placement_map.h"
@@ -68,11 +67,10 @@ class ReplicatedSystem {
   Counters& counters() { return counters_; }
   obs::MetricRegistry& metrics() { return metrics_; }
   const obs::MetricRegistry& metrics() const { return metrics_; }
+  /// The ET tracer: lifecycle gauges always, hop traces when
+  /// config.record_hops.
   obs::EtTracer& tracer() { return tracer_; }
   const obs::EtTracer& tracer() const { return tracer_; }
-  /// Hop-level causal tracer; null unless config.record_hops.
-  obs::HopTracer* hop_tracer() { return hop_tracer_.get(); }
-  const obs::HopTracer* hop_tracer() const { return hop_tracer_.get(); }
   /// Null unless config.admission.enabled (and the method is asynchronous).
   const AdmissionController* admission() const { return admission_.get(); }
   /// Null unless config.recovery.enabled (and the method is asynchronous).
@@ -322,11 +320,9 @@ class ReplicatedSystem {
   analysis::HistoryRecorder history_;
   Counters counters_;
   obs::MetricRegistry metrics_;
+  /// Shared by every site's method instance; with config.record_hops also
+  /// installed in every transport and sequencer client.
   obs::EtTracer tracer_;
-  /// Hop-level causal tracer (config.record_hops); shared by every site's
-  /// transport, sequencer client, and method instance. Null when disabled —
-  /// all call sites guard on the pointer.
-  std::unique_ptr<obs::HopTracer> hop_tracer_;
   std::vector<std::unique_ptr<SiteRuntime>> sites_;
   /// Partial replication (config_.shard.num_shards > 1, ORDUP only): the
   /// deterministic object -> shard -> owner-set assignment every routing,

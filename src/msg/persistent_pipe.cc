@@ -3,7 +3,7 @@
 #include <cassert>
 #include <utility>
 
-#include "obs/hop_tracer.h"
+#include "obs/et_tracer.h"
 
 namespace esr::msg {
 
@@ -66,14 +66,14 @@ void PersistentPipeManager::Transmit(SiteId destination, SequenceNumber seq) {
     out.max_transmitted = seq;
   }
   Envelope wire{kPipeData, PipeData{seq, it->second.payload}};
-  if (hops_ != nullptr) {
+  if (tracer_ != nullptr) {
     if (const auto* inner = std::any_cast<Envelope>(&it->second.payload);
         inner != nullptr && inner->trace.valid()) {
       // First transmission opens the hop (QueueSend ignores retransmits);
       // the wire datagram carries the context either way so the network
       // can attribute its transit.
-      hops_->QueueSend(inner->trace, inner->type, mailbox_->self(),
-                       destination, simulator_->Now());
+      tracer_->QueueSend(inner->trace, inner->type, mailbox_->self(),
+                         destination, simulator_->Now());
       wire.trace = inner->trace;
       wire.trace.msg_type = inner->type;
     }
@@ -83,11 +83,11 @@ void PersistentPipeManager::Transmit(SiteId destination, SequenceNumber seq) {
 
 void PersistentPipeManager::RecordDeliverHop(SiteId source,
                                              const std::any& payload) {
-  if (hops_ == nullptr) return;
+  if (tracer_ == nullptr) return;
   if (const auto* inner = std::any_cast<Envelope>(&payload);
       inner != nullptr && inner->trace.valid()) {
-    hops_->QueueDeliver(inner->trace, inner->type, source, mailbox_->self(),
-                        simulator_->Now());
+    tracer_->QueueDeliver(inner->trace, inner->type, source,
+                          mailbox_->self(), simulator_->Now());
   }
 }
 

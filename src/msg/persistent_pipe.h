@@ -48,7 +48,7 @@ class PersistentPipeManager : public ReliableTransport {
   int64_t UnackedCount(SiteId destination) const override;
   const Counters& counters() const override { return counters_; }
 
-  void set_hop_tracer(obs::HopTracer* hops) override { hops_ = hops; }
+  void set_tracer(obs::EtTracer* tracer) override { tracer_ = tracer; }
 
  private:
   struct Segment {
@@ -88,7 +88,7 @@ class PersistentPipeManager : public ReliableTransport {
   std::unordered_map<SiteId, Outbound> outbound_;
   std::unordered_map<SiteId, Inbound> inbound_;
   Counters counters_;
-  obs::HopTracer* hops_ = nullptr;
+  obs::EtTracer* tracer_ = nullptr;
 };
 
 }  // namespace esr::msg

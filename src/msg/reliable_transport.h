@@ -8,7 +8,7 @@
 #include "common/types.h"
 
 namespace esr::obs {
-class HopTracer;
+class EtTracer;
 }  // namespace esr::obs
 
 namespace esr::msg {
@@ -55,10 +55,11 @@ class ReliableTransport {
   /// Transport event counters (sent/retransmit/duplicate/delivered...).
   virtual const Counters& counters() const = 0;
 
-  /// Installs the hop tracer (may be null = tracing off, the default).
+  /// Installs the ET tracer for hop recording (may be null = tracing off,
+  /// the default).
   /// Transports then record a kQueue hop per (ET, message type,
   /// destination): opened at first transmission, closed at hand-off.
-  virtual void set_hop_tracer(obs::HopTracer* hops) = 0;
+  virtual void set_tracer(obs::EtTracer* tracer) = 0;
 };
 
 }  // namespace esr::msg

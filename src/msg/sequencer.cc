@@ -6,7 +6,7 @@
 #include <limits>
 #include <utility>
 
-#include "obs/hop_tracer.h"
+#include "obs/et_tracer.h"
 #include "obs/metric_registry.h"
 
 namespace esr::msg {
@@ -262,8 +262,8 @@ void SequencerClient::Request(Callback done, TraceContext trace) {
   entry.trace = trace;
   entry.begin = clock_->Now();
   entry.seq_to = home_;
-  if (hops_ != nullptr && trace.valid()) {
-    hops_->SeqBegin(trace.et, port_->self(), home_, entry.begin);
+  if (tracer_ != nullptr && trace.valid()) {
+    tracer_->SeqBegin(trace.et, port_->self(), home_, entry.begin);
   }
   queue_.push_back(std::move(entry));
   if (static_cast<int32_t>(queue_.size()) >= batch_max_) {
@@ -522,8 +522,8 @@ void SequencerClient::AbandonPending() {
 }
 
 void SequencerClient::CloseSpan(const Entry& entry) {
-  if (hops_ == nullptr || !entry.trace.valid()) return;
-  hops_->SeqEnd(entry.trace.et, port_->self(), entry.seq_to, clock_->Now());
+  if (tracer_ == nullptr || !entry.trace.valid()) return;
+  tracer_->SeqEnd(entry.trace.et, port_->self(), entry.seq_to, clock_->Now());
 }
 
 int64_t SequencerClient::PendingCount() const {

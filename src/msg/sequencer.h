@@ -13,7 +13,7 @@
 #include "runtime/interfaces.h"
 
 namespace esr::obs {
-class HopTracer;
+class EtTracer;
 class MetricRegistry;
 }  // namespace esr::obs
 
@@ -306,8 +306,8 @@ class SequencerClient {
   /// immediately and alone, the original one-grant-per-round-trip shape.
   void set_batching(int32_t batch_max, SimDuration linger_us);
 
-  /// Installs the hop tracer recording kSeqRtt spans (null = off).
-  void set_hop_tracer(obs::HopTracer* hops) { hops_ = hops; }
+  /// Installs the ET tracer recording kSeqRtt hops (null = off).
+  void set_tracer(obs::EtTracer* tracer) { tracer_ = tracer; }
 
   /// Metrics sink for the esr_seq_* client families (null = off).
   void set_metrics(obs::MetricRegistry* metrics) { metrics_ = metrics; }
@@ -403,7 +403,7 @@ class SequencerClient {
   SequenceNumber max_grant_seen_ = 0;
   std::function<void(SequenceNumber)> orphan_handler_;
   std::function<SequenceNumber()> high_watermark_provider_;
-  obs::HopTracer* hops_ = nullptr;
+  obs::EtTracer* tracer_ = nullptr;
   obs::MetricRegistry* metrics_ = nullptr;
   std::shared_ptr<int> alive_ = std::make_shared<int>(0);
 };

@@ -3,7 +3,7 @@
 #include <cassert>
 #include <utility>
 
-#include "obs/hop_tracer.h"
+#include "obs/et_tracer.h"
 
 namespace esr::msg {
 
@@ -47,7 +47,7 @@ StableQueueManager::StableQueueManager(sim::Simulator* simulator,
 Envelope StableQueueManager::WireEnvelope(SequenceNumber seq,
                                           const std::any& payload) const {
   Envelope wire{kQueueData, QueueData{seq, payload}};
-  if (hops_ != nullptr) {
+  if (tracer_ != nullptr) {
     if (const auto* inner = std::any_cast<Envelope>(&payload);
         inner != nullptr && inner->trace.valid()) {
       wire.trace = inner->trace;
@@ -59,11 +59,11 @@ Envelope StableQueueManager::WireEnvelope(SequenceNumber seq,
 
 void StableQueueManager::RecordDeliverHop(SiteId source,
                                           const std::any& payload) {
-  if (hops_ == nullptr) return;
+  if (tracer_ == nullptr) return;
   if (const auto* inner = std::any_cast<Envelope>(&payload);
       inner != nullptr && inner->trace.valid()) {
-    hops_->QueueDeliver(inner->trace, inner->type, source, mailbox_->self(),
-                        simulator_->Now());
+    tracer_->QueueDeliver(inner->trace, inner->type, source,
+                          mailbox_->self(), simulator_->Now());
   }
 }
 
@@ -74,11 +74,11 @@ void StableQueueManager::Send(SiteId destination, std::any payload,
   out.unacked.emplace(seq, std::make_pair(std::move(payload), size_bytes));
   counters_.Increment("queue.sent");
   const std::any& stored = out.unacked.at(seq).first;
-  if (hops_ != nullptr) {
+  if (tracer_ != nullptr) {
     if (const auto* inner = std::any_cast<Envelope>(&stored);
         inner != nullptr && inner->trace.valid()) {
-      hops_->QueueSend(inner->trace, inner->type, mailbox_->self(),
-                       destination, simulator_->Now());
+      tracer_->QueueSend(inner->trace, inner->type, mailbox_->self(),
+                         destination, simulator_->Now());
     }
   }
   mailbox_->Send(destination, WireEnvelope(seq, stored), size_bytes);

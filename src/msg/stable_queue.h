@@ -63,7 +63,7 @@ class StableQueueManager : public ReliableTransport {
   /// Event counters: sent, retransmits, duplicates dropped, delivered.
   const Counters& counters() const override { return counters_; }
 
-  void set_hop_tracer(obs::HopTracer* hops) override { hops_ = hops; }
+  void set_tracer(obs::EtTracer* tracer) override { tracer_ = tracer; }
 
  private:
   struct Outbound {
@@ -97,7 +97,7 @@ class StableQueueManager : public ReliableTransport {
   std::unordered_map<SiteId, Outbound> outbound_;
   std::unordered_map<SiteId, Inbound> inbound_;
   Counters counters_;
-  obs::HopTracer* hops_ = nullptr;
+  obs::EtTracer* tracer_ = nullptr;
 };
 
 }  // namespace esr::msg

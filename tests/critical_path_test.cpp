@@ -11,7 +11,7 @@
 #include <deque>
 #include <string>
 
-#include "obs/hop_tracer.h"
+#include "obs/et_tracer.h"
 #include "test_util.h"
 #include "workload/workload.h"
 
@@ -161,7 +161,7 @@ CriticalPathReport RunAndReport(int64_t seq_link_latency_us) {
   types.mset = core::kMsetMsg;
   types.apply_ack = core::kApplyAckMsg;
   types.stable = core::kStableMsg;
-  return BuildReport(system.hop_tracer()->completed(), "ordup", types);
+  return BuildReport(system.tracer().completed(), "ordup", types);
 }
 
 TEST(CriticalPathTest, InflatedSequencerLatencyShiftsDominantSegment) {

@@ -119,28 +119,6 @@ TEST(TraceExportTest, RoundTripCountsMatchHistory) {
                 h.reads().size() + h.queries().size());
 }
 
-TEST(TraceExportTest, SpanExportRoundTrip) {
-  core::ReplicatedSystem system(Config(Method::kOrdup));
-  MustSubmit(system, 1, {Operation::Increment(0, 2)});
-  system.RunUntilQuiescent();
-
-  const std::string jsonl = ExportSpansJsonl(system.tracer());
-  const auto lines = ParseLines(jsonl);
-  EXPECT_EQ(lines.size(), system.tracer().events().size());
-  EXPECT_EQ(CountKind(lines, "span"), static_cast<int>(lines.size()));
-  // One line per lifecycle phase of the single ET, in recording order.
-  EXPECT_NE(lines.front().find("\"phase\":\"submit\""), std::string::npos);
-  EXPECT_NE(lines.back().find("\"phase\":\"stable\""), std::string::npos);
-
-  const std::string path = ::testing::TempDir() + "/esr_span_test.jsonl";
-  ASSERT_TRUE(WriteSpansJsonl(system.tracer(), path).ok());
-  std::ifstream in(path);
-  std::stringstream buffer;
-  buffer << in.rdbuf();
-  EXPECT_EQ(buffer.str(), jsonl);
-  std::remove(path.c_str());
-}
-
 TEST(TraceExportTest, WritesFile) {
   core::ReplicatedSystem system(Config(Method::kCommu));
   MustSubmit(system, 0, {Operation::Increment(0, 1)});

@@ -39,11 +39,14 @@ scripts/run_tier1.sh --sanitize
 # path: the payload leaves the buffer before a delivery callback runs,
 # and that callback may re-enter its owner. The apply ledger joins with
 # ORDUP and ORDUP-TS (both matched by 'ordup'): its trim pops two deques
-# and erases map entries while pins come and go.
+# and erases map entries while pins come and go. The ET tracer's unit
+# tests (obs_test) join hop_trace and critical_path: its hop side moves
+# traces out of an evictable map into a bounded ring and hands out
+# pointers into both.
 (
   cd build-asan
   ctest --output-on-failure \
-    -R 'recovery|failure|http_exporter|hop_trace|critical_path|quantile|sequencer|shard|runtime|mv_store|total_order_buffer|stable_queue|persistent_pipe|ordup|compe|apply_ledger' \
+    -R 'recovery|failure|http_exporter|hop_trace|critical_path|quantile|sequencer|shard|runtime|mv_store|total_order_buffer|stable_queue|persistent_pipe|ordup|compe|apply_ledger|obs' \
     --repeat until-fail:2 -j "$(nproc)"
 )
 

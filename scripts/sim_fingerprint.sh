@@ -23,6 +23,9 @@
 #   - stdout, .metrics.prom and .bench.json of bench_transport_ablation, the
 #     one deterministic output that runs stable queues and persistent pipes
 #     under loss
+#   - stdout and .metrics.prom of bench_adaptive_epsilon, the one output
+#     that runs the admission-sampling timer; its google-benchmark BM_
+#     lines are wall-clock timings and are left out
 #
 # scripts/sim_fingerprint.expected holds the committed output, and
 # scripts/run_tier2.sh fails when a fresh run differs from it. A change
@@ -44,7 +47,7 @@ BENCHES="bench_table1_methods bench_sharding bench_ordup_ordering_ablation
 cmake -B "$BUILD_DIR" -S . >&2
 # shellcheck disable=SC2086
 cmake --build "$BUILD_DIR" -j "$(nproc)" --target esrsim $BENCHES \
-  bench_transport_ablation >&2
+  bench_transport_ablation bench_adaptive_epsilon >&2
 BUILD_DIR=$(cd "$BUILD_DIR" && pwd)
 
 WORK=$(mktemp -d)
@@ -112,3 +115,8 @@ echo "$(hash "$bench.out")  $bench: stdout"
 for file in "$bench.metrics.prom" "$bench.bench.json"; do
   echo "$(hash "$file")  $bench: $file"
 done
+
+bench=bench_adaptive_epsilon
+"$BUILD_DIR/bench/$bench" | grep -v '^BM_' > "$bench.out"
+echo "$(hash "$bench.out")  $bench: stdout without BM_ lines"
+echo "$(hash "$bench.metrics.prom")  $bench: $bench.metrics.prom"

@@ -16,6 +16,8 @@
 #include <chrono>
 #include <string>
 #include <thread>
+#include <utility>
+#include <vector>
 
 #include <gtest/gtest.h>
 
@@ -246,6 +248,46 @@ TEST(HttpExporterFacadeTest, EndToEndScrapeOfLiveSystem) {
   system.RunUntilQuiescent();
   const std::string body3 = BodyOf(HttpGet(port, "/metrics"));
   EXPECT_NE(body3.find("esr_converged 1"), std::string::npos);
+}
+
+TEST(HttpExporterFacadeTest, PublishCadencePinned) {
+  // The periodic publisher's snapshot sequence: one snapshot at
+  // construction, one per metrics_publish_interval_us of simulated time,
+  // one when RunUntilQuiescent drains (which restarts the cadence), one at
+  // ShutdownMetricsEndpoint, and none after it.
+  auto config = Config(Method::kOrdup, 3, 17);
+  config.metrics_port = 0;
+  config.metrics_publish_interval_us = 50'000;
+  core::ReplicatedSystem system(config);
+  const MetricsSnapshotChannel* channel = system.metrics_channel();
+  ASSERT_NE(channel, nullptr);
+  std::vector<std::pair<int64_t, int64_t>> seen;  // (sequence, sim time)
+  auto record = [&] {
+    const auto snapshot = channel->Load();
+    ASSERT_NE(snapshot, nullptr);
+    EXPECT_EQ(snapshot->sequence, channel->publishes());
+    seen.emplace_back(snapshot->sequence, snapshot->sim_time_us);
+  };
+  record();
+  MustSubmit(system, 0, {Operation::Increment(0, 1)});
+  system.RunFor(240'000);
+  record();
+  MustSubmit(system, 1, {Operation::Increment(1, 1)});
+  system.RunUntilQuiescent();
+  record();
+  system.RunFor(120'000);
+  record();
+  system.ShutdownMetricsEndpoint();
+  record();
+  system.RunFor(200'000);
+  record();
+  EXPECT_EQ(seen, (std::vector<std::pair<int64_t, int64_t>>{
+                      {1, 0},
+                      {5, 200'000},
+                      {6, 290'303},
+                      {8, 390'303},
+                      {9, 410'303},
+                      {9, 410'303}}));
 }
 
 }  // namespace

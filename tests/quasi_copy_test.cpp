@@ -1,5 +1,7 @@
 #include "esr/quasi_copy.h"
 
+#include <vector>
+
 #include <gtest/gtest.h>
 
 #include "analysis/sr_checker.h"
@@ -158,6 +160,42 @@ TEST(QuasiCopyTest, RefreshReorderingCannotRegressCaches) {
   // Timestamped refreshes: the newest value wins everywhere.
   EXPECT_TRUE(system.Converged());
   EXPECT_EQ(system.SiteValue(1, 0).AsInt(), 10);
+}
+
+TEST(QuasiCopyTest, RefreshTimerRunPinnedDigests) {
+  // Pins a run whose caches are refreshed only by the delay condition's
+  // timer, alongside heartbeats, across a quiescent drain that stops every
+  // periodic timer and starts it again. The cache values sampled after
+  // each step record when the refreshes landed.
+  auto config = Config(Method::kQuasiCopy, 3, 29);
+  config.quasi_version_lag = 1'000;  // version condition out of the way
+  config.quasi_refresh_interval_us = 20'000;
+  config.network.jitter_us = 2'000;
+  ReplicatedSystem system(config);
+  std::vector<int64_t> cached;
+  for (int round = 0; round < 3; ++round) {
+    for (SiteId s = 0; s < 3; ++s) {
+      MustSubmit(system, s, {Operation::Increment(s, round + 1)});
+    }
+    system.RunFor(15'000);
+    for (ObjectId object = 0; object < 3; ++object) {
+      cached.push_back(system.SiteValue(2, object).AsInt());
+    }
+  }
+  system.RunUntilQuiescent();
+  MustSubmit(system, 1, {Operation::Increment(0, 7)});
+  system.RunFor(15'000);
+  cached.push_back(system.SiteValue(2, 0).AsInt());
+  system.RunFor(15'000);
+  cached.push_back(system.SiteValue(2, 0).AsInt());
+  EXPECT_EQ(cached, (std::vector<int64_t>{0, 0, 0, 3, 3, 3, 6, 6, 6, 6, 13}));
+  EXPECT_EQ(system.counters().Get("quasi.refreshes"), 7);
+  test::ExpectPinnedRun(
+      test::CapturePinnedRun(system),
+      {{0x33a2de9651e57890ull, 0x33a2de9651e57890ull, 0x33a2de9651e57890ull},
+       {0, 0, 0, 0, 0, 0, 0, 0, 0, 0},
+       {"queue.delivered=14 queue.sent=31", "queue.delivered=19 queue.sent=12",
+        "queue.delivered=19 queue.sent=9"}});
 }
 
 }  // namespace

@@ -1,8 +1,10 @@
 #ifndef ESR_ESR_REPLICATED_SYSTEM_H_
 #define ESR_ESR_REPLICATED_SYSTEM_H_
 
+#include <functional>
 #include <map>
 #include <memory>
+#include <optional>
 #include <unordered_map>
 #include <utility>
 #include <vector>
@@ -136,7 +138,7 @@ class ReplicatedSystem {
   Result<Value> TryRead(EtId query, ObjectId object);
 
   /// Read with automatic retry/restart driven by the simulator: retries
-  /// kUnavailable every config.read_retry_interval_us and transparently
+  /// kUnavailable every 1 ms of simulated time and transparently
   /// restarts the query in strict mode on kInconsistencyLimit. `done`
   /// always eventually fires with a value (asynchronous methods guarantee
   /// progress at quiescence).
@@ -282,19 +284,15 @@ class ReplicatedSystem {
   void ReleaseQueryShadows(EtId query);
   /// Currently-up sites except `exclude` (takeover probe targets).
   std::vector<SiteId> UpPeers(SiteId exclude) const;
-  /// Periodic fuzzy checkpoints (config.recovery.checkpoint_interval_us).
-  void StartCheckpoints();
-  void StartHeartbeats();
-  /// Quasi-copies delay-condition timer: ticks every method's
-  /// OnRefreshTimer() at config.quasi_refresh_interval_us, independent of
-  /// the heartbeat schedule.
-  void StartQuasiRefresh();
-  /// Adaptive-admission sampling timer (config.admission.sample_interval_us).
-  void StartAdmissionSampling();
+  /// Schedules `step` after `first`, then again after each delay it
+  /// returns, until it returns nullopt. The only self-rescheduling chain in
+  /// the facade: every periodic timer and every read retry runs on it.
+  void Loop(SimDuration first,
+            std::function<std::optional<SimDuration>()> step);
+  /// Switches periodic_[i] on and starts its chain; the chain stops at its
+  /// first tick after the task is switched off.
+  void StartPeriodic(size_t i);
   void SampleAdmissionSignals();
-  /// Periodic snapshot publishing for the live scrape endpoint
-  /// (config.metrics_publish_interval_us of simulated time).
-  void StartMetricsPublisher();
   /// Strict restart: release method-held attempt resources, reset the
   /// query's accounting, bump counters.
   void RestartQuery(QueryState& q);
@@ -373,12 +371,19 @@ class ReplicatedSystem {
     std::vector<EtId> steps;
   };
   std::unordered_map<EtId, Saga> sagas_;
-  bool heartbeats_on_ = false;
-  std::vector<sim::EventId> heartbeat_events_;
-  bool quasi_refresh_on_ = false;
-  bool admission_sampling_on_ = false;
-  bool checkpoints_on_ = false;
-  bool metrics_publish_on_ = false;
+  /// Runs `run` every `interval`, the first time `first` after it starts.
+  /// The constructor builds one per configured timer: heartbeats (one per
+  /// site, staggered), quasi-copy refresh, admission sampling, checkpoints
+  /// and the metrics publisher.
+  struct PeriodicTask {
+    SimDuration first;
+    SimDuration interval;
+    std::function<void()> run;
+    bool on = false;
+  };
+  std::vector<PeriodicTask> periodic_;
+  /// The metrics publisher's entry, switched off by ShutdownMetricsEndpoint.
+  std::optional<size_t> publish_task_;
 
   /// Live scrape endpoint (config.metrics_port >= 0): the sim loop
   /// publishes immutable snapshots into the channel; the exporter thread

@@ -186,10 +186,6 @@ struct SystemConfig {
   /// (0 disables; RITU-multi wants them on).
   SimDuration heartbeat_interval_us = 50'000;
 
-  /// Poll interval used by the facade when retrying reads that returned
-  /// kUnavailable.
-  SimDuration read_retry_interval_us = 1'000;
-
   /// Closed-loop adaptive epsilon admission (see AdmissionConfig).
   AdmissionConfig admission;
 
@@ -239,8 +235,6 @@ struct SystemConfig {
   recovery::RecoveryConfig recovery;
 
   /// --- Quasi-copies baseline ----------------------------------------------
-  /// Primary site holding the authoritative copies.
-  SiteId quasi_primary = 0;
   /// Refresh a cached object after this many primary updates to it (the
   /// "version condition" closeness predicate). 1 = eager refresh.
   int64_t quasi_version_lag = 1;

@@ -45,8 +45,7 @@ void QuasiCopyMethod::SubmitUpdate(EtId et, std::vector<store::Operation> ops,
   pending_.emplace(et, std::move(done));
   msg::Envelope forward{kQuasiForward, Forwarded{et, ctx_.site, std::move(ops)}};
   forward.trace = TraceContext{.et = et, .origin = ctx_.site};
-  ctx_.queues->Send(ctx_.config->quasi_primary, std::move(forward),
-                    /*size_bytes=*/256);
+  ctx_.queues->Send(kQuasiPrimary, std::move(forward), /*size_bytes=*/256);
   ctx_.counters->Increment("quasi.forwarded");
 }
 

@@ -20,9 +20,10 @@ inline constexpr msg::MessageType kQuasiForwardAck = 106;  // primary -> origin
 /// primary copy is always consistent ... Inconsistency is only introduced
 /// because quasi-copies may lag the primary copy."
 ///
-/// Mechanics here: every update ET is forwarded to the primary site and
-/// applied there serially (trivially 1SR — one site, one sequence). Cached
-/// copies at the other sites are refreshed by the primary according to a
+/// Mechanics here: every update ET is forwarded to the primary site
+/// (kQuasiPrimary) and applied there serially (trivially 1SR — one site,
+/// one sequence). Cached copies at the other sites are refreshed by the
+/// primary according to a
 /// *closeness condition*: after `quasi_version_lag` updates to an object
 /// (version condition) and/or periodically (delay condition). Refreshes are
 /// timestamped overwrites, so late refreshes never regress a cache.
@@ -33,6 +34,9 @@ inline constexpr msg::MessageType kQuasiForwardAck = 106;  // primary -> origin
 /// inconsistency control* — staleness is whatever the refresh policy left
 /// behind — while COMMU commits locally and lets each query choose its own
 /// epsilon.
+/// The site holding the authoritative copies.
+inline constexpr SiteId kQuasiPrimary = 0;
+
 class QuasiCopyMethod : public ReplicaControlMethod {
  public:
   explicit QuasiCopyMethod(const MethodContext& ctx);
@@ -69,7 +73,7 @@ class QuasiCopyMethod : public ReplicaControlMethod {
     bool ok;
   };
 
-  bool IsPrimary() const { return ctx_.site == ctx_.config->quasi_primary; }
+  bool IsPrimary() const { return ctx_.site == kQuasiPrimary; }
   void ApplyAtPrimary(EtId et, SiteId origin,
                       const std::vector<store::Operation>& ops);
   void RefreshObject(ObjectId object);

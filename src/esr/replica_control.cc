@@ -311,14 +311,6 @@ void ReplicaControlMethod::OnStableMsg(SiteId /*source*/,
     if (ctx_.recovery != nullptr) {
       ctx_.recovery->LogStable(notice->et, notice->timestamp);
     }
-    // Stability was already traced at the origin (the tracer counts one
-    // terminal phase per ET and the origin closed the hop trace), so this
-    // call only settles the gauges for ETs whose origin-side notice raced
-    // a crash.
-    if (ctx_.tracer != nullptr && notice->et > 0) {
-      ctx_.tracer->OnStableNotice(notice->et, ctx_.site,
-                                  ctx_.simulator->Now());
-    }
     OnStable(notice->et);
   }
   OnWatermarkAdvance();

@@ -189,22 +189,16 @@ void EtTracer::OnApply(EtId et, SiteId site, SimTime now) {
 }
 
 void EtTracer::OnStable(EtId et, SiteId site, SimTime now) {
-  OnStableNotice(et, site, now);
-  Finalize(et, now, /*aborted=*/false);
-}
-
-void EtTracer::OnStableNotice(EtId et, SiteId site, SimTime now) {
   EtState& state = ets_[et];
-  // Stability is reached once per ET; the origin learns first and replicas
-  // are notified afterwards. Only the first observation counts or samples
-  // the lag; later per-site notifications keep the counters quiet too.
-  if (!SettleTerminal(state)) return;
-  state.stable_time = now;
-  if (metrics_ != nullptr && state.commit_time >= 0) {
-    metrics_->GetHistogram("esr_stability_lag_us")
-        .Observe(static_cast<double>(now - state.commit_time));
+  if (SettleTerminal(state)) {
+    state.stable_time = now;
+    if (metrics_ != nullptr && state.commit_time >= 0) {
+      metrics_->GetHistogram("esr_stability_lag_us")
+          .Observe(static_cast<double>(now - state.commit_time));
+    }
+    CountPhase(EtPhase::kStable, site);
   }
-  CountPhase(EtPhase::kStable, site);
+  Finalize(et, now, /*aborted=*/false);
 }
 
 void EtTracer::OnAborted(EtId et, SiteId site, SimTime now) {

@@ -133,10 +133,6 @@ class EtTracer {
   void OnApply(EtId et, SiteId site, SimTime now);
   /// The origin saw every ack: settles the gauges and closes the hop trace.
   void OnStable(EtId et, SiteId site, SimTime now);
-  /// A replica learned of stability from a notice (or from recovery's
-  /// reconciliation): settles the gauges only. The origin closed the hop
-  /// trace, or it stays open if that notice was lost to a crash.
-  void OnStableNotice(EtId et, SiteId site, SimTime now);
   void OnAborted(EtId et, SiteId site, SimTime now);
 
   /// MSets enqueued toward `site` and not yet applied there.

@@ -105,9 +105,6 @@ TEST(EtTracerTest, LifecycleDerivedGauges) {
   tracer.OnStable(1, 0, 400);
   EXPECT_EQ(tracer.InFlightEts(), 0);
   EXPECT_EQ(tracer.StabilityLag(1), 200);  // 400 - commit at 200
-  // Replica-side stability notices are terminal no-ops.
-  tracer.OnStableNotice(1, 1, 450);
-  EXPECT_EQ(tracer.StabilityLag(1), 200);
   EXPECT_EQ(
       registry.GetCounter("esr_et_phase_total", {{"phase", "stable"}}).value(),
       1);
@@ -145,33 +142,6 @@ TEST(EtTracerTest, OneLocalCommitFeedsGaugeAndHopTrace) {
   tracer.OnLocalCommit(1, 0, 300);
   EXPECT_EQ(tracer.InFlightEts(), 1);
   EXPECT_EQ(tracer.open_traces().at(1).commit_time, 250);
-}
-
-TEST(EtTracerTest, ReplicaStableNoticeSettlesGaugesButLeavesTraceOpen) {
-  MetricRegistry registry;
-  EtTracer tracer(&registry, 3);
-  tracer.EnableHops(8);
-  tracer.OnSubmit(1, 0, 100);
-  tracer.OnLocalCommit(1, 0, 200);
-  tracer.OnEnqueue(1, 0, {1, 2});
-  tracer.OnApply(1, 1, 300);
-  // The origin's own notice was lost to a crash; a replica learns first.
-  tracer.OnStableNotice(1, /*site=*/1, 400);
-  EXPECT_EQ(tracer.InFlightEts(), 0);
-  EXPECT_DOUBLE_EQ(registry.GetGauge("esr_et_in_flight").value(), 0);
-  EXPECT_EQ(tracer.StabilityLag(1), 200);
-  EXPECT_EQ(tracer.open_traces().count(1), 1u);
-  EXPECT_TRUE(tracer.completed().empty());
-  // Only the origin's OnStable closes the trace; the gauges stay settled.
-  tracer.OnStable(1, /*site=*/0, 450);
-  EXPECT_EQ(tracer.open_traces().count(1), 0u);
-  ASSERT_EQ(tracer.completed().size(), 1u);
-  EXPECT_EQ(tracer.completed().front().stable_time, 450);
-  EXPECT_EQ(tracer.completed().front().apply_time[1], 300);
-  EXPECT_EQ(tracer.StabilityLag(1), 200);
-  EXPECT_EQ(
-      registry.GetCounter("esr_et_phase_total", {{"phase", "stable"}}).value(),
-      1);
 }
 
 TEST(EtTracerTest, HopCallsRecordNothingWhileHopsAreOff) {

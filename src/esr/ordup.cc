@@ -265,6 +265,7 @@ void OrdupMethod::OnReplayReflected(const Mset& mset) {
 
 void OrdupMethod::SnapshotDurable(MethodDurableState& out) const {
   ReplicaControlMethod::SnapshotDurable(out);
+  out.applied = ledger_.applied();
   auto global = streams_.find(kGlobalOrder);
   if (global != streams_.end()) {
     out.order_watermark = global->second.Watermark();
@@ -281,6 +282,7 @@ void OrdupMethod::SnapshotDurable(MethodDurableState& out) const {
 
 void OrdupMethod::RestoreDurable(const MethodDurableState& in) {
   ReplicaControlMethod::RestoreDurable(in);
+  ledger_.RestoreApplied(in.applied);
   Positions watermarks = in.shard_watermarks;
   watermarks.emplace_back(kGlobalOrder, in.order_watermark);
   for (const auto& [k, wm] : watermarks) {

@@ -131,7 +131,8 @@ class OrdupMethod : public ReplicaControlMethod {
   /// (deterministic drain).
   std::map<ShardId, Stream> streams_;
   /// Apply index (+1 per update MSet applied here, any stream), write
-  /// index, charges and the strict pause. The index is not durable.
+  /// index, charges and the strict pause. The checkpoint carries the apply
+  /// index, so a read's site_apply_index survives an amnesia restart.
   ApplyLedger ledger_;
   /// Sequenced queries: assigned global positions, by query ET.
   std::unordered_map<EtId, SequenceNumber> query_positions_;

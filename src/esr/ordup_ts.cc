@@ -75,12 +75,12 @@ void OrdupTsMethod::TryRelease() {
 
 void OrdupTsMethod::SnapshotDurable(MethodDurableState& out) const {
   ReplicaControlMethod::SnapshotDurable(out);
-  out.release_index = ledger_.applied();
+  out.applied = ledger_.applied();
 }
 
 void OrdupTsMethod::RestoreDurable(const MethodDurableState& in) {
   ReplicaControlMethod::RestoreDurable(in);
-  ledger_.RestoreApplied(in.release_index);
+  ledger_.RestoreApplied(in.applied);
 }
 
 Result<Value> OrdupTsMethod::TryQueryRead(QueryState& query,

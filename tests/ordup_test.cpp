@@ -503,6 +503,35 @@ TEST(OrdupTest, ReadApplyIndexCountsAppliesNotNoopPositions) {
             static_cast<int64_t>(system.history().site_applies(2).size()));
 }
 
+TEST(OrdupTest, ReadApplyIndexSurvivesAmnesiaRestart) {
+  // The history keeps every apply a site made before it crashed, so the
+  // apply count a read records must come back from the checkpoint on an
+  // amnesia restart; WAL replay recounts only the MSets after it.
+  auto config = Config(Method::kOrdup, 3, 23);
+  config.recovery.enabled = true;
+  config.recovery.checkpoint_interval_us = 20'000;
+  ReplicatedSystem system(config);
+  for (int i = 0; i < 10; ++i) {
+    MustSubmit(system, i % 3, {Operation::Increment(i % 3, 1 + i)});
+    system.RunFor(10'000);
+  }
+  system.failures().ScheduleCrash(
+      sim::CrashSpec{/*site=*/1, system.simulator().Now() + 1'000,
+                     system.simulator().Now() + 50'000, /*amnesia=*/true});
+  system.RunFor(100'000);
+  for (int i = 0; i < 3; ++i) {
+    MustSubmit(system, 0, {Operation::Increment(0, 1)});
+  }
+  system.RunUntilQuiescent();
+  ASSERT_TRUE(system.Converged());
+  RunQuery(system, 1, /*epsilon=*/0, {0});
+  const analysis::ReadRecord& read = system.history().reads().back();
+  ASSERT_EQ(read.site, 1);
+  EXPECT_EQ(system.history().site_applies(1).size(), 13u);
+  EXPECT_EQ(read.site_apply_index,
+            static_cast<int64_t>(system.history().site_applies(1).size()));
+}
+
 TEST(OrdupTest, RejectsReadOperationsInUpdateEts) {
   ReplicatedSystem system(Config(Method::kOrdup));
   auto result = system.SubmitUpdate(0, {Operation::Read(0)});

@@ -17,6 +17,9 @@
 #   - the same kind of run fully replicated (ORDUP, 4 sites, a global
 #     standby sequencer, an amnesia crash of site 2): its stdout plus every
 #     site's .ckpt and .wal file
+#   - COMPE (with aborts, so the commit-decision gate runs) and COMMU
+#     amnesia runs (4 sites, an amnesia crash of site 2): each one's stdout
+#     plus every site's .ckpt and .wal file
 #   - stdout and .metrics.prom of bench_table1_methods, bench_sharding,
 #     bench_ordup_ordering_ablation, bench_epsilon_bound, bench_convergence
 #     and bench_async_vs_sync
@@ -90,6 +93,21 @@ mkdir full
       "$(basename "$file")"
   done
 )
+
+for method in compe commu; do
+  mkdir "$method"
+  (
+    cd "$method"
+    "$BUILD_DIR/examples/esrsim" --method="$method" --sites=4 \
+      --amnesia-crash=2:100:300 --recovery-dir=recovery --seed=7 --verify \
+      > amnesia.out
+    echo "$(hash amnesia.out)  esrsim --method=$method amnesia run: stdout"
+    for file in recovery/*; do
+      echo "$(hash "$file")  esrsim --method=$method amnesia run:" \
+        "$(basename "$file")"
+    done
+  )
+done
 
 mkdir full-traced
 (

@@ -58,16 +58,16 @@ AdmissionController::Decision AdmissionController::Adjust(
     // Queries are paying for the tight budget: give back headroom fast,
     // toward the declared max.
     if (scale < 1.0) {
-      scale = std::min(1.0, scale + config_.step_up);
+      scale = std::min(1.0, scale + kStepUp);
       return Decision::kLoosen;
     }
   } else if (completed > 0) {
     const double mean_utilization =
         utilization_sum / static_cast<double>(completed);
-    if (mean_utilization <= config_.low_utilization && calm && scale > 0.0) {
+    if (mean_utilization <= kLowUtilization && calm && scale > 0.0) {
       // Budgets are going unused while replicas are close together:
       // consistency is currently free, so tighten toward the min.
-      scale = std::max(0.0, scale - config_.step_down);
+      scale = std::max(0.0, scale - kStepDown);
       return Decision::kTighten;
     }
   }
@@ -78,8 +78,8 @@ AdmissionController::Decision AdmissionController::Observe(
     SiteId site, const Signals& signals) {
   ++ticks_;
   const bool pressured = signals.blocked > 0 || signals.restarts > 0;
-  const bool calm = signals.queue_depth <= config_.calm_queue_depth &&
-                    signals.max_divergence <= config_.calm_divergence;
+  const bool calm = signals.queue_depth <= kCalmQueueDepth &&
+                    signals.max_divergence <= kCalmDivergence;
   const Decision decision = Adjust(scale_[site], pressured, signals.completed,
                                    signals.utilization_sum, calm);
   const Decision value_decision =

@@ -27,6 +27,21 @@ namespace esr::core {
 /// deterministic under a fixed seed.
 class AdmissionController {
  public:
+  /// Sampling period (simulated time).
+  static constexpr SimDuration kSampleIntervalUs = 20'000;
+  /// Additive scale step per loosening decision (fast under pressure).
+  static constexpr double kStepUp = 0.25;
+  /// Additive scale step per tightening decision (gentle when calm).
+  static constexpr double kStepDown = 0.125;
+  /// Tighten only when the mean effective-epsilon utilization of queries
+  /// completed since the last tick is at or below this...
+  static constexpr double kLowUtilization = 0.25;
+  /// ...and the site's MSet propagation backlog is at most this...
+  static constexpr int64_t kCalmQueueDepth = 2;
+  /// ...and the max cross-replica spread (esr_replica_divergence_max) is at
+  /// most this.
+  static constexpr int64_t kCalmDivergence = 4;
+
   /// Per-site signals for one sampling interval (deltas since the previous
   /// tick unless noted). The facade assembles these from the metric
   /// registry, the ET tracer and the live query table.

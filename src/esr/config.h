@@ -76,14 +76,17 @@ std::string_view TransportToString(Transport transport);
 ///
 /// and the scale moves on a fixed simulated-time sampling tick:
 ///
-///   * *loosen* (scale += step_up, toward the declared max) when queries at
-///     the site blocked (COMMU/RITU kUnavailable attempts) or restarted
-///     (ORDUP strict restarts) since the last tick;
-///   * *tighten* (scale -= step_down, toward the declared min) when queries
-///     completed with mean epsilon utilization below `low_utilization`
-///     while the site's MSet backlog and the observed replica divergence
-///     are calm — consistency is currently free, so take it;
+///   * *loosen* (toward the declared max) when queries at the site blocked
+///     (COMMU/RITU kUnavailable attempts) or restarted (ORDUP strict
+///     restarts) since the last tick;
+///   * *tighten* (toward the declared min) when queries completed with low
+///     mean epsilon utilization while the site's MSet backlog and the
+///     observed replica divergence are calm — consistency is currently
+///     free, so take it;
 ///   * hold otherwise.
+///
+/// The tick period, the steps and the thresholds are the constants of
+/// AdmissionController (admission.h).
 ///
 /// All inputs are sampled from simulated-time state (the PR-1 metrics
 /// feeds: epsilon utilization, replica divergence, MSet queue depth), so a
@@ -91,23 +94,9 @@ std::string_view TransportToString(Transport transport);
 struct AdmissionConfig {
   /// Master switch; off = every query runs at its declared max epsilon.
   bool enabled = false;
-  /// Controller sampling period (simulated time).
-  SimDuration sample_interval_us = 20'000;
   /// Starting scale: 0 admits at the declared min (tight; "approaching 1SR
   /// for free" until the loop observes pressure), 1 at the declared max.
   double initial_scale = 0.0;
-  /// Additive scale step per loosening decision (fast under pressure).
-  double step_up = 0.25;
-  /// Additive scale step per tightening decision (gentle when calm).
-  double step_down = 0.125;
-  /// Tighten only when the mean effective-epsilon utilization of queries
-  /// completed since the last tick is at or below this.
-  double low_utilization = 0.25;
-  /// ...and the site's MSet propagation backlog is at most this.
-  int64_t calm_queue_depth = 2;
-  /// ...and the max cross-replica spread (esr_replica_divergence_max) is at
-  /// most this.
-  int64_t calm_divergence = 4;
   /// Min bound paired with the declared epsilon by the two-argument
   /// BeginQuery overload (per-query bounds override it).
   int64_t default_min_epsilon = 0;

@@ -40,7 +40,7 @@ TEST(AdmissionControllerTest, LoosensOnBlockedOrRestartedQueries) {
   Signals blocked;
   blocked.blocked = 3;
   EXPECT_EQ(c.Observe(0, blocked), Decision::kLoosen);
-  EXPECT_DOUBLE_EQ(c.scale(0), cfg.step_up);
+  EXPECT_DOUBLE_EQ(c.scale(0), AdmissionController::kStepUp);
   Signals restarted;
   restarted.restarts = 1;
   EXPECT_EQ(c.Observe(0, restarted), Decision::kLoosen);
@@ -55,9 +55,9 @@ TEST(AdmissionControllerTest, TightensOnLowUtilizationWhenCalm) {
   AdmissionController c(cfg, 1, nullptr);
   Signals calm;
   calm.completed = 4;
-  calm.utilization_sum = 0.2;  // mean 0.05, well under low_utilization
+  calm.utilization_sum = 0.2;  // mean 0.05, well under kLowUtilization
   EXPECT_EQ(c.Observe(0, calm), Decision::kTighten);
-  EXPECT_DOUBLE_EQ(c.scale(0), 1.0 - cfg.step_down);
+  EXPECT_DOUBLE_EQ(c.scale(0), 1.0 - AdmissionController::kStepDown);
   for (int i = 0; i < 20; ++i) c.Observe(0, calm);
   EXPECT_DOUBLE_EQ(c.scale(0), 0.0);
   EXPECT_EQ(c.Effective(0, 1, 16), 1) << "fully tightened admits at the min";
@@ -111,7 +111,7 @@ TEST(AdmissionControllerTest, ValueScaleAdaptsIndependentlyOfCountScale) {
   skewed.value_completed = 4;
   skewed.value_utilization_sum = 3.6;
   EXPECT_EQ(c.Observe(0, skewed), Decision::kTighten);
-  EXPECT_DOUBLE_EQ(c.scale(0), 1.0 - cfg.step_down);
+  EXPECT_DOUBLE_EQ(c.scale(0), 1.0 - AdmissionController::kStepDown);
   EXPECT_DOUBLE_EQ(c.value_scale(0), 1.0) << "hot value budget must hold";
 
   // The mirror image — many tiny updates: count budget hot, value budget
@@ -122,9 +122,9 @@ TEST(AdmissionControllerTest, ValueScaleAdaptsIndependentlyOfCountScale) {
   mirrored.value_completed = 4;
   mirrored.value_utilization_sum = 0.2;
   c.Observe(0, mirrored);
-  EXPECT_DOUBLE_EQ(c.scale(0), 1.0 - cfg.step_down)
+  EXPECT_DOUBLE_EQ(c.scale(0), 1.0 - AdmissionController::kStepDown)
       << "hot count budget must hold";
-  EXPECT_DOUBLE_EQ(c.value_scale(0), 1.0 - cfg.step_down);
+  EXPECT_DOUBLE_EQ(c.value_scale(0), 1.0 - AdmissionController::kStepDown);
 
   // Queries with no bounded value epsilon contribute no value signal, so
   // the value scale stays put even while the count scale keeps moving.
@@ -132,18 +132,18 @@ TEST(AdmissionControllerTest, ValueScaleAdaptsIndependentlyOfCountScale) {
   count_only.completed = 4;
   count_only.utilization_sum = 0.2;
   c.Observe(0, count_only);
-  EXPECT_DOUBLE_EQ(c.scale(0), 1.0 - 2 * cfg.step_down);
-  EXPECT_DOUBLE_EQ(c.value_scale(0), 1.0 - cfg.step_down);
+  EXPECT_DOUBLE_EQ(c.scale(0), 1.0 - 2 * AdmissionController::kStepDown);
+  EXPECT_DOUBLE_EQ(c.value_scale(0), 1.0 - AdmissionController::kStepDown);
 
   // Blocked queries cannot be attributed to one budget: both loosen
-  // (saturating at 1.0 with the default step_up of 0.25).
+  // (saturating at 1.0 with kStepUp = 0.25).
   Signals blocked;
   blocked.blocked = 2;
   EXPECT_EQ(c.Observe(0, blocked), Decision::kLoosen);
   EXPECT_DOUBLE_EQ(c.scale(0),
-                   std::min(1.0, 1.0 - 2 * cfg.step_down + cfg.step_up));
+                   std::min(1.0, 1.0 - 2 * AdmissionController::kStepDown + AdmissionController::kStepUp));
   EXPECT_DOUBLE_EQ(c.value_scale(0),
-                   std::min(1.0, 1.0 - cfg.step_down + cfg.step_up));
+                   std::min(1.0, 1.0 - AdmissionController::kStepDown + AdmissionController::kStepUp));
 
   // EffectiveValue interpolates with the value scale, not the count scale.
   AdmissionController half(ControllerConfig(0.5), 1, nullptr);
@@ -210,7 +210,7 @@ TEST(AdmissionSystemTest, TightensToMinWhenBudgetsGoUnused) {
     const EtId q = system.BeginQuery(1, /*epsilon=*/10);
     ASSERT_TRUE(system.TryRead(q, 0).ok());
     ASSERT_TRUE(system.EndQuery(q).ok());
-    system.RunFor(config.admission.sample_interval_us);
+    system.RunFor(AdmissionController::kSampleIntervalUs);
   }
   EXPECT_DOUBLE_EQ(system.admission()->scale(1), 0.0);
   const EtId q = system.BeginQuery(1, QueryBounds{2, 10, 0, kUnboundedEpsilon});

@@ -42,12 +42,12 @@ void CommuMethod::SubmitUpdate(EtId et, std::vector<store::Operation> ops,
     }
   }
   const LamportTimestamp ts = ctx_.clock->Tick();
-  outgoing_ts_.emplace(et, ts);
   Mset mset;
   mset.et = et;
   mset.origin = ctx_.site;
   mset.timestamp = ts;
   mset.operations = std::move(ops);
+  TrackOutgoing(mset);
   if (ctx_.config->record_history) {
     analysis::UpdateRecord record;
     record.et = et;

@@ -63,7 +63,6 @@ void OrdupMethod::ReleasePositionRemotely(ShardId service,
 void OrdupMethod::SubmitUpdate(EtId et, std::vector<store::Operation> ops,
                                CommitFn done) {
   const LamportTimestamp ts = ctx_.clock->Tick();
-  outgoing_ts_.emplace(et, ts);
   // "Sorting time: at update" — the order is obtained before the update
   // commits, and that round trip is the price ORDUP pays up front.
   std::vector<ShardId> services =
@@ -137,15 +136,9 @@ void OrdupMethod::FinishCommit(EtId et, LamportTimestamp ts,
     record.timestamp = ts;
     ctx_.history->RecordUpdateCommit(std::move(record));
   }
-  if (ctx_.placement != nullptr) {
-    // Owner-set stability: the ET is stable once every owner of its shards
-    // applied it — non-owners never see it and never ack.
-    std::vector<ShardId> shards;
-    shards.reserve(positions.size());
-    for (const auto& [k, pos] : positions) shards.push_back(k);
-    ctx_.stability->SetExpected(
-        et, static_cast<int>(ctx_.placement->OwnersOf(shards).size()));
-  }
+  // Owner-set stability: the ET is stable once every owner of its shards
+  // applied it — non-owners never see it and never ack.
+  TrackOutgoing(mset);
   TraceLocalCommit(et);
   PropagateMset(mset);
   OfferMset(mset);  // applies locally iff this site follows a named stream
@@ -156,16 +149,16 @@ void OrdupMethod::FinishCommit(EtId et, LamportTimestamp ts,
 void OrdupMethod::OnMsetDelivered(const Mset& mset) {
   if (RecoveryFilterDelivery(mset)) return;
   if (ctx_.placement != nullptr && InReplay() && mset.origin == ctx_.site) {
-    // A WAL-replayed own MSet whose shards this site does not own never
-    // reaches ApplyNow (no owned stream holds it), but the origin-side ack
-    // expectation still has to come back.
+    // A WAL-replayed own MSet whose shards this site does not own is never
+    // applied here (no owned stream holds it), but its stability record
+    // still has to come back.
     const bool names_owned_stream = std::any_of(
         mset.shard_positions.begin(), mset.shard_positions.end(),
         [this](const auto& position) {
           return streams_.count(position.first) != 0;
         });
     if (!names_owned_stream) {
-      MaybeReinstallOrigin(mset);
+      TrackOutgoing(mset);
       return;
     }
   }
@@ -237,34 +230,18 @@ void OrdupMethod::ApplyNow(std::shared_ptr<const Held> held) {
   assert(s.ok());
   (void)s;
   ledger_.RecordApply(local.operations);
-  if (InReplay()) MaybeReinstallOrigin(mset);
   RecordApplied(local);
-}
-
-void OrdupMethod::MaybeReinstallOrigin(const Mset& mset) {
-  if (ctx_.placement == nullptr) return;
-  if (mset.origin != ctx_.site || mset.et <= 0) return;
-  if (ctx_.stability->IsStable(mset.et)) return;
-  if (outgoing_ts_.find(mset.et) == outgoing_ts_.end()) {
-    outgoing_ts_.emplace(mset.et, mset.timestamp);
-  }
-  std::vector<ShardId> shards;
-  shards.reserve(mset.shard_positions.size());
-  for (const auto& [k, pos] : mset.shard_positions) shards.push_back(k);
-  ctx_.stability->SetExpected(
-      mset.et, static_cast<int>(ctx_.placement->OwnersOf(shards).size()));
-  outgoing_targets_[mset.et] = MsetTargets(mset);
 }
 
 void OrdupMethod::OnReplayReflected(const Mset& mset) {
   // A checkpoint-reflected MSet replayed from the WAL: store effects are
-  // present (or the site never applies it — a non-owner origin), but the
-  // origin-side ack expectation must still be rebuilt.
-  MaybeReinstallOrigin(mset);
+  // present (or the site never applies it — a non-owner origin), but an
+  // own MSet committed after the checkpoint still needs its stability
+  // record back.
+  TrackOutgoing(mset);
 }
 
 void OrdupMethod::SnapshotDurable(MethodDurableState& out) const {
-  ReplicaControlMethod::SnapshotDurable(out);
   out.applied = ledger_.applied();
   auto global = streams_.find(kGlobalOrder);
   if (global != streams_.end()) {
@@ -281,7 +258,6 @@ void OrdupMethod::SnapshotDurable(MethodDurableState& out) const {
 }
 
 void OrdupMethod::RestoreDurable(const MethodDurableState& in) {
-  ReplicaControlMethod::RestoreDurable(in);
   ledger_.RestoreApplied(in.applied);
   Positions watermarks = in.shard_watermarks;
   watermarks.emplace_back(kGlobalOrder, in.order_watermark);

@@ -121,10 +121,6 @@ class OrdupMethod : public ReplicaControlMethod {
   void Drain();
   /// Pops the MSet off every followed stream it names and applies it.
   void ApplyNow(std::shared_ptr<const Held> held);
-  /// Partial replication, replay-time origin bookkeeping: a recovered
-  /// origin re-seeing its own MSet re-installs the owner-set ack
-  /// expectation and stability-notice targets that died with the site.
-  void MaybeReinstallOrigin(const Mset& mset);
   Result<Value> TrySequencedRead(QueryState& query, ObjectId object);
 
   /// Followed order service id -> hold-back stream, ascending

@@ -21,12 +21,12 @@ OrdupTsMethod::OrdupTsMethod(const MethodContext& ctx)
 void OrdupTsMethod::SubmitUpdate(EtId et, std::vector<store::Operation> ops,
                                  CommitFn done) {
   const LamportTimestamp ts = ctx_.clock->Tick();
-  outgoing_ts_.emplace(et, ts);
   Mset mset;
   mset.et = et;
   mset.origin = ctx_.site;
   mset.timestamp = ts;
   mset.operations = std::move(ops);
+  TrackOutgoing(mset);
   if (ctx_.config->record_history) {
     analysis::UpdateRecord record;
     record.et = et;
@@ -74,12 +74,10 @@ void OrdupTsMethod::TryRelease() {
 }
 
 void OrdupTsMethod::SnapshotDurable(MethodDurableState& out) const {
-  ReplicaControlMethod::SnapshotDurable(out);
   out.applied = ledger_.applied();
 }
 
 void OrdupTsMethod::RestoreDurable(const MethodDurableState& in) {
-  ReplicaControlMethod::RestoreDurable(in);
   ledger_.RestoreApplied(in.applied);
 }
 

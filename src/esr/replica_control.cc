@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cassert>
+#include <numeric>
 
 #include "recovery/recovery_manager.h"
 
@@ -94,20 +95,6 @@ void ReplicaControlMethod::OnStable(EtId /*et*/) {}
 
 bool ReplicaControlMethod::ReadyForStable(EtId /*et*/) { return true; }
 
-void ReplicaControlMethod::SnapshotDurable(MethodDurableState& out) const {
-  out.outgoing.assign(outgoing_ts_.begin(), outgoing_ts_.end());
-  std::sort(out.outgoing.begin(), out.outgoing.end());
-  out.fully_acked.assign(fully_acked_.begin(), fully_acked_.end());
-  std::sort(out.fully_acked.begin(), out.fully_acked.end());
-}
-
-void ReplicaControlMethod::RestoreDurable(const MethodDurableState& in) {
-  outgoing_ts_.clear();
-  for (const auto& [et, ts] : in.outgoing) outgoing_ts_.emplace(et, ts);
-  fully_acked_ = std::unordered_set<EtId>(in.fully_acked.begin(),
-                                          in.fully_acked.end());
-}
-
 void ReplicaControlMethod::OnReplayReflected(const Mset& /*mset*/) {}
 
 void ReplicaControlMethod::ReplayDecision(EtId /*et*/, bool /*commit*/) {}
@@ -138,32 +125,29 @@ void ReplicaControlMethod::TraceLocalCommit(EtId et) {
   }
 }
 
-std::vector<SiteId> ReplicaControlMethod::MsetTargets(const Mset& mset) const {
-  std::vector<SiteId> targets;
+std::vector<SiteId> ReplicaControlMethod::MsetReplicas(
+    const Mset& mset) const {
   if (ctx_.placement != nullptr && !mset.shard_positions.empty()) {
     std::vector<ShardId> shards;
     shards.reserve(mset.shard_positions.size());
     for (const auto& [shard, pos] : mset.shard_positions) shards.push_back(shard);
-    targets = ctx_.placement->OwnersOf(shards);
-    targets.erase(std::remove(targets.begin(), targets.end(), ctx_.site),
-                  targets.end());
-  } else {
-    targets.reserve(ctx_.num_sites - 1);
-    for (SiteId s = 0; s < ctx_.num_sites; ++s) {
-      if (s != ctx_.site) targets.push_back(s);
-    }
+    return ctx_.placement->OwnersOf(shards);
   }
+  std::vector<SiteId> replicas(static_cast<size_t>(ctx_.num_sites));
+  std::iota(replicas.begin(), replicas.end(), SiteId{0});
+  return replicas;
+}
+
+std::vector<SiteId> ReplicaControlMethod::MsetTargets(const Mset& mset) const {
+  std::vector<SiteId> targets = MsetReplicas(mset);
+  targets.erase(std::remove(targets.begin(), targets.end(), ctx_.site),
+                targets.end());
   return targets;
 }
 
-std::vector<SiteId> ReplicaControlMethod::OutgoingTargetSites() const {
-  std::vector<SiteId> sites;
-  for (const auto& [et, targets] : outgoing_targets_) {
-    sites.insert(sites.end(), targets.begin(), targets.end());
-  }
-  std::sort(sites.begin(), sites.end());
-  sites.erase(std::unique(sites.begin(), sites.end()), sites.end());
-  return sites;
+void ReplicaControlMethod::TrackOutgoing(const Mset& mset) {
+  if (mset.origin != ctx_.site || mset.et <= 0) return;
+  ctx_.stability->TrackOutgoing(mset.et, mset.timestamp, MsetReplicas(mset));
 }
 
 void ReplicaControlMethod::PropagateMset(const Mset& mset) {
@@ -177,12 +161,6 @@ void ReplicaControlMethod::PropagateMset(const Mset& mset) {
   envelope.trace = TraceContext{.et = mset.et, .origin = mset.origin};
   const std::vector<SiteId> targets = MsetTargets(mset);
   for (SiteId s : targets) ctx_.queues->Send(s, envelope, size_bytes);
-  // Remember where this ET went so its stability notice (and nothing else)
-  // follows the same owner-routed path.
-  if (ctx_.placement != nullptr && mset.et > 0 &&
-      mset.origin == ctx_.site) {
-    outgoing_targets_[mset.et] = targets;
-  }
   ctx_.counters->Increment("esr.msets_propagated",
                            static_cast<int64_t>(targets.size()));
   // Gap-filler no-op MSets (et == kInvalidEtId) and synthetic quasi-copy
@@ -237,13 +215,9 @@ void ReplicaControlMethod::RecordApplied(const Mset& mset) {
   if (ctx_.recovery != nullptr) ctx_.recovery->OnApplied(mset);
   if (mset.origin == ctx_.site) {
     // A recovered origin re-applying its own WAL-logged MSet must track it
-    // for the stability notice again (the pre-crash entry lived past the
+    // for the stability notice again (the pre-crash record lived past the
     // checkpoint and died with the site).
-    if (ctx_.recovery != nullptr && mset.et > 0 &&
-        !ctx_.stability->IsStable(mset.et) &&
-        outgoing_ts_.find(mset.et) == outgoing_ts_.end()) {
-      outgoing_ts_.emplace(mset.et, mset.timestamp);
-    }
+    if (ctx_.recovery != nullptr) TrackOutgoing(mset);
     if (ctx_.stability->RecordAck(mset.et, ctx_.site)) {
       MaybeBroadcastStable(mset.et);
     }
@@ -265,33 +239,18 @@ void ReplicaControlMethod::OnApplyAckMsg(SiteId /*source*/,
 }
 
 void ReplicaControlMethod::MaybeBroadcastStable(EtId et) {
-  fully_acked_.insert(et);
   if (!ReadyForStable(et)) return;
-  auto it = outgoing_ts_.find(et);
-  assert(it != outgoing_ts_.end() && "stable ET not tracked at origin");
-  const LamportTimestamp ts = it->second;
-  outgoing_ts_.erase(it);
-  fully_acked_.erase(et);
+  const StabilityTracker::Outgoing* out = ctx_.stability->FindOutgoing(et);
+  assert(out != nullptr && "stable ET not tracked at origin");
+  const LamportTimestamp ts = out->ts;
   if (ctx_.recovery != nullptr) ctx_.recovery->LogStable(et, ts);
   msg::Envelope notice{kStableMsg, StableNotice{et, ts}};
   notice.trace = TraceContext{.et = et, .origin = ctx_.site};
-  const auto targets_it = outgoing_targets_.find(et);
-  if (targets_it != outgoing_targets_.end()) {
-    for (SiteId s : targets_it->second) {
-      if (s == ctx_.site) continue;
-      ctx_.queues->Send(s, notice, /*size_bytes=*/48);
-    }
-    outgoing_targets_.erase(targets_it);
-  } else {
-    // Fully replicated, or the owner record was lost to an amnesia crash:
-    // broadcast. Non-owners just mark an unknown ET stable — harmless.
-    for (SiteId s = 0; s < ctx_.num_sites; ++s) {
-      if (s == ctx_.site) continue;
-      ctx_.queues->Send(s, notice, /*size_bytes=*/48);
-    }
+  for (SiteId s : out->replicas) {
+    if (s != ctx_.site) ctx_.queues->Send(s, notice, /*size_bytes=*/48);
   }
   ctx_.counters->Increment("esr.stable");
-  ctx_.stability->MarkStable(et, ts);
+  ctx_.stability->MarkStable(et, ts);  // drops the record
   if (ctx_.tracer != nullptr && et > 0) {
     ctx_.tracer->OnStable(et, ctx_.site, ctx_.simulator->Now());
   }

@@ -4,8 +4,6 @@
 #include <any>
 #include <functional>
 #include <memory>
-#include <unordered_map>
-#include <unordered_set>
 #include <vector>
 
 #include "analysis/history.h"
@@ -84,8 +82,9 @@ struct MethodContext {
 /// into plain vectors so the recovery codec can frame it without knowing
 /// the concrete method type. Every method fills the fields it owns:
 /// `order_watermark` (ORDUP/ORDUP-TS/COMPE-ORD total-order position),
-/// `applied` (the ORDUP and ORDUP-TS apply ledger's count), COMPE decision
-/// sets, and the base class's origin-side stability bookkeeping.
+/// `applied` (the ORDUP and ORDUP-TS apply ledger's count) and COMPE
+/// decision sets. The origin-side stability records travel in the
+/// StabilityTracker snapshot instead.
 struct MethodDurableState {
   SequenceNumber order_watermark = 0;
   int64_t applied = 0;
@@ -96,8 +95,6 @@ struct MethodDurableState {
   std::vector<std::pair<ShardId, SequenceNumber>> shard_watermarks;
   std::vector<EtId> decided_commit;
   std::vector<EtId> abort_before_apply;
-  std::vector<std::pair<EtId, LamportTimestamp>> outgoing;
-  std::vector<EtId> fully_acked;
 };
 
 /// Completion callback of an update ET submission. For asynchronous methods
@@ -160,12 +157,10 @@ class ReplicaControlMethod {
   /// An update ET became stable at this site (applied everywhere).
   virtual void OnStable(EtId et);
 
-  /// Checkpoint support: exports/rebuilds the durable method position. The
-  /// base handles the origin-side stability bookkeeping (outgoing_ts_,
-  /// fully_acked_); derived methods extend with their ordering state and
-  /// must call the base implementation.
-  virtual void SnapshotDurable(MethodDurableState& out) const;
-  virtual void RestoreDurable(const MethodDurableState& in);
+  /// Checkpoint support: exports/rebuilds the method's durable ordering
+  /// and decision state. Default: nothing to carry.
+  virtual void SnapshotDurable(MethodDurableState& /*out*/) const {}
+  virtual void RestoreDurable(const MethodDurableState& /*in*/) {}
 
   /// WAL replay of an MSet already reflected in the checkpoint being
   /// restored: the store effects are present, but volatile divergence
@@ -194,24 +189,22 @@ class ReplicaControlMethod {
   }
 
  protected:
-  /// Reliable propagation of an MSet. Fully replicated: broadcast to every
-  /// other site. Partial replication (the MSet carries shard_positions and
-  /// ctx_.placement is set): delivered only to the owner sites of its
-  /// shards; the owner set is also remembered so the stability notice later
-  /// goes to the same sites and nowhere else.
+  /// Reliable propagation of an MSet to MsetTargets(mset).
   void PropagateMset(const Mset& mset);
 
-  /// The sites an MSet is delivered to (owner routing; self excluded).
+  /// The sites that apply an MSet: every site when fully replicated, the
+  /// owner sites of its shards under partial replication (the MSet carries
+  /// shard_positions and ctx_.placement is set). Sorted.
+  std::vector<SiteId> MsetReplicas(const Mset& mset) const;
+
+  /// The sites an MSet is delivered to: its replicas other than this one.
   std::vector<SiteId> MsetTargets(const Mset& mset) const;
 
- public:
-  /// Union of the owner sites this origin's un-stable outgoing MSets were
-  /// routed to, sorted. Under partial replication these are the only peers
-  /// that can answer ack/stability questions about those ETs, so a
-  /// recovering origin adds them to its catch-up target set.
-  std::vector<SiteId> OutgoingTargetSites() const;
-
- protected:
+  /// Starts the stability record of this site's own update `mset` (the
+  /// stability notice later goes to the same replicas and nowhere else).
+  /// A no-op for other origins' MSets, no-op fillers, and ETs already
+  /// tracked or stable.
+  void TrackOutgoing(const Mset& mset);
 
   /// Marks `et` locally committed for the lifecycle tracer. Call at the
   /// moment ordering metadata is assigned, *before* PropagateMset, so the
@@ -242,8 +235,9 @@ class ReplicaControlMethod {
   /// in. COMPE overrides: tentative updates must also be decided-commit.
   virtual bool ReadyForStable(EtId et);
 
-  /// Re-checks stability gating for `et` (called when acks complete, and by
-  /// COMPE when a commit decision unblocks an already-fully-acked ET).
+  /// Sends `et`'s stability notice once ReadyForStable allows it (called
+  /// when acks complete, and by COMPE when a commit decision unblocks an
+  /// already-fully-acked ET).
   void MaybeBroadcastStable(EtId et);
 
   /// Recovery gate for OnMsetDelivered: returns true when the delivery must
@@ -285,19 +279,6 @@ class ReplicaControlMethod {
   void OnApplyAckMsg(SiteId source, const std::any& body);
   void OnStableMsg(SiteId source, const std::any& body);
   void OnHeartbeatMsg(SiteId source, const std::any& body);
-
- protected:
-  /// Origin-side: timestamps of outgoing ETs awaiting stability (needed to
-  /// stamp the stability notice).
-  std::unordered_map<EtId, LamportTimestamp> outgoing_ts_;
-  /// Origin-side: ETs whose acks are complete but whose stability is gated
-  /// by ReadyForStable (COMPE: undecided).
-  std::unordered_set<EtId> fully_acked_;
-  /// Origin-side, partial replication: the owner sites each outgoing ET's
-  /// MSet was delivered to — the stability notice's target set. Rebuilt
-  /// from the MSet's placement on WAL replay; absent entries fall back to
-  /// broadcast (safe: non-owners ignore unknown ETs).
-  std::unordered_map<EtId, std::vector<SiteId>> outgoing_targets_;
 };
 
 /// Factory: builds the method instance for `config.method` at one site.

@@ -28,12 +28,12 @@ void RituMethod::SubmitUpdate(EtId et, std::vector<store::Operation> ops,
   // Stamp every write with the ET's timestamp; the store resolves
   // concurrent writes by it (Thomas rule, or the version chain's order).
   for (store::Operation& op : ops) op.timestamp = ts;
-  outgoing_ts_.emplace(et, ts);
   Mset mset;
   mset.et = et;
   mset.origin = ctx_.site;
   mset.timestamp = ts;
   mset.operations = std::move(ops);
+  TrackOutgoing(mset);
   if (ctx_.config->record_history) {
     analysis::UpdateRecord record;
     record.et = et;

@@ -15,38 +15,56 @@ LamportTimestamp PredTimestamp(LamportTimestamp ts) {
 StabilityTracker::StabilityTracker(SiteId self, int num_sites)
     : self_(self),
       num_sites_(num_sites),
-      is_updater_(num_sites, true),
       watermark_(num_sites, kZeroTimestamp),
       last_vtnc_(kZeroTimestamp) {}
 
-void StabilityTracker::SetUpdaterSites(const std::vector<SiteId>& updaters) {
-  std::fill(is_updater_.begin(), is_updater_.end(), false);
-  for (SiteId s : updaters) {
-    assert(s >= 0 && s < num_sites_);
-    is_updater_[s] = true;
-  }
-  // Excluding silent readers can raise the watermark floor immediately.
-  MaybeAdvanceVtnc();
+void StabilityTracker::TrackOutgoing(EtId et, LamportTimestamp ts,
+                                     std::vector<SiteId> replicas) {
+  assert(!replicas.empty());
+  if (stable_.count(et)) return;  // late re-track after stability
+  Outgoing& out = outgoing_[et];
+  if (!out.replicas.empty()) return;  // already tracked
+  out.ts = ts;
+  out.replicas = std::move(replicas);
 }
 
-void StabilityTracker::TrackOutgoing(EtId et, LamportTimestamp ts) {
-  ObserveMset(et, ts, self_);
-}
-
-void StabilityTracker::SetExpected(EtId et, int count) {
-  assert(count >= 1 && count <= num_sites_);
-  if (stable_.count(et)) return;  // late re-install after stability
-  expected_[et] = count;
-}
+void StabilityTracker::DropOutgoing(EtId et) { outgoing_.erase(et); }
 
 bool StabilityTracker::RecordAck(EtId et, SiteId replica) {
   if (stable_.count(et)) return false;  // duplicate late ack
-  auto& acked = acks_[et];
-  acked.insert(replica);
-  const auto expected = expected_.find(et);
-  const int needed =
-      expected != expected_.end() ? expected->second : num_sites_;
-  return static_cast<int>(acked.size()) >= needed;
+  Outgoing& out = outgoing_[et];
+  auto at = std::lower_bound(out.acks.begin(), out.acks.end(), replica);
+  if (at == out.acks.end() || *at != replica) out.acks.insert(at, replica);
+  return Complete(out);
+}
+
+bool StabilityTracker::Complete(const Outgoing& out) const {
+  const size_t needed = out.replicas.empty()
+                            ? static_cast<size_t>(num_sites_)
+                            : out.replicas.size();
+  return out.acks.size() >= needed;
+}
+
+bool StabilityTracker::AcksComplete(EtId et) const {
+  auto it = outgoing_.find(et);
+  return it != outgoing_.end() && Complete(it->second);
+}
+
+const StabilityTracker::Outgoing* StabilityTracker::FindOutgoing(
+    EtId et) const {
+  auto it = outgoing_.find(et);
+  if (it == outgoing_.end() || it->second.replicas.empty()) return nullptr;
+  return &it->second;
+}
+
+std::vector<SiteId> StabilityTracker::OutgoingTargets() const {
+  std::vector<SiteId> sites;
+  for (const auto& [et, out] : outgoing_) {
+    sites.insert(sites.end(), out.replicas.begin(), out.replicas.end());
+  }
+  std::sort(sites.begin(), sites.end());
+  sites.erase(std::unique(sites.begin(), sites.end()), sites.end());
+  return sites;
 }
 
 void StabilityTracker::ObserveMset(EtId et, LamportTimestamp ts,
@@ -91,8 +109,7 @@ void StabilityTracker::MarkStable(EtId et, LamportTimestamp ts) {
     // watermark.
     (void)ts;
   }
-  acks_.erase(et);
-  expected_.erase(et);
+  outgoing_.erase(et);
   if (on_stable) on_stable(et);
   MaybeAdvanceVtnc();
 }
@@ -104,15 +121,9 @@ StabilityTracker::Snapshot StabilityTracker::ExportSnapshot() const {
   }
   snap.stable.assign(stable_.begin(), stable_.end());
   std::sort(snap.stable.begin(), snap.stable.end());
-  for (const auto& [et, acked] : acks_) {
-    std::vector<SiteId> sites(acked.begin(), acked.end());
-    std::sort(sites.begin(), sites.end());
-    snap.acks.emplace_back(et, std::move(sites));
-  }
-  std::sort(snap.acks.begin(), snap.acks.end(),
+  snap.outgoing.assign(outgoing_.begin(), outgoing_.end());
+  std::sort(snap.outgoing.begin(), snap.outgoing.end(),
             [](const auto& a, const auto& b) { return a.first < b.first; });
-  snap.expected.assign(expected_.begin(), expected_.end());
-  std::sort(snap.expected.begin(), snap.expected.end());
   snap.watermark = watermark_;
   return snap;
 }
@@ -121,17 +132,13 @@ void StabilityTracker::RestoreSnapshot(const Snapshot& snapshot) {
   outstanding_by_ts_.clear();
   outstanding_ts_.clear();
   stable_.clear();
-  acks_.clear();
-  expected_.clear();
+  outgoing_.clear();
   for (const auto& [et, ts] : snapshot.outstanding) {
     outstanding_by_ts_.emplace(ts, et);
     outstanding_ts_.emplace(et, ts);
   }
   stable_.insert(snapshot.stable.begin(), snapshot.stable.end());
-  for (const auto& [et, sites] : snapshot.acks) {
-    acks_[et].insert(sites.begin(), sites.end());
-  }
-  expected_.insert(snapshot.expected.begin(), snapshot.expected.end());
+  outgoing_.insert(snapshot.outgoing.begin(), snapshot.outgoing.end());
   for (size_t o = 0; o < watermark_.size() && o < snapshot.watermark.size();
        ++o) {
     watermark_[o] = snapshot.watermark[o];
@@ -154,14 +161,14 @@ std::vector<std::pair<EtId, LamportTimestamp>> StabilityTracker::
 LamportTimestamp StabilityTracker::WatermarkFloor() const {
   LamportTimestamp floor{std::numeric_limits<int64_t>::max(), 0};
   for (SiteId o = 0; o < num_sites_; ++o) {
-    if (o == self_ || !is_updater_[o]) continue;
+    if (o == self_) continue;
     floor = std::min(floor, watermark_[o]);
   }
   return floor;
 }
 
 LamportTimestamp StabilityTracker::Vtnc() const {
-  // Watermark floor over updater origins (self excluded: a site always
+  // Watermark floor over the other origins (self excluded: a site always
   // knows its own update activity, which is captured by outstanding_).
   LamportTimestamp floor = WatermarkFloor();
   if (!outstanding_by_ts_.empty()) {

@@ -5,6 +5,7 @@
 #include <map>
 #include <unordered_map>
 #include <unordered_set>
+#include <utility>
 #include <vector>
 
 #include "common/types.h"
@@ -16,11 +17,14 @@ namespace esr::core {
 /// multi-version divergence bounding reads below (paper section 3.3).
 ///
 /// Protocol (driven by the replica control methods):
-///  * Origin calls TrackOutgoing() when it commits an update ET.
+///  * The origin calls TrackOutgoing() when it commits an update ET. The
+///    ET's origin record (timestamp, the replicas that apply its MSet, the
+///    acks so far) lives here and nowhere else.
 ///  * Every site (origin included) calls ObserveMset() when the MSet is
 ///    applied locally, and the replicas send apply-acks to the origin, which
-///    feeds them to RecordAck(). When all sites acked, the origin broadcasts
-///    a stability notice and everyone calls MarkStable().
+///    feeds them to RecordAck(). When every replica acked, the origin sends
+///    a stability notice to the other replicas and everyone calls
+///    MarkStable(), which drops the origin record.
 ///
 /// VTNC correctness relies on two facts: (1) each origin's Lamport clock is
 /// monotonic, so its MSets carry increasing timestamps, and (2) MSets and
@@ -47,22 +51,51 @@ class StabilityTracker {
   /// The store layer hangs version GC off this hook (DESIGN.md §15).
   std::function<void(LamportTimestamp)> on_vtnc_advance;
 
-  /// Origin side: starts tracking an outgoing update ET.
-  void TrackOutgoing(EtId et, LamportTimestamp ts);
+  /// Origin side: what this site knows about one of its outgoing update
+  /// ETs until it becomes stable.
+  struct Outgoing {
+    LamportTimestamp ts = kZeroTimestamp;
+    /// The sites that apply the MSet, sorted: every site when fully
+    /// replicated, the owners of its shards otherwise. The origin is among
+    /// them iff it applies the MSet itself. The stability notice goes to
+    /// the others. Empty while only acks are known (see RecordAck); every
+    /// site then counts as a replica, the full-replication rule.
+    std::vector<SiteId> replicas;
+    /// Sites that acked, sorted.
+    std::vector<SiteId> acks;
+  };
 
-  /// Origin side: under partial replication an MSet is stable once its
-  /// *owner* sites acked, not the whole cluster. Installs the expected ack
-  /// count for `et`; without a call the default (num_sites) reproduces the
-  /// full-replication rule. Re-installed from the MSet's placement on WAL
-  /// replay and checkpointed (Snapshot::expected) so stability completes
-  /// across restarts.
-  void SetExpected(EtId et, int count);
+  /// Origin side: starts the record of outgoing update ET `et`. A no-op
+  /// once `et` is stable or already tracked, so a recovered origin may call
+  /// it again for every own MSet it re-reads from its WAL.
+  void TrackOutgoing(EtId et, LamportTimestamp ts,
+                     std::vector<SiteId> replicas);
+
+  /// Origin side: drops the record of an aborted ET (it never becomes
+  /// stable).
+  void DropOutgoing(EtId et);
 
   /// Origin side: records an apply-ack from `replica` (the origin acks
-  /// itself when it applies locally). Returns true when every expected site
-  /// has now acknowledged — the caller should then broadcast the stability
-  /// notice and call MarkStable locally.
+  /// itself when it applies locally). Returns true when every replica has
+  /// now acknowledged — the caller should then send the stability notice
+  /// and call MarkStable locally. An ack for an ET not tracked yet is kept:
+  /// a recovering origin can hear its peers' acks before it re-reads its
+  /// own MSet from a catch-up response.
   bool RecordAck(EtId et, SiteId replica);
+
+  /// Origin side: every replica of `et` acked it (the same answer RecordAck
+  /// gave for its last ack).
+  bool AcksComplete(EtId et) const;
+
+  /// Origin side: the record of tracked outgoing ET `et`, or null. Valid
+  /// until the next call that changes the tracker.
+  const Outgoing* FindOutgoing(EtId et) const;
+
+  /// Union of the replicas of every tracked outgoing ET, sorted. Under
+  /// partial replication these are the only peers that can answer
+  /// ack/stability questions about those ETs, so a recovering origin adds
+  /// them to its catch-up target set.
+  std::vector<SiteId> OutgoingTargets() const;
 
   /// Any site: the MSet (et, ts, origin) has been applied locally.
   void ObserveMset(EtId et, LamportTimestamp ts, SiteId origin);
@@ -84,27 +117,19 @@ class StabilityTracker {
   /// Current VTNC (see class comment). Monotonically non-decreasing.
   LamportTimestamp Vtnc() const;
 
-  /// Floor of the per-origin clock watermarks over the *other* updater
-  /// sites (self excluded — a site always knows its own activity). No
-  /// unknown MSet from any origin can carry a timestamp at or below this
-  /// floor; the decentralized ORDUP variant releases its hold-back buffer
-  /// up to it.
+  /// Floor of the per-origin clock watermarks over the *other* sites (self
+  /// excluded — a site always knows its own activity). No unknown MSet
+  /// from any origin can carry a timestamp at or below this floor; the
+  /// decentralized ORDUP variant releases its hold-back buffer up to it.
   LamportTimestamp WatermarkFloor() const;
 
-  /// Restricts the origins whose watermarks constrain the VTNC. By default
-  /// all sites count; a deployment where only some sites originate updates
-  /// can exclude the pure readers so their silent clocks don't hold the
-  /// VTNC at zero (heartbeats make this optional).
-  void SetUpdaterSites(const std::vector<SiteId>& updaters);
-
-  /// Checkpointable image of the tracker (all vectors sorted, so snapshots
-  /// of a seeded run are deterministic). on_stable and the updater-site
-  /// restriction are configuration, not state, and are not captured.
+  /// Checkpointable image of the tracker (sorted by ET, so snapshots of a
+  /// seeded run are deterministic). The hooks are configuration, not
+  /// state, and are not captured.
   struct Snapshot {
     std::vector<std::pair<EtId, LamportTimestamp>> outstanding;
     std::vector<EtId> stable;
-    std::vector<std::pair<EtId, std::vector<SiteId>>> acks;
-    std::vector<std::pair<EtId, int32_t>> expected;
+    std::vector<std::pair<EtId, Outgoing>> outgoing;
     std::vector<LamportTimestamp> watermark;
   };
 
@@ -122,18 +147,17 @@ class StabilityTracker {
   void BumpWatermark(SiteId origin, LamportTimestamp clock);
   /// Fires on_vtnc_advance if the VTNC moved past the last reported value.
   void MaybeAdvanceVtnc();
+  /// Every replica of the record acked (acks come only from replicas).
+  bool Complete(const Outgoing& out) const;
 
   SiteId self_;
   int num_sites_;
-  std::vector<bool> is_updater_;
   /// Known-but-not-yet-stable ETs ordered by timestamp.
   std::map<LamportTimestamp, EtId> outstanding_by_ts_;
   std::unordered_map<EtId, LamportTimestamp> outstanding_ts_;
   std::unordered_set<EtId> stable_;
-  /// Origin side: acks received per outgoing ET.
-  std::unordered_map<EtId, std::unordered_set<SiteId>> acks_;
-  /// Origin side: expected ack count per outgoing ET (absent = num_sites_).
-  std::unordered_map<EtId, int32_t> expected_;
+  /// Origin side: one record per outgoing ET not yet stable.
+  std::unordered_map<EtId, Outgoing> outgoing_;
   /// Per-origin clock watermark (self is implicitly infinite: this site
   /// always knows its own MSets).
   std::vector<LamportTimestamp> watermark_;

@@ -274,6 +274,29 @@ TEST(ShardingIntegrationTest, AmnesiaCrashOfOwnerRecoversOwnedShards) {
   }
 }
 
+TEST(ShardingIntegrationTest, OwnCrossShardEtReappliedAfterReplayBecomesStable) {
+  // Regression: site 0 commits a cross-shard update, amnesia-crashes before
+  // its next checkpoint, and re-applies the update from a catch-up response
+  // after WAL replay. Re-tracking it there used to restore its timestamp
+  // but not its owner set, so it waited for an ack from every site instead
+  // of its owners and never became stable.
+  SystemConfig config = ShardedConfig(4, 2, 8, 7);
+  config.seq_batch_linger_us = 7;
+  config.sequencer_standby = 1;
+  config.recovery.enabled = true;
+  config.recovery.checkpoint_interval_us = 50'000;
+  ReplicatedSystem system(config);
+  system.failures().ScheduleCrash(sim::CrashSpec{
+      0, /*crash_at=*/100'000, /*restart_at=*/300'000, /*amnesia=*/true});
+  workload::WorkloadSpec spec;
+  spec.duration_us = 1'000'000;
+  workload::WorkloadRunner(&system, spec).Run();
+  system.RunUntilQuiescent();
+  ASSERT_TRUE(system.Converged());
+  // Every committed update reached stability (it read 1 before the fix).
+  EXPECT_EQ(system.tracer().InFlightEts(), 0);
+}
+
 TEST(ShardingIntegrationTest, AmnesiaCrashOfShardSeqHomeReseedsFromFloor) {
   // Regression: a shard-sequencer home that amnesia-restarts must re-seed
   // its grant cursor from the durable per-shard checkpoint floor

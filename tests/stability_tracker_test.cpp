@@ -2,8 +2,14 @@
 
 #include <gtest/gtest.h>
 
+#include <vector>
+
+#include "test_util.h"
+
 namespace esr::core {
 namespace {
+
+using store::Operation;
 
 TEST(PredTimestampTest, StepsDownWithinCounterThenAcross) {
   EXPECT_EQ(PredTimestamp({5, 3}), (LamportTimestamp{5, 2}));
@@ -15,7 +21,7 @@ TEST(PredTimestampTest, StepsDownWithinCounterThenAcross) {
 
 TEST(StabilityTrackerTest, AcksAccumulateUntilAllSites) {
   StabilityTracker t(0, 3);
-  t.TrackOutgoing(1, {1, 0});
+  t.ObserveMset(1, {1, 0}, 0);
   EXPECT_FALSE(t.RecordAck(1, 0));
   EXPECT_FALSE(t.RecordAck(1, 1));
   EXPECT_FALSE(t.RecordAck(1, 1));  // duplicate ack does not count twice
@@ -70,16 +76,71 @@ TEST(StabilityTrackerTest, SelfOutstandingCountsButSelfWatermarkDoesNot) {
   t.ObserveClock(1, {100, 1});
   // Self never "heartbeats" itself; only its outstanding updates matter.
   EXPECT_EQ(t.Vtnc(), (LamportTimestamp{100, 1}));
-  t.TrackOutgoing(3, {30, 0});
+  t.ObserveMset(3, {30, 0}, 0);
   EXPECT_EQ(t.Vtnc(), PredTimestamp({30, 0}));
 }
 
-TEST(StabilityTrackerTest, UpdaterSetExcludesQuietReaders) {
+TEST(StabilityTrackerTest, AbortDropsTheOutgoingRecord) {
   StabilityTracker t(0, 3);
-  t.ObserveClock(1, {100, 1});
-  // Site 2 is a pure reader; exclude it from the VTNC floor.
-  t.SetUpdaterSites({0, 1});
-  EXPECT_EQ(t.Vtnc(), (LamportTimestamp{100, 1}));
+  t.TrackOutgoing(5, {7, 0}, {0, 1, 2});
+  EXPECT_FALSE(t.RecordAck(5, 0));
+  EXPECT_FALSE(t.RecordAck(5, 1));
+  t.DropOutgoing(5);
+  EXPECT_EQ(t.FindOutgoing(5), nullptr);
+  EXPECT_FALSE(t.AcksComplete(5));
+  EXPECT_TRUE(t.OutgoingTargets().empty());
+  EXPECT_TRUE(t.ExportSnapshot().outgoing.empty());
+}
+
+TEST(StabilityTrackerTest, ShardedOriginOutsideTheOwnerSetNeverAcksItself) {
+  // Site 0 originates an update of a shard owned by sites 1 and 2 only: it
+  // never applies the MSet, so the owners' two acks complete it, and the
+  // stability notice goes to exactly those owners.
+  StabilityTracker t(0, 4);
+  t.TrackOutgoing(7, {5, 0}, {1, 2});
+  EXPECT_FALSE(t.RecordAck(7, 1));
+  EXPECT_TRUE(t.RecordAck(7, 2));
+  EXPECT_TRUE(t.AcksComplete(7));
+  const StabilityTracker::Outgoing* out = t.FindOutgoing(7);
+  ASSERT_NE(out, nullptr);
+  EXPECT_EQ(out->replicas, (std::vector<SiteId>{1, 2}));
+  EXPECT_EQ(t.OutgoingTargets(), (std::vector<SiteId>{1, 2}));
+  t.MarkStable(7, {5, 0});
+  EXPECT_EQ(t.FindOutgoing(7), nullptr);
+  EXPECT_TRUE(t.OutgoingTargets().empty());
+}
+
+TEST(StabilityTrackerTest, HalfAckedRecordSurvivesCheckpointRoundTrip) {
+  StabilityTracker t(0, 3);
+  t.TrackOutgoing(9, {3, 0}, {0, 1, 2});
+  EXPECT_FALSE(t.RecordAck(9, 2));
+  EXPECT_FALSE(t.RecordAck(9, 0));
+
+  StabilityTracker restored(0, 3);
+  restored.RestoreSnapshot(t.ExportSnapshot());
+  const StabilityTracker::Outgoing* out = restored.FindOutgoing(9);
+  ASSERT_NE(out, nullptr);
+  EXPECT_EQ(out->ts, (LamportTimestamp{3, 0}));
+  EXPECT_EQ(out->replicas, (std::vector<SiteId>{0, 1, 2}));
+  EXPECT_EQ(out->acks, (std::vector<SiteId>{0, 2}));
+  EXPECT_FALSE(restored.RecordAck(9, 0));  // duplicate of a restored ack
+  EXPECT_TRUE(restored.RecordAck(9, 1));
+}
+
+TEST(StabilityTrackerTest, CompeStabilityWaitsForTheCommitDecision) {
+  // Every replica applies and acks a tentative COMPE update at once, but
+  // the origin sends no stability notice until the update commits.
+  ReplicatedSystem system(test::Config(Method::kCompe, 3, 5));
+  const EtId et = test::MustSubmit(system, 0, {Operation::Increment(0, 1)});
+  system.RunUntilQuiescent();
+  EXPECT_EQ(system.counters().Get("esr.msets_applied"), 3);
+  EXPECT_EQ(system.counters().Get("esr.stable"), 0);
+  EXPECT_EQ(system.tracer().InFlightEts(), 1);
+
+  ASSERT_TRUE(system.Decide(et, /*commit=*/true).ok());
+  system.RunUntilQuiescent();
+  EXPECT_EQ(system.counters().Get("esr.stable"), 1);
+  EXPECT_EQ(system.tracer().InFlightEts(), 0);
 }
 
 TEST(StabilityTrackerTest, VtncMonotoneUnderInterleavedTraffic) {

@@ -237,8 +237,8 @@ int main(int argc, char** argv) {
       verify = false;
     }
     // An endless session records no history. Memory still grows by one
-    // entry per ET: the ET tracer's lifecycle map and each site's
-    // stability tracker never drop finished ETs.
+    // entry per ET: each site's stability tracker never drops the ids of
+    // stable ETs.
   }
   config.record_history = verify;
   if (config.recovery.enabled &&

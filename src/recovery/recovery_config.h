@@ -14,8 +14,9 @@ enum class StorageBackendKind {
   /// "stable storage" abstraction the paper assumes of its queues. Default
   /// for seeded tests: a run is a pure function of (config, seed).
   kMemory,
-  /// Real files under `dir` (site_<N>.wal / site_<N>.ckpt). Used by esrsim
-  /// to demonstrate recovery across process restarts.
+  /// Real files under `dir` (site_<N>.wal / site_<N>.ckpt), left behind for
+  /// inspection after an esrsim run. The RecoveryManager starts every
+  /// site's files empty, so a run never reads an earlier run's state.
   kFile,
 };
 

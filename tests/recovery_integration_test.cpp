@@ -298,6 +298,34 @@ TEST(RecoveryIntegrationTest, FileBackedStorageRecovers) {
   std::filesystem::remove_all(dir);
 }
 
+TEST(RecoveryIntegrationTest, ReusedStorageDirStartsEachRunEmpty) {
+  // A simulated run owns its stable storage. The first run leaves every
+  // site's checkpoint and WAL in the directory; the second run's site 2
+  // crashes before that run's first checkpoint, so it must recover from
+  // nothing plus catch-up, never from the first run's checkpoint.
+  const std::string dir = "recovery_itest_reused";
+  std::filesystem::remove_all(dir);
+  SystemConfig config = CrashConfig(Method::kOrdup, 111);
+  config.recovery.backend = recovery::StorageBackendKind::kFile;
+  config.recovery.dir = dir;
+  EXPECT_TRUE(RunCounterWorkload(config, /*crash=*/false).converged);
+  ASSERT_TRUE(std::filesystem::exists(dir + "/site_2.ckpt"));
+
+  ReplicatedSystem system(config);
+  system.failures().ScheduleCrash(sim::CrashSpec{
+      /*site=*/2, /*crash_at=*/5'000, /*restart_at=*/160'000,
+      /*amnesia=*/true});
+  for (int i = 0; i < 12; ++i) {
+    MustSubmit(system, i % 2, {Operation::Increment(0, 1)});
+    system.RunFor(10'000);
+  }
+  system.RunUntilQuiescent();
+  EXPECT_FALSE(system.recovery_manager()->last_report(2).had_checkpoint);
+  EXPECT_TRUE(system.Converged());
+  EXPECT_EQ(system.SiteValue(2, 0).AsInt(), 12);
+  std::filesystem::remove_all(dir);
+}
+
 TEST(RecoveryIntegrationTest, AbortDecidedJustBeforeCrashSurvivesTruncation) {
   // The lost-abort scenario: site 2 applies two tentative increments, both
   // reflected in its 20ms checkpoint. The decisions (commit `keep`, abort

@@ -12,12 +12,15 @@
 //   --loss=P             --epsilon=E|inf      --value-epsilon=V|inf
 //   --update-fraction=F  --objects=N          --zipf=T
 //   --clients=N          --duration-ms=D      --seed=S
-//   --verify             (run the SR/ESR checkers; needs history)
+//   --verify             (run the SR/ESR checkers; needs history; exit 1
+//                        unless the run converges, its update subhistory
+//                        is serializable and no query exceeds epsilon)
 //
 // Durability / recovery (asynchronous methods only):
 //   --checkpoint-ms=C    enable WAL + periodic fuzzy checkpoints every C ms
 //   --recovery-dir=PATH  file-backed stable storage (site_<N>.wal/.ckpt
-//                        under PATH; implies --checkpoint-ms=50 unless set)
+//                        under PATH, emptied when the run starts; implies
+//                        --checkpoint-ms=50 unless set)
 //   --amnesia-crash=SITE:CRASH_MS:RESTART_MS
 //                        amnesia-crash SITE (loses all volatile state) and
 //                        recover it via checkpoint + WAL replay + catch-up
@@ -395,9 +398,14 @@ int main(int argc, char** argv) {
             : -1.0);
   }
 
+  // The --verify verdict: convergence, a serializable update subhistory
+  // and no epsilon violation. Queries that are not 1SR-consistent are
+  // ESR's point and do not fail it.
+  bool verdict_ok = system.Converged();
   if (verify) {
     auto sr = esr::analysis::CheckUpdateSerializability(system.history(),
                                                         config.num_sites);
+    verdict_ok = verdict_ok && sr.serializable;
     std::printf("update subhistory serializable: %s\n",
                 sr.serializable ? "yes" : sr.violation.c_str());
     if (sr.serializable) {
@@ -415,7 +423,8 @@ int main(int argc, char** argv) {
                   "1SR-consistent: %lld\n",
                   reports.size(), static_cast<long long>(violations),
                   static_cast<long long>(sr_queries));
+      verdict_ok = verdict_ok && violations == 0;
     }
   }
-  return 0;
+  return verify && !verdict_ok ? 1 : 0;
 }

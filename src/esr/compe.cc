@@ -225,7 +225,7 @@ void CompeMethod::ReplayDecision(EtId et, bool commit) {
   HandleDecision(et, commit);
 }
 
-void CompeMethod::SnapshotDurable(MethodDurableState& out) const {
+void CompeMethod::SnapshotDurable(recovery::CheckpointData& out) const {
   if (ordered_) out.order_watermark = buffer_.Watermark();
   out.decided_commit.assign(decided_commit_.begin(), decided_commit_.end());
   std::sort(out.decided_commit.begin(), out.decided_commit.end());
@@ -234,7 +234,7 @@ void CompeMethod::SnapshotDurable(MethodDurableState& out) const {
   std::sort(out.abort_before_apply.begin(), out.abort_before_apply.end());
 }
 
-void CompeMethod::RestoreDurable(const MethodDurableState& in) {
+void CompeMethod::RestoreDurable(const recovery::CheckpointData& in) {
   if (ordered_) buffer_.SkipThrough(in.order_watermark);
   decided_commit_ = std::unordered_set<EtId>(in.decided_commit.begin(),
                                              in.decided_commit.end());

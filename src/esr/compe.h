@@ -58,8 +58,8 @@ class CompeMethod : public ReplicaControlMethod {
   }
   bool DecidedCommit(EtId et) const { return decided_commit_.count(et) > 0; }
 
-  void SnapshotDurable(MethodDurableState& out) const override;
-  void RestoreDurable(const MethodDurableState& in) override;
+  void SnapshotDurable(recovery::CheckpointData& out) const override;
+  void RestoreDurable(const recovery::CheckpointData& in) override;
   void ReplayDecision(EtId et, bool commit) override;
   // COMPE runs fully replicated: its only order service is kGlobalOrder.
   void ReleaseOrphanPosition(ShardId service, SequenceNumber seq) override;

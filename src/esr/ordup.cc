@@ -241,8 +241,8 @@ void OrdupMethod::OnReplayReflected(const Mset& mset) {
   TrackOutgoing(mset);
 }
 
-void OrdupMethod::SnapshotDurable(MethodDurableState& out) const {
-  out.applied = ledger_.applied();
+void OrdupMethod::SnapshotDurable(recovery::CheckpointData& out) const {
+  out.apply_count = ledger_.applied();
   auto global = streams_.find(kGlobalOrder);
   if (global != streams_.end()) {
     out.order_watermark = global->second.Watermark();
@@ -257,8 +257,8 @@ void OrdupMethod::SnapshotDurable(MethodDurableState& out) const {
   }
 }
 
-void OrdupMethod::RestoreDurable(const MethodDurableState& in) {
-  ledger_.RestoreApplied(in.applied);
+void OrdupMethod::RestoreDurable(const recovery::CheckpointData& in) {
+  ledger_.RestoreApplied(in.apply_count);
   Positions watermarks = in.shard_watermarks;
   watermarks.emplace_back(kGlobalOrder, in.order_watermark);
   for (const auto& [k, wm] : watermarks) {

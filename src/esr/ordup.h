@@ -69,8 +69,8 @@ class OrdupMethod : public ReplicaControlMethod {
   void OnQueryEnd(QueryState& query) override;
   void OnQueryRestart(QueryState& query) override;
 
-  void SnapshotDurable(MethodDurableState& out) const override;
-  void RestoreDurable(const MethodDurableState& in) override;
+  void SnapshotDurable(recovery::CheckpointData& out) const override;
+  void RestoreDurable(const recovery::CheckpointData& in) override;
   void OnReplayReflected(const Mset& mset) override;
   void ReleaseOrphanPosition(ShardId service, SequenceNumber seq) override;
   SequenceNumber MaxOrderSeen(ShardId service) const override;

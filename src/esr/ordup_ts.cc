@@ -73,12 +73,12 @@ void OrdupTsMethod::TryRelease() {
   }
 }
 
-void OrdupTsMethod::SnapshotDurable(MethodDurableState& out) const {
-  out.applied = ledger_.applied();
+void OrdupTsMethod::SnapshotDurable(recovery::CheckpointData& out) const {
+  out.apply_count = ledger_.applied();
 }
 
-void OrdupTsMethod::RestoreDurable(const MethodDurableState& in) {
-  ledger_.RestoreApplied(in.applied);
+void OrdupTsMethod::RestoreDurable(const recovery::CheckpointData& in) {
+  ledger_.RestoreApplied(in.apply_count);
 }
 
 Result<Value> OrdupTsMethod::TryQueryRead(QueryState& query,

@@ -48,8 +48,8 @@ class OrdupTsMethod : public ReplicaControlMethod {
   /// MSets currently held back waiting for the watermark floor.
   int64_t HeldCount() const { return static_cast<int64_t>(holdback_.size()); }
 
-  void SnapshotDurable(MethodDurableState& out) const override;
-  void RestoreDurable(const MethodDurableState& in) override;
+  void SnapshotDurable(recovery::CheckpointData& out) const override;
+  void RestoreDurable(const recovery::CheckpointData& in) override;
 
  protected:
   void OnWatermarkAdvance() override { TryRelease(); }

@@ -240,7 +240,7 @@ void ReplicaControlMethod::OnApplyAckMsg(SiteId /*source*/,
 
 void ReplicaControlMethod::MaybeBroadcastStable(EtId et) {
   if (!ReadyForStable(et)) return;
-  const StabilityTracker::Outgoing* out = ctx_.stability->FindOutgoing(et);
+  const recovery::OutgoingRecord* out = ctx_.stability->FindOutgoing(et);
   assert(out != nullptr && "stable ET not tracked at origin");
   const LamportTimestamp ts = out->ts;
   if (ctx_.recovery != nullptr) ctx_.recovery->LogStable(et, ts);

@@ -20,6 +20,7 @@
 #include "msg/mailbox.h"
 #include "obs/et_tracer.h"
 #include "obs/metric_registry.h"
+#include "recovery/checkpointer.h"
 #include "msg/sequencer.h"
 #include "msg/reliable_transport.h"
 #include "runtime/interfaces.h"
@@ -76,25 +77,6 @@ struct MethodContext {
   /// to charge queries affected by a compensation).
   std::function<void(const std::function<void(QueryState&)>&)>
       for_each_active_query;
-};
-
-/// The method-specific durable state a fuzzy checkpoint carries, flattened
-/// into plain vectors so the recovery codec can frame it without knowing
-/// the concrete method type. Every method fills the fields it owns:
-/// `order_watermark` (ORDUP/ORDUP-TS/COMPE-ORD total-order position),
-/// `applied` (the ORDUP and ORDUP-TS apply ledger's count) and COMPE
-/// decision sets. The origin-side stability records travel in the
-/// StabilityTracker snapshot instead.
-struct MethodDurableState {
-  SequenceNumber order_watermark = 0;
-  int64_t applied = 0;
-  /// Sharded ORDUP: per-shard delivery watermarks — position p of shard k
-  /// is reflected in the checkpoint iff p <= the entry for k. Owned shards
-  /// carry their real stream cursor; non-owned shards report
-  /// "infinity" (this site never needs their records). Sorted by shard.
-  std::vector<std::pair<ShardId, SequenceNumber>> shard_watermarks;
-  std::vector<EtId> decided_commit;
-  std::vector<EtId> abort_before_apply;
 };
 
 /// Completion callback of an update ET submission. For asynchronous methods
@@ -157,10 +139,13 @@ class ReplicaControlMethod {
   /// An update ET became stable at this site (applied everywhere).
   virtual void OnStable(EtId et);
 
-  /// Checkpoint support: exports/rebuilds the method's durable ordering
-  /// and decision state. Default: nothing to carry.
-  virtual void SnapshotDurable(MethodDurableState& /*out*/) const {}
-  virtual void RestoreDurable(const MethodDurableState& /*in*/) {}
+  /// Checkpoint support: fills / reads back the checkpoint fields the
+  /// method owns — `order_watermark` (ORDUP/COMPE-ORD total-order
+  /// position), `shard_watermarks` (sharded ORDUP), `apply_count` (the
+  /// ORDUP and ORDUP-TS apply ledger) and COMPE's decision lists. Default:
+  /// nothing to carry.
+  virtual void SnapshotDurable(recovery::CheckpointData& /*out*/) const {}
+  virtual void RestoreDurable(const recovery::CheckpointData& /*in*/) {}
 
   /// WAL replay of an MSet already reflected in the checkpoint being
   /// restored: the store effects are present, but volatile divergence

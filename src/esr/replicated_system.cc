@@ -14,7 +14,6 @@
 #include "msg/mailbox_sequencer_port.h"
 #include "msg/sequencer.h"
 #include "obs/http_exporter.h"
-#include "recovery/codec.h"
 
 namespace esr::core {
 
@@ -45,103 +44,6 @@ namespace {
 
 /// Read() polls a blocked read this often (simulated time).
 constexpr SimDuration kReadRetryIntervalUs = 1'000;
-
-/// Checkpoint blob codecs. The facade encodes the method / stability state
-/// whose concrete shape only it knows; the recovery subsystem carries the
-/// blobs as opaque bytes inside the CRC-framed checkpoint. A blob that
-/// fails to decode falls back to the empty state — the WAL replay that
-/// follows every checkpoint load rebuilds it.
-std::string EncodeMethodState(const MethodDurableState& m) {
-  recovery::Encoder enc;
-  enc.U64(static_cast<uint64_t>(m.order_watermark));
-  enc.I64(m.applied);
-  enc.U32(static_cast<uint32_t>(m.decided_commit.size()));
-  for (EtId et : m.decided_commit) enc.I64(et);
-  enc.U32(static_cast<uint32_t>(m.abort_before_apply.size()));
-  for (EtId et : m.abort_before_apply) enc.I64(et);
-  enc.U32(static_cast<uint32_t>(m.shard_watermarks.size()));
-  for (const auto& [shard, wm] : m.shard_watermarks) {
-    enc.U32(static_cast<uint32_t>(shard));
-    enc.I64(wm);
-  }
-  return enc.Take();
-}
-
-MethodDurableState DecodeMethodState(std::string_view bytes) {
-  recovery::Decoder dec(bytes);
-  MethodDurableState m;
-  m.order_watermark = static_cast<SequenceNumber>(dec.U64());
-  m.applied = dec.I64();
-  for (uint32_t i = 0, n = dec.U32(); i < n && dec.ok(); ++i) {
-    m.decided_commit.push_back(dec.I64());
-  }
-  for (uint32_t i = 0, n = dec.U32(); i < n && dec.ok(); ++i) {
-    m.abort_before_apply.push_back(dec.I64());
-  }
-  for (uint32_t i = 0, n = dec.U32(); i < n && dec.ok(); ++i) {
-    const ShardId shard = static_cast<ShardId>(dec.U32());
-    m.shard_watermarks.emplace_back(shard, dec.I64());
-  }
-  if (!dec.ok()) return MethodDurableState{};
-  return m;
-}
-
-std::string EncodeStabilitySnapshot(const StabilityTracker::Snapshot& s) {
-  recovery::Encoder enc;
-  enc.U32(static_cast<uint32_t>(s.outstanding.size()));
-  for (const auto& [et, ts] : s.outstanding) {
-    enc.I64(et);
-    enc.Ts(ts);
-  }
-  enc.U32(static_cast<uint32_t>(s.stable.size()));
-  for (EtId et : s.stable) enc.I64(et);
-  auto sites = [&enc](const std::vector<SiteId>& list) {
-    enc.U32(static_cast<uint32_t>(list.size()));
-    for (SiteId site : list) enc.I64(static_cast<int64_t>(site));
-  };
-  enc.U32(static_cast<uint32_t>(s.outgoing.size()));
-  for (const auto& [et, out] : s.outgoing) {
-    enc.I64(et);
-    enc.Ts(out.ts);
-    sites(out.replicas);
-    sites(out.acks);
-  }
-  enc.U32(static_cast<uint32_t>(s.watermark.size()));
-  for (const LamportTimestamp& ts : s.watermark) enc.Ts(ts);
-  return enc.Take();
-}
-
-StabilityTracker::Snapshot DecodeStabilitySnapshot(std::string_view bytes) {
-  recovery::Decoder dec(bytes);
-  StabilityTracker::Snapshot s;
-  for (uint32_t i = 0, n = dec.U32(); i < n && dec.ok(); ++i) {
-    const EtId et = dec.I64();
-    s.outstanding.emplace_back(et, dec.Ts());
-  }
-  for (uint32_t i = 0, n = dec.U32(); i < n && dec.ok(); ++i) {
-    s.stable.push_back(dec.I64());
-  }
-  auto sites = [&dec] {
-    std::vector<SiteId> list;
-    for (uint32_t j = 0, k = dec.U32(); j < k && dec.ok(); ++j) {
-      list.push_back(static_cast<SiteId>(dec.I64()));
-    }
-    return list;
-  };
-  for (uint32_t i = 0, n = dec.U32(); i < n && dec.ok(); ++i) {
-    const EtId et = dec.I64();
-    StabilityTracker::Outgoing out;
-    out.ts = dec.Ts();
-    out.replicas = sites();
-    out.acks = sites();
-    s.outgoing.emplace_back(et, std::move(out));
-  }
-  for (uint32_t i = 0, n = dec.U32(); i < n && dec.ok(); ++i) {
-    s.watermark.push_back(dec.Ts());
-  }
-  if (!dec.ok()) return StabilityTracker::Snapshot{};
-  return s;
-}
 
 /// The method's highest observed position on order service `service`; 0
 /// while the site has no method instance.
@@ -507,36 +409,24 @@ void ReplicatedSystem::BindRecoverySite(SiteId s) {
           server->sealed()) {
         continue;
       }
-      if (i == 0) {
-        out.seq_next = server->NextToGrant();
-        out.seq_epoch = server->epoch();
-      } else {
-        out.shard_seq_floors.emplace_back(order_services_[i].shard,
-                                          server->NextToGrant(),
-                                          server->epoch());
-      }
+      out.seq_floors.emplace_back(order_services_[i].shard,
+                                  server->NextToGrant(), server->epoch());
     }
     out.clock_counter = site.clock.Now().counter;
     out.store_entries = site.store.SnapshotEntries();
     out.versions = site.store.SnapshotVersions();
     out.version_gc_floor = site.store.gc_floor();
     out.mset_log = site.mset_log.Snapshot();
-    MethodDurableState m;
-    site.method->SnapshotDurable(m);
-    out.order_watermark = m.order_watermark;
-    out.shard_watermarks = m.shard_watermarks;
-    out.method_blob = EncodeMethodState(m);
-    out.stability_blob = EncodeStabilitySnapshot(site.stability->ExportSnapshot());
+    site.method->SnapshotDurable(out);
+    out.stability = site.stability->ExportSnapshot();
   };
   b.restore = [this, s](const recovery::CheckpointData& data) {
     SiteRuntime& site = *sites_[s];
     // Staged for AmnesiaRestart (which runs RecoverSite -> this binding
     // synchronously): the re-seed floor of a restarted order server.
-    order_services_[0].restored_floor = data.seq_next;
-    order_services_[0].restored_epoch = data.seq_epoch;
-    for (const auto& [shard, next, epoch] : data.shard_seq_floors) {
-      const size_t i = static_cast<size_t>(shard) + 1;
-      if (shard < 0 || i >= order_services_.size()) continue;
+    for (const auto& [service, next, epoch] : data.seq_floors) {
+      const size_t i = static_cast<size_t>(service - kGlobalOrder);
+      if (service < kGlobalOrder || i >= order_services_.size()) continue;
       order_services_[i].restored_floor = next;
       order_services_[i].restored_epoch = epoch;
     }
@@ -560,9 +450,8 @@ void ReplicatedSystem::BindRecoverySite(SiteId s) {
     if (data.clock_counter > 0) {
       site.clock.Observe(LamportTimestamp{data.clock_counter, s});
     }
-    site.stability->RestoreSnapshot(
-        DecodeStabilitySnapshot(data.stability_blob));
-    site.method->RestoreDurable(DecodeMethodState(data.method_blob));
+    site.stability->RestoreSnapshot(data.stability);
+    site.method->RestoreDurable(data);
   };
   b.deliver = [this, s](const Mset& mset) {
     sites_[s]->method->OnMsetDelivered(mset);
@@ -597,9 +486,9 @@ void ReplicatedSystem::BindRecoverySite(SiteId s) {
     // The post-replay stream cursors (owned shards) / infinity markers
     // (non-owned) — what a catch-up request reports so peers serve exactly
     // the sharded MSets past them.
-    MethodDurableState m;
-    sites_[s]->method->SnapshotDurable(m);
-    return m.shard_watermarks;
+    recovery::CheckpointData durable;
+    sites_[s]->method->SnapshotDurable(durable);
+    return durable.shard_watermarks;
   };
   recovery_->BindSite(s, std::move(b));
 

@@ -22,7 +22,7 @@ void StabilityTracker::TrackOutgoing(EtId et, LamportTimestamp ts,
                                      std::vector<SiteId> replicas) {
   assert(!replicas.empty());
   if (stable_.count(et)) return;  // late re-track after stability
-  Outgoing& out = outgoing_[et];
+  recovery::OutgoingRecord& out = outgoing_[et];
   if (!out.replicas.empty()) return;  // already tracked
   out.ts = ts;
   out.replicas = std::move(replicas);
@@ -32,13 +32,13 @@ void StabilityTracker::DropOutgoing(EtId et) { outgoing_.erase(et); }
 
 bool StabilityTracker::RecordAck(EtId et, SiteId replica) {
   if (stable_.count(et)) return false;  // duplicate late ack
-  Outgoing& out = outgoing_[et];
+  recovery::OutgoingRecord& out = outgoing_[et];
   auto at = std::lower_bound(out.acks.begin(), out.acks.end(), replica);
   if (at == out.acks.end() || *at != replica) out.acks.insert(at, replica);
   return Complete(out);
 }
 
-bool StabilityTracker::Complete(const Outgoing& out) const {
+bool StabilityTracker::Complete(const recovery::OutgoingRecord& out) const {
   const size_t needed = out.replicas.empty()
                             ? static_cast<size_t>(num_sites_)
                             : out.replicas.size();
@@ -50,7 +50,7 @@ bool StabilityTracker::AcksComplete(EtId et) const {
   return it != outgoing_.end() && Complete(it->second);
 }
 
-const StabilityTracker::Outgoing* StabilityTracker::FindOutgoing(
+const recovery::OutgoingRecord* StabilityTracker::FindOutgoing(
     EtId et) const {
   auto it = outgoing_.find(et);
   if (it == outgoing_.end() || it->second.replicas.empty()) return nullptr;
@@ -114,8 +114,8 @@ void StabilityTracker::MarkStable(EtId et, LamportTimestamp ts) {
   MaybeAdvanceVtnc();
 }
 
-StabilityTracker::Snapshot StabilityTracker::ExportSnapshot() const {
-  Snapshot snap;
+recovery::StabilitySnapshot StabilityTracker::ExportSnapshot() const {
+  recovery::StabilitySnapshot snap;
   for (const auto& [ts, et] : outstanding_by_ts_) {
     snap.outstanding.emplace_back(et, ts);
   }
@@ -128,7 +128,8 @@ StabilityTracker::Snapshot StabilityTracker::ExportSnapshot() const {
   return snap;
 }
 
-void StabilityTracker::RestoreSnapshot(const Snapshot& snapshot) {
+void StabilityTracker::RestoreSnapshot(
+    const recovery::StabilitySnapshot& snapshot) {
   outstanding_by_ts_.clear();
   outstanding_ts_.clear();
   stable_.clear();

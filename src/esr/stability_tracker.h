@@ -9,6 +9,7 @@
 #include <vector>
 
 #include "common/types.h"
+#include "recovery/checkpointer.h"
 
 namespace esr::core {
 
@@ -51,20 +52,6 @@ class StabilityTracker {
   /// The store layer hangs version GC off this hook (DESIGN.md §15).
   std::function<void(LamportTimestamp)> on_vtnc_advance;
 
-  /// Origin side: what this site knows about one of its outgoing update
-  /// ETs until it becomes stable.
-  struct Outgoing {
-    LamportTimestamp ts = kZeroTimestamp;
-    /// The sites that apply the MSet, sorted: every site when fully
-    /// replicated, the owners of its shards otherwise. The origin is among
-    /// them iff it applies the MSet itself. The stability notice goes to
-    /// the others. Empty while only acks are known (see RecordAck); every
-    /// site then counts as a replica, the full-replication rule.
-    std::vector<SiteId> replicas;
-    /// Sites that acked, sorted.
-    std::vector<SiteId> acks;
-  };
-
   /// Origin side: starts the record of outgoing update ET `et`. A no-op
   /// once `et` is stable or already tracked, so a recovered origin may call
   /// it again for every own MSet it re-reads from its WAL.
@@ -89,7 +76,7 @@ class StabilityTracker {
 
   /// Origin side: the record of tracked outgoing ET `et`, or null. Valid
   /// until the next call that changes the tracker.
-  const Outgoing* FindOutgoing(EtId et) const;
+  const recovery::OutgoingRecord* FindOutgoing(EtId et) const;
 
   /// Union of the replicas of every tracked outgoing ET, sorted. Under
   /// partial replication these are the only peers that can answer
@@ -123,18 +110,9 @@ class StabilityTracker {
   /// decentralized ORDUP variant releases its hold-back buffer up to it.
   LamportTimestamp WatermarkFloor() const;
 
-  /// Checkpointable image of the tracker (sorted by ET, so snapshots of a
-  /// seeded run are deterministic). The hooks are configuration, not
-  /// state, and are not captured.
-  struct Snapshot {
-    std::vector<std::pair<EtId, LamportTimestamp>> outstanding;
-    std::vector<EtId> stable;
-    std::vector<std::pair<EtId, Outgoing>> outgoing;
-    std::vector<LamportTimestamp> watermark;
-  };
-
-  Snapshot ExportSnapshot() const;
-  void RestoreSnapshot(const Snapshot& snapshot);
+  /// Checkpointable image of the tracker (see recovery::StabilitySnapshot).
+  recovery::StabilitySnapshot ExportSnapshot() const;
+  void RestoreSnapshot(const recovery::StabilitySnapshot& snapshot);
 
   /// Applied-but-not-stable ETs this site originated, with their
   /// timestamps — what a recovering origin asks its peers about.
@@ -148,7 +126,7 @@ class StabilityTracker {
   /// Fires on_vtnc_advance if the VTNC moved past the last reported value.
   void MaybeAdvanceVtnc();
   /// Every replica of the record acked (acks come only from replicas).
-  bool Complete(const Outgoing& out) const;
+  bool Complete(const recovery::OutgoingRecord& out) const;
 
   SiteId self_;
   int num_sites_;
@@ -157,7 +135,7 @@ class StabilityTracker {
   std::unordered_map<EtId, LamportTimestamp> outstanding_ts_;
   std::unordered_set<EtId> stable_;
   /// Origin side: one record per outgoing ET not yet stable.
-  std::unordered_map<EtId, Outgoing> outgoing_;
+  std::unordered_map<EtId, recovery::OutgoingRecord> outgoing_;
   /// Per-origin clock watermark (self is implicitly infinite: this site
   /// always knows its own MSets).
   std::vector<LamportTimestamp> watermark_;

@@ -246,18 +246,30 @@ CheckpointData SampleCheckpoint() {
   data.clock_counter = 99;
   data.order_watermark = 6;
   data.applied = {LamportTimestamp{4, 0}, LamportTimestamp{9, 1}};
+  data.shard_watermarks = {{0, 5}, {2, 11}};
+  data.seq_floors = {{-1, 40, 1}, {2, 12, 3}};
   data.store_entries.emplace_back(1, Value(int64_t{10}),
                                   LamportTimestamp{3, 0});
   data.versions.emplace_back(1, LamportTimestamp{3, 0}, Value(int64_t{10}));
+  data.version_gc_floor = LamportTimestamp{2, 1};
   store::MsetLog::RecordSnapshot rec;
   rec.mset_id = 8;
   rec.ops = {store::Operation::Increment(1, 2)};
   rec.before_images.emplace_back(1, Value(int64_t{8}));
   data.mset_log.push_back(std::move(rec));
-  data.shard_watermarks = {{0, 5}, {2, 11}};
-  data.shard_seq_floors = {{0, 6, 2}, {2, 12, 3}};
-  data.method_blob = "method";
-  data.stability_blob = "stability";
+  data.apply_count = 23;
+  data.decided_commit = {3, 5};
+  data.abort_before_apply = {8};
+  data.stability.outstanding = {{11, LamportTimestamp{7, 1}},
+                                {12, LamportTimestamp{8, 0}}};
+  data.stability.stable = {3, 5};
+  OutgoingRecord half_acked;
+  half_acked.ts = LamportTimestamp{8, 0};
+  half_acked.replicas = {0, 1, 2};
+  half_acked.acks = {0, 2};
+  data.stability.outgoing = {{12, half_acked}};
+  data.stability.watermark = {LamportTimestamp{8, 0}, LamportTimestamp{7, 1},
+                              kZeroTimestamp};
   return data;
 }
 
@@ -268,23 +280,43 @@ TEST(CheckpointTest, EncodeDecodeRoundtrip) {
   EXPECT_EQ(out.last_lsn, 17);
   EXPECT_EQ(out.clock_counter, 99);
   EXPECT_EQ(out.order_watermark, 6);
-  ASSERT_EQ(out.applied.size(), 2u);
-  EXPECT_EQ(out.applied[1].counter, 9);
+  EXPECT_EQ(out.applied, (std::vector<LamportTimestamp>{{4, 0}, {9, 1}}));
+  EXPECT_EQ(out.shard_watermarks,
+            (std::vector<std::pair<ShardId, SequenceNumber>>{{0, 5},
+                                                             {2, 11}}));
+  // One global (service -1) and one shard sequencer floor.
+  EXPECT_EQ(out.seq_floors,
+            (std::vector<std::tuple<ShardId, SequenceNumber, int64_t>>{
+                {-1, 40, 1}, {2, 12, 3}}));
   ASSERT_EQ(out.store_entries.size(), 1u);
+  EXPECT_EQ(std::get<0>(out.store_entries[0]), 1);
   EXPECT_EQ(std::get<1>(out.store_entries[0]).AsInt(), 10);
+  EXPECT_EQ(std::get<2>(out.store_entries[0]), (LamportTimestamp{3, 0}));
   ASSERT_EQ(out.versions.size(), 1u);
+  EXPECT_EQ(std::get<1>(out.versions[0]), (LamportTimestamp{3, 0}));
+  EXPECT_EQ(std::get<2>(out.versions[0]).AsInt(), 10);
+  EXPECT_EQ(out.version_gc_floor, (LamportTimestamp{2, 1}));
   ASSERT_EQ(out.mset_log.size(), 1u);
   EXPECT_EQ(out.mset_log[0].mset_id, 8);
+  ASSERT_EQ(out.mset_log[0].ops.size(), 1u);
+  EXPECT_EQ(out.mset_log[0].ops[0].object, 1);
   ASSERT_EQ(out.mset_log[0].before_images.size(), 1u);
-  ASSERT_EQ(out.shard_watermarks.size(), 2u);
-  EXPECT_EQ(out.shard_watermarks[1], (std::pair<ShardId, SequenceNumber>{2, 11}));
-  ASSERT_EQ(out.shard_seq_floors.size(), 2u);
-  EXPECT_EQ(out.shard_seq_floors[0],
-            (std::tuple<ShardId, SequenceNumber, int64_t>{0, 6, 2}));
-  EXPECT_EQ(out.shard_seq_floors[1],
-            (std::tuple<ShardId, SequenceNumber, int64_t>{2, 12, 3}));
-  EXPECT_EQ(out.method_blob, "method");
-  EXPECT_EQ(out.stability_blob, "stability");
+  EXPECT_EQ(out.mset_log[0].before_images[0].second.AsInt(), 8);
+  EXPECT_EQ(out.apply_count, 23);
+  EXPECT_EQ(out.decided_commit, (std::vector<EtId>{3, 5}));
+  EXPECT_EQ(out.abort_before_apply, (std::vector<EtId>{8}));
+  EXPECT_EQ(out.stability.outstanding,
+            (std::vector<std::pair<EtId, LamportTimestamp>>{
+                {11, {7, 1}}, {12, {8, 0}}}));
+  EXPECT_EQ(out.stability.stable, (std::vector<EtId>{3, 5}));
+  ASSERT_EQ(out.stability.outgoing.size(), 1u);
+  EXPECT_EQ(out.stability.outgoing[0].first, 12);
+  const OutgoingRecord& half_acked = out.stability.outgoing[0].second;
+  EXPECT_EQ(half_acked.ts, (LamportTimestamp{8, 0}));
+  EXPECT_EQ(half_acked.replicas, (std::vector<SiteId>{0, 1, 2}));
+  EXPECT_EQ(half_acked.acks, (std::vector<SiteId>{0, 2}));
+  EXPECT_EQ(out.stability.watermark,
+            (std::vector<LamportTimestamp>{{8, 0}, {7, 1}, kZeroTimestamp}));
 }
 
 TEST(CheckpointTest, RejectsEmptyTornAndCorruptBytes) {
@@ -296,6 +328,30 @@ TEST(CheckpointTest, RejectsEmptyTornAndCorruptBytes) {
   corrupt[corrupt.size() / 2] ^= 0x01;
   EXPECT_FALSE(DecodeCheckpoint(corrupt, &out));
   EXPECT_FALSE(DecodeCheckpoint("garbage-not-a-checkpoint", &out));
+}
+
+TEST(CheckpointTest, RejectsAWellFramedCheckpointOfAnotherVersion) {
+  const std::string bytes = EncodeCheckpoint(SampleCheckpoint());
+  size_t pos = 0;
+  std::string_view payload;
+  ASSERT_TRUE(wire::FrameNext(bytes, &pos, &payload));
+  CheckpointData out;
+  ASSERT_TRUE(DecodeCheckpoint(bytes, &out));
+  for (uint32_t version : {5u, 7u}) {
+    SCOPED_TRACE(version);
+    // The version is the little-endian u32 after the magic; re-frame the
+    // edited payload so only the version is wrong.
+    std::string edited(payload);
+    for (int i = 0; i < 4; ++i) {
+      edited[4 + i] = static_cast<char>((version >> (8 * i)) & 0xff);
+    }
+    std::string framed;
+    wire::FrameAppend(framed, edited);
+    CheckpointData rejected;
+    rejected.last_lsn = -1;
+    EXPECT_FALSE(DecodeCheckpoint(framed, &rejected));
+    EXPECT_EQ(rejected.last_lsn, -1) << "a rejected decode leaves out alone";
+  }
 }
 
 // Catch-up exchange lifecycle and WAL truncation policy, exercised against

@@ -101,7 +101,7 @@ TEST(StabilityTrackerTest, ShardedOriginOutsideTheOwnerSetNeverAcksItself) {
   EXPECT_FALSE(t.RecordAck(7, 1));
   EXPECT_TRUE(t.RecordAck(7, 2));
   EXPECT_TRUE(t.AcksComplete(7));
-  const StabilityTracker::Outgoing* out = t.FindOutgoing(7);
+  const recovery::OutgoingRecord* out = t.FindOutgoing(7);
   ASSERT_NE(out, nullptr);
   EXPECT_EQ(out->replicas, (std::vector<SiteId>{1, 2}));
   EXPECT_EQ(t.OutgoingTargets(), (std::vector<SiteId>{1, 2}));
@@ -116,9 +116,15 @@ TEST(StabilityTrackerTest, HalfAckedRecordSurvivesCheckpointRoundTrip) {
   EXPECT_FALSE(t.RecordAck(9, 2));
   EXPECT_FALSE(t.RecordAck(9, 0));
 
+  // Through the checkpoint codec, as an amnesia restart reads it back.
+  recovery::CheckpointData image;
+  image.stability = t.ExportSnapshot();
+  recovery::CheckpointData decoded;
+  ASSERT_TRUE(
+      recovery::DecodeCheckpoint(recovery::EncodeCheckpoint(image), &decoded));
   StabilityTracker restored(0, 3);
-  restored.RestoreSnapshot(t.ExportSnapshot());
-  const StabilityTracker::Outgoing* out = restored.FindOutgoing(9);
+  restored.RestoreSnapshot(decoded.stability);
+  const recovery::OutgoingRecord* out = restored.FindOutgoing(9);
   ASSERT_NE(out, nullptr);
   EXPECT_EQ(out->ts, (LamportTimestamp{3, 0}));
   EXPECT_EQ(out->replicas, (std::vector<SiteId>{0, 1, 2}));

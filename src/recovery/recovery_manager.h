@@ -95,10 +95,12 @@ struct RecoveryReport {
 
 /// Callbacks the ReplicatedSystem facade installs per site. They are the
 /// seam that keeps this subsystem below esr_core in the layering: the
-/// facade knows the concrete method/stability types and encodes them into
-/// the opaque checkpoint blobs; this subsystem only orchestrates.
+/// facade knows the concrete sites, methods and stability trackers and
+/// fills or reads CheckpointData's typed fields through them; this
+/// subsystem owns the byte layout and only orchestrates.
 struct SiteBindings {
-  /// Fills store images, watermarks, and the opaque blobs.
+  /// Fills every CheckpointData field except `applied` and `last_lsn`,
+  /// which the RecoveryManager sets itself.
   std::function<void(CheckpointData&)> snapshot;
   /// Rebuilds the site from a decoded checkpoint (or a default-constructed
   /// one when no checkpoint exists).

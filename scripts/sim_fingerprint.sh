@@ -9,8 +9,9 @@
 # Covered outputs (each read identical across repeated runs):
 #   - esrsim --verify stdout for all 10 methods
 #   - hop traces: stdout and the --trace-out waterfall JSONL of traced
-#     esrsim --verify runs of ORDUP and COMPE (with aborts), and of the
-#     fully replicated amnesia run below
+#     esrsim --verify runs of ORDUP, COMPE (with aborts), COMMU, RITU-MV,
+#     RITU-SV, ORDUP-TS and COMPE-ORD, and of the fully replicated amnesia
+#     run below
 #   - a sharded esrsim run (4 shards, RF 2, 8 sites) with a global standby
 #     sequencer and an amnesia crash of site 0 recovered from file-backed
 #     storage: its stdout plus every site's .ckpt and .wal file
@@ -19,9 +20,10 @@
 #     site's .ckpt and .wal file
 #   - COMPE (with aborts, so the commit-decision gate runs), COMMU,
 #     ORDUP-TS (the apply count), RITU-MV with version GC (version images
-#     and the GC floor) and ordered COMPE (the order watermark together
-#     with decisions) amnesia runs (4 sites, an amnesia crash of site 2):
-#     each one's stdout plus every site's .ckpt and .wal file
+#     and the GC floor), ordered COMPE (the order watermark together with
+#     decisions) and RITU-SV (the single-version store and its lock
+#     counters) amnesia runs (4 sites, an amnesia crash of site 2): each
+#     one's stdout plus every site's .ckpt and .wal file
 #   - stdout and .metrics.prom of bench_table1_methods, bench_sharding,
 #     bench_ordup_ordering_ablation, bench_epsilon_bound, bench_convergence
 #     and bench_async_vs_sync
@@ -71,7 +73,7 @@ for method in ordup ordup-ts commu ritu ritu-sv compe compe-ord 2pc quorum \
   echo "$(hash esrsim.out)  esrsim --method=$method --verify"
 done
 
-for method in ordup compe; do
+for method in ordup compe commu ritu ritu-sv ordup-ts compe-ord; do
   "$BUILD_DIR/examples/esrsim" --method="$method" --verify \
     --trace-out=trace.jsonl > traced.out
   echo "$(hash traced.out)  esrsim --method=$method --verify --trace-out: stdout"
@@ -102,7 +104,8 @@ mkdir full
 
 n=0
 for args in "--method=compe" "--method=commu" "--method=ordup-ts" \
-            "--method=ritu --version-gc" "--method=compe-ord"; do
+            "--method=ritu --version-gc" "--method=compe-ord" \
+            "--method=ritu-sv"; do
   n=$((n + 1))
   mkdir "amnesia-$n"
   (

@@ -5,16 +5,6 @@
 
 namespace esr::core {
 
-CommuMethod::CommuMethod(const MethodContext& ctx)
-    : ReplicaControlMethod(ctx) {
-  ctx_.mailbox->RegisterHandler(
-      kMsetMsg, [this](SiteId /*source*/, const std::any& body) {
-        const auto* mset = std::any_cast<Mset>(&body);
-        assert(mset != nullptr);
-        OnMsetDelivered(*mset);
-      });
-}
-
 Status CommuMethod::AdmitUpdate(const std::vector<store::Operation>& ops) {
   ESR_RETURN_IF_ERROR(ReplicaControlMethod::AdmitUpdate(ops));
   // The registry pins each object's commutative class; cross-class updates
@@ -47,24 +37,12 @@ void CommuMethod::SubmitUpdate(EtId et, std::vector<store::Operation> ops,
   mset.origin = ctx_.site;
   mset.timestamp = ts;
   mset.operations = std::move(ops);
-  TrackOutgoing(mset);
-  if (ctx_.config->record_history) {
-    analysis::UpdateRecord record;
-    record.et = et;
-    record.origin = ctx_.site;
-    record.commit_time = ctx_.simulator->Now();
-    record.ops = mset.operations;
-    record.timestamp = ts;
-    ctx_.history->RecordUpdateCommit(std::move(record));
-  }
-  TraceLocalCommit(et);
-  PropagateMset(mset);
-  ApplyNow(mset);
-  ctx_.counters->Increment("esr.updates_committed");
+  CommitLocal(mset);
+  ProcessMset(mset);
   if (done) done(Status::Ok());
 }
 
-void CommuMethod::ApplyNow(const Mset& mset) {
+void CommuMethod::ProcessMset(const Mset& mset) {
   std::vector<WeightedObject> objects = WeighOperations(mset.operations);
   counters_.Increment(objects);
   in_progress_.emplace(mset.et, std::move(objects));
@@ -72,11 +50,6 @@ void CommuMethod::ApplyNow(const Mset& mset) {
   assert(s.ok());
   (void)s;
   RecordApplied(mset);
-}
-
-void CommuMethod::OnMsetDelivered(const Mset& mset) {
-  if (RecoveryFilterDelivery(mset)) return;
-  ApplyNow(mset);
 }
 
 void CommuMethod::OnReplayReflected(const Mset& mset) {

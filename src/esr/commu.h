@@ -30,12 +30,11 @@ namespace esr::core {
 /// limit ("we can limit the update ETs in addition to query ETs").
 class CommuMethod : public ReplicaControlMethod {
  public:
-  explicit CommuMethod(const MethodContext& ctx);
+  using ReplicaControlMethod::ReplicaControlMethod;
 
   Status AdmitUpdate(const std::vector<store::Operation>& ops) override;
   void SubmitUpdate(EtId et, std::vector<store::Operation> ops,
                     CommitFn done) override;
-  void OnMsetDelivered(const Mset& mset) override;
   Result<Value> TryQueryRead(QueryState& query, ObjectId object) override;
   void OnStable(EtId et) override;
 
@@ -50,8 +49,9 @@ class CommuMethod : public ReplicaControlMethod {
   std::unordered_map<EtId, std::vector<WeightedObject>> in_progress_;
   LockCounterTable counters_;
 
-  /// Shared apply path for COMMU-style processing.
-  void ApplyNow(const Mset& mset);
+  /// Applies the MSet on arrival and arms its lock-counters until it is
+  /// stable.
+  void ProcessMset(const Mset& mset) override;
 };
 
 }  // namespace esr::core

@@ -10,12 +10,6 @@ namespace esr::core {
 CompeMethod::CompeMethod(const MethodContext& ctx, bool ordered)
     : ReplicaControlMethod(ctx), ordered_(ordered) {
   ctx_.mailbox->RegisterHandler(
-      kMsetMsg, [this](SiteId /*source*/, const std::any& body) {
-        const auto* mset = std::any_cast<Mset>(&body);
-        assert(mset != nullptr);
-        OnMsetDelivered(*mset);
-      });
-  ctx_.mailbox->RegisterHandler(
       kDecisionMsg, [this](SiteId source, const std::any& body) {
         OnDecisionMsg(source, body);
       });
@@ -41,52 +35,36 @@ void CompeMethod::SubmitUpdate(EtId et, std::vector<store::Operation> ops,
   mset.timestamp = ts;
   mset.operations = std::move(ops);
   mset.tentative = true;
+  // Tracked at submit, not by CommitLocal: SubmitDecision looks the ET up
+  // here, and in ordered mode its abort may arrive before the order grant.
   TrackOutgoing(mset);
-  auto record_commit = [this](const Mset& m) {
-    if (!ctx_.config->record_history) return;
-    analysis::UpdateRecord record;
-    record.et = m.et;
-    record.origin = ctx_.site;
-    record.commit_time = ctx_.simulator->Now();
-    record.ops = m.operations;
-    record.order = m.global_order;
-    record.timestamp = m.timestamp;
-    ctx_.history->RecordUpdateCommit(std::move(record));
-  };
-  if (ordered_) {
-    ctx_.sequencer->Request([this, mset = std::move(mset), record_commit,
-                             done = std::move(done)](SequenceNumber seq) mutable {
-      mset.global_order = seq;
-      record_commit(mset);
-      // The global abort may outrun the ordering response (the client can
-      // decide any time after submission); the history record is only
-      // created now, so patch its aborted flag. The MSet still propagates —
-      // its sequence number must fill the total order everywhere — and
-      // every site skips or compensates it through the normal abort paths.
-      if (abort_before_apply_.count(mset.et) > 0) {
-        if (ctx_.config->record_history) {
-          ctx_.history->RecordUpdateAborted(mset.et);
-        }
-        ctx_.counters->Increment("esr.compe_abort_before_order");
-      }
-      TraceLocalCommit(mset.et);
-      PropagateMset(mset);
-      OfferOrdered(std::move(mset));
-      ctx_.counters->Increment("esr.updates_committed");
-      if (done) done(Status::Ok());
-    }, TraceContext{.et = et, .origin = ctx_.site});
+  if (!ordered_) {
+    CommitLocal(mset);
+    ApplyLocal(mset);
+    if (done) done(Status::Ok());
     return;
   }
-  record_commit(mset);
-  TraceLocalCommit(mset.et);
-  PropagateMset(mset);
-  ApplyLocal(mset);
-  ctx_.counters->Increment("esr.updates_committed");
-  if (done) done(Status::Ok());
+  ctx_.sequencer->Request([this, mset = std::move(mset),
+                           done = std::move(done)](SequenceNumber seq) mutable {
+    mset.global_order = seq;
+    // The MSet propagates even when its global abort outran the ordering
+    // response (the client can decide any time after submission): its
+    // sequence number must fill the total order everywhere, and every site
+    // skips or compensates it through the normal abort paths.
+    CommitLocal(mset);
+    if (abort_before_apply_.count(mset.et) > 0) {
+      // The history record was only created now: patch its aborted flag.
+      if (ctx_.config->record_history) {
+        ctx_.history->RecordUpdateAborted(mset.et);
+      }
+      ctx_.counters->Increment("esr.compe_abort_before_order");
+    }
+    OfferOrdered(std::move(mset));
+    if (done) done(Status::Ok());
+  }, TraceContext{.et = et, .origin = ctx_.site});
 }
 
-void CompeMethod::OnMsetDelivered(const Mset& mset) {
-  if (RecoveryFilterDelivery(mset)) return;
+void CompeMethod::ProcessMset(const Mset& mset) {
   if (ordered_) {
     OfferOrdered(mset);
   } else {

@@ -48,7 +48,6 @@ class CompeMethod : public ReplicaControlMethod {
   Status AdmitUpdate(const std::vector<store::Operation>& ops) override;
   void SubmitUpdate(EtId et, std::vector<store::Operation> ops,
                     CommitFn done) override;
-  void OnMsetDelivered(const Mset& mset) override;
   Result<Value> TryQueryRead(QueryState& query, ObjectId object) override;
   Status SubmitDecision(EtId et, bool commit) override;
   void OnStable(EtId et) override;
@@ -69,6 +68,9 @@ class CompeMethod : public ReplicaControlMethod {
 
  protected:
   bool ReadyForStable(EtId et) override;
+  /// Unordered: applies on arrival. Ordered: holds the MSet at its global
+  /// position (OfferOrdered).
+  void ProcessMset(const Mset& mset) override;
 
  private:
   void ApplyLocal(const Mset& mset);

@@ -23,12 +23,6 @@ OrdupMethod::OrdupMethod(const MethodContext& ctx)
            ctx_.placement->num_shards());
     for (ShardId k : ctx_.placement->OwnedShards(ctx_.site)) streams_[k];
   }
-  ctx_.mailbox->RegisterHandler(
-      kMsetMsg, [this](SiteId /*source*/, const std::any& body) {
-        const auto* mset = std::any_cast<Mset>(&body);
-        assert(mset != nullptr);
-        OnMsetDelivered(*mset);
-      });
 }
 
 OrdupMethod::Positions OrdupMethod::PositionsOf(const Mset& mset) {
@@ -126,28 +120,14 @@ void OrdupMethod::FinishCommit(EtId et, LamportTimestamp ts,
   } else {
     mset.shard_positions = positions;  // per-shard positions carry the order
   }
-  if (ctx_.config->record_history) {
-    analysis::UpdateRecord record;
-    record.et = et;
-    record.origin = ctx_.site;
-    record.commit_time = ctx_.simulator->Now();
-    record.ops = mset.operations;
-    record.order = positions.front().second;
-    record.timestamp = ts;
-    ctx_.history->RecordUpdateCommit(std::move(record));
-  }
   // Owner-set stability: the ET is stable once every owner of its shards
   // applied it — non-owners never see it and never ack.
-  TrackOutgoing(mset);
-  TraceLocalCommit(et);
-  PropagateMset(mset);
+  CommitLocal(mset);
   OfferMset(mset);  // applies locally iff this site follows a named stream
-  ctx_.counters->Increment("esr.updates_committed");
   if (done) done(Status::Ok());
 }
 
-void OrdupMethod::OnMsetDelivered(const Mset& mset) {
-  if (RecoveryFilterDelivery(mset)) return;
+void OrdupMethod::ProcessMset(const Mset& mset) {
   if (ctx_.placement != nullptr && InReplay() && mset.origin == ctx_.site) {
     // A WAL-replayed own MSet whose shards this site does not own is never
     // applied here (no owned stream holds it), but its stability record

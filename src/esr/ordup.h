@@ -63,7 +63,6 @@ class OrdupMethod : public ReplicaControlMethod {
 
   void SubmitUpdate(EtId et, std::vector<store::Operation> ops,
                     CommitFn done) override;
-  void OnMsetDelivered(const Mset& mset) override;
   Result<Value> TryQueryRead(QueryState& query, ObjectId object) override;
   void OnQueryBegin(QueryState& query) override;
   void OnQueryEnd(QueryState& query) override;
@@ -74,6 +73,10 @@ class OrdupMethod : public ReplicaControlMethod {
   void OnReplayReflected(const Mset& mset) override;
   void ReleaseOrphanPosition(ShardId service, SequenceNumber seq) override;
   SequenceNumber MaxOrderSeen(ShardId service) const override;
+
+ protected:
+  /// Holds the MSet in every followed stream it names (OfferMset).
+  void ProcessMset(const Mset& mset) override;
 
  private:
   /// (order service, position) pairs, ascending by service.

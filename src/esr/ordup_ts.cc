@@ -10,12 +10,6 @@ OrdupTsMethod::OrdupTsMethod(const MethodContext& ctx)
          "ORDUP-TS watermarks require FIFO stable queues");
   assert(ctx_.config->heartbeat_interval_us > 0 &&
          "ORDUP-TS release progress requires clock heartbeats");
-  ctx_.mailbox->RegisterHandler(
-      kMsetMsg, [this](SiteId /*source*/, const std::any& body) {
-        const auto* mset = std::any_cast<Mset>(&body);
-        assert(mset != nullptr);
-        OnMsetDelivered(*mset);
-      });
 }
 
 void OrdupTsMethod::SubmitUpdate(EtId et, std::vector<store::Operation> ops,
@@ -26,28 +20,16 @@ void OrdupTsMethod::SubmitUpdate(EtId et, std::vector<store::Operation> ops,
   mset.origin = ctx_.site;
   mset.timestamp = ts;
   mset.operations = std::move(ops);
-  TrackOutgoing(mset);
-  if (ctx_.config->record_history) {
-    analysis::UpdateRecord record;
-    record.et = et;
-    record.origin = ctx_.site;
-    record.commit_time = ctx_.simulator->Now();
-    record.ops = mset.operations;
-    record.timestamp = ts;
-    ctx_.history->RecordUpdateCommit(std::move(record));
-  }
-  TraceLocalCommit(et);
-  PropagateMset(mset);
+  CommitLocal(mset);
   // Local commit is immediate; the MSet still waits in the hold-back
-  // buffer until the timestamp order is closed below it.
+  // buffer until the timestamp order is closed below it. Unlike a
+  // delivered MSet (ProcessMset) it leaves the origin watermarks alone.
   holdback_.emplace(ts, std::move(mset));
-  ctx_.counters->Increment("esr.updates_committed");
   TryRelease();
   if (done) done(Status::Ok());
 }
 
-void OrdupTsMethod::OnMsetDelivered(const Mset& mset) {
-  if (RecoveryFilterDelivery(mset)) return;
+void OrdupTsMethod::ProcessMset(const Mset& mset) {
   holdback_.emplace(mset.timestamp, mset);
   // The MSet's own timestamp advances its origin's watermark (the base
   // records it in RecordApplied only at apply time, which is too late for

@@ -38,7 +38,6 @@ class OrdupTsMethod : public ReplicaControlMethod {
 
   void SubmitUpdate(EtId et, std::vector<store::Operation> ops,
                     CommitFn done) override;
-  void OnMsetDelivered(const Mset& mset) override;
   Result<Value> TryQueryRead(QueryState& query, ObjectId object) override;
   void OnQueryEnd(QueryState& query) override;
   void OnQueryRestart(QueryState& query) override;
@@ -52,6 +51,8 @@ class OrdupTsMethod : public ReplicaControlMethod {
   void RestoreDurable(const recovery::CheckpointData& in) override;
 
  protected:
+  /// Holds the MSet back by timestamp and raises its origin's watermark.
+  void ProcessMset(const Mset& mset) override;
   void OnWatermarkAdvance() override { TryRelease(); }
 
  private:

@@ -7,12 +7,6 @@ namespace esr::core {
 QuasiCopyMethod::QuasiCopyMethod(const MethodContext& ctx)
     : ReplicaControlMethod(ctx) {
   ctx_.mailbox->RegisterHandler(
-      kMsetMsg, [this](SiteId /*source*/, const std::any& body) {
-        const auto* mset = std::any_cast<Mset>(&body);
-        assert(mset != nullptr);
-        OnMsetDelivered(*mset);
-      });
-  ctx_.mailbox->RegisterHandler(
       kQuasiForward, [this](SiteId /*source*/, const std::any& body) {
         const auto* fwd = std::any_cast<Forwarded>(&body);
         assert(fwd != nullptr);
@@ -56,9 +50,10 @@ void QuasiCopyMethod::ApplyAtPrimary(EtId et, SiteId origin,
   assert(s.ok());
   (void)s;
   ctx_.counters->Increment("quasi.primary_applied");
-  // No TraceLocalCommit: quasi-copy updates skip the stability protocol, so
-  // a commit span would float in esr_et_in_flight forever. The primary-apply
-  // counter above is the method's lifecycle signal.
+  // No CommitLocal: quasi-copy updates skip MSet propagation and the
+  // stability protocol, so a commit span would float in esr_et_in_flight
+  // forever. The primary-apply counter above is the method's lifecycle
+  // signal.
   if (ctx_.config->record_history) {
     analysis::UpdateRecord record;
     record.et = et;
@@ -105,7 +100,7 @@ void QuasiCopyMethod::FlushDirty() {
   for (ObjectId object : objects) RefreshObject(object);
 }
 
-void QuasiCopyMethod::OnMsetDelivered(const Mset& mset) {
+void QuasiCopyMethod::ProcessMset(const Mset& mset) {
   // A cache refresh from the primary.
   assert(!IsPrimary());
   Status s = ctx_.store->ApplyAll(mset.operations);

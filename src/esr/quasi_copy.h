@@ -43,7 +43,6 @@ class QuasiCopyMethod : public ReplicaControlMethod {
 
   void SubmitUpdate(EtId et, std::vector<store::Operation> ops,
                     CommitFn done) override;
-  void OnMsetDelivered(const Mset& mset) override;
   Result<Value> TryQueryRead(QueryState& query, ObjectId object) override;
 
   /// Flushes every dirty object to the caches (primary only; no-op
@@ -61,6 +60,10 @@ class QuasiCopyMethod : public ReplicaControlMethod {
   /// the heartbeat schedule, so refresh silently ran at heartbeat cadence —
   /// or never, with heartbeats off).
   void OnRefreshTimer() override { FlushDirty(); }
+
+ protected:
+  /// Applies a cache refresh from the primary.
+  void ProcessMset(const Mset& mset) override;
 
  private:
   struct Forwarded {

@@ -54,8 +54,12 @@ std::string_view MethodToString(Method method) {
 ReplicaControlMethod::ReplicaControlMethod(MethodContext ctx)
     : ctx_(std::move(ctx)) {
   assert(ctx_.mailbox != nullptr);
-  // The MSet handler is registered by each concrete method (it owns the
-  // processing rule); the shared protocol messages are handled here.
+  ctx_.mailbox->RegisterHandler(
+      kMsetMsg, [this](SiteId /*source*/, const std::any& body) {
+        const auto* mset = std::any_cast<Mset>(&body);
+        assert(mset != nullptr);
+        DeliverMset(*mset);
+      });
   ctx_.mailbox->RegisterHandler(
       kApplyAckMsg, [this](SiteId source, const std::any& body) {
         OnApplyAckMsg(source, body);
@@ -103,6 +107,11 @@ bool ReplicaControlMethod::InReplay() const {
   return ctx_.recovery != nullptr && ctx_.recovery->in_replay();
 }
 
+void ReplicaControlMethod::DeliverMset(const Mset& mset) {
+  if (RecoveryFilterDelivery(mset)) return;
+  ProcessMset(mset);
+}
+
 bool ReplicaControlMethod::RecoveryFilterDelivery(const Mset& mset) {
   // The MSet just reached this site's method: the total-order wait starts
   // here (closed by RecordApplied). This must run before the
@@ -119,10 +128,26 @@ bool ReplicaControlMethod::RecoveryFilterDelivery(const Mset& mset) {
   return false;
 }
 
-void ReplicaControlMethod::TraceLocalCommit(EtId et) {
-  if (ctx_.tracer != nullptr && et > 0) {
-    ctx_.tracer->OnLocalCommit(et, ctx_.site, ctx_.simulator->Now());
+void ReplicaControlMethod::CommitLocal(const Mset& mset) {
+  if (!mset.tentative) TrackOutgoing(mset);
+  if (ctx_.config->record_history) {
+    analysis::UpdateRecord record;
+    record.et = mset.et;
+    record.origin = ctx_.site;
+    record.commit_time = ctx_.simulator->Now();
+    record.ops = mset.operations;
+    record.order = mset.shard_positions.empty()
+                       ? mset.global_order
+                       : mset.shard_positions.front().second;
+    record.timestamp = mset.timestamp;
+    ctx_.history->RecordUpdateCommit(std::move(record));
   }
+  // The tracer learns the ET's origin here, before the enqueue span.
+  if (ctx_.tracer != nullptr && mset.et > 0) {
+    ctx_.tracer->OnLocalCommit(mset.et, ctx_.site, ctx_.simulator->Now());
+  }
+  PropagateMset(mset);
+  ctx_.counters->Increment("esr.updates_committed");
 }
 
 std::vector<SiteId> ReplicaControlMethod::MsetReplicas(

@@ -87,10 +87,13 @@ using CommitFn = std::function<void(Status)>;
 
 /// Base class of the per-site replica control method instances.
 ///
-/// The base owns the plumbing every forward/backward method shares —
-/// reliable MSet broadcast, apply-acknowledgment, stability notices, clock
-/// gossip — and defines the strategy points: admission, ordering/processing
-/// of update MSets, and divergence-bounded query reads.
+/// The base owns the MSet pipeline every forward/backward method shares
+/// (paper §2.2): the local-commit step at the origin (CommitLocal), the
+/// receive path with its recovery gate (DeliverMset), reliable MSet
+/// broadcast, apply-acknowledgment, stability notices and clock gossip.
+/// A method supplies the strategy points (Table 1): admission, the
+/// ordering prelude of SubmitUpdate, the processing rule of an MSet
+/// (ProcessMset), and divergence-bounded query reads.
 class ReplicaControlMethod {
  public:
   explicit ReplicaControlMethod(MethodContext ctx);
@@ -105,13 +108,15 @@ class ReplicaControlMethod {
   virtual Status AdmitUpdate(const std::vector<store::Operation>& ops);
 
   /// Commits an update ET at this (origin) site: assigns ordering metadata,
-  /// applies locally per the method's processing rule, enqueues MSets for
-  /// asynchronous propagation, and completes `done`.
+  /// runs CommitLocal, applies locally per the method's processing rule,
+  /// and completes `done`.
   virtual void SubmitUpdate(EtId et, std::vector<store::Operation> ops,
                             CommitFn done) = 0;
 
-  /// A remote MSet arrived at this site (exactly once, via stable queues).
-  virtual void OnMsetDelivered(const Mset& mset) = 0;
+  /// An MSet reached this site: a stable-queue delivery (the kMsetMsg
+  /// handler), a WAL replay or a catch-up response. Runs the recovery gate,
+  /// then the method's ProcessMset unless the gate skipped the MSet.
+  void DeliverMset(const Mset& mset);
 
   /// Divergence-bounded query read. Returns the value, or kUnavailable
   /// (retry later: the condition clears as the system progresses), or
@@ -191,10 +196,20 @@ class ReplicaControlMethod {
   /// tracked or stable.
   void TrackOutgoing(const Mset& mset);
 
-  /// Marks `et` locally committed for the lifecycle tracer. Call at the
-  /// moment ordering metadata is assigned, *before* PropagateMset, so the
-  /// tracer knows the ET's origin when the enqueue span arrives.
-  void TraceLocalCommit(EtId et);
+  /// The local-commit step of this site's own update, run once its
+  /// ordering metadata is assigned: starts its stability record, records
+  /// the commit in the history (its order is the global position, or the
+  /// first shard position, or 0), marks it committed for the tracer before
+  /// the enqueue span, propagates it and counts it. The method then applies
+  /// it by its own rule and completes the submission. A tentative (COMPE)
+  /// update is not tracked here: its origin tracks it at submit, because
+  /// an abort may arrive before the order grant and drops the record for
+  /// good.
+  void CommitLocal(const Mset& mset);
+
+  /// The method's processing rule for an MSet that passed the recovery
+  /// gate: apply it now, or hold it until its order allows.
+  virtual void ProcessMset(const Mset& mset) = 0;
 
   /// Records a local application in the history and runs the
   /// ack/stability protocol for it. Call after the method applied the
@@ -225,14 +240,6 @@ class ReplicaControlMethod {
   /// already-fully-acked ET).
   void MaybeBroadcastStable(EtId et);
 
-  /// Recovery gate for OnMsetDelivered: returns true when the delivery must
-  /// be skipped — a post-recovery duplicate of an MSet this site already
-  /// applied, or a foreground delivery parked until the catch-up exchange
-  /// completes (see SiteRecovery::MaybeHoldDelivery). Otherwise writes the
-  /// MSet to the WAL (a no-op during replay) and returns false. Call first
-  /// thing in every OnMsetDelivered override.
-  bool RecoveryFilterDelivery(const Mset& mset);
-
   /// True while this site is replaying its WAL (shared observability side
   /// effects — history, tracer — are suppressed so recovery does not
   /// double-count applies the pre-crash run already recorded).
@@ -260,6 +267,13 @@ class ReplicaControlMethod {
 
  private:
   friend class ReplicatedSystem;
+
+  /// Recovery gate of DeliverMset: returns true when the delivery must be
+  /// skipped — a post-recovery duplicate of an MSet this site already
+  /// applied, or a foreground delivery parked until the catch-up exchange
+  /// completes (see SiteRecovery::MaybeHoldDelivery). Otherwise writes the
+  /// MSet to the WAL (a no-op during replay) and returns false.
+  bool RecoveryFilterDelivery(const Mset& mset);
 
   void OnApplyAckMsg(SiteId source, const std::any& body);
   void OnStableMsg(SiteId source, const std::any& body);

@@ -1,14 +1,9 @@
 #include "esr/ritu.h"
 
-#include <cassert>
-
 namespace esr::core {
 
 RituMethod::RituMethod(const MethodContext& ctx, bool multiversion)
-    : CommuMethod(ctx), multiversion_(multiversion) {
-  // CommuMethod's constructor registered the kMsetMsg handler bound to the
-  // virtual OnMsetDelivered, which dispatches to this class.
-}
+    : CommuMethod(ctx), multiversion_(multiversion) {}
 
 Status RituMethod::AdmitUpdate(const std::vector<store::Operation>& ops) {
   ESR_RETURN_IF_ERROR(ReplicaControlMethod::AdmitUpdate(ops));
@@ -33,26 +28,9 @@ void RituMethod::SubmitUpdate(EtId et, std::vector<store::Operation> ops,
   mset.origin = ctx_.site;
   mset.timestamp = ts;
   mset.operations = std::move(ops);
-  TrackOutgoing(mset);
-  if (ctx_.config->record_history) {
-    analysis::UpdateRecord record;
-    record.et = et;
-    record.origin = ctx_.site;
-    record.commit_time = ctx_.simulator->Now();
-    record.ops = mset.operations;
-    record.timestamp = ts;
-    ctx_.history->RecordUpdateCommit(std::move(record));
-  }
-  TraceLocalCommit(et);
-  PropagateMset(mset);
-  ApplyRitu(mset);
-  ctx_.counters->Increment("esr.updates_committed");
+  CommitLocal(mset);
+  ProcessMset(mset);
   if (done) done(Status::Ok());
-}
-
-void RituMethod::OnMsetDelivered(const Mset& mset) {
-  if (RecoveryFilterDelivery(mset)) return;
-  ApplyRitu(mset);
 }
 
 void RituMethod::OnReplayReflected(const Mset& mset) {
@@ -61,20 +39,15 @@ void RituMethod::OnReplayReflected(const Mset& mset) {
   if (!multiversion_) CommuMethod::OnReplayReflected(mset);
 }
 
-void RituMethod::ApplyRitu(const Mset& mset) {
-  if (multiversion_) {
-    for (const store::Operation& op : mset.operations) {
-      ctx_.store->AppendVersion(op.object, op.timestamp, op.value);
-    }
-  } else {
-    // Single-version overwrite under the Thomas write rule, with the
-    // COMMU-style lock-counter window for divergence bounding.
-    std::vector<WeightedObject> objects = WeighOperations(mset.operations);
-    counters_.Increment(objects);
-    in_progress_.emplace(mset.et, std::move(objects));
-    Status s = ctx_.store->ApplyAll(mset.operations);
-    assert(s.ok());
-    (void)s;
+void RituMethod::ProcessMset(const Mset& mset) {
+  if (!multiversion_) {
+    // Single-version overwrite under the Thomas write rule, with COMMU's
+    // lock-counter window for divergence bounding.
+    CommuMethod::ProcessMset(mset);
+    return;
+  }
+  for (const store::Operation& op : mset.operations) {
+    ctx_.store->AppendVersion(op.object, op.timestamp, op.value);
   }
   RecordApplied(mset);
 }

@@ -37,7 +37,6 @@ class RituMethod : public CommuMethod {
   Status AdmitUpdate(const std::vector<store::Operation>& ops) override;
   void SubmitUpdate(EtId et, std::vector<store::Operation> ops,
                     CommitFn done) override;
-  void OnMsetDelivered(const Mset& mset) override;
   Result<Value> TryQueryRead(QueryState& query, ObjectId object) override;
 
   /// This site's current VTNC (multi-version mode).
@@ -50,7 +49,7 @@ class RituMethod : public CommuMethod {
  private:
   /// Applies a RITU MSet by the mode's rule and runs the shared
   /// ack/stability/lock-counter protocol.
-  void ApplyRitu(const Mset& mset);
+  void ProcessMset(const Mset& mset) override;
 
   bool multiversion_;
 };

@@ -150,15 +150,6 @@ void StabilityTracker::RestoreSnapshot(
   last_vtnc_ = std::max(last_vtnc_, Vtnc());
 }
 
-std::vector<std::pair<EtId, LamportTimestamp>> StabilityTracker::
-    OutstandingFrom(SiteId origin) const {
-  std::vector<std::pair<EtId, LamportTimestamp>> out;
-  for (const auto& [ts, et] : outstanding_by_ts_) {
-    if (ts.site == origin) out.emplace_back(et, ts);
-  }
-  return out;
-}
-
 LamportTimestamp StabilityTracker::WatermarkFloor() const {
   LamportTimestamp floor{std::numeric_limits<int64_t>::max(), 0};
   for (SiteId o = 0; o < num_sites_; ++o) {

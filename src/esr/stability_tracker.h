@@ -114,11 +114,6 @@ class StabilityTracker {
   recovery::StabilitySnapshot ExportSnapshot() const;
   void RestoreSnapshot(const recovery::StabilitySnapshot& snapshot);
 
-  /// Applied-but-not-stable ETs this site originated, with their
-  /// timestamps — what a recovering origin asks its peers about.
-  std::vector<std::pair<EtId, LamportTimestamp>> OutstandingFrom(
-      SiteId origin) const;
-
  private:
   /// Raises origin's watermark without firing on_vtnc_advance (callers fire
   /// via MaybeAdvanceVtnc once their whole update is in place).

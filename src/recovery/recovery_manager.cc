@@ -437,9 +437,6 @@ CatchupRequest RecoveryManager::BuildCatchupRequest(SiteId s) {
   if (site.bindings_.shard_watermarks) {
     request.shard_watermarks = site.bindings_.shard_watermarks();
   }
-  if (site.bindings_.outstanding) {
-    request.outstanding = site.bindings_.outstanding();
-  }
   if (site.bindings_.unstable) {
     request.unstable = site.bindings_.unstable();
   }
@@ -521,7 +518,8 @@ CatchupResponse RecoveryManager::BuildCatchupResponse(
   }
   RecoverySortMsets(response.msets);
 
-  for (const auto& [et, ts] : request.outstanding) {
+  for (const auto& [et, ts] : request.unstable) {
+    if (ts.site != request.from) continue;  // the requester's own ETs only
     if (site.bindings_.is_stable && site.bindings_.is_stable(et)) {
       response.stable_known.emplace_back(et, ts);
     } else if (request.from >= 0 &&

@@ -9,6 +9,11 @@ namespace esr::msg {
 
 namespace {
 
+/// Retransmission timeout: on expiry, resend everything from the lowest
+/// unacknowledged segment (go-back-N). Restarted whenever a cumulative ack
+/// makes progress, so it comfortably exceeds one round trip.
+constexpr SimDuration kRetransmitTimeoutUs = 30'000;
+
 struct PipeData {
   SequenceNumber seq;
   std::any payload;
@@ -105,7 +110,7 @@ void PersistentPipeManager::ArmTimer(SiteId destination) {
   Outbound& out = outbound_[destination];
   if (out.timer != 0 || out.buffered.empty()) return;
   out.timer = simulator_->Schedule(
-      config_.retransmit_timeout_us, [this, destination]() {
+      kRetransmitTimeoutUs, [this, destination]() {
         Outbound& o = outbound_[destination];
         o.timer = 0;
         if (o.buffered.empty()) return;

@@ -18,10 +18,6 @@ namespace esr::msg {
 struct PersistentPipeConfig {
   /// Maximum unacknowledged segments in flight per destination.
   int window = 8;
-  /// Retransmission timeout: on expiry, resend everything from the lowest
-  /// unacknowledged segment (go-back-N). Restarted whenever a cumulative
-  /// ack makes progress, so it should comfortably exceed one round trip.
-  SimDuration retransmit_timeout_us = 30'000;
 };
 
 /// The paper's alternative reliable substrate: *persistent pipes*

@@ -9,6 +9,9 @@ namespace esr::msg {
 
 namespace {
 
+/// Retransmission interval for unacknowledged entries.
+constexpr SimDuration kRetryIntervalUs = 10'000;
+
 /// Wire format of a stable-queue data message.
 struct QueueData {
   SequenceNumber seq;
@@ -104,7 +107,7 @@ void StableQueueManager::ArmRetryTimer(SiteId destination) {
   Outbound& out = outbound_[destination];
   if (out.retry_event != 0 || out.unacked.empty()) return;
   out.retry_event =
-      simulator_->Schedule(config_.retry_interval_us, [this, destination]() {
+      simulator_->Schedule(kRetryIntervalUs, [this, destination]() {
         Outbound& o = outbound_[destination];
         o.retry_event = 0;
         if (o.unacked.empty()) return;

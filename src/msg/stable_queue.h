@@ -18,8 +18,6 @@ namespace esr::msg {
 
 /// Configuration of a site's stable queues.
 struct StableQueueConfig {
-  /// Retransmission interval for unacknowledged entries.
-  SimDuration retry_interval_us = 10'000;
   /// When true, deliver entries from each sender in send (FIFO) order,
   /// holding back gaps; when false, deliver on first arrival (dedup only).
   /// Replica control methods that sort at update time (ORDUP) bring their

@@ -75,7 +75,7 @@ struct Message {
 /// longer length prefix as corruption and closes the connection. A frame
 /// holds one Message: its payload plus an envelope of under 64 bytes. The
 /// largest messages OrdupNode builds are a full catch-up response
-/// (catchup_batch, 256 by default, MSets; a 16-increment MSet encodes to
+/// (OrdupNode's kCatchupBatch, 256 MSets; a 16-increment MSet encodes to
 /// about 650 bytes) and a snapshot response, whose size grows with the
 /// store (about 30 bytes per object): a store above roughly two million
 /// objects has no snapshot that fits, and OrdupNode does not send one.

@@ -13,6 +13,9 @@ namespace esr::runtime {
 
 namespace {
 
+/// Catch-up responses carry at most this many MSets (requester iterates).
+constexpr int32_t kCatchupBatch = 256;
+
 std::string EncodeMset(const core::Mset& mset) {
   recovery::Encoder e;
   e.MsetRec(mset);
@@ -549,7 +552,7 @@ void OrdupNode::HandleCatchupReq(SiteId from, SequenceNumber after) {
   auto it = history_.upper_bound(after);
   int32_t n = 0;
   recovery::Encoder entries;
-  for (; it != history_.end() && n < config_.catchup_batch; ++it, ++n) {
+  for (; it != history_.end() && n < kCatchupBatch; ++it, ++n) {
     entries.MsetRec(it->second);
   }
   if (n == 0) return;  // nothing to offer
@@ -573,7 +576,7 @@ void OrdupNode::HandleCatchupResp(SiteId from, std::string_view payload) {
   ObservePeer(from, responder_applied);
   // A full batch means the responder has more; keep pulling.
   if (applied_watermark() > before &&
-      n >= static_cast<uint32_t>(config_.catchup_batch)) {
+      n >= static_cast<uint32_t>(kCatchupBatch)) {
     SendCatchupRequest();
   }
 }

@@ -46,8 +46,6 @@ struct OrdupNodeConfig {
   /// How long a total-order gap may stall before the node asks a peer to
   /// backfill it.
   SimDuration gap_timeout_us = 100'000;
-  /// Catch-up responses carry at most this many MSets (requester iterates).
-  int32_t catchup_batch = 256;
   /// Identity of this process lifetime, strictly increasing across restarts
   /// of the site (esrd uses boot wall-clock µs; deterministic tests pick
   /// 0, 1, 2, ...). Seeds the ET-id and request-id counters so a restarted

@@ -181,7 +181,7 @@ TEST(HopTraceTest, PinnedDigests) {
       << print("compe", compe);
   EXPECT_EQ(commu, (HopFingerprint{0x3f2ed4ff703f44f8ull, 47, 0, 0, 0}))
       << print("commu", commu);
-  EXPECT_EQ(amnesia, (HopFingerprint{0x3a8a1a59fc408385ull, 67, 0, 0, 0}))
+  EXPECT_EQ(amnesia, (HopFingerprint{0x67688bc2c91578a1ull, 66, 0, 0, 0}))
       << print("amnesia", amnesia);
 }
 

@@ -415,6 +415,32 @@ TEST(RecoveryIntegrationTest, AbortedMsetsAreTruncatedFromWals) {
   }
 }
 
+TEST(RecoveryIntegrationTest, SubmitDuringCatchupIsRejected) {
+  // Site 2's own update is still in its unflushed WAL tail when the amnesia
+  // crash hits, so after the restart only the peers hold it and catch-up
+  // must bring it back. An update committed at site 2 before the catch-up
+  // responses arrive would raise site 2's applied watermark past the lost
+  // one, and the peers' copies would then be dropped as duplicates.
+  SystemConfig config = CrashConfig(Method::kCommu, 119);
+  config.recovery.group_commit_records = 1024;
+  config.recovery.group_commit_interval_us = 10'000'000;
+  ReplicatedSystem system(config);
+  system.failures().ScheduleCrash(kAmnesia);
+  MustSubmit(system, 2, {Operation::Increment(0, 5)});
+  system.RunFor(kAmnesia.restart_at);  // restarted, catch-up requests sent
+  ASSERT_LT(system.recovery_manager()->last_report(2).catchup_done_at, 0);
+  auto during = system.SubmitUpdate(2, {Operation::Increment(0, 1)});
+  EXPECT_TRUE(during.status().IsUnavailable())
+      << "a submit during catch-up was " << during.status().ToString();
+  system.RunUntilQuiescent();
+  EXPECT_GE(system.recovery_manager()->last_report(2).catchup_done_at, 0);
+  MustSubmit(system, 2, {Operation::Increment(0, 1)});
+  system.RunUntilQuiescent();
+  EXPECT_TRUE(system.Converged());
+  EXPECT_EQ(system.SiteValue(2, 0).AsInt(), 6);
+  EXPECT_EQ(system.SiteValue(0, 0).AsInt(), 6);
+}
+
 TEST(RecoveryIntegrationTest, SubmitAtDownSiteIsRejected) {
   SystemConfig config = CrashConfig(Method::kCommu, 111);
   ReplicatedSystem system(config);

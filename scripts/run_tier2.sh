@@ -73,6 +73,10 @@ cmake --build build-tsan -j "$(nproc)" --target runtime_conformance_test \
 # hash as committed (see scripts/sim_fingerprint.sh to regenerate).
 scripts/sim_fingerprint.sh build | diff -u scripts/sim_fingerprint.expected -
 
+# Amnesia-recovery gate: every recovering method must pass --verify at
+# seeds 1-12, not only at the fingerprint's seed 7.
+scripts/sim_sweep.sh build
+
 # Real-socket end-to-end gate: 3-process esrd cluster with a follower
 # SIGKILL + WAL restart must drain and converge.
 scripts/run_esrd_smoke.sh

@@ -97,17 +97,14 @@ void StabilityTracker::MaybeAdvanceVtnc() {
   if (on_vtnc_advance) on_vtnc_advance(vtnc);
 }
 
-void StabilityTracker::MarkStable(EtId et, LamportTimestamp ts) {
+void StabilityTracker::MarkStable(EtId et) {
   if (!stable_.insert(et).second) return;  // already stable
+  // A stability notice can outrun the MSet itself on non-FIFO channels;
+  // then there is nothing outstanding to erase.
   auto it = outstanding_ts_.find(et);
   if (it != outstanding_ts_.end()) {
     outstanding_by_ts_.erase(it->second);
     outstanding_ts_.erase(it);
-  } else {
-    // A stability notice can outrun the MSet itself only on non-FIFO
-    // channels; nothing outstanding to erase, but remember the timestamp
-    // watermark.
-    (void)ts;
   }
   outgoing_.erase(et);
   if (on_stable) on_stable(et);

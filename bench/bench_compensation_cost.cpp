@@ -20,6 +20,7 @@ namespace esr {
 namespace {
 
 using bench::Banner;
+using bench::EventCount;
 using bench::Fmt;
 using bench::Table;
 using core::Method;
@@ -69,8 +70,8 @@ void AbortRateSweep() {
         rolled += stats.records_rolled_back;
       }
       const int64_t compensations =
-          system.counters().Get("esr.compensations");
-      const int64_t aborts = system.counters().Get("esr.compe_aborts");
+          EventCount(system, "esr.compensations");
+      const int64_t aborts = EventCount(system, "esr.compe_aborts");
       table.AddRow(
           {std::string(core::MethodToString(method)), Fmt(abort_rate, 2),
            Fmt(result.UpdatesPerSec()), std::to_string(compensations),

@@ -108,7 +108,8 @@ Outcome RunBurst(Method method, double loss, SimDuration jitter_us,
     }
   }
   for (SiteId s = 0; s < 5; ++s) {
-    out.retransmits += system.site_queues(s).counters().Get("queue.retransmit");
+    out.retransmits +=
+        bench::TransportEventCount(system, s, "queue.retransmit");
   }
   bench::CollectMetrics(system);
   return out;

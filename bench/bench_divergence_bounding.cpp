@@ -23,6 +23,7 @@ namespace esr {
 namespace {
 
 using bench::Banner;
+using bench::EventCount;
 using bench::Fmt;
 using bench::Table;
 
@@ -141,7 +142,7 @@ void UpdateThrottleSweep() {
     table.AddRow({limit == 0 ? "none" : std::to_string(limit),
                   Fmt(result.UpdatesPerSec()),
                   std::to_string(
-                      system.counters().Get("esr.update_throttled")),
+                      EventCount(system, "esr.update_throttled")),
                   Fmt(result.query_inconsistency.mean(), 2)});
   }
   table.Print();

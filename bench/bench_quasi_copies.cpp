@@ -20,6 +20,7 @@ namespace esr {
 namespace {
 
 using bench::Banner;
+using bench::EventCount;
 using bench::Fmt;
 using bench::Table;
 using core::Method;
@@ -78,7 +79,7 @@ void RefreshPolicySweep() {
             std::abs(read.value.AsInt() - final_values[read.object])));
       }
     }
-    const int64_t refreshes = system.counters().Get("quasi.refreshes");
+    const int64_t refreshes = EventCount(system, "quasi.refreshes");
     const double per_update =
         result.updates_committed > 0
             ? static_cast<double>(refreshes) * 4 /  // 4 cache destinations

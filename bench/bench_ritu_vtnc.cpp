@@ -113,7 +113,7 @@ Cell Run(int64_t epsilon, SimDuration think_us, uint64_t seed) {
 
   Cell cell;
   const int64_t snapshot_reads =
-      system.counters().Get("esr.ritu_snapshot_reads");
+      bench::EventCount(system, "esr.ritu_snapshot_reads");
   cell.snapshot_read_fraction =
       reads > 0 ? static_cast<double>(snapshot_reads) / reads : 0;
   cell.mean_staleness_versions = staleness.mean();

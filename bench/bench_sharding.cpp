@@ -88,9 +88,9 @@ Cell Run(int num_shards, double update_fraction) {
         system.recovery_manager()->site(s)->wal().StorageBytes());
     cell.store_objects_per_site +=
         static_cast<double>(system.site_store(s).ObjectCount());
-    const Counters& c = system.site_queues(s).counters();
     cell.delivered_per_site += static_cast<double>(
-        c.Get("queue.delivered") + c.Get("pipe.delivered"));
+        bench::TransportEventCount(system, s, "queue.delivered") +
+        bench::TransportEventCount(system, s, "pipe.delivered"));
     cell.digests.push_back(system.SiteDigest(s));
   }
   cell.wal_bytes_per_site /= kSites;
@@ -175,7 +175,7 @@ int main(int argc, char** argv) {
     const workload::WorkloadResult result = runner.Run();
     system.RunUntilQuiescent();
     const bool converged = system.Converged();
-    const int64_t forwarded = system.counters().Get("esr.reads_forwarded");
+    const int64_t forwarded = EventCount(system, "esr.reads_forwarded");
     const double worst_inconsistency = result.query_inconsistency.Percentile(100);
     Table mixed({"queries/s", "completion", "reads fwd", "inconsistency mean",
                  "inconsistency max", "epsilon", "converged"});

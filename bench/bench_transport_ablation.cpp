@@ -68,9 +68,9 @@ Outcome Run(Transport transport, double loss, uint64_t seed) {
     out.convergence_ms = (system.simulator().Now() - burst_end) / 1000.0;
   }
   for (SiteId s = 0; s < 4; ++s) {
-    const auto& c = system.site_queues(s).counters();
     out.retransmits +=
-        c.Get("queue.retransmit") + c.Get("pipe.retransmit");
+        bench::TransportEventCount(system, s, "queue.retransmit") +
+        bench::TransportEventCount(system, s, "pipe.retransmit");
   }
   out.updates_per_sec = result.UpdatesPerSec();
   bench::CollectMetrics(system);

@@ -173,6 +173,22 @@ void CollectMetrics(System& system) {
   BenchMetrics().Merge(system.metrics());
 }
 
+/// Count of a facade or method event (esr_events_total) in one system.
+template <typename System>
+int64_t EventCount(const System& system, const std::string& event) {
+  return system.metrics().CounterValue("esr_events_total",
+                                       {{"event", event}});
+}
+
+/// Count of a reliable-transport event at one site of one system.
+template <typename System>
+int64_t TransportEventCount(const System& system, int site,
+                            const std::string& event) {
+  return system.metrics().CounterValue(
+      "esr_transport_events_total",
+      {{"event", event}, {"site", std::to_string(site)}});
+}
+
 /// Writes the bench-wide registry as Prometheus text next to the binary's
 /// stdout results (`<bench_name>.metrics.prom`). Purely additive: measured
 /// results are produced before this runs and are unaffected.

@@ -107,8 +107,8 @@ static void ActThree() {
               "compensations=%lld\n",
               system.SiteValue(2, kInventory).ToString().c_str(),
               system.Converged() ? "yes" : "no",
-              static_cast<long long>(
-                  system.counters().Get("esr.compensations")));
+              static_cast<long long>(system.metrics().CounterValue(
+                  "esr_events_total", {{"event", "esr.compensations"}})));
 }
 
 static void ActFour() {

@@ -94,7 +94,7 @@ int main() {
   PrintInventory(system, "after saga B aborts:");
   std::printf("\nconverged: %s, compensations executed: %lld\n",
               system.Converged() ? "yes" : "no",
-              static_cast<long long>(
-                  system.counters().Get("esr.compensations")));
+              static_cast<long long>(system.metrics().CounterValue(
+                  "esr_events_total", {{"event", "esr.compensations"}})));
   return 0;
 }

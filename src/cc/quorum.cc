@@ -95,7 +95,7 @@ void QuorumEngine::ReadQuorumVersioned(ObjectId object,
   PendingRead& pr = pending_reads_[req];
   pr.object = object;
   pr.done = std::move(done);
-  counters_.Increment("quorum.read_begin");
+  events_.Increment("quorum.read_begin");
   BroadcastRead(req);
 }
 
@@ -136,7 +136,7 @@ void QuorumEngine::OnReadResp(SiteId source, const std::any& body) {
     }
     if (pr.retry_event != 0) simulator_->Cancel(pr.retry_event);
     VersionedReadCallback done = std::move(pr.done);
-    counters_.Increment("quorum.read_done");
+    events_.Increment("quorum.read_done");
     it = pending_reads_.erase(it);
     if (done) done(best.value, best.version);
   }
@@ -150,7 +150,7 @@ void QuorumEngine::StartWrite(ObjectId object, Value value, int64_t version,
   pw.value = std::move(value);
   pw.version = version;
   pw.done = std::move(done);
-  counters_.Increment("quorum.write_begin");
+  events_.Increment("quorum.write_begin");
   BroadcastWrite(req);
 }
 
@@ -206,7 +206,7 @@ void QuorumEngine::OnWriteAck(SiteId source, const std::any& body) {
     }
     if (pw.retry_event != 0) simulator_->Cancel(pw.retry_event);
     std::function<void()> done = std::move(pw.done);
-    counters_.Increment("quorum.write_done");
+    events_.Increment("quorum.write_done");
     it = pending_writes_.erase(it);
     if (done) done();
   }

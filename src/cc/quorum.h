@@ -6,7 +6,6 @@
 #include <unordered_set>
 #include <vector>
 
-#include "common/stats.h"
 #include "common/status.h"
 #include "common/types.h"
 #include "common/value.h"
@@ -72,8 +71,6 @@ class QuorumEngine {
   /// stop cleanly at the end of a measurement window).
   void CancelPending();
 
-  const Counters& counters() const { return counters_; }
-
  private:
   struct Versioned {
     Value value;
@@ -115,7 +112,9 @@ class QuorumEngine {
   std::unordered_map<ObjectId, Versioned> replica_;
   std::unordered_map<int64_t, PendingRead> pending_reads_;
   std::unordered_map<int64_t, PendingWrite> pending_writes_;
-  Counters counters_;
+  obs::EventFamily events_{mailbox_->network()->metrics(),
+                           "esr_sync_events_total",
+                           {{"site", std::to_string(mailbox_->self())}}};
 };
 
 }  // namespace esr::cc

@@ -71,7 +71,7 @@ void TwoPhaseCommitEngine::ExecuteUpdate(std::vector<store::Operation> ops,
   Coordination& c = coordinating_[txn];
   c.ops = ops;
   c.done = std::move(done);
-  counters_.Increment("tpc.begin");
+  events_.Increment("tpc.begin");
   // Self-dispatch last: the local prepare can fail synchronously (wait-die
   // victim) and trigger the abort decision; remote PREPAREs must already be
   // in their FIFO queues so no site sees the DECIDE before its PREPARE.
@@ -93,7 +93,7 @@ void TwoPhaseCommitEngine::OnPrepare(SiteId coordinator,
   // Preparing a decided transaction would acquire locks no decision will
   // ever release.
   if (decided_txns_.count(txn)) {
-    counters_.Increment("tpc.prepare_after_decide");
+    events_.Increment("tpc.prepare_after_decide");
     return;
   }
   prepared_[txn] = prep->ops;
@@ -124,11 +124,11 @@ void TwoPhaseCommitEngine::OnPrepare(SiteId coordinator,
       }
       if (s.IsUnavailable()) {
         ++*index;  // resume with the next object when the grant fires
-        counters_.Increment("tpc.lock_wait");
+        events_.Increment("tpc.lock_wait");
         return;
       }
       // Deadlock victim: vote no.
-      counters_.Increment("tpc.deadlock_abort");
+      events_.Increment("tpc.deadlock_abort");
       locks_.ReleaseAll(txn);
       prepared_.erase(txn);
       SendReliable(coordinator, msg::Envelope{kTpcVote, VoteMsg{txn, false}});
@@ -158,7 +158,7 @@ void TwoPhaseCommitEngine::OnVote(SiteId /*participant*/,
 void TwoPhaseCommitEngine::Decide(int64_t txn, Coordination& c) {
   c.decided = true;
   c.committed = c.no_votes == 0;
-  counters_.Increment(c.committed ? "tpc.commit" : "tpc.abort");
+  events_.Increment(c.committed ? "tpc.commit" : "tpc.abort");
   for (SiteId s = 0; s < num_sites_; ++s) {
     SendReliable(s, msg::Envelope{kTpcDecide, DecideMsg{txn, c.committed}});
   }
@@ -217,7 +217,7 @@ void TwoPhaseCommitEngine::ExecuteRead(ObjectId object, ReadCallback done) {
   } else if (s.IsAborted()) {
     (*finish)(Result<Value>(s));
   } else {
-    counters_.Increment("tpc.read_wait");
+    events_.Increment("tpc.read_wait");
     // Queued: do_read fires on grant.
   }
 }

@@ -6,7 +6,6 @@
 #include <unordered_map>
 #include <vector>
 
-#include "common/stats.h"
 #include "common/status.h"
 #include "common/types.h"
 #include "cc/lock_manager.h"
@@ -56,8 +55,6 @@ class TwoPhaseCommitEngine {
   /// writers), reads the local replica, releases.
   void ExecuteRead(ObjectId object, ReadCallback done);
 
-  const Counters& counters() const { return counters_; }
-
   /// Site-crash hook: clears volatile lock state. In-doubt participants
   /// re-acquire locks when the (stable-queue-retried) PREPARE re-arrives.
   void OnCrash();
@@ -99,7 +96,9 @@ class TwoPhaseCommitEngine {
   /// PREPARE that arrives after its DECIDE — possible when the coordinator
   /// decides while its broadcast is still in flight).
   std::unordered_set<int64_t> decided_txns_;
-  Counters counters_;
+  obs::EventFamily events_{mailbox_->network()->metrics(),
+                           "esr_sync_events_total",
+                           {{"site", std::to_string(mailbox_->self())}}};
 };
 
 }  // namespace esr::cc

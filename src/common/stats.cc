@@ -43,41 +43,4 @@ std::string Summary::ToString() const {
   return os.str();
 }
 
-namespace {
-
-/// First entry with name >= `name` in a name-sorted counter vector.
-template <typename Vec>
-auto LowerBoundByName(Vec& counters, const std::string& name) {
-  return std::lower_bound(
-      counters.begin(), counters.end(), name,
-      [](const auto& entry, const std::string& n) { return entry.first < n; });
-}
-
-}  // namespace
-
-void Counters::Increment(const std::string& name, int64_t by) {
-  auto it = LowerBoundByName(counters_, name);
-  if (it != counters_.end() && it->first == name) {
-    it->second += by;
-    return;
-  }
-  counters_.emplace(it, name, by);
-}
-
-int64_t Counters::Get(const std::string& name) const {
-  auto it = LowerBoundByName(counters_, name);
-  if (it != counters_.end() && it->first == name) return it->second;
-  return 0;
-}
-
-std::string Counters::ToString() const {
-  std::ostringstream os;
-  for (const auto& [n, v] : counters_) os << n << "=" << v << "\n";
-  return os.str();
-}
-
-std::vector<std::pair<std::string, int64_t>> Counters::Snapshot() const {
-  return counters_;
-}
-
 }  // namespace esr

@@ -42,24 +42,6 @@ class Summary {
   double max_ = 0;
 };
 
-/// Monotonic named counters, for protocol event accounting (messages sent,
-/// retries, aborts, compensations, blocked reads, ...). Kept sorted by name
-/// so lookups are binary searches and snapshots need no sort.
-class Counters {
- public:
-  void Increment(const std::string& name, int64_t by = 1);
-  int64_t Get(const std::string& name) const;
-
-  /// All counters in name order as "name=value" lines.
-  std::string ToString() const;
-
-  std::vector<std::pair<std::string, int64_t>> Snapshot() const;
-
- private:
-  /// Invariant: sorted by name.
-  std::vector<std::pair<std::string, int64_t>> counters_;
-};
-
 }  // namespace esr
 
 #endif  // ESR_COMMON_STATS_H_

@@ -22,7 +22,7 @@ void CommuMethod::SubmitUpdate(EtId et, std::vector<store::Operation> ops,
     for (const WeightedObject& w : WeighOperations(ops)) {
       const ObjectId object = w.object;
       if (counters_.Count(object) >= ctx_.config->commu_update_lock_limit) {
-        ctx_.counters->Increment("esr.update_throttled");
+        events_.Increment("esr.update_throttled");
         if (done) {
           done(Status::Unavailable("lock-counter at limit for object " +
                                    std::to_string(object)));
@@ -84,7 +84,7 @@ Result<Value> CommuMethod::TryQueryRead(QueryState& query, ObjectId object) {
     // Unlike ORDUP, waiting helps: the counters drop as stability notices
     // arrive, so the read is retried rather than restarted.
     ++query.blocked_attempts;
-    ctx_.counters->Increment("esr.query_blocked");
+    events_.Increment("esr.query_blocked");
     return Status::Unavailable(
         count_ok ? "in-flight change magnitude exceeds value budget"
                  : "lock-counters exceed remaining inconsistency budget");

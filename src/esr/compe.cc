@@ -57,7 +57,7 @@ void CompeMethod::SubmitUpdate(EtId et, std::vector<store::Operation> ops,
       if (ctx_.config->record_history) {
         ctx_.history->RecordUpdateAborted(mset.et);
       }
-      ctx_.counters->Increment("esr.compe_abort_before_order");
+      events_.Increment("esr.compe_abort_before_order");
     }
     OfferOrdered(std::move(mset));
     if (done) done(Status::Ok());
@@ -84,7 +84,7 @@ void CompeMethod::OfferOrdered(Mset mset) {
     }
     if (abort_before_apply_.erase(next.et) > 0) {
       // The global abort outran the ordered release; never apply.
-      ctx_.counters->Increment("esr.compe_apply_skipped");
+      events_.Increment("esr.compe_apply_skipped");
       if (ctx_.tracer != nullptr && !InReplay()) {
         ctx_.tracer->OnSkip(next.et, ctx_.site);
       }
@@ -138,7 +138,7 @@ void CompeMethod::HandleDecision(EtId et, bool commit) {
   const bool replaying = InReplay();
   if (commit) {
     decided_commit_.insert(et);
-    if (!replaying) ctx_.counters->Increment("esr.compe_commits");
+    if (!replaying) events_.Increment("esr.compe_commits");
     auto it = tentative_objects_.find(et);
     if (it != tentative_objects_.end()) {
       counters_.Decrement(it->second);
@@ -151,7 +151,7 @@ void CompeMethod::HandleDecision(EtId et, bool commit) {
   }
   // Abort: compensate the local application (or suppress it if it has not
   // been released yet in ordered mode).
-  if (!replaying) ctx_.counters->Increment("esr.compe_aborts");
+  if (!replaying) events_.Increment("esr.compe_aborts");
   // The tracer counts one terminal phase per ET and closes its hop trace
   // once; the origin processes its own decision first, so the aborted
   // phase carries the origin site.
@@ -172,7 +172,7 @@ void CompeMethod::HandleDecision(EtId et, bool commit) {
     Status s = ctx_.mset_log->Compensate(*ctx_.store, et);
     assert(s.ok());
     (void)s;
-    if (!replaying) ctx_.counters->Increment("esr.compensations");
+    if (!replaying) events_.Increment("esr.compensations");
     // Charge live queries that already read the compensated objects — the
     // paper's post-hoc accounting. Their up-front potential charge covered
     // this, so epsilon still bounds the total.
@@ -182,7 +182,7 @@ void CompeMethod::HandleDecision(EtId et, bool commit) {
           const ObjectId o = w.object;
           if (q.read_objects.count(o)) {
             ++q.compensation_hits;
-            ctx_.counters->Increment("esr.query_compensation_hits");
+            events_.Increment("esr.query_compensation_hits");
             break;
           }
         }
@@ -261,7 +261,7 @@ Result<Value> CompeMethod::TryQueryRead(QueryState& query, ObjectId object) {
       query.inconsistency + inc > query.epsilon) {
     // Waiting helps: decisions drain the tentative counters.
     ++query.blocked_attempts;
-    ctx_.counters->Increment("esr.query_blocked");
+    events_.Increment("esr.query_blocked");
     return Status::Unavailable(
         "potential compensations exceed remaining inconsistency budget");
   }

@@ -308,7 +308,7 @@ Result<Value> OrdupMethod::TryQueryRead(QueryState& query, ObjectId object) {
   if (!inc.ok()) {
     // The conflicting updates are already applied; this attempt can never
     // proceed within budget. The facade restarts the query strictly.
-    ctx_.counters->Increment("esr.query_limit_hits");
+    events_.Increment("esr.query_limit_hits");
     return inc.status();
   }
   Value v = ctx_.store->Read(object);

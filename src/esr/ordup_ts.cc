@@ -67,7 +67,7 @@ Result<Value> OrdupTsMethod::TryQueryRead(QueryState& query,
                                           ObjectId object) {
   Result<int64_t> inc = ledger_.Charge(query, object);
   if (!inc.ok()) {
-    ctx_.counters->Increment("esr.query_limit_hits");
+    events_.Increment("esr.query_limit_hits");
     return inc.status();
   }
   Value v = ctx_.store->Read(object);

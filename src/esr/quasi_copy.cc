@@ -40,7 +40,7 @@ void QuasiCopyMethod::SubmitUpdate(EtId et, std::vector<store::Operation> ops,
   msg::Envelope forward{kQuasiForward, Forwarded{et, ctx_.site, std::move(ops)}};
   forward.trace = TraceContext{.et = et, .origin = ctx_.site};
   ctx_.queues->Send(kQuasiPrimary, std::move(forward), /*size_bytes=*/256);
-  ctx_.counters->Increment("quasi.forwarded");
+  events_.Increment("quasi.forwarded");
 }
 
 void QuasiCopyMethod::ApplyAtPrimary(EtId et, SiteId origin,
@@ -49,7 +49,7 @@ void QuasiCopyMethod::ApplyAtPrimary(EtId et, SiteId origin,
   Status s = ctx_.store->ApplyAll(ops);
   assert(s.ok());
   (void)s;
-  ctx_.counters->Increment("quasi.primary_applied");
+  events_.Increment("quasi.primary_applied");
   // No CommitLocal: quasi-copy updates skip MSet propagation and the
   // stability protocol, so a commit span would float in esr_et_in_flight
   // forever. The primary-apply counter above is the method's lifecycle
@@ -91,7 +91,7 @@ void QuasiCopyMethod::RefreshObject(ObjectId object) {
   refresh.operations = {store::Operation::TimestampedWrite(
       object, ctx_.store->Read(object), refresh.timestamp)};
   PropagateMset(refresh);
-  ctx_.counters->Increment("quasi.refreshes");
+  events_.Increment("quasi.refreshes");
 }
 
 void QuasiCopyMethod::FlushDirty() {
@@ -106,7 +106,7 @@ void QuasiCopyMethod::ProcessMset(const Mset& mset) {
   Status s = ctx_.store->ApplyAll(mset.operations);
   assert(s.ok());
   (void)s;
-  ctx_.counters->Increment("quasi.refresh_applied");
+  events_.Increment("quasi.refresh_applied");
 }
 
 Result<Value> QuasiCopyMethod::TryQueryRead(QueryState& query,

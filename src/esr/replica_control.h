@@ -7,7 +7,6 @@
 #include <vector>
 
 #include "analysis/history.h"
-#include "common/stats.h"
 #include "common/status.h"
 #include "common/types.h"
 #include "common/value.h"
@@ -56,8 +55,7 @@ struct MethodContext {
   store::MsetLog* mset_log = nullptr;
   ObjectClassRegistry* registry = nullptr;  // shared, schema-level
   analysis::HistoryRecorder* history = nullptr;  // shared
-  Counters* counters = nullptr;                  // shared
-  obs::MetricRegistry* metrics = nullptr;        // shared
+  obs::MetricRegistry* metrics = nullptr;        // shared, required
   obs::EtTracer* tracer = nullptr;               // shared
   const SystemConfig* config = nullptr;
   /// Per-site durability handle; null unless SystemConfig::recovery.enabled.
@@ -264,6 +262,8 @@ class ReplicaControlMethod {
  protected:
 
   MethodContext ctx_;
+  /// The method's esr.* and quasi.* events, as `esr_events_total{event}`.
+  obs::EventFamily events_{*ctx_.metrics, "esr_events_total"};
 
  private:
   friend class ReplicatedSystem;

@@ -58,6 +58,13 @@ ReplicatedSystem::ReplicatedSystem(const SystemConfig& config)
     : config_(config), tracer_(&metrics_, config.num_sites) {
   assert(config_.num_sites > 0);
   metrics_.Describe("esr_info", "Static run configuration (always 1)");
+  metrics_.Describe("esr_events_total", "Facade and method protocol events");
+  metrics_.Describe("esr_network_events_total",
+                    "Network, mailbox and failure-injector events");
+  metrics_.Describe("esr_transport_events_total",
+                    "Stable-queue or persistent-pipe events, by site");
+  metrics_.Describe("esr_sync_events_total",
+                    "2PC or quorum engine events, by site");
   metrics_
       .GetGauge("esr_info",
                 {{"method", std::string(MethodToString(config_.method))},
@@ -66,7 +73,8 @@ ReplicatedSystem::ReplicatedSystem(const SystemConfig& config)
                  {"sites", std::to_string(config_.num_sites)}})
       .Set(1);
   network_ = std::make_unique<sim::Network>(&simulator_, config_.num_sites,
-                                            config_.network, config_.seed);
+                                            config_.network, config_.seed,
+                                            metrics_);
   failures_ = std::make_unique<sim::FailureInjector>(
       &simulator_, network_.get(), config_.seed ^ 0x9e3779b97f4a7c15ULL);
 
@@ -358,7 +366,6 @@ MethodContext ReplicatedSystem::MakeContext(SiteId s) {
   ctx.mset_log = &site.mset_log;
   ctx.registry = &registry_;
   ctx.history = &history_;
-  ctx.counters = &counters_;
   ctx.metrics = &metrics_;
   ctx.tracer = &tracer_;
   ctx.config = &config_;
@@ -388,7 +395,7 @@ void ReplicatedSystem::InstallVersionGc(SiteId s) {
       }
     }
     const int64_t pruned = site.store.GcBelow(floor);
-    if (pruned > 0) counters_.Increment("esr.versions_gc_pruned", pruned);
+    if (pruned > 0) events_.Increment("esr.versions_gc_pruned", pruned);
   };
 }
 
@@ -526,7 +533,7 @@ void ReplicatedSystem::AmnesiaCrash(SiteId s) {
   // the facade-level equivalent of an owner's lease on the origin expiring.
   for (auto it = active_queries_.begin(); it != active_queries_.end();) {
     if (it->second.site == s) {
-      counters_.Increment("esr.queries_lost_in_crash");
+      events_.Increment("esr.queries_lost_in_crash");
       ReleaseQueryShadows(it->first);
       it = active_queries_.erase(it);
     } else {
@@ -856,7 +863,7 @@ Result<EtId> ReplicatedSystem::BeginSaga(SiteId origin) {
   }
   const EtId saga = next_et_++;
   sagas_.emplace(saga, Saga{origin, {}});
-  counters_.Increment("esr.sagas_begun");
+  events_.Increment("esr.sagas_begun");
   return saga;
 }
 
@@ -884,14 +891,14 @@ Status ReplicatedSystem::EndSaga(EtId saga, bool commit) {
     for (EtId step : record.steps) {
       ESR_RETURN_IF_ERROR(Decide(step, true));
     }
-    counters_.Increment("esr.sagas_committed");
+    events_.Increment("esr.sagas_committed");
   } else {
     // Compensate completed steps in reverse submission order.
     for (auto sit = record.steps.rbegin(); sit != record.steps.rend();
          ++sit) {
       ESR_RETURN_IF_ERROR(Decide(*sit, false));
     }
-    counters_.Increment("esr.sagas_aborted");
+    events_.Increment("esr.sagas_aborted");
   }
   return Status::Ok();
 }
@@ -929,7 +936,7 @@ EtId ReplicatedSystem::BeginQuery(SiteId site, const QueryBounds& bounds) {
   auto [it, inserted] = active_queries_.emplace(et, std::move(q));
   assert(inserted);
   if (!IsSyncMethod()) sites_[site]->method->OnQueryBegin(it->second);
-  counters_.Increment("esr.queries_begun");
+  events_.Increment("esr.queries_begun");
   return et;
 }
 
@@ -1060,7 +1067,7 @@ void ReplicatedSystem::ForwardRead(EtId query, ObjectId object,
   if (std::find(owners.begin(), owners.end(), owner) == owners.end()) {
     owners.push_back(owner);
   }
-  counters_.Increment("esr.reads_forwarded");
+  events_.Increment("esr.reads_forwarded");
   sites_[q.site]->queues->Send(
       owner, msg::Envelope{kQueryReadRequestMsg, req}, /*size_bytes=*/64);
 }
@@ -1104,7 +1111,7 @@ void ReplicatedSystem::BindQueryForwarding(SiteId s) {
         } else {
           resp.status_code = static_cast<int32_t>(r.status().code());
         }
-        counters_.Increment("esr.forwarded_reads_served");
+        events_.Increment("esr.forwarded_reads_served");
         sites_[s]->queues->Send(
             source, msg::Envelope{kQueryReadResponseMsg, resp},
             /*size_bytes=*/64);
@@ -1182,7 +1189,7 @@ void ReplicatedSystem::RestartQuery(QueryState& q) {
   // position permanently and hang the retry.
   sites_[q.site]->method->OnQueryRestart(q);
   q.ResetForRestart();
-  counters_.Increment("esr.query_restarts");
+  events_.Increment("esr.query_restarts");
 }
 
 Status ReplicatedSystem::EndQuery(EtId query) {
@@ -1211,7 +1218,6 @@ Status ReplicatedSystem::EndQuery(EtId query) {
     record.completed = true;
     history_.RecordQueryEnd(record);
   }
-  counters_.Increment("esr.queries_completed");
   const obs::LabelSet method_label = {
       {"method", std::string(MethodToString(config_.method))}};
   metrics_.GetCounter("esr_queries_completed_total", method_label)
@@ -1367,21 +1373,6 @@ void ReplicatedSystem::SampleGauges() {
   metrics_.GetGauge("esr_replica_divergence_max")
       .Set(static_cast<double>(scan.max_spread));
   metrics_.GetGauge("esr_converged").Set(Converged() ? 1 : 0);
-
-  // Mirror the ad-hoc string counters of the network and per-site
-  // transports as labeled gauges, so one snapshot carries every layer.
-  for (const auto& [name, value] : network_->counters().Snapshot()) {
-    metrics_.GetGauge("esr_network_events", {{"event", name}})
-        .Set(static_cast<double>(value));
-  }
-  for (SiteId s = 0; s < config_.num_sites; ++s) {
-    for (const auto& [name, value] : sites_[s]->queues->counters().Snapshot()) {
-      metrics_
-          .GetGauge("esr_transport_events",
-                    {{"event", name}, {"site", std::to_string(s)}})
-          .Set(static_cast<double>(value));
-    }
-  }
 }
 
 ReplicatedSystem::DivergenceScan ReplicatedSystem::ScanDivergence(

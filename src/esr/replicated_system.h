@@ -12,7 +12,6 @@
 #include "analysis/history.h"
 #include "cc/quorum.h"
 #include "cc/two_phase_commit.h"
-#include "common/stats.h"
 #include "common/status.h"
 #include "esr/admission.h"
 #include "esr/config.h"
@@ -66,7 +65,6 @@ class ReplicatedSystem {
   sim::Network& network() { return *network_; }
   sim::FailureInjector& failures() { return *failures_; }
   analysis::HistoryRecorder& history() { return history_; }
-  Counters& counters() { return counters_; }
   obs::MetricRegistry& metrics() { return metrics_; }
   const obs::MetricRegistry& metrics() const { return metrics_; }
   /// The ET tracer: lifecycle gauges always, hop traces when
@@ -311,13 +309,15 @@ class ReplicatedSystem {
   std::string ObjectClassLabel(const std::vector<store::Operation>& ops) const;
 
   SystemConfig config_;
+  /// Declared before every component holding handles into it, so it
+  /// outlives them all.
+  obs::MetricRegistry metrics_;
+  obs::EventFamily events_{metrics_, "esr_events_total"};  // facade events
   sim::Simulator simulator_;
   std::unique_ptr<sim::Network> network_;
   std::unique_ptr<sim::FailureInjector> failures_;
   ObjectClassRegistry registry_;
   analysis::HistoryRecorder history_;
-  Counters counters_;
-  obs::MetricRegistry metrics_;
   /// Shared by every site's method instance; with config.record_hops also
   /// installed in every transport and sequencer client.
   obs::EtTracer tracer_;

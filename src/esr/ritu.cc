@@ -81,7 +81,7 @@ Result<Value> RituMethod::TryQueryRead(QueryState& query, ObjectId object) {
       // immutable and complete, so this read is serializable and free.
       const auto snap = ctx_.store->ReadAtOrBefore(object, pin);
       v = snap.has_value() ? snap->value : Value();
-      ctx_.counters->Increment("esr.ritu_snapshot_reads");
+      events_.Increment("esr.ritu_snapshot_reads");
     }
   } else {
     v = latest.has_value() ? latest->value : Value();

@@ -23,7 +23,7 @@ void Mailbox::RegisterHandler(MessageType type, Handler handler) {
 void Mailbox::Dispatch(SiteId source, const Envelope& envelope) {
   auto it = handlers_.find(envelope.type);
   if (it == handlers_.end()) {
-    network_->counters().Increment("mailbox.unhandled");
+    events_.Increment("mailbox.unhandled");
     return;
   }
   it->second(source, envelope.body);

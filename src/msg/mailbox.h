@@ -78,6 +78,8 @@ class Mailbox {
   sim::Network* network_;
   SiteId self_;
   std::unordered_map<MessageType, Handler> handlers_;
+  /// mailbox.unhandled, in the network's event family.
+  obs::EventFamily events_{network_->metrics(), "esr_network_events_total"};
 };
 
 }  // namespace esr::msg

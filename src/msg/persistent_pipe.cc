@@ -50,7 +50,7 @@ void PersistentPipeManager::Send(SiteId destination, std::any payload,
                                  int64_t size_bytes) {
   Outbound& out = outbound_[destination];
   out.buffered.emplace(out.next_seq++, Segment{std::move(payload), size_bytes});
-  counters_.Increment("pipe.sent");
+  events_.Increment("pipe.sent");
   Pump(destination);
 }
 
@@ -66,7 +66,7 @@ void PersistentPipeManager::Transmit(SiteId destination, SequenceNumber seq) {
   auto it = out.buffered.find(seq);
   assert(it != out.buffered.end());
   if (seq <= out.max_transmitted) {
-    counters_.Increment("pipe.retransmit");
+    events_.Increment("pipe.retransmit");
   } else {
     out.max_transmitted = seq;
   }
@@ -116,7 +116,7 @@ void PersistentPipeManager::ArmTimer(SiteId destination) {
         if (o.buffered.empty()) return;
         // Go-back-N: rewind to the lowest unacknowledged segment and
         // resend the window.
-        counters_.Increment("pipe.timeouts");
+        events_.Increment("pipe.timeouts");
         o.next_to_send = o.base;
         Pump(destination);
       });
@@ -130,14 +130,14 @@ void PersistentPipeManager::OnData(SiteId source, const std::any& body) {
   // Segments beyond the window horizon, and duplicates, are dropped.
   if (data->seq >= expected + 2 * config_.window ||
       !in.Offer(data->seq, std::any(data->payload))) {
-    counters_.Increment("pipe.dropped_out_of_order");
+    events_.Increment("pipe.dropped_out_of_order");
   } else if (data->seq > expected) {
     // Future segment within the window horizon: absorb the reordering.
-    counters_.Increment("pipe.buffered_out_of_order");
+    events_.Increment("pipe.buffered_out_of_order");
   }
   while (in.Head() != nullptr) {
     std::any payload = in.Pop();
-    counters_.Increment("pipe.delivered");
+    events_.Increment("pipe.delivered");
     RecordDeliverHop(source, payload);
     if (deliver_) deliver_(source, payload);
   }
@@ -158,7 +158,7 @@ void PersistentPipeManager::OnAck(SiteId source, const std::any& body) {
     if (!out.buffered.empty() && !out.in_recovery && ++out.dup_acks >= 2) {
       out.dup_acks = 0;
       out.in_recovery = true;
-      counters_.Increment("pipe.fast_retransmit");
+      events_.Increment("pipe.fast_retransmit");
       out.next_to_send = out.base;
       if (out.timer != 0) {
         simulator_->Cancel(out.timer);

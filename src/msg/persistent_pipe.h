@@ -5,7 +5,6 @@
 #include <map>
 #include <unordered_map>
 
-#include "common/stats.h"
 #include "common/types.h"
 #include "msg/mailbox.h"
 #include "msg/reliable_transport.h"
@@ -42,7 +41,6 @@ class PersistentPipeManager : public ReliableTransport {
   void Broadcast(std::any payload, int64_t size_bytes = 256) override;
   int64_t UnackedCount() const override;
   int64_t UnackedCount(SiteId destination) const override;
-  const Counters& counters() const override { return counters_; }
 
   void set_tracer(obs::EtTracer* tracer) override { tracer_ = tracer; }
 
@@ -83,7 +81,10 @@ class PersistentPipeManager : public ReliableTransport {
   DeliverHandler deliver_;
   std::unordered_map<SiteId, Outbound> outbound_;
   std::unordered_map<SiteId, Inbound> inbound_;
-  Counters counters_;
+  /// sent, retransmit, fast_retransmit, timeouts, delivered, *_out_of_order.
+  obs::EventFamily events_{mailbox_->network()->metrics(),
+                           "esr_transport_events_total",
+                           {{"site", std::to_string(mailbox_->self())}}};
   obs::EtTracer* tracer_ = nullptr;
 };
 

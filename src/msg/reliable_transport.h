@@ -4,7 +4,6 @@
 #include <any>
 #include <functional>
 
-#include "common/stats.h"
 #include "common/types.h"
 
 namespace esr::obs {
@@ -26,7 +25,8 @@ namespace esr::msg {
 ///
 /// Both persist unacknowledged entries (in the stable-storage sense: they
 /// survive simulated crashes, which only silence the network) and retry
-/// until delivery succeeds.
+/// until delivery succeeds, and count their events in their network's
+/// registry as `esr_transport_events_total{event,site}`.
 class ReliableTransport {
  public:
   using DeliverHandler =
@@ -51,9 +51,6 @@ class ReliableTransport {
   /// Entries awaiting acknowledgment toward one destination (per-site
   /// propagation backlog, surfaced as the esr_transport_unacked gauge).
   virtual int64_t UnackedCount(SiteId destination) const = 0;
-
-  /// Transport event counters (sent/retransmit/duplicate/delivered...).
-  virtual const Counters& counters() const = 0;
 
   /// Installs the ET tracer for hop recording (may be null = tracing off,
   /// the default).

@@ -75,7 +75,7 @@ void StableQueueManager::Send(SiteId destination, std::any payload,
   Outbound& out = outbound_[destination];
   const SequenceNumber seq = out.next_seq++;
   out.unacked.emplace(seq, std::make_pair(std::move(payload), size_bytes));
-  counters_.Increment("queue.sent");
+  events_.Increment("queue.sent");
   const std::any& stored = out.unacked.at(seq).first;
   if (tracer_ != nullptr) {
     if (const auto* inner = std::any_cast<Envelope>(&stored);
@@ -98,7 +98,7 @@ void StableQueueManager::Broadcast(std::any payload, int64_t size_bytes) {
 void StableQueueManager::TransmitAll(SiteId destination) {
   Outbound& out = outbound_[destination];
   for (const auto& [seq, entry] : out.unacked) {
-    counters_.Increment("queue.retransmit");
+    events_.Increment("queue.retransmit");
     mailbox_->Send(destination, WireEnvelope(seq, entry.first), entry.second);
   }
 }
@@ -138,22 +138,22 @@ void StableQueueManager::OnData(SiteId source, const std::any& body) {
   Inbound& in = inbound_[source];
   if (config_.fifo) {
     if (!in.fifo.Offer(data->seq, std::any(data->payload))) {
-      counters_.Increment("queue.duplicate");
+      events_.Increment("queue.duplicate");
       return;
     }
     while (in.fifo.Head() != nullptr) {
       std::any payload = in.fifo.Pop();
-      counters_.Increment("queue.delivered");
+      events_.Increment("queue.delivered");
       RecordDeliverHop(source, payload);
       if (deliver_) deliver_(source, payload);
     }
   } else {
     if (AlreadyDelivered(in, data->seq)) {
-      counters_.Increment("queue.duplicate");
+      events_.Increment("queue.duplicate");
       return;
     }
     MarkDelivered(in, data->seq);
-    counters_.Increment("queue.delivered");
+    events_.Increment("queue.delivered");
     RecordDeliverHop(source, data->payload);
     if (deliver_) deliver_(source, data->payload);
   }

@@ -7,7 +7,6 @@
 #include <unordered_map>
 #include <unordered_set>
 
-#include "common/stats.h"
 #include "common/types.h"
 #include "msg/mailbox.h"
 #include "msg/reliable_transport.h"
@@ -58,9 +57,6 @@ class StableQueueManager : public ReliableTransport {
   /// Entries awaiting acknowledgment toward `destination`.
   int64_t UnackedCount(SiteId destination) const override;
 
-  /// Event counters: sent, retransmits, duplicates dropped, delivered.
-  const Counters& counters() const override { return counters_; }
-
   void set_tracer(obs::EtTracer* tracer) override { tracer_ = tracer; }
 
  private:
@@ -94,7 +90,10 @@ class StableQueueManager : public ReliableTransport {
   DeliverHandler deliver_;
   std::unordered_map<SiteId, Outbound> outbound_;
   std::unordered_map<SiteId, Inbound> inbound_;
-  Counters counters_;
+  /// sent, retransmit, duplicate, delivered.
+  obs::EventFamily events_{mailbox_->network()->metrics(),
+                           "esr_transport_events_total",
+                           {{"site", std::to_string(mailbox_->self())}}};
   obs::EtTracer* tracer_ = nullptr;
 };
 

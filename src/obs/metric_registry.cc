@@ -232,6 +232,15 @@ Counter& MetricRegistry::GetCounter(const std::string& name, LabelSet labels) {
   return *it->second;
 }
 
+int64_t MetricRegistry::CounterValue(const std::string& name,
+                                     LabelSet labels) const {
+  auto family = families_.find(name);
+  if (family == families_.end()) return 0;
+  auto it = family->second.counters.find(
+      RenderLabels(Canonicalize(std::move(labels))));
+  return it == family->second.counters.end() ? 0 : it->second->value();
+}
+
 Gauge& MetricRegistry::GetGauge(const std::string& name, LabelSet labels) {
   Family& family = FamilyFor(name, Kind::kGauge);
   LabelSet canonical = Canonicalize(std::move(labels));
@@ -281,6 +290,26 @@ Histogram& MetricRegistry::GetHistogram(const std::string& name,
 void MetricRegistry::Describe(const std::string& name,
                               const std::string& help) {
   families_[name].help = help;
+}
+
+EventFamily::EventFamily(MetricRegistry& registry, std::string name,
+                         LabelSet labels)
+    : registry_(&registry),
+      name_(std::move(name)),
+      labels_(std::move(labels)) {}
+
+void EventFamily::Increment(std::string_view event, int64_t by) {
+  for (auto& [name, counter] : series_) {
+    if (name == event) {
+      counter->Increment(by);
+      return;
+    }
+  }
+  LabelSet labels = labels_;
+  labels.emplace_back("event", std::string(event));
+  Counter& counter = registry_->GetCounter(name_, std::move(labels));
+  series_.emplace_back(std::string(event), &counter);
+  counter.Increment(by);
 }
 
 int64_t MetricRegistry::SeriesCount() const {

@@ -5,6 +5,7 @@
 #include <map>
 #include <memory>
 #include <string>
+#include <string_view>
 #include <utility>
 #include <vector>
 
@@ -135,6 +136,9 @@ class MetricRegistry {
   MetricRegistry& operator=(const MetricRegistry&) = delete;
 
   Counter& GetCounter(const std::string& name, LabelSet labels = {});
+  /// Value of one counter series; 0 when the series does not exist (the
+  /// lookup creates none).
+  int64_t CounterValue(const std::string& name, LabelSet labels = {}) const;
   Gauge& GetGauge(const std::string& name, LabelSet labels = {});
   /// `bounds` applies on first creation of the family only (empty selects
   /// LatencyBucketsUs()); later calls reuse the existing boundaries.
@@ -182,6 +186,23 @@ class MetricRegistry {
   Family& FamilyFor(const std::string& name, Kind kind);
 
   std::map<std::string, Family> families_;
+};
+
+/// The `name{event="...",<labels>}` counter family a component counts its
+/// protocol events in. A series appears at its event's first increment;
+/// its handle is cached, so later increments render no labels. The
+/// registry must outlive the family.
+class EventFamily {
+ public:
+  EventFamily(MetricRegistry& registry, std::string name, LabelSet labels = {});
+
+  void Increment(std::string_view event, int64_t by = 1);
+
+ private:
+  MetricRegistry* registry_;
+  std::string name_;
+  LabelSet labels_;
+  std::vector<std::pair<std::string, Counter*>> series_;
 };
 
 /// Renders a canonical (sorted) label set as `{k="v",...}`; empty set

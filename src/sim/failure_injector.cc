@@ -15,7 +15,7 @@ void FailureInjector::CrashNow(SiteId site, bool amnesia) {
   window.second = window.second || amnesia;
   if (window.first++ > 0) return;  // already down: deepen the window only
   network_->SetSiteDown(site);
-  network_->counters().Increment("failure.crash");
+  events_.Increment("failure.crash");
   if (on_crash) on_crash(site, window.second);
 }
 
@@ -29,7 +29,7 @@ void FailureInjector::RestartNow(SiteId site) {
   // Network state, so restarting inside a partition window must not (and
   // does not) resurrect any cross-partition link.
   network_->SetSiteUp(site);
-  network_->counters().Increment("failure.restart");
+  events_.Increment("failure.restart");
   if (on_restart) on_restart(site, amnesia);
 }
 
@@ -53,13 +53,13 @@ void FailureInjector::ScheduleCrash(const CrashSpec& spec) {
 void FailureInjector::SchedulePartition(const PartitionSpec& spec) {
   simulator_->ScheduleAt(spec.start_at, [this, groups = spec.groups]() {
     network_->SetPartition(groups);
-    network_->counters().Increment("failure.partition");
+    events_.Increment("failure.partition");
   });
   if (spec.heal_at != kSimTimeMax) {
     assert(spec.heal_at > spec.start_at);
     simulator_->ScheduleAt(spec.heal_at, [this]() {
       network_->HealPartition();
-      network_->counters().Increment("failure.heal");
+      events_.Increment("failure.heal");
     });
   }
 }

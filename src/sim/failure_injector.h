@@ -73,6 +73,8 @@ class FailureInjector {
 
   Simulator* simulator_;
   Network* network_;
+  /// crash/restart/partition/heal, in the network's event family.
+  obs::EventFamily events_{network_->metrics(), "esr_network_events_total"};
   Rng rng_;
   /// Per down site: {active crash-window depth, OR of amnesia flags}.
   std::unordered_map<SiteId, std::pair<int, bool>> down_;

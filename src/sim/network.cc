@@ -6,14 +6,15 @@
 namespace esr::sim {
 
 Network::Network(Simulator* simulator, int num_sites, NetworkConfig config,
-                 uint64_t seed)
+                 uint64_t seed, obs::MetricRegistry& metrics)
     : simulator_(simulator),
       num_sites_(num_sites),
       config_(config),
       rng_(seed),
       receivers_(num_sites),
       site_up_(num_sites, true),
-      partition_group_(num_sites, -1) {
+      partition_group_(num_sites, -1),
+      metrics_(&metrics) {
   assert(simulator != nullptr);
   assert(num_sites > 0);
 }
@@ -44,18 +45,18 @@ void Network::Send(SiteId source, SiteId destination, std::any payload,
                    int64_t size_bytes, TraceContext trace) {
   assert(source >= 0 && source < num_sites_);
   assert(destination >= 0 && destination < num_sites_);
-  counters_.Increment("net.sent");
+  events_.Increment("net.sent");
   if (!site_up_[source]) {
-    counters_.Increment("net.dropped_sender_down");
+    events_.Increment("net.dropped_sender_down");
     return;
   }
   if (Partitioned(source, destination)) {
-    counters_.Increment("net.dropped_partition");
+    events_.Increment("net.dropped_partition");
     return;
   }
   if (config_.loss_probability > 0 &&
       rng_.Bernoulli(config_.loss_probability)) {
-    counters_.Increment("net.dropped_loss");
+    events_.Increment("net.dropped_loss");
     return;
   }
   const SimDuration latency = SampleLatency(source, destination, size_bytes);
@@ -69,14 +70,14 @@ void Network::Send(SiteId source, SiteId destination, std::any payload,
         // flight loses the message.
         --in_flight_;
         if (!site_up_[destination]) {
-          counters_.Increment("net.dropped_receiver_down");
+          events_.Increment("net.dropped_receiver_down");
           return;
         }
         if (Partitioned(source, destination)) {
-          counters_.Increment("net.dropped_partition");
+          events_.Increment("net.dropped_partition");
           return;
         }
-        counters_.Increment("net.delivered");
+        events_.Increment("net.delivered");
         if (hop_observer_ && trace.valid()) {
           hop_observer_(trace, source, destination, sent_at,
                         simulator_->Now());

@@ -8,9 +8,9 @@
 #include <vector>
 
 #include "common/rng.h"
-#include "common/stats.h"
 #include "common/trace.h"
 #include "common/types.h"
+#include "obs/metric_registry.h"
 #include "sim/simulator.h"
 
 namespace esr::sim {
@@ -51,8 +51,10 @@ class Network {
                                          SiteId source, SiteId destination,
                                          SimTime sent_at, SimTime now)>;
 
+  /// Counts its events in `metrics` as `esr_network_events_total{event}`;
+  /// every layer built on this network counts its events there too.
   Network(Simulator* simulator, int num_sites, NetworkConfig config,
-          uint64_t seed);
+          uint64_t seed, obs::MetricRegistry& metrics);
 
   int num_sites() const { return num_sites_; }
   Simulator* simulator() const { return simulator_; }
@@ -96,9 +98,7 @@ class Network {
   void SetSiteUp(SiteId site);
   bool SiteUp(SiteId site) const { return site_up_[site]; }
 
-  /// Event accounting (sent/delivered/dropped_loss/dropped_partition/...).
-  const Counters& counters() const { return counters_; }
-  Counters& counters() { return counters_; }
+  obs::MetricRegistry& metrics() const { return *metrics_; }
 
   /// Datagrams scheduled for delivery but not yet delivered or dropped.
   int64_t InFlightCount() const { return in_flight_; }
@@ -117,7 +117,8 @@ class Network {
   std::vector<int> partition_group_;
   bool partitioned_ = false;
   std::unordered_map<int64_t, SimDuration> link_latency_;  // key src*N+dst
-  Counters counters_;
+  obs::MetricRegistry* metrics_;
+  obs::EventFamily events_{*metrics_, "esr_network_events_total"};
   int64_t in_flight_ = 0;
   HopObserver hop_observer_;
 };

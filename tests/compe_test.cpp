@@ -39,7 +39,7 @@ TEST(CompeTest, AbortCompensatesEverywhere) {
   system.RunUntilQuiescent();
   EXPECT_TRUE(system.Converged());
   EXPECT_EQ(system.SiteValue(2, 0).AsInt(), 5);
-  EXPECT_GE(system.counters().Get("esr.compensations"), 3);
+  EXPECT_GE(test::EventCount(system, "esr.compensations"), 3);
 }
 
 TEST(CompeTest, UnorderedModeRequiresCommutativeOps) {

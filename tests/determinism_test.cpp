@@ -87,7 +87,7 @@ Fingerprint RunOnce(Method method, Transport transport, uint64_t seed,
   for (SiteId s = 0; s < 3; ++s) fp.digests.push_back(system.SiteDigest(s));
   fp.updates = result.updates_committed;
   fp.queries = result.queries_completed;
-  fp.msets_applied = system.counters().Get("esr.msets_applied");
+  fp.msets_applied = test::EventCount(system, "esr.msets_applied");
   fp.reads_recorded = static_cast<int64_t>(system.history().reads().size());
   fp.blocked_attempts = result.query_blocked_attempts;
   fp.restarts = result.query_restarts;

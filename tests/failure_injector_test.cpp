@@ -7,7 +7,8 @@ namespace {
 
 TEST(FailureInjectorTest, CrashAndRestartToggleSite) {
   Simulator sim;
-  Network net(&sim, 3, NetworkConfig{}, 1);
+  obs::MetricRegistry metrics;
+  Network net(&sim, 3, NetworkConfig{}, 1, metrics);
   FailureInjector inject(&sim, &net, 2);
   int crashes = 0, restarts = 0;
   inject.on_crash = [&](SiteId, bool) { ++crashes; };
@@ -25,7 +26,8 @@ TEST(FailureInjectorTest, CrashAndRestartToggleSite) {
 
 TEST(FailureInjectorTest, PermanentCrashNeverRestarts) {
   Simulator sim;
-  Network net(&sim, 2, NetworkConfig{}, 1);
+  obs::MetricRegistry metrics;
+  Network net(&sim, 2, NetworkConfig{}, 1, metrics);
   FailureInjector inject(&sim, &net, 2);
   inject.ScheduleCrash(CrashSpec{0, 50, kSimTimeMax});
   sim.Run();
@@ -34,7 +36,8 @@ TEST(FailureInjectorTest, PermanentCrashNeverRestarts) {
 
 TEST(FailureInjectorTest, PartitionScheduleAppliesAndHeals) {
   Simulator sim;
-  Network net(&sim, 4, NetworkConfig{}, 1);
+  obs::MetricRegistry metrics;
+  Network net(&sim, 4, NetworkConfig{}, 1, metrics);
   FailureInjector inject(&sim, &net, 2);
   inject.SchedulePartition(PartitionSpec{{{0, 1}, {2, 3}}, 100, 300});
   sim.RunUntil(200);
@@ -45,7 +48,8 @@ TEST(FailureInjectorTest, PartitionScheduleAppliesAndHeals) {
 
 TEST(FailureInjectorTest, RandomCrashesRespectHorizon) {
   Simulator sim;
-  Network net(&sim, 3, NetworkConfig{}, 1);
+  obs::MetricRegistry metrics;
+  Network net(&sim, 3, NetworkConfig{}, 1, metrics);
   FailureInjector inject(&sim, &net, 7);
   int crashes = 0;
   inject.on_crash = [&](SiteId, bool) { ++crashes; };
@@ -63,7 +67,8 @@ TEST(FailureInjectorTest, OverlappingCrashWindowsKeepSiteDownUntilLast) {
   // stay down until the *last* covering window ends, fire the crash/restart
   // hooks exactly once, and OR the amnesia flag across the windows.
   Simulator sim;
-  Network net(&sim, 2, NetworkConfig{}, 1);
+  obs::MetricRegistry metrics;
+  Network net(&sim, 2, NetworkConfig{}, 1, metrics);
   FailureInjector inject(&sim, &net, 2);
   int crashes = 0, restarts = 0;
   bool restart_amnesia = false;
@@ -95,7 +100,8 @@ TEST(FailureInjectorTest, RestartInsidePartitionWindowKeepsLinksCut) {
   // A random crash landing inside an active partition window must not
   // resurrect cross-partition links when the site restarts.
   Simulator sim;
-  Network net(&sim, 4, NetworkConfig{}, 1);
+  obs::MetricRegistry metrics;
+  Network net(&sim, 4, NetworkConfig{}, 1, metrics);
   FailureInjector inject(&sim, &net, 2);
   inject.SchedulePartition(PartitionSpec{{{0, 1}, {2, 3}}, 100, 1'000});
   inject.ScheduleCrash(CrashSpec{/*site=*/2, /*crash_at=*/200,
@@ -110,7 +116,8 @@ TEST(FailureInjectorTest, RestartInsidePartitionWindowKeepsLinksCut) {
 
 TEST(FailureInjectorTest, ZeroRateSchedulesNothing) {
   Simulator sim;
-  Network net(&sim, 2, NetworkConfig{}, 1);
+  obs::MetricRegistry metrics;
+  Network net(&sim, 2, NetworkConfig{}, 1, metrics);
   FailureInjector inject(&sim, &net, 7);
   inject.ScheduleRandomCrashes(0.0, 1000, 1'000'000);
   EXPECT_TRUE(sim.Quiescent());

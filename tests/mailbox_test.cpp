@@ -9,7 +9,8 @@ namespace {
 
 TEST(MailboxTest, RoutesByMessageType) {
   sim::Simulator sim;
-  sim::Network net(&sim, 2, sim::NetworkConfig{}, 1);
+  obs::MetricRegistry metrics;
+  sim::Network net(&sim, 2, sim::NetworkConfig{}, 1, metrics);
   Mailbox a(&net, 0), b(&net, 1);
   int got_one = 0, got_two = 0;
   b.RegisterHandler(50, [&](SiteId, const std::any&) { ++got_one; });
@@ -24,7 +25,8 @@ TEST(MailboxTest, RoutesByMessageType) {
 
 TEST(MailboxTest, HandlerSeesSourceAndBody) {
   sim::Simulator sim;
-  sim::Network net(&sim, 3, sim::NetworkConfig{}, 1);
+  obs::MetricRegistry metrics;
+  sim::Network net(&sim, 3, sim::NetworkConfig{}, 1, metrics);
   Mailbox a(&net, 0), b(&net, 1), c(&net, 2);
   SiteId from = -1;
   int body = 0;
@@ -40,16 +42,20 @@ TEST(MailboxTest, HandlerSeesSourceAndBody) {
 
 TEST(MailboxTest, UnhandledTypesAreCountedNotFatal) {
   sim::Simulator sim;
-  sim::Network net(&sim, 2, sim::NetworkConfig{}, 1);
+  obs::MetricRegistry metrics;
+  sim::Network net(&sim, 2, sim::NetworkConfig{}, 1, metrics);
   Mailbox a(&net, 0), b(&net, 1);
   a.Send(1, Envelope{999, {}});
   sim.Run();
-  EXPECT_EQ(net.counters().Get("mailbox.unhandled"), 1);
+  EXPECT_EQ(metrics.CounterValue("esr_network_events_total",
+                                 {{"event", "mailbox.unhandled"}}),
+            1);
 }
 
 TEST(MailboxTest, ReplacingHandlerTakesEffect) {
   sim::Simulator sim;
-  sim::Network net(&sim, 2, sim::NetworkConfig{}, 1);
+  obs::MetricRegistry metrics;
+  sim::Network net(&sim, 2, sim::NetworkConfig{}, 1, metrics);
   Mailbox a(&net, 0), b(&net, 1);
   int first = 0, second = 0;
   b.RegisterHandler(70, [&](SiteId, const std::any&) { ++first; });
@@ -62,7 +68,8 @@ TEST(MailboxTest, ReplacingHandlerTakesEffect) {
 
 TEST(MailboxTest, LocalDispatchBypassesNetwork) {
   sim::Simulator sim;
-  sim::Network net(&sim, 1, sim::NetworkConfig{}, 1);
+  obs::MetricRegistry metrics;
+  sim::Network net(&sim, 1, sim::NetworkConfig{}, 1, metrics);
   Mailbox a(&net, 0);
   bool got = false;
   a.RegisterHandler(80, [&](SiteId src, const std::any&) {

@@ -15,7 +15,7 @@ struct Received {
 
 class NetworkTest : public ::testing::Test {
  protected:
-  NetworkTest() : network_(&sim_, 4, NetworkConfig{}, /*seed=*/1) {
+  NetworkTest() : network_(&sim_, 4, NetworkConfig{}, /*seed=*/1, metrics_) {
     for (SiteId s = 0; s < 4; ++s) {
       network_.RegisterReceiver(s, [this, s](SiteId from,
                                              const std::any& payload) {
@@ -25,7 +25,13 @@ class NetworkTest : public ::testing::Test {
     }
   }
 
+  int64_t Events(const std::string& event) const {
+    return metrics_.CounterValue("esr_network_events_total",
+                                 {{"event", event}});
+  }
+
   Simulator sim_;
+  obs::MetricRegistry metrics_;
   Network network_;
   std::vector<Received> inbox_[4];
 };
@@ -49,14 +55,14 @@ TEST_F(NetworkTest, SelfSendWorks) {
 TEST_F(NetworkTest, LossDropsMessages) {
   NetworkConfig config;
   config.loss_probability = 1.0;
-  Network lossy(&sim_, 2, config, 1);
+  Network lossy(&sim_, 2, config, 1, metrics_);
   bool got = false;
   lossy.RegisterReceiver(1,
                          [&](SiteId, const std::any&) { got = true; });
   lossy.Send(0, 1, std::string("x"));
   sim_.Run();
   EXPECT_FALSE(got);
-  EXPECT_EQ(lossy.counters().Get("net.dropped_loss"), 1);
+  EXPECT_EQ(Events("net.dropped_loss"), 1);
 }
 
 TEST_F(NetworkTest, PartitionBlocksCrossGroupTraffic) {
@@ -104,7 +110,7 @@ TEST_F(NetworkTest, DownSenderCannotSend) {
   network_.Send(0, 1, std::string("gone"));
   sim_.Run();
   EXPECT_TRUE(inbox_[1].empty());
-  EXPECT_EQ(network_.counters().Get("net.dropped_sender_down"), 1);
+  EXPECT_EQ(Events("net.dropped_sender_down"), 1);
 }
 
 TEST_F(NetworkTest, CrashWhileInFlightDropsAtDelivery) {
@@ -112,7 +118,7 @@ TEST_F(NetworkTest, CrashWhileInFlightDropsAtDelivery) {
   sim_.Schedule(1, [&]() { network_.SetSiteDown(1); });
   sim_.Run();
   EXPECT_TRUE(inbox_[1].empty());
-  EXPECT_EQ(network_.counters().Get("net.dropped_receiver_down"), 1);
+  EXPECT_EQ(Events("net.dropped_receiver_down"), 1);
 }
 
 TEST_F(NetworkTest, SiteUpRestoresDelivery) {
@@ -127,7 +133,7 @@ TEST_F(NetworkTest, PerLinkLatencyOverride) {
   NetworkConfig config;
   config.base_latency_us = 100;
   config.jitter_us = 0;
-  Network net(&sim_, 2, config, 1);
+  Network net(&sim_, 2, config, 1, metrics_);
   SimTime delivered_at = -1;
   net.RegisterReceiver(
       1, [&](SiteId, const std::any&) { delivered_at = sim_.Now(); });
@@ -142,7 +148,7 @@ TEST_F(NetworkTest, BandwidthAddsTransmitDelay) {
   config.base_latency_us = 0;
   config.jitter_us = 0;
   config.bandwidth_bytes_per_sec = 1'000'000;  // 1 MB/s
-  Network net(&sim_, 2, config, 1);
+  Network net(&sim_, 2, config, 1, metrics_);
   SimTime delivered_at = -1;
   net.RegisterReceiver(
       1, [&](SiteId, const std::any&) { delivered_at = sim_.Now(); });
@@ -155,7 +161,7 @@ TEST_F(NetworkTest, JitterReordersMessages) {
   NetworkConfig config;
   config.base_latency_us = 100;
   config.jitter_us = 1000;
-  Network net(&sim_, 2, config, /*seed=*/3);
+  Network net(&sim_, 2, config, /*seed=*/3, metrics_);
   std::vector<int> order;
   net.RegisterReceiver(1, [&](SiteId, const std::any& p) {
     order.push_back(std::any_cast<int>(p));

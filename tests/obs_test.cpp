@@ -25,6 +25,36 @@ TEST(MetricRegistryTest, CounterAccumulates) {
   EXPECT_EQ(registry.GetCounter("esr_test_total").value(), 5);
 }
 
+TEST(MetricRegistryTest, CounterValueReadsWithoutCreatingASeries) {
+  MetricRegistry registry;
+  registry.GetCounter("esr_test_total", {{"a", "1"}, {"b", "2"}}).Increment(3);
+  EXPECT_EQ(registry.CounterValue("esr_test_total", {{"b", "2"}, {"a", "1"}}),
+            3);
+  EXPECT_EQ(registry.CounterValue("esr_test_total", {{"a", "2"}}), 0);
+  EXPECT_EQ(registry.CounterValue("esr_missing_total"), 0);
+  EXPECT_EQ(registry.SeriesCount(), 1);
+}
+
+TEST(MetricRegistryTest, EventFamilyCreatesASeriesPerEventOnFirstIncrement) {
+  MetricRegistry registry;
+  EventFamily events(registry, "esr_test_events_total", {{"site", "2"}});
+  EXPECT_EQ(registry.SeriesCount(), 0);
+  events.Increment("queue.sent");
+  events.Increment("queue.sent", 4);
+  events.Increment("queue.delivered");
+  // A second family over the same series adds to it.
+  EventFamily(registry, "esr_test_events_total", {{"site", "2"}})
+      .Increment("queue.sent");
+  EXPECT_EQ(registry.CounterValue("esr_test_events_total",
+                                  {{"event", "queue.sent"}, {"site", "2"}}),
+            6);
+  EXPECT_EQ(
+      registry.CounterValue("esr_test_events_total",
+                            {{"event", "queue.delivered"}, {"site", "2"}}),
+      1);
+  EXPECT_EQ(registry.SeriesCount(), 2);
+}
+
 TEST(MetricRegistryTest, LabelOrderAddressesSameSeries) {
   MetricRegistry registry;
   registry.GetCounter("esr_test_total", {{"a", "1"}, {"b", "2"}}).Increment();
@@ -259,7 +289,7 @@ TEST(ObsIntegrationTest, QueueDepthDrainsAfterOrderedCompeAbortBeforeRelease) {
   }
   system.RunUntilQuiescent();
   ASSERT_TRUE(system.Converged());
-  EXPECT_EQ(system.counters().Get("esr.compe_apply_skipped"), 12);
+  EXPECT_EQ(test::EventCount(system, "esr.compe_apply_skipped"), 12);
   EXPECT_EQ(system.tracer().InFlightEts(), 0);
   for (SiteId s = 0; s < 3; ++s) {
     EXPECT_EQ(system.tracer().QueueDepth(s), 0) << "site " << s;

@@ -189,7 +189,7 @@ TEST(QuasiCopyTest, RefreshTimerRunPinnedDigests) {
   system.RunFor(15'000);
   cached.push_back(system.SiteValue(2, 0).AsInt());
   EXPECT_EQ(cached, (std::vector<int64_t>{0, 0, 0, 3, 3, 3, 6, 6, 6, 6, 13}));
-  EXPECT_EQ(system.counters().Get("quasi.refreshes"), 7);
+  EXPECT_EQ(test::EventCount(system, "quasi.refreshes"), 7);
   test::ExpectPinnedRun(
       test::CapturePinnedRun(system),
       {{0x33a2de9651e57890ull, 0x33a2de9651e57890ull, 0x33a2de9651e57890ull},

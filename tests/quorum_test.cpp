@@ -12,7 +12,8 @@ class QuorumTest : public ::testing::Test {
  protected:
   void Build(int num_sites, QuorumConfig config = {},
              sim::NetworkConfig net_config = {}) {
-    net_ = std::make_unique<sim::Network>(&sim_, num_sites, net_config, 5);
+    net_ = std::make_unique<sim::Network>(&sim_, num_sites, net_config, 5,
+                                          metrics_);
     for (SiteId s = 0; s < num_sites; ++s) {
       mailboxes_.push_back(std::make_unique<msg::Mailbox>(net_.get(), s));
       engines_.push_back(std::make_unique<QuorumEngine>(
@@ -21,6 +22,7 @@ class QuorumTest : public ::testing::Test {
   }
 
   sim::Simulator sim_;
+  obs::MetricRegistry metrics_;
   std::unique_ptr<sim::Network> net_;
   std::vector<std::unique_ptr<msg::Mailbox>> mailboxes_;
   std::vector<std::unique_ptr<QuorumEngine>> engines_;

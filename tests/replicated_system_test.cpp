@@ -149,9 +149,9 @@ TEST(ReplicatedSystemTest, CountersAccumulateProtocolEvents) {
   ReplicatedSystem system(Config(Method::kCommu));
   MustSubmit(system, 0, {Operation::Increment(0, 1)});
   system.RunUntilQuiescent();
-  EXPECT_EQ(system.counters().Get("esr.updates_committed"), 1);
-  EXPECT_EQ(system.counters().Get("esr.msets_applied"), 3);
-  EXPECT_EQ(system.counters().Get("esr.stable"), 1);
+  EXPECT_EQ(test::EventCount(system, "esr.updates_committed"), 1);
+  EXPECT_EQ(test::EventCount(system, "esr.msets_applied"), 3);
+  EXPECT_EQ(test::EventCount(system, "esr.stable"), 1);
 }
 
 TEST(ReplicatedSystemTest, SingleSiteSystemWorks) {
@@ -174,7 +174,7 @@ TEST(ReplicatedSystemTest, DeterministicAcrossIdenticalRuns) {
     }
     system.RunUntilQuiescent();
     return std::make_pair(system.SiteDigest(0),
-                          system.counters().Get("esr.msets_applied"));
+                          test::EventCount(system, "esr.msets_applied"));
   };
   EXPECT_EQ(run(99), run(99));
 }

@@ -194,7 +194,7 @@ TEST(RituTest, VersionGcPrunesChainsAndStillConverges) {
   }
   system.RunUntilQuiescent();
   EXPECT_TRUE(system.Converged());
-  EXPECT_GT(system.counters().Get("esr.versions_gc_pruned"), 0)
+  EXPECT_GT(test::EventCount(system, "esr.versions_gc_pruned"), 0)
       << "sustained same-object writes must trigger stability-driven GC";
   for (SiteId s = 0; s < 3; ++s) {
     EXPECT_LE(system.site_store(s).VersionCount(0), 2)

@@ -137,7 +137,9 @@ Message Msg(int type, std::string payload) {
 
 TEST(SimBindingTest, DeliversInOrderWithSenderAndPayload) {
   sim::Simulator simulator;
-  sim::Network network(&simulator, 2, LosslessFifoNetwork(), /*seed=*/1);
+  obs::MetricRegistry metrics;
+  sim::Network network(&simulator, 2, LosslessFifoNetwork(), /*seed=*/1,
+                       metrics);
   SimTransport a(&network, 0);
   SimTransport b(&network, 1);
   std::vector<std::pair<SiteId, std::string>> got;
@@ -159,7 +161,9 @@ TEST(SimBindingTest, DeliversInOrderWithSenderAndPayload) {
 
 TEST(SimBindingTest, NoDeliveryAfterStopEvenForInFlightMessages) {
   sim::Simulator simulator;
-  sim::Network network(&simulator, 2, LosslessFifoNetwork(), /*seed=*/1);
+  obs::MetricRegistry metrics;
+  sim::Network network(&simulator, 2, LosslessFifoNetwork(), /*seed=*/1,
+                       metrics);
   SimTransport a(&network, 0);
   SimTransport b(&network, 1);
   int delivered = 0;
@@ -638,7 +642,7 @@ struct SimCluster {
   explicit SimCluster(int n, uint64_t seed = 7,
                       sim::NetworkConfig net = LosslessFifoNetwork(),
                       std::vector<recovery::Wal*> wals = {})
-      : num_sites(n), network(&simulator, n, net, seed) {
+      : num_sites(n), network(&simulator, n, net, seed, network_metrics) {
     wals.resize(static_cast<size_t>(n), nullptr);
     for (SiteId s = 0; s < n; ++s) {
       metrics.push_back(std::make_unique<obs::MetricRegistry>());
@@ -680,6 +684,7 @@ struct SimCluster {
 
   int num_sites;
   sim::Simulator simulator;
+  obs::MetricRegistry network_metrics;
   sim::Network network;
   std::vector<std::unique_ptr<obs::MetricRegistry>> metrics;
   std::vector<std::unique_ptr<SimTransport>> transports;
@@ -882,7 +887,9 @@ TEST(OrdupNodeSimTest, WalWithOldStableRecordsReplaysIdentically) {
   };
   auto replay = [](bool with_stable_records) {
     sim::Simulator simulator;
-    sim::Network network(&simulator, 3, LosslessFifoNetwork(), 7);
+    obs::MetricRegistry metrics;
+    sim::Network network(&simulator, 3, LosslessFifoNetwork(), 7,
+                         metrics);
     recovery::MemoryStorage storage;
     recovery::Wal wal(&simulator, &storage, 1, recovery::RecoveryConfig{},
                       nullptr);

@@ -32,7 +32,7 @@ TEST(SagaTest, CommittedSagaFinalizesAllSteps) {
   EXPECT_TRUE(system.Converged());
   EXPECT_EQ(system.SiteValue(2, 0).AsInt(), 10);
   EXPECT_EQ(system.SiteValue(2, 1).AsInt(), 20);
-  EXPECT_EQ(system.counters().Get("esr.sagas_committed"), 1);
+  EXPECT_EQ(test::EventCount(system, "esr.sagas_committed"), 1);
 }
 
 TEST(SagaTest, AbortedSagaCompensatesAllStepsEverywhere) {
@@ -50,7 +50,7 @@ TEST(SagaTest, AbortedSagaCompensatesAllStepsEverywhere) {
   EXPECT_TRUE(system.Converged());
   EXPECT_EQ(system.SiteValue(2, 0).AsInt(), 100)
       << "all saga effects compensated";
-  EXPECT_EQ(system.counters().Get("esr.sagas_aborted"), 1);
+  EXPECT_EQ(test::EventCount(system, "esr.sagas_aborted"), 1);
 }
 
 TEST(SagaTest, CountersHeldUntilSagaEnd) {

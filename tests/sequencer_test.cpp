@@ -18,7 +18,8 @@ namespace {
 class SequencerTest : public ::testing::Test {
  protected:
   void Build(sim::NetworkConfig net_config, int num_sites = 3) {
-    net_ = std::make_unique<sim::Network>(&sim_, num_sites, net_config, 5);
+    net_ = std::make_unique<sim::Network>(&sim_, num_sites, net_config, 5,
+                                          metrics_);
     for (SiteId s = 0; s < num_sites; ++s) {
       mailboxes_.push_back(std::make_unique<Mailbox>(net_.get(), s));
       queues_.push_back(std::make_unique<StableQueueManager>(
@@ -36,6 +37,7 @@ class SequencerTest : public ::testing::Test {
   }
 
   sim::Simulator sim_;
+  obs::MetricRegistry metrics_;
   std::unique_ptr<sim::Network> net_;
   std::vector<std::unique_ptr<Mailbox>> mailboxes_;
   std::vector<std::unique_ptr<StableQueueManager>> queues_;

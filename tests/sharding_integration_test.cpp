@@ -155,7 +155,7 @@ TEST(ShardingIntegrationTest, ForwardedReadsReturnOwnerValuesWithinEpsilon) {
   ASSERT_EQ(values.size(), objects.size());
   for (const Value& v : values) EXPECT_EQ(v.AsInt(), 7);
   EXPECT_LE(inconsistency, 2);
-  EXPECT_GT(system.counters().Get("esr.reads_forwarded"), 0);
+  EXPECT_GT(test::EventCount(system, "esr.reads_forwarded"), 0);
   // Direct strict reads at non-owner sites are refused, not silently
   // answered from a store that holds nothing.
   const EtId q = system.BeginQuery(outsider, kUnboundedEpsilon);
@@ -553,7 +553,7 @@ TEST(ShardingIntegrationTest, ForwardedBoundedQueriesUnderChurnPinnedDigests) {
       system, outsiders, hot, /*rounds=*/24, /*lifetime=*/4, /*gap_us=*/4'000);
   system.RunUntilQuiescent();
   ASSERT_TRUE(system.Converged());
-  EXPECT_GT(system.counters().Get("esr.reads_forwarded"), 0);
+  EXPECT_GT(test::EventCount(system, "esr.reads_forwarded"), 0);
   test::ExpectOutcomes(system, outcomes,
                        {{{0, 1, 2, 2}, 0, 1},
                         {{0, 2, 2, 4}, 0, 1},

@@ -13,7 +13,8 @@ namespace {
 class StableQueueTest : public ::testing::Test {
  protected:
   void Build(sim::NetworkConfig net_config, StableQueueConfig queue_config) {
-    net_ = std::make_unique<sim::Network>(&sim_, 3, net_config, /*seed=*/5);
+    net_ = std::make_unique<sim::Network>(&sim_, 3, net_config, /*seed=*/5,
+                                          metrics_);
     for (SiteId s = 0; s < 3; ++s) {
       mailboxes_.push_back(std::make_unique<Mailbox>(net_.get(), s));
       queues_.push_back(std::make_unique<StableQueueManager>(
@@ -27,7 +28,14 @@ class StableQueueTest : public ::testing::Test {
     }
   }
 
+  int64_t Events(SiteId site, const std::string& event) const {
+    return metrics_.CounterValue(
+        "esr_transport_events_total",
+        {{"event", event}, {"site", std::to_string(site)}});
+  }
+
   sim::Simulator sim_;
+  obs::MetricRegistry metrics_;
   std::unique_ptr<sim::Network> net_;
   std::vector<std::unique_ptr<Mailbox>> mailboxes_;
   std::vector<std::unique_ptr<StableQueueManager>> queues_;
@@ -52,7 +60,7 @@ TEST_F(StableQueueTest, SurvivesHeavyLoss) {
   ASSERT_EQ(delivered_[1].size(), 20u);
   // FIFO preserved despite loss and retransmission.
   for (int i = 0; i < 20; ++i) EXPECT_EQ(delivered_[1][i].second, i);
-  EXPECT_GT(queues_[0]->counters().Get("queue.retransmit"), 0);
+  EXPECT_GT(Events(0, "queue.retransmit"), 0);
   EXPECT_EQ(queues_[0]->UnackedCount(), 0);
 }
 

@@ -82,31 +82,5 @@ TEST(SummaryTest, ToStringMentionsCount) {
   EXPECT_NE(s.ToString().find("n=1"), std::string::npos);
 }
 
-TEST(CountersTest, IncrementAndGet) {
-  Counters c;
-  c.Increment("a");
-  c.Increment("a", 4);
-  c.Increment("b");
-  EXPECT_EQ(c.Get("a"), 5);
-  EXPECT_EQ(c.Get("b"), 1);
-  EXPECT_EQ(c.Get("missing"), 0);
-}
-
-TEST(CountersTest, SnapshotSorted) {
-  Counters c;
-  c.Increment("z");
-  c.Increment("a");
-  auto snap = c.Snapshot();
-  ASSERT_EQ(snap.size(), 2u);
-  EXPECT_EQ(snap[0].first, "a");
-  EXPECT_EQ(snap[1].first, "z");
-}
-
-TEST(CountersTest, ToStringContainsEntries) {
-  Counters c;
-  c.Increment("net.sent", 3);
-  EXPECT_NE(c.ToString().find("net.sent=3"), std::string::npos);
-}
-
 }  // namespace
 }  // namespace esr

@@ -142,7 +142,8 @@ TEST(StableQueueStress, ExactlyOnceInOrderUnderChaos) {
     sim::NetworkConfig net_config;
     net_config.loss_probability = 0.35;
     net_config.jitter_us = 6'000;
-    sim::Network net(&sim, 3, net_config, seed);
+    obs::MetricRegistry metrics;
+    sim::Network net(&sim, 3, net_config, seed, metrics);
     std::vector<std::unique_ptr<msg::Mailbox>> mailboxes;
     std::vector<std::unique_ptr<msg::StableQueueManager>> queues;
     std::vector<std::vector<int>> delivered(3);

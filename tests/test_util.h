@@ -9,6 +9,7 @@
 #include <map>
 #include <set>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "esr/replicated_system.h"
@@ -222,6 +223,41 @@ inline std::string ValidatePrometheusExposition(const std::string& text) {
   return "";
 }
 
+/// Count of the facade or method event `event` (esr_events_total).
+inline int64_t EventCount(const core::ReplicatedSystem& system,
+                          const std::string& event) {
+  return system.metrics().CounterValue("esr_events_total",
+                                       {{"event", event}});
+}
+
+/// The series of event-counter family `name` whose `site` label is `site`
+/// (every series when `site` is empty), as (event, value) pairs in event
+/// order, read back from the registry's exposition.
+inline std::vector<std::pair<std::string, int64_t>> EventCounts(
+    const obs::MetricRegistry& metrics, const std::string& name,
+    const std::string& site = "") {
+  auto label = [](const std::string& labels, const std::string& key) {
+    const size_t at = labels.find(key + "=\"");
+    if (at == std::string::npos) return std::string();
+    const size_t from = at + key.size() + 2;
+    return labels.substr(from, labels.find('"', from) - from);
+  };
+  std::vector<std::pair<std::string, int64_t>> counts;
+  const std::string text = metrics.PrometheusText();
+  const std::string prefix = name + "{";
+  for (size_t pos = 0; pos < text.size();) {
+    const size_t eol = text.find('\n', pos);
+    const std::string line = text.substr(pos, eol - pos);
+    pos = eol + 1;
+    if (line.rfind(prefix, 0) != 0) continue;
+    const std::string labels = line.substr(0, line.find('}'));
+    if (!site.empty() && label(labels, "site") != site) continue;
+    counts.emplace_back(label(labels, "event"),
+                        std::stoll(line.substr(line.rfind(' ') + 1)));
+  }
+  return counts;
+}
+
 /// Builds a default SystemConfig for a method.
 inline core::SystemConfig Config(core::Method method, int num_sites = 3,
                                  uint64_t seed = 42) {
@@ -257,10 +293,11 @@ inline PinnedRun CapturePinnedRun(core::ReplicatedSystem& system) {
   for (SiteId s = 0; s < system.config().num_sites; ++s) {
     run.digests.push_back(system.SiteDigest(s));
     std::string counters;
-    for (const auto& [name, value] :
-         system.site_queues(s).counters().Snapshot()) {
+    for (const auto& [event, value] :
+         EventCounts(system.metrics(), "esr_transport_events_total",
+                     std::to_string(s))) {
       if (!counters.empty()) counters += ' ';
-      counters += name + "=" + std::to_string(value);
+      counters += event + "=" + std::to_string(value);
     }
     run.transport.push_back(std::move(counters));
   }
@@ -428,7 +465,7 @@ inline void ExpectOutcomes(core::ReplicatedSystem& system,
                            const std::vector<QueryOutcome>& actual,
                            const std::vector<QueryOutcome>& pinned,
                            int64_t pinned_limit_hits) {
-  EXPECT_EQ(system.counters().Get("esr.query_limit_hits"), pinned_limit_hits);
+  EXPECT_EQ(EventCount(system, "esr.query_limit_hits"), pinned_limit_hits);
   EXPECT_TRUE(actual == pinned) << "actual outcomes:\n"
                                 << FormatOutcomes(actual);
 }

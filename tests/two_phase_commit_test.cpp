@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include <memory>
+#include <string>
 #include <vector>
 
 #include "msg/stable_queue.h"
@@ -15,7 +16,8 @@ class TwoPhaseCommitTest : public ::testing::Test {
  protected:
   void Build(int num_sites, sim::NetworkConfig net_config = {}) {
     num_sites_ = num_sites;
-    net_ = std::make_unique<sim::Network>(&sim_, num_sites, net_config, 5);
+    net_ = std::make_unique<sim::Network>(&sim_, num_sites, net_config, 5,
+                                          metrics_);
     for (SiteId s = 0; s < num_sites; ++s) {
       mailboxes_.push_back(std::make_unique<msg::Mailbox>(net_.get(), s));
       queues_.push_back(std::make_unique<msg::StableQueueManager>(
@@ -27,8 +29,15 @@ class TwoPhaseCommitTest : public ::testing::Test {
     }
   }
 
+  int64_t Events(SiteId site, const std::string& event) const {
+    return metrics_.CounterValue(
+        "esr_sync_events_total",
+        {{"event", event}, {"site", std::to_string(site)}});
+  }
+
   int num_sites_ = 0;
   sim::Simulator sim_;
+  obs::MetricRegistry metrics_;
   std::unique_ptr<sim::Network> net_;
   std::vector<std::unique_ptr<msg::Mailbox>> mailboxes_;
   std::vector<std::unique_ptr<msg::StableQueueManager>> queues_;
@@ -174,8 +183,8 @@ TEST_F(TwoPhaseCommitTest, PrepareAfterDecideIsTombstoned) {
   sim_.Run();
   EXPECT_TRUE(a_status.ok());
   EXPECT_TRUE(b_status.IsAborted());
-  EXPECT_GE(engines_[1]->counters().Get("tpc.prepare_after_decide") +
-                engines_[0]->counters().Get("tpc.prepare_after_decide"),
+  EXPECT_GE(Events(1, "tpc.prepare_after_decide") +
+                Events(0, "tpc.prepare_after_decide"),
             0);
   // The critical post-condition: no stranded locks — a fresh transaction
   // sails through.

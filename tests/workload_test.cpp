@@ -70,8 +70,8 @@ TEST(WorkloadTest, CompeWorkloadDecidesUpdates) {
   EXPECT_GT(result.updates_committed, 0);
   system.RunUntilQuiescent();
   EXPECT_TRUE(system.Converged());
-  EXPECT_GT(system.counters().Get("esr.compe_aborts"), 0);
-  EXPECT_GT(system.counters().Get("esr.compe_commits"), 0);
+  EXPECT_GT(test::EventCount(system, "esr.compe_aborts"), 0);
+  EXPECT_GT(test::EventCount(system, "esr.compe_commits"), 0);
 }
 
 TEST(WorkloadTest, SyncMethodsRunTheSameWorkload) {

@@ -15,6 +15,9 @@
 #   - a sharded esrsim run (4 shards, RF 2, 8 sites) with a global standby
 #     sequencer and an amnesia crash of site 0 recovered from file-backed
 #     storage: its stdout plus every site's .ckpt and .wal file
+#   - a second sharded run (seed 8, no standby) with an amnesia crash of
+#     site 1, which hosts no order server: its stdout plus every site's
+#     .ckpt and .wal file
 #   - the same kind of run fully replicated (ORDUP, 4 sites, a global
 #     standby sequencer, an amnesia crash of site 2): its stdout plus every
 #     site's .ckpt and .wal file
@@ -88,6 +91,19 @@ echo "$(hash sharded.out)  esrsim sharded amnesia run: stdout"
 for file in recovery/*; do
   echo "$(hash "$file")  esrsim sharded amnesia run: $(basename "$file")"
 done
+
+mkdir sharded-site1
+(
+  cd sharded-site1
+  "$BUILD_DIR/examples/esrsim" --method=ordup --sites=8 --shards=4 \
+    --replication-factor=2 --amnesia-crash=1:100:300 --recovery-dir=recovery \
+    --seed=8 --verify > sharded.out
+  echo "$(hash sharded.out)  esrsim sharded amnesia run, site 1: stdout"
+  for file in recovery/*; do
+    echo "$(hash "$file")  esrsim sharded amnesia run, site 1:" \
+      "$(basename "$file")"
+  done
+)
 
 mkdir full
 (

@@ -204,7 +204,7 @@ void CompeMethod::ReplayDecision(EtId et, bool commit) {
 }
 
 void CompeMethod::SnapshotDurable(recovery::CheckpointData& out) const {
-  if (ordered_) out.order_watermark = buffer_.Watermark();
+  if (ordered_) out.cut.order_watermark = buffer_.Watermark();
   out.decided_commit.assign(decided_commit_.begin(), decided_commit_.end());
   std::sort(out.decided_commit.begin(), out.decided_commit.end());
   out.abort_before_apply.assign(abort_before_apply_.begin(),
@@ -213,7 +213,7 @@ void CompeMethod::SnapshotDurable(recovery::CheckpointData& out) const {
 }
 
 void CompeMethod::RestoreDurable(const recovery::CheckpointData& in) {
-  if (ordered_) buffer_.SkipThrough(in.order_watermark);
+  if (ordered_) buffer_.SkipThrough(in.cut.order_watermark);
   decided_commit_ = std::unordered_set<EtId>(in.decided_commit.begin(),
                                              in.decided_commit.end());
   abort_before_apply_ = std::unordered_set<EtId>(in.abort_before_apply.begin(),

@@ -225,22 +225,23 @@ void OrdupMethod::SnapshotDurable(recovery::CheckpointData& out) const {
   out.apply_count = ledger_.applied();
   auto global = streams_.find(kGlobalOrder);
   if (global != streams_.end()) {
-    out.order_watermark = global->second.Watermark();
+    out.cut.order_watermark = global->second.Watermark();
   }
   if (ctx_.placement == nullptr) return;
-  out.shard_watermarks.clear();
+  out.cut.shard_watermarks.clear();
   for (ShardId k = 0; k < ctx_.placement->num_shards(); ++k) {
     auto it = streams_.find(k);
-    out.shard_watermarks.emplace_back(
-        k, it != streams_.end() ? it->second.Watermark()
-                                : kShardWatermarkInfinity);
+    out.cut.shard_watermarks[k] = it != streams_.end()
+                                      ? it->second.Watermark()
+                                      : kShardWatermarkInfinity;
   }
 }
 
 void OrdupMethod::RestoreDurable(const recovery::CheckpointData& in) {
   ledger_.RestoreApplied(in.apply_count);
-  Positions watermarks = in.shard_watermarks;
-  watermarks.emplace_back(kGlobalOrder, in.order_watermark);
+  Positions watermarks(in.cut.shard_watermarks.begin(),
+                       in.cut.shard_watermarks.end());
+  watermarks.emplace_back(kGlobalOrder, in.cut.order_watermark);
   for (const auto& [k, wm] : watermarks) {
     auto it = streams_.find(k);
     if (it == streams_.end() || wm == kShardWatermarkInfinity) continue;

@@ -143,8 +143,8 @@ class ReplicaControlMethod {
   virtual void OnStable(EtId et);
 
   /// Checkpoint support: fills / reads back the checkpoint fields the
-  /// method owns — `order_watermark` (ORDUP/COMPE-ORD total-order
-  /// position), `shard_watermarks` (sharded ORDUP), `apply_count` (the
+  /// method owns — `cut.order_watermark` (ORDUP/COMPE-ORD total-order
+  /// position), `cut.shard_watermarks` (sharded ORDUP), `apply_count` (the
   /// ORDUP and ORDUP-TS apply ledger) and COMPE's decision lists. Default:
   /// nothing to carry.
   virtual void SnapshotDurable(recovery::CheckpointData& /*out*/) const {}

@@ -492,7 +492,7 @@ void ReplicatedSystem::BindRecoverySite(SiteId s) {
     // the sharded MSets past them.
     recovery::CheckpointData durable;
     sites_[s]->method->SnapshotDurable(durable);
-    return durable.shard_watermarks;
+    return durable.cut.shard_watermarks;
   };
   recovery_->BindSite(s, std::move(b));
 

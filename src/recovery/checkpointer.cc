@@ -29,9 +29,9 @@ std::string EncodeCheckpoint(const CheckpointData& data) {
   enc.U32(kCheckpointVersion);
   enc.I64(data.last_lsn);
   enc.I64(data.clock_counter);
-  enc.I64(data.order_watermark);
-  list(data.applied, ts);
-  list(data.shard_watermarks, [&enc](const auto& entry) {
+  enc.I64(data.cut.order_watermark);
+  list(data.cut.applied, ts);
+  list(data.cut.shard_watermarks, [&enc](const auto& entry) {
     enc.U32(static_cast<uint32_t>(entry.first));
     enc.I64(entry.second);
   });
@@ -95,7 +95,7 @@ bool DecodeCheckpoint(std::string_view bytes, CheckpointData* out) {
   // latches a failure.
   auto list = [&dec](auto& items, auto get) {
     for (uint32_t i = 0, n = dec.U32(); i < n && dec.ok(); ++i) {
-      items.push_back(get());
+      items.insert(items.end(), get());
     }
   };
   auto ts = [&dec] { return dec.Ts(); };
@@ -105,9 +105,9 @@ bool DecodeCheckpoint(std::string_view bytes, CheckpointData* out) {
   CheckpointData data;
   data.last_lsn = dec.I64();
   data.clock_counter = dec.I64();
-  data.order_watermark = dec.I64();
-  list(data.applied, ts);
-  list(data.shard_watermarks, [&dec] {
+  data.cut.order_watermark = dec.I64();
+  list(data.cut.applied, ts);
+  list(data.cut.shard_watermarks, [&dec] {
     const ShardId shard = static_cast<ShardId>(dec.U32());
     return std::make_pair(shard, dec.I64());
   });

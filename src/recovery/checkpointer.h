@@ -9,6 +9,7 @@
 
 #include "common/types.h"
 #include "common/value.h"
+#include "recovery/applied_cut.h"
 #include "store/mset_log.h"
 
 namespace esr::recovery {
@@ -46,33 +47,23 @@ struct StabilitySnapshot {
 /// simulator is single-threaded a snapshot taken inside one event is
 /// trivially atomic with respect to protocol state.
 ///
-/// The applied-timestamp vector (`applied[origin]` = timestamp of the
-/// newest MSet from `origin` applied here) is THE uniform watermark: stable
-/// queues are FIFO per origin and every method applies a given origin's
-/// MSets in timestamp order, so an MSet is reflected in the checkpoint iff
-/// `mset.timestamp <= applied[mset.origin]`. Every other fact is a typed
-/// field written once: the facade fills the store images and sequencer
-/// floors, the replica control method its order positions, apply count
-/// and decisions, and the StabilityTracker its snapshot. EncodeCheckpoint
-/// and DecodeCheckpoint are the only code that knows the byte layout.
+/// `cut` is THE watermark: an MSet is reflected in the checkpoint iff
+/// `cut.Covers(mset)`. Every other fact is a typed field written once: the
+/// facade fills the store images and sequencer floors, the replica control
+/// method its order positions, apply count and decisions, and the
+/// StabilityTracker its snapshot. EncodeCheckpoint and DecodeCheckpoint are
+/// the only code that knows the byte layout.
 struct CheckpointData {
   /// Highest WAL LSN reflected in this snapshot; replay starts after it.
   int64_t last_lsn = 0;
   /// Lamport clock counter at snapshot time.
   int64_t clock_counter = 0;
-  /// Total-order delivery watermark (0 for unordered methods).
-  SequenceNumber order_watermark = 0;
-  /// Per-origin applied-MSet timestamp vector, indexed by SiteId.
-  std::vector<LamportTimestamp> applied;
-  /// Partial replication: per-shard delivery watermarks of the sharded
-  /// ORDUP method. A sharded MSet (one carrying shard_positions) is
-  /// reflected in this checkpoint iff every one of its (shard, position)
-  /// pairs satisfies position <= the shard's entry here — the
-  /// applied-timestamp vector above does NOT cover sharded MSets, whose
-  /// per-origin apply order differs across shards. Owned shards carry the
-  /// stream cursor; non-owned shards carry INT64_MAX ("this site never
-  /// needs that stream"). Sorted by shard; empty when unsharded.
-  std::vector<std::pair<ShardId, SequenceNumber>> shard_watermarks;
+  /// The applied cut: per-origin applied timestamps (set by the
+  /// RecoveryManager), the total-order delivery watermark (0 for unordered
+  /// methods) and, under partial replication, the sharded ORDUP method's
+  /// per-shard delivery watermarks (owned shards carry the stream cursor,
+  /// non-owned shards INT64_MAX; empty when unsharded).
+  AppliedCut cut;
   /// Active order servers hosted at the checkpointed site: one (order
   /// service, next-to-grant, epoch) triple per service whose home this
   /// site is, the service being a shard id or -1 for the global server.

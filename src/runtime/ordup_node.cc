@@ -585,7 +585,7 @@ void OrdupNode::SendSnapshot(SiteId to) {
   // The applied prefix is a consistent cut of the total order, so the
   // store as it stands is the image at applied_watermark().
   recovery::CheckpointData image;
-  image.order_watermark = applied_watermark();
+  image.cut.order_watermark = applied_watermark();
   image.clock_counter = lamport_;
   image.store_entries = store_.SnapshotEntries();
   std::string payload = recovery::EncodeCheckpoint(image);
@@ -598,7 +598,7 @@ void OrdupNode::SendSnapshot(SiteId to) {
 void OrdupNode::HandleSnapshotResp(SiteId from, std::string_view payload) {
   recovery::CheckpointData image;
   if (!recovery::DecodeCheckpoint(payload, &image)) return;
-  const SequenceNumber image_watermark = image.order_watermark;
+  const SequenceNumber image_watermark = image.cut.order_watermark;
   if (image_watermark <= applied_watermark()) return;  // stale
   // The image replaces the whole applied prefix: the responder applied the
   // same total order up to image_watermark.

@@ -6,6 +6,8 @@
 #include <gtest/gtest.h>
 
 #include <filesystem>
+#include <limits>
+#include <map>
 #include <string>
 #include <vector>
 
@@ -244,9 +246,9 @@ CheckpointData SampleCheckpoint() {
   CheckpointData data;
   data.last_lsn = 17;
   data.clock_counter = 99;
-  data.order_watermark = 6;
-  data.applied = {LamportTimestamp{4, 0}, LamportTimestamp{9, 1}};
-  data.shard_watermarks = {{0, 5}, {2, 11}};
+  data.cut.order_watermark = 6;
+  data.cut.applied = {LamportTimestamp{4, 0}, LamportTimestamp{9, 1}};
+  data.cut.shard_watermarks = {{0, 5}, {2, 11}};
   data.seq_floors = {{-1, 40, 1}, {2, 12, 3}};
   data.store_entries.emplace_back(1, Value(int64_t{10}),
                                   LamportTimestamp{3, 0});
@@ -279,11 +281,10 @@ TEST(CheckpointTest, EncodeDecodeRoundtrip) {
   ASSERT_TRUE(DecodeCheckpoint(bytes, &out));
   EXPECT_EQ(out.last_lsn, 17);
   EXPECT_EQ(out.clock_counter, 99);
-  EXPECT_EQ(out.order_watermark, 6);
-  EXPECT_EQ(out.applied, (std::vector<LamportTimestamp>{{4, 0}, {9, 1}}));
-  EXPECT_EQ(out.shard_watermarks,
-            (std::vector<std::pair<ShardId, SequenceNumber>>{{0, 5},
-                                                             {2, 11}}));
+  EXPECT_EQ(out.cut.order_watermark, 6);
+  EXPECT_EQ(out.cut.applied, (std::vector<LamportTimestamp>{{4, 0}, {9, 1}}));
+  EXPECT_EQ(out.cut.shard_watermarks,
+            (std::map<ShardId, SequenceNumber>{{0, 5}, {2, 11}}));
   // One global (service -1) and one shard sequencer floor.
   EXPECT_EQ(out.seq_floors,
             (std::vector<std::tuple<ShardId, SequenceNumber, int64_t>>{
@@ -352,6 +353,130 @@ TEST(CheckpointTest, RejectsAWellFramedCheckpointOfAnotherVersion) {
     EXPECT_FALSE(DecodeCheckpoint(framed, &rejected));
     EXPECT_EQ(rejected.last_lsn, -1) << "a rejected decode leaves out alone";
   }
+}
+
+core::Mset TimestampedMset(SiteId origin, int64_t counter) {
+  core::Mset mset;
+  mset.et = 100 + counter;
+  mset.origin = origin;
+  mset.timestamp = LamportTimestamp{counter, origin};
+  return mset;
+}
+
+core::Mset Filler(SequenceNumber order) {
+  core::Mset filler;
+  filler.global_order = order;
+  return filler;
+}
+
+core::Mset ShardedMset(std::vector<std::pair<ShardId, SequenceNumber>> at) {
+  core::Mset mset = TimestampedMset(0, 1);
+  mset.shard_positions = std::move(at);
+  return mset;
+}
+
+TEST(AppliedCutTest, CoversATimestampedMsetByItsOriginsTimestamp) {
+  AppliedCut cut;
+  cut.applied = {LamportTimestamp{5, 0}, LamportTimestamp{3, 1}};
+  EXPECT_TRUE(cut.Covers(TimestampedMset(0, 5)));
+  EXPECT_TRUE(cut.Covers(TimestampedMset(1, 2)));
+  EXPECT_FALSE(cut.Covers(TimestampedMset(0, 6)));
+  EXPECT_FALSE(cut.Covers(TimestampedMset(1, 4)));
+  EXPECT_FALSE(cut.Covers(TimestampedMset(2, 1))) << "origin out of range";
+  // The order position of a timestamped MSet is not what the cut tests.
+  core::Mset ordered = TimestampedMset(0, 5);
+  ordered.global_order = 99;
+  EXPECT_TRUE(cut.Covers(ordered));
+}
+
+TEST(AppliedCutTest, CoversAnUnshardedFillerByItsOrderPosition) {
+  AppliedCut cut;
+  cut.applied = {LamportTimestamp{50, 0}};
+  cut.order_watermark = 4;
+  EXPECT_TRUE(cut.Covers(Filler(1)));
+  EXPECT_TRUE(cut.Covers(Filler(4)));
+  EXPECT_FALSE(cut.Covers(Filler(5)));
+  EXPECT_FALSE(cut.Covers(Filler(0))) << "position 0 is no position";
+}
+
+TEST(AppliedCutTest, CoversAShardedMsetOnlyWhenEveryShardIsPassed) {
+  AppliedCut cut;
+  // Shard 0 is owned (cursor 5); shard 2 is not (INT64_MAX); shard 1 was
+  // never seen. The per-origin timestamps do not govern sharded MSets.
+  cut.shard_watermarks = {{0, 5}, {2, std::numeric_limits<int64_t>::max()}};
+  cut.applied = {kZeroTimestamp};
+  EXPECT_TRUE(cut.Covers(ShardedMset({{0, 5}})));
+  EXPECT_TRUE(cut.Covers(ShardedMset({{0, 3}, {2, 1'000}})));
+  EXPECT_FALSE(cut.Covers(ShardedMset({{0, 6}, {2, 1}})));
+  EXPECT_FALSE(cut.Covers(ShardedMset({{0, 1}, {1, 1}})));
+  core::Mset sharded_filler = Filler(0);
+  sharded_filler.shard_positions = {{0, 5}};
+  EXPECT_TRUE(cut.Covers(sharded_filler));
+}
+
+TEST(AppliedCutTest, RaiseIgnoresFillers) {
+  AppliedCut cut;
+  cut.applied = {kZeroTimestamp, kZeroTimestamp};
+  cut.Raise(Filler(7));
+  core::Mset sharded_filler = Filler(0);
+  sharded_filler.shard_positions = {{1, 9}};
+  cut.Raise(sharded_filler);
+  EXPECT_EQ(cut.order_watermark, 0);
+  EXPECT_TRUE(cut.shard_watermarks.empty());
+  EXPECT_EQ(cut.applied,
+            (std::vector<LamportTimestamp>{kZeroTimestamp, kZeroTimestamp}));
+
+  cut.Raise(TimestampedMset(1, 4));
+  cut.Raise(TimestampedMset(1, 2));  // never lowers
+  cut.Raise(TimestampedMset(5, 9));  // origin out of range
+  cut.Raise(ShardedMset({{1, 9}, {3, 2}}));
+  EXPECT_EQ(cut.applied,
+            (std::vector<LamportTimestamp>{kZeroTimestamp, {4, 1}}));
+  EXPECT_EQ(cut.shard_watermarks,
+            (std::map<ShardId, SequenceNumber>{{1, 9}, {3, 2}}));
+}
+
+TEST(AppliedCutTest, MinReproducesTheTruncationFloors) {
+  const SequenceNumber kNotOwned = std::numeric_limits<int64_t>::max();
+  AppliedCut a;
+  a.applied = {LamportTimestamp{5, 0}, LamportTimestamp{3, 1},
+               LamportTimestamp{7, 2}};
+  a.order_watermark = 10;
+  a.shard_watermarks = {{0, 4}, {1, kNotOwned}, {2, 7}};
+  AppliedCut b;
+  b.applied = {LamportTimestamp{2, 0}, LamportTimestamp{9, 1},
+               LamportTimestamp{7, 2}};
+  b.order_watermark = 6;
+  b.shard_watermarks = {{0, 8}, {1, 3}};
+
+  // Per origin and for the order the floor is the minimum; per shard the
+  // minimum with a missing shard counting as 0 (shard 2, absent at b).
+  const AppliedCut ab = AppliedCut::Min(a, b);
+  EXPECT_EQ(ab.applied,
+            (std::vector<LamportTimestamp>{
+                {2, 0}, {3, 1}, {7, 2}}));
+  EXPECT_EQ(ab.order_watermark, 6);
+  EXPECT_EQ(ab.shard_watermarks,
+            (std::map<ShardId, SequenceNumber>{{0, 4}, {1, 3}, {2, 0}}));
+  EXPECT_EQ(AppliedCut::Min(b, a).shard_watermarks, ab.shard_watermarks);
+
+  // A site with no checkpointed shard map (never checkpointed, or its
+  // checkpoint predates the shards) pins every shard's floor at 0: keep
+  // every sharded record.
+  AppliedCut never;
+  never.applied = {LamportTimestamp{4, 0}, LamportTimestamp{4, 1},
+                   LamportTimestamp{4, 2}};
+  never.order_watermark = 12;
+  const AppliedCut floor = AppliedCut::Min(ab, never);
+  EXPECT_EQ(floor.applied,
+            (std::vector<LamportTimestamp>{
+                {2, 0}, {3, 1}, {4, 2}}));
+  EXPECT_EQ(floor.order_watermark, 6);
+  EXPECT_EQ(floor.shard_watermarks,
+            (std::map<ShardId, SequenceNumber>{{0, 0}, {1, 0}, {2, 0}}));
+  EXPECT_FALSE(floor.Covers(ShardedMset({{0, 1}})));
+  EXPECT_TRUE(floor.Covers(TimestampedMset(1, 3)));
+  EXPECT_FALSE(floor.Covers(TimestampedMset(2, 5)));
 }
 
 // Catch-up exchange lifecycle and WAL truncation policy, exercised against

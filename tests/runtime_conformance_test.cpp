@@ -1125,7 +1125,7 @@ TEST(OrdupNodeSimTest, CorruptOrStaleSnapshotLeavesNodeUnchanged) {
 
   auto image_at = [](SequenceNumber watermark) {
     recovery::CheckpointData image;
-    image.order_watermark = watermark;
+    image.cut.order_watermark = watermark;
     image.clock_counter = 1'000;
     image.store_entries = {{ObjectId{1}, Value(int64_t{99}), LamportTimestamp{}},
                            {ObjectId{7}, Value(int64_t{5}), LamportTimestamp{}}};
@@ -1239,7 +1239,7 @@ TEST(OrdupNodeSimTest, ProbeAnswerCoversHeldBackAndSnapshotPositions) {
   EXPECT_GT(lowest_grant(), 9);
 
   recovery::CheckpointData image;
-  image.order_watermark = 20;
+  image.cut.order_watermark = 20;
   image.clock_counter = 1'000;
   image.store_entries = {{ObjectId{1}, Value(int64_t{99}), LamportTimestamp{}}};
   cluster.transports[0]->Send(

@@ -264,6 +264,9 @@ void ReplicaControlMethod::OnApplyAckMsg(SiteId /*source*/,
       ctx_.recovery != nullptr &&
       (ctx_.recovery->in_replay() || ctx_.recovery->catching_up());
   if (!recovering && !ctx_.stability->Knows(ack->et)) return;
+  // An ack for an ET already stable here changes nothing (RecordAck drops
+  // it); a recovered replica re-acks every MSet catch-up re-applies.
+  if (ctx_.stability->IsStable(ack->et)) return;
   if (ctx_.recovery != nullptr) ctx_.recovery->LogAck(ack->et, ack->replica);
   if (ctx_.stability->RecordAck(ack->et, ack->replica)) {
     MaybeBroadcastStable(ack->et);

@@ -10,6 +10,7 @@
 
 #include <filesystem>
 #include <tuple>
+#include <unordered_set>
 #include <vector>
 
 #include "analysis/sr_checker.h"
@@ -439,6 +440,45 @@ TEST(RecoveryIntegrationTest, SubmitDuringCatchupIsRejected) {
   EXPECT_TRUE(system.Converged());
   EXPECT_EQ(system.SiteValue(2, 0).AsInt(), 6);
   EXPECT_EQ(system.SiteValue(0, 0).AsInt(), 6);
+}
+
+TEST(RecoveryIntegrationTest, OriginLogsNoAckForAnEtAlreadyStable) {
+  // Site 2 loses its whole WAL (nothing is flushed) and re-applies every
+  // MSet from catch-up after its restart, acking each one, ETs stable at
+  // their origins long before the crash included. Such an ack changes
+  // nothing at the origin, so no kAck record may follow the ET's kStable
+  // record in the origin's WAL.
+  SystemConfig config = CrashConfig(Method::kCommu, 7);
+  config.recovery.checkpoint_interval_us = 0;  // no truncation
+  config.recovery.group_commit_records = 1024;
+  config.recovery.group_commit_interval_us = 10'000'000;
+  ReplicatedSystem system(config);
+  system.failures().ScheduleCrash(kAmnesia);
+  for (int i = 0; i < 12; ++i) {
+    MustSubmit(system, i % 2, {Operation::Increment(0, 1)});
+    system.RunFor(10'000);
+  }
+  system.RunUntilQuiescent();
+  ASSERT_TRUE(system.Converged());
+  ASSERT_GT(system.recovery_manager()->last_report(2).catchup_msets, 0);
+  for (SiteId origin : {0, 1}) {
+    recovery::Wal& wal = system.recovery_manager()->site(origin)->wal();
+    std::vector<recovery::WalRecord> records = wal.ReadAll();
+    records.insert(records.end(), wal.UnflushedRecords().begin(),
+                   wal.UnflushedRecords().end());
+    std::unordered_set<EtId> stable;
+    int stable_acks = 0;
+    for (const recovery::WalRecord& record : records) {
+      if (record.type == recovery::WalRecordType::kStable) {
+        stable.insert(record.et);
+      } else if (record.type == recovery::WalRecordType::kAck &&
+                 stable.count(record.et) > 0) {
+        ++stable_acks;
+      }
+    }
+    EXPECT_GT(stable.size(), 0u) << "site " << origin;
+    EXPECT_EQ(stable_acks, 0) << "site " << origin;
+  }
 }
 
 TEST(RecoveryIntegrationTest, SubmitAtDownSiteIsRejected) {

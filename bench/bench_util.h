@@ -191,25 +191,29 @@ int64_t TransportEventCount(const System& system, int site,
 
 /// Writes the bench-wide registry as Prometheus text next to the binary's
 /// stdout results (`<bench_name>.metrics.prom`). Purely additive: measured
-/// results are produced before this runs and are unaffected.
+/// results are produced before this runs and are unaffected. Its
+/// `[metrics]` and `[results]` lines go to stderr, so stdout holds the
+/// measured results only and does not change with the exported series.
 inline void WriteMetricsSnapshot(const std::string& bench_name) {
   const std::string path = bench_name + ".metrics.prom";
   std::ofstream out(path, std::ios::trunc);
   if (!out) {
-    std::printf("\n[metrics] cannot open %s for writing\n", path.c_str());
+    std::fprintf(stderr, "[metrics] cannot open %s for writing\n",
+                 path.c_str());
     return;
   }
   out << BenchMetrics().PrometheusText();
-  std::printf("\n[metrics] wrote %s (%lld series)\n", path.c_str(),
-              static_cast<long long>(BenchMetrics().SeriesCount()));
+  std::fprintf(stderr, "[metrics] wrote %s (%lld series)\n", path.c_str(),
+               static_cast<long long>(BenchMetrics().SeriesCount()));
   const std::string json_path = bench_name + ".bench.json";
   std::ofstream json_out(json_path, std::ios::trunc);
   if (!json_out) {
-    std::printf("[results] cannot open %s for writing\n", json_path.c_str());
+    std::fprintf(stderr, "[results] cannot open %s for writing\n",
+                 json_path.c_str());
     return;
   }
   json_out << BenchResultsCollector::Instance().Json(bench_name) << "\n";
-  std::printf("[results] wrote %s\n", json_path.c_str());
+  std::fprintf(stderr, "[results] wrote %s\n", json_path.c_str());
 }
 
 }  // namespace esr::bench

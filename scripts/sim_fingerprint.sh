@@ -21,6 +21,10 @@
 #   - the same kind of run fully replicated (ORDUP, 4 sites, a global
 #     standby sequencer, an amnesia crash of site 2): its stdout plus every
 #     site's .ckpt and .wal file
+#   - the same fully replicated run without its standby and with
+#     --checkpoint-ms above the run's length, so no checkpoint truncates
+#     the WAL: every .wal line of the other runs hashes an empty file, and
+#     this run's non-empty .wal files pin the WAL record bytes
 #   - COMPE (with aborts, so the commit-decision gate runs), COMMU,
 #     ORDUP-TS (the apply count), RITU-MV with version GC (version images
 #     and the GC floor), ordered COMPE (the order watermark together with
@@ -115,6 +119,20 @@ mkdir full
   for file in recovery/*; do
     echo "$(hash "$file")  esrsim full-replication amnesia run:" \
       "$(basename "$file")"
+  done
+)
+
+mkdir full-wal
+(
+  cd full-wal
+  "$BUILD_DIR/examples/esrsim" --method=ordup --sites=4 \
+    --amnesia-crash=2:100:300 --recovery-dir=recovery --checkpoint-ms=100000 \
+    --seed=7 --verify > full.out
+  echo "$(hash full.out)  esrsim full-replication amnesia run, no" \
+    "checkpoint: stdout"
+  for file in recovery/*; do
+    echo "$(hash "$file")  esrsim full-replication amnesia run, no" \
+      "checkpoint: $(basename "$file")"
   done
 )
 

@@ -43,6 +43,14 @@ void Encoder::U64(uint64_t v) {
   }
 }
 
+void Encoder::Varint(uint64_t v) {
+  while (v >= 0x80) {
+    out_.push_back(static_cast<char>((v & 0x7Fu) | 0x80u));
+    v >>= 7;
+  }
+  out_.push_back(static_cast<char>(v));
+}
+
 void Encoder::Str(std::string_view s) {
   U32(static_cast<uint32_t>(s.size()));
   out_.append(s);
@@ -84,6 +92,23 @@ uint64_t Decoder::U64() {
          << (8 * i);
   }
   return v;
+}
+
+uint64_t Decoder::Varint(uint64_t max) {
+  uint64_t v = 0;
+  for (int shift = 0; shift < 64; shift += 7) {
+    if (!Need(1)) return 0;
+    const auto byte = static_cast<unsigned char>(in_[pos_++]);
+    // The 10th byte holds bit 63 alone: anything above 1 overflows.
+    if (shift == 63 && byte > 1) break;
+    v |= static_cast<uint64_t>(byte & 0x7Fu) << shift;
+    if ((byte & 0x80u) == 0) {
+      if (v > max) break;
+      return v;
+    }
+  }
+  ok_ = false;
+  return 0;
 }
 
 std::string Decoder::Str() {

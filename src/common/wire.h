@@ -23,6 +23,11 @@ class Encoder {
   void U32(uint32_t v);
   void U64(uint64_t v);
   void I64(int64_t v) { U64(static_cast<uint64_t>(v)); }
+  /// Unsigned LEB128: seven bits per byte, low group first, the high bit
+  /// set on every byte but the last (1 byte below 128, 10 for a u64 above
+  /// 2^63). A signed field passes through its unsigned cast, so a negative
+  /// value costs the full width.
+  void Varint(uint64_t v);
   void Str(std::string_view s);
   void Ts(const LamportTimestamp& ts);
   void Raw(std::string_view bytes) { out_.append(bytes); }
@@ -45,6 +50,10 @@ class Decoder {
   uint32_t U32();
   uint64_t U64();
   int64_t I64() { return static_cast<int64_t>(U64()); }
+  /// Reads one LEB128 varint. Fails (returning 0) on a truncated varint, on
+  /// one longer than 10 bytes or above 2^64-1, and on a value above `max`,
+  /// the field's width (UINT32_MAX for a 32-bit field).
+  uint64_t Varint(uint64_t max = UINT64_MAX);
   std::string Str();
   LamportTimestamp Ts();
 

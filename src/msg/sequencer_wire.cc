@@ -6,30 +6,25 @@ namespace esr::msg {
 
 namespace {
 
-void PutTrace(wire::Encoder& e, const TraceContext& t) {
-  e.I64(t.et);
-  e.U64(static_cast<uint64_t>(t.parent_span));
-  e.U32(static_cast<uint32_t>(t.origin));
-  e.U32(static_cast<uint32_t>(t.msg_type));
+// Signed fields ride as their unsigned casts: a 32-bit one (a count or a
+// site id) through uint32_t, so -1 costs 5 bytes and still round-trips.
+void Put32(wire::Encoder& e, int32_t v) { e.Varint(static_cast<uint32_t>(v)); }
+
+int32_t Get32(wire::Decoder& d) {
+  return static_cast<int32_t>(static_cast<uint32_t>(d.Varint(UINT32_MAX)));
 }
 
-TraceContext GetTrace(wire::Decoder& d) {
-  TraceContext t;
-  t.et = d.I64();
-  t.parent_span = static_cast<int64_t>(d.U64());
-  t.origin = static_cast<SiteId>(d.U32());
-  t.msg_type = static_cast<int32_t>(d.U32());
-  return t;
-}
+void Put64(wire::Encoder& e, int64_t v) { e.Varint(static_cast<uint64_t>(v)); }
+
+int64_t Get64(wire::Decoder& d) { return static_cast<int64_t>(d.Varint()); }
 
 }  // namespace
 
 std::string EncodeSeqBatchRequest(const SeqBatchRequest& r) {
   wire::Encoder e;
   e.I64(r.request_id);
-  e.U32(static_cast<uint32_t>(r.count));
-  e.I64(r.epoch);
-  PutTrace(e, r.trace);
+  Put32(e, r.count);
+  Put64(e, r.epoch);
   e.I64(r.incarnation);
   return e.Take();
 }
@@ -38,9 +33,8 @@ std::optional<SeqBatchRequest> DecodeSeqBatchRequest(std::string_view bytes) {
   wire::Decoder d(bytes);
   SeqBatchRequest r;
   r.request_id = d.I64();
-  r.count = static_cast<int32_t>(d.U32());
-  r.epoch = d.I64();
-  r.trace = GetTrace(d);
+  r.count = Get32(d);
+  r.epoch = Get64(d);
   r.incarnation = d.I64();
   if (!d.ok()) return std::nullopt;
   return r;
@@ -49,9 +43,9 @@ std::optional<SeqBatchRequest> DecodeSeqBatchRequest(std::string_view bytes) {
 std::string EncodeSeqBatchGrant(const SeqBatchGrant& g) {
   wire::Encoder e;
   e.I64(g.request_id);
-  e.I64(g.first);
-  e.U32(static_cast<uint32_t>(g.count));
-  e.I64(g.epoch);
+  Put64(e, g.first);
+  Put32(e, g.count);
+  Put64(e, g.epoch);
   return e.Take();
 }
 
@@ -59,9 +53,9 @@ std::optional<SeqBatchGrant> DecodeSeqBatchGrant(std::string_view bytes) {
   wire::Decoder d(bytes);
   SeqBatchGrant g;
   g.request_id = d.I64();
-  g.first = d.I64();
-  g.count = static_cast<int32_t>(d.U32());
-  g.epoch = d.I64();
+  g.first = Get64(d);
+  g.count = Get32(d);
+  g.epoch = Get64(d);
   if (!d.ok()) return std::nullopt;
   return g;
 }
@@ -69,7 +63,7 @@ std::optional<SeqBatchGrant> DecodeSeqBatchGrant(std::string_view bytes) {
 std::string EncodeSeqProbeRequest(const SeqProbeRequest& p) {
   wire::Encoder e;
   e.I64(p.probe_id);
-  e.U32(static_cast<uint32_t>(p.from));
+  Put32(e, p.from);
   return e.Take();
 }
 
@@ -77,7 +71,7 @@ std::optional<SeqProbeRequest> DecodeSeqProbeRequest(std::string_view bytes) {
   wire::Decoder d(bytes);
   SeqProbeRequest p;
   p.probe_id = d.I64();
-  p.from = static_cast<SiteId>(d.U32());
+  p.from = Get32(d);
   if (!d.ok()) return std::nullopt;
   return p;
 }
@@ -85,9 +79,9 @@ std::optional<SeqProbeRequest> DecodeSeqProbeRequest(std::string_view bytes) {
 std::string EncodeSeqProbeResponse(const SeqProbeResponse& p) {
   wire::Encoder e;
   e.I64(p.probe_id);
-  e.U32(static_cast<uint32_t>(p.from));
-  e.I64(p.max_seen);
-  e.I64(p.epoch);
+  Put32(e, p.from);
+  Put64(e, p.max_seen);
+  Put64(e, p.epoch);
   return e.Take();
 }
 
@@ -96,18 +90,18 @@ std::optional<SeqProbeResponse> DecodeSeqProbeResponse(
   wire::Decoder d(bytes);
   SeqProbeResponse p;
   p.probe_id = d.I64();
-  p.from = static_cast<SiteId>(d.U32());
-  p.max_seen = d.I64();
-  p.epoch = d.I64();
+  p.from = Get32(d);
+  p.max_seen = Get64(d);
+  p.epoch = Get64(d);
   if (!d.ok()) return std::nullopt;
   return p;
 }
 
 std::string EncodeSeqEpochAnnounce(const SeqEpochAnnounce& a) {
   wire::Encoder e;
-  e.I64(a.epoch);
-  e.U32(static_cast<uint32_t>(a.home));
-  e.I64(a.first);
+  Put64(e, a.epoch);
+  Put32(e, a.home);
+  Put64(e, a.first);
   return e.Take();
 }
 
@@ -115,9 +109,9 @@ std::optional<SeqEpochAnnounce> DecodeSeqEpochAnnounce(
     std::string_view bytes) {
   wire::Decoder d(bytes);
   SeqEpochAnnounce a;
-  a.epoch = d.I64();
-  a.home = static_cast<SiteId>(d.U32());
-  a.first = d.I64();
+  a.epoch = Get64(d);
+  a.home = Get32(d);
+  a.first = Get64(d);
   if (!d.ok()) return std::nullopt;
   return a;
 }

@@ -73,7 +73,8 @@ struct Message {
 
 /// Largest frame payload the real binding carries; TcpTransport treats a
 /// longer length prefix as corruption and closes the connection. A frame
-/// holds one Message: its payload plus an envelope of under 64 bytes. The
+/// holds one Message: its payload plus an envelope of at most 34 bytes
+/// (13 for an OrdupNode message; see EncodeMessageFrame). The
 /// largest messages OrdupNode builds are a full catch-up response
 /// (OrdupNode's kCatchupBatch, 256 MSets; a 16-increment MSet encodes to
 /// about 650 bytes) and a snapshot response, whose size grows with the

@@ -24,6 +24,19 @@ std::string EncodeMset(const core::Mset& mset) {
 
 }  // namespace
 
+std::string EncodePositions(std::initializer_list<SequenceNumber> positions) {
+  wire::Encoder e;
+  for (SequenceNumber p : positions) e.Varint(static_cast<uint64_t>(p));
+  return e.Take();
+}
+
+bool DecodePositions(std::string_view payload,
+                     std::initializer_list<SequenceNumber*> out) {
+  wire::Decoder d(payload);
+  for (SequenceNumber* p : out) *p = static_cast<SequenceNumber>(d.Varint());
+  return d.ok();
+}
+
 OrdupNode::OrdupNode(OrdupNodeConfig config, Transport* transport,
                      Clock* clock, recovery::Wal* wal,
                      obs::MetricRegistry* metrics)
@@ -151,21 +164,25 @@ void OrdupNode::HandleMessage(SiteId from, Message msg) {
     case core::kApplyAckMsg: {
       // Credited to the transport sender: a payload field could name any
       // site, letting one peer make an ET stable on another's behalf.
-      wire::Decoder d(msg.payload);
-      const SequenceNumber applied = d.I64();
-      if (d.ok()) ObservePeer(from, applied);
+      SequenceNumber applied = 0;
+      if (DecodePositions(msg.payload, {&applied})) ObservePeer(from, applied);
       break;
     }
     case kWatermarkMsg: {
-      wire::Decoder d(msg.payload);
-      const SequenceNumber applied = d.I64();
-      const SequenceNumber echo = d.I64();
-      if (d.ok()) HandleWatermark(from, applied, echo);
+      SequenceNumber applied = 0;
+      SequenceNumber echo = 0;
+      if (DecodePositions(msg.payload, {&applied, &echo})) {
+        HandleWatermark(from, applied, echo);
+      }
       break;
     }
     case msg::kSeqRequest: {
       auto req = msg::DecodeSeqBatchRequest(msg.payload);
-      if (req) HandleSeqRequest(from, *req);
+      if (!req) break;
+      // The request's trace rides the envelope, where SendTo stamped the
+      // same context the client gave the request.
+      req->trace = msg.trace;
+      HandleSeqRequest(from, *req);
       break;
     }
     case msg::kSeqResponse: {
@@ -189,9 +206,8 @@ void OrdupNode::HandleMessage(SiteId from, Message msg) {
       break;
     }
     case kCatchupReqMsg: {
-      wire::Decoder d(msg.payload);
-      const SequenceNumber after = d.I64();
-      if (d.ok()) HandleCatchupReq(from, after);
+      SequenceNumber after = 0;
+      if (DecodePositions(msg.payload, {&after})) HandleCatchupReq(from, after);
       break;
     }
     case kCatchupRespMsg:
@@ -201,9 +217,8 @@ void OrdupNode::HandleMessage(SiteId from, Message msg) {
       HandleSnapshotResp(from, msg.payload);
       break;
     case kPosProbeReqMsg: {
-      wire::Decoder d(msg.payload);
-      const SequenceNumber pos = d.I64();
-      if (d.ok()) HandlePosProbeReq(from, pos);
+      SequenceNumber pos = 0;
+      if (DecodePositions(msg.payload, {&pos})) HandlePosProbeReq(from, pos);
       break;
     }
     case kPosProbeRespMsg:
@@ -327,9 +342,7 @@ void OrdupNode::StartHealing(SequenceNumber pos) {
     FillHole(pos);
     return;
   }
-  wire::Encoder e;
-  e.I64(pos);
-  Broadcast(kPosProbeReqMsg, e.Take(), kInvalidEtId);
+  Broadcast(kPosProbeReqMsg, EncodePositions({pos}), kInvalidEtId);
 }
 
 void OrdupNode::HandlePosProbeReq(SiteId from, SequenceNumber pos) {
@@ -339,7 +352,7 @@ void OrdupNode::HandlePosProbeReq(SiteId from, SequenceNumber pos) {
   if (pos <= history_floor_) return;
   const core::Mset* found = FindMset(pos);
   recovery::Encoder e;
-  e.I64(pos);
+  e.Varint(static_cast<uint64_t>(pos));
   e.U8(found != nullptr ? 1 : 0);
   if (found != nullptr) e.MsetRec(*found);
   SendTo(from, kPosProbeRespMsg, e.Take(), kInvalidEtId);
@@ -347,7 +360,7 @@ void OrdupNode::HandlePosProbeReq(SiteId from, SequenceNumber pos) {
 
 void OrdupNode::HandlePosProbeResp(SiteId from, std::string_view payload) {
   recovery::Decoder d(payload);
-  const SequenceNumber pos = d.I64();
+  const auto pos = static_cast<SequenceNumber>(d.Varint());
   const bool has = d.U8() != 0;
   if (!d.ok()) return;
   auto it = healing_.find(pos);
@@ -505,9 +518,8 @@ void OrdupNode::AdvanceStable() {
 }
 
 void OrdupNode::SendApplyAck(SiteId origin, EtId et) {
-  wire::Encoder e;
-  e.I64(applied_watermark());
-  SendTo(origin, core::kApplyAckMsg, e.Take(), et);
+  SendTo(origin, core::kApplyAckMsg, EncodePositions({applied_watermark()}),
+         et);
   if (origin >= 0 && origin < config_.num_sites) {
     SequenceNumber& told = told_[static_cast<size_t>(origin)];
     told = std::max(told, applied_watermark());
@@ -515,10 +527,10 @@ void OrdupNode::SendApplyAck(SiteId origin, EtId et) {
 }
 
 void OrdupNode::SendWatermark(SiteId to) {
-  wire::Encoder e;
-  e.I64(applied_watermark());
-  e.I64(peer_applied_[static_cast<size_t>(to)]);
-  SendTo(to, kWatermarkMsg, e.Take(), kInvalidEtId);
+  SendTo(to, kWatermarkMsg,
+         EncodePositions(
+             {applied_watermark(), peer_applied_[static_cast<size_t>(to)]}),
+         kInvalidEtId);
   told_[static_cast<size_t>(to)] = applied_watermark();
 }
 
@@ -537,9 +549,8 @@ void OrdupNode::SendCatchupRequest() {
     }
   }
   if (target == kInvalidSiteId) return;
-  wire::Encoder e;
-  e.I64(applied_watermark());
-  SendTo(target, kCatchupReqMsg, e.Take(), kInvalidEtId);
+  SendTo(target, kCatchupReqMsg, EncodePositions({applied_watermark()}),
+         kInvalidEtId);
 }
 
 void OrdupNode::HandleCatchupReq(SiteId from, SequenceNumber after) {
@@ -556,16 +567,16 @@ void OrdupNode::HandleCatchupReq(SiteId from, SequenceNumber after) {
     entries.MsetRec(it->second);
   }
   if (n == 0) return;  // nothing to offer
-  e.I64(applied_watermark());
-  e.U32(static_cast<uint32_t>(n));
+  e.Varint(static_cast<uint64_t>(applied_watermark()));
+  e.Varint(static_cast<uint32_t>(n));
   e.Raw(entries.bytes());
   SendTo(from, kCatchupRespMsg, e.Take(), kInvalidEtId);
 }
 
 void OrdupNode::HandleCatchupResp(SiteId from, std::string_view payload) {
   recovery::Decoder d(payload);
-  const SequenceNumber responder_applied = d.I64();
-  const uint32_t n = d.U32();
+  const auto responder_applied = static_cast<SequenceNumber>(d.Varint());
+  const auto n = static_cast<uint32_t>(d.Varint(UINT32_MAX));
   if (!d.ok()) return;
   const SequenceNumber before = applied_watermark();
   for (uint32_t i = 0; i < n && d.ok(); ++i) {
@@ -677,9 +688,7 @@ void OrdupNode::RetryTick() {
   }
   // Re-probe unanswered sites for every hole still being healed.
   for (const auto& [pos, awaiting] : healing_) {
-    wire::Encoder e;
-    e.I64(pos);
-    const std::string payload = e.Take();
+    const std::string payload = EncodePositions({pos});
     for (SiteId s : awaiting) {
       SendTo(s, kPosProbeReqMsg, payload, kInvalidEtId);
     }

@@ -31,11 +31,9 @@ int64_t SteadyNowMs() {
       .count();
 }
 
-/// Message frame payload layout (inside the [len][crc] wire frame):
-///   U8 kind (0=hello, 1=message)
-/// hello:   U32 sender site id
-/// message: U32 type, I64 trace.et, U64 trace.parent_span,
-///          U32 trace.origin, U32 trace.msg_type, Str body
+/// Frame payload kinds (the payload's first byte, inside the [len][crc]
+/// wire frame). A hello is U8 kind, U32 sender site id; a message is laid
+/// out by EncodeMessageFrame (tcp_transport.h).
 constexpr uint8_t kFrameHello = 0;
 constexpr uint8_t kFrameMessage = 1;
 
@@ -43,20 +41,6 @@ std::string EncodeHello(SiteId self) {
   wire::Encoder e;
   e.U8(kFrameHello);
   e.U32(static_cast<uint32_t>(self));
-  std::string framed;
-  wire::FrameAppend(framed, e.bytes());
-  return framed;
-}
-
-std::string EncodeMessage(const Message& msg) {
-  wire::Encoder e;
-  e.U8(kFrameMessage);
-  e.U32(static_cast<uint32_t>(msg.type));
-  e.I64(msg.trace.et);
-  e.U64(static_cast<uint64_t>(msg.trace.parent_span));
-  e.U32(static_cast<uint32_t>(msg.trace.origin));
-  e.U32(static_cast<uint32_t>(msg.trace.msg_type));
-  e.Str(msg.payload);
   std::string framed;
   wire::FrameAppend(framed, e.bytes());
   return framed;
@@ -76,6 +60,35 @@ bool ParseHostPort(const std::string& host_port, std::string* host,
 }
 
 }  // namespace
+
+std::string EncodeMessageFrame(const Message& msg) {
+  wire::Encoder e;
+  e.U8(kFrameMessage);
+  e.Varint(static_cast<uint32_t>(msg.type));
+  e.I64(msg.trace.et);
+  e.Varint(static_cast<uint64_t>(msg.trace.parent_span));
+  e.Varint(static_cast<uint32_t>(msg.trace.origin));
+  e.Varint(static_cast<uint32_t>(msg.trace.msg_type));
+  e.Raw(msg.payload);
+  std::string framed;
+  wire::FrameAppend(framed, e.bytes());
+  return framed;
+}
+
+bool DecodeMessageFrame(std::string_view payload, Message* msg) {
+  wire::Decoder d(payload);
+  if (d.U8() != kFrameMessage) return false;
+  msg->type = static_cast<int>(static_cast<uint32_t>(d.Varint(UINT32_MAX)));
+  msg->trace.et = d.I64();
+  msg->trace.parent_span = static_cast<int64_t>(d.Varint());
+  msg->trace.origin =
+      static_cast<SiteId>(static_cast<uint32_t>(d.Varint(UINT32_MAX)));
+  msg->trace.msg_type =
+      static_cast<int32_t>(static_cast<uint32_t>(d.Varint(UINT32_MAX)));
+  if (!d.ok()) return false;
+  msg->payload.assign(payload.substr(payload.size() - d.Remaining()));
+  return true;
+}
 
 #ifdef ESR_TCP_TRANSPORT_POSIX
 
@@ -171,7 +184,7 @@ void TcpTransport::Send(SiteId to, Message msg) {
     return;
   }
   if (to < 0 || static_cast<size_t>(to) >= peers_.size()) return;
-  std::string frame = EncodeMessage(msg);
+  std::string frame = EncodeMessageFrame(msg);
   {
     std::lock_guard<std::mutex> lock(mu_);
     Peer& peer = *peers_[to];
@@ -415,38 +428,31 @@ void TcpTransport::IoLoop() {
       size_t pos = 0;
       std::string_view payload;
       wire::FrameResult framing = wire::FrameResult::kIncomplete;
+      // A frame whose CRC holds but whose content this connection cannot
+      // accept ends it the same way as a bad CRC.
+      bool rejected = false;
       while ((framing = wire::FrameRead(conn.buf, &pos, &payload,
                                         kMaxFramePayloadBytes)) ==
              wire::FrameResult::kFrame) {
         wire::Decoder d(payload);
-        const uint8_t kind = d.U8();
-        if (kind == kFrameHello) {
+        if (d.U8() == kFrameHello) {
           // One hello per connection, naming a peer: a second hello would
           // let the sender speak as another site.
           const SiteId from = static_cast<SiteId>(d.U32());
           if (!d.ok() || conn.from != kInvalidSiteId || from < 0 ||
               from >= static_cast<SiteId>(config_.peers.size()) ||
               from == config_.self) {
-            corrupt_frames_.fetch_add(1, std::memory_order_relaxed);
-            conn.bad = true;
+            rejected = true;
             break;
           }
           conn.from = from;
           continue;
         }
-        if (kind != kFrameMessage || conn.from == kInvalidSiteId) {
-          conn.bad = true;
-          break;
-        }
+        // A message before the hello, an unknown kind, or an envelope that
+        // does not decode.
         Message msg;
-        msg.type = static_cast<int>(d.U32());
-        msg.trace.et = d.I64();
-        msg.trace.parent_span = static_cast<int64_t>(d.U64());
-        msg.trace.origin = static_cast<SiteId>(d.U32());
-        msg.trace.msg_type = static_cast<int32_t>(d.U32());
-        msg.payload = d.Str();
-        if (!d.ok()) {
-          conn.bad = true;
+        if (conn.from == kInvalidSiteId || !DecodeMessageFrame(payload, &msg)) {
+          rejected = true;
           break;
         }
         auto alive = alive_;
@@ -458,7 +464,7 @@ void TcpTransport::IoLoop() {
               handler(from, std::move(msg));
             });
       }
-      if (framing == wire::FrameResult::kCorrupt) {
+      if (rejected || framing == wire::FrameResult::kCorrupt) {
         corrupt_frames_.fetch_add(1, std::memory_order_relaxed);
         conn.bad = true;
       }

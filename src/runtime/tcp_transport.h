@@ -8,6 +8,7 @@
 #include <memory>
 #include <mutex>
 #include <string>
+#include <string_view>
 #include <thread>
 #include <vector>
 
@@ -15,6 +16,21 @@
 #include "runtime/interfaces.h"
 
 namespace esr::runtime {
+
+/// Frames `msg` as TcpTransport sends it: wire::FrameAppend's
+/// [u32 len][u32 crc] header, then the envelope
+///   U8 kind (1 = message), varint type, I64 trace.et,
+///   varint trace.parent_span, varint trace.origin, varint trace.msg_type,
+/// then msg.payload as the rest of the frame. The varints carry the
+/// 32-bit fields as their unsigned casts, so every TraceContext
+/// round-trips exactly; an OrdupNode message, whose small fields each fit
+/// one byte, spends 21 B on framing and envelope.
+std::string EncodeMessageFrame(const Message& msg);
+
+/// Decodes one message frame's payload (the bytes wire::FrameRead returns)
+/// into `*msg`. False for a payload of another kind, a truncated field, or
+/// a varint above its field's width.
+bool DecodeMessageFrame(std::string_view payload, Message* msg);
 
 /// Static endpoint table for a TcpTransport: `peers[s]` is site s's
 /// "host:port" listen address (this site's own entry gives its listen
@@ -45,7 +61,10 @@ struct TcpTransportConfig {
 /// counts in corrupt_frames(). Messages are length+CRC framed
 /// with the WAL codec (esr::wire). A partial frame waits for more bytes; a
 /// frame with a bad CRC or a length above kMaxFramePayloadBytes ends the
-/// connection (epoch) at once, and the dialer reconnects with backoff.
+/// connection (epoch) at once, and the dialer reconnects with backoff. So
+/// does a frame with a valid CRC that is a message before the hello, of an
+/// unknown kind, or whose envelope does not decode; it too counts in
+/// corrupt_frames().
 ///
 /// Delivery semantics: in-order per (sender, receiver) within a
 /// connection epoch; a reconnect may replay the frame that straddled the
@@ -85,8 +104,10 @@ class TcpTransport : public Transport {
     return dropped_sends_.load(std::memory_order_relaxed);
   }
 
-  /// Inbound frames with a bad CRC or an over-limit length, and rejected
-  /// hellos; each one closed its connection.
+  /// Inbound frames with a bad CRC or an over-limit length, rejected
+  /// hellos, and frames with a valid CRC that carry no acceptable message
+  /// (before the hello, an unknown kind, an undecodable envelope); each one
+  /// closed its connection.
   int64_t corrupt_frames() const {
     return corrupt_frames_.load(std::memory_order_relaxed);
   }

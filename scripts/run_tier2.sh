@@ -30,7 +30,9 @@ scripts/run_tier1.sh --sanitize
 # shadows whose lifetimes end at three different owners. The runtime suite
 # joins because it drives the same protocol through both bindings — and
 # the real one (thread pool, strands, timer wheel, TCP) is where lifetime
-# bugs hide behind scheduling luck.
+# bugs hide behind scheduling luck. Its pattern also picks up
+# runtime_wire_test, whose decoders read truncated and bit-flipped frames
+# from exact-size heap buffers, so ASan reports any over-read.
 # The mv_store suites join for the concurrent store: striped-lock
 # partitioning and GC's erase-range pruning are pointer-heavy paths worth
 # the double run. The hold-back buffer and its five users (ORDUP, the

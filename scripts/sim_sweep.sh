@@ -4,16 +4,15 @@
 # restarted at 300 ms, recovered from file-backed storage and checked with
 # --verify (converged, serializable, within epsilon). The fingerprint runs
 # the same schedule at seed 7 only; other seeds lose different parts of the
-# unflushed WAL tail, so recovery is gated on all of them here.
+# unflushed WAL tail, so recovery is gated on all of them here. Two sharded
+# ORDUP schedules join at the same seeds: 8 sites, 4 shards, and site 0 or
+# site 1 amnesia-crashed, so a crashed site's order services fail over
+# while its own cross-shard requests are in flight.
 #
 # Each run gets a 3 GB address-space cap and a 60 s timeout, so a runaway
 # run fails instead of exhausting the machine. Each failing run is printed
 # with its exit code and verdict line; the last line counts the runs that
 # passed. The script exits 1 when any run failed.
-#
-# Not swept yet: the sharded runaway (--sites=8 --shards=4
-# --amnesia-crash=0:100:300, seeds 8 and 12), which still grows until
-# std::bad_alloc. It joins the sweep with its fix.
 #
 # Usage:
 #   scripts/sim_sweep.sh [BUILD_DIR]   # default: build
@@ -23,6 +22,13 @@ cd "$(dirname "$0")/.."
 BUILD_DIR=${1:-build}
 METHODS="ordup ordup-ts commu ritu ritu-sv compe compe-ord"
 SEEDS=$(seq 1 12)
+SCHEDULES=()
+for method in $METHODS; do
+  SCHEDULES+=("--method=$method --sites=4 --amnesia-crash=2:100:300")
+done
+for site in 0 1; do
+  SCHEDULES+=("--method=ordup --sites=8 --shards=4 --amnesia-crash=$site:100:300")
+done
 
 # Build logs go to stderr so stdout is only the sweep report.
 cmake -B "$BUILD_DIR" -S . >&2 || exit 1
@@ -34,11 +40,11 @@ trap 'rm -rf "$WORK"' EXIT
 
 total=0
 passed=0
-for method in $METHODS; do
+for schedule in "${SCHEDULES[@]}"; do
   for seed in $SEEDS; do
     total=$((total + 1))
-    run="$WORK/$method-$seed"
-    args="--method=$method --sites=4 --amnesia-crash=2:100:300 --seed=$seed"
+    run="$WORK/$total"
+    args="$schedule --seed=$seed"
     # shellcheck disable=SC2086
     (
       ulimit -v 3145728

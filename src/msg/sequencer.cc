@@ -477,10 +477,14 @@ void SequencerClient::OnEpochAnnounce(SiteId /*from*/,
   }
   Flush();
   // Cross requests re-send individually (they are never batched), oldest
-  // first, stamped for the new epoch and aimed at the new home.
+  // first, stamped for the new epoch and aimed at the new home. Taken out
+  // first: when the new home is this site, a grant arrives synchronously,
+  // erases its entry and runs a callback that may request again.
+  std::vector<std::pair<int64_t, TraceContext>> cross;
   for (const auto& [id, entry] : cross_inflight_) {
-    SendCrossRequest(id, entry.trace);
+    cross.emplace_back(id, entry.trace);
   }
+  for (const auto& [id, trace] : cross) SendCrossRequest(id, trace);
 }
 
 void SequencerClient::OnProbe(SiteId from, const SeqProbeRequest& probe) {

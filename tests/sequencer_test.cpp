@@ -96,6 +96,82 @@ TEST_F(SequencerTest, SelfHostedGrantCallbackMayRequestAgain) {
   EXPECT_EQ(clients_[0]->PendingCount(), 0);
 }
 
+/// Forwards to a site's MailboxSequencerPort and records the id and target
+/// of every cross request the client sends.
+class CrossRecordingPort final : public SequencerPort {
+ public:
+  explicit CrossRecordingPort(SequencerPort* inner) : inner_(inner) {}
+
+  SiteId self() const override { return inner_->self(); }
+  void SendRequest(SiteId to, const SeqBatchRequest& r) override {
+    inner_->SendRequest(to, r);
+  }
+  void SendProbeAnswer(SiteId to, const SeqProbeResponse& a) override {
+    inner_->SendProbeAnswer(to, a);
+  }
+  void SendGrant(SiteId to, const SeqBatchGrant& g,
+                 const TraceContext& trace) override {
+    inner_->SendGrant(to, g, trace);
+  }
+  void SendProbe(SiteId to, const SeqProbeRequest& p) override {
+    inner_->SendProbe(to, p);
+  }
+  void AnnounceEpoch(const SeqEpochAnnounce& announce) override {
+    inner_->AnnounceEpoch(announce);
+  }
+  void SendCrossRequest(SiteId to, const SeqCrossRequest& r) override {
+    cross_sends.emplace_back(r.request_id, to);
+    inner_->SendCrossRequest(to, r);
+  }
+  void SendCrossRelease(SiteId to, const SeqCrossRelease& r) override {
+    inner_->SendCrossRelease(to, r);
+  }
+
+  /// (request id, destination site), in send order.
+  std::vector<std::pair<int64_t, SiteId>> cross_sends;
+
+ private:
+  SequencerPort* inner_;
+};
+
+TEST_F(SequencerTest, TakeoverAtOwnSiteResendsEachCrossRequestOnce) {
+  // Three cross requests from site 1 are in flight to home 0 when a
+  // standby at site 1 takes over. The epoch announce re-sends them to the
+  // local server, which grants the first at once; that grant erases its
+  // in-flight entry, and its callback requests again, while the re-send
+  // loop is still running.
+  Build(sim::NetworkConfig{});
+  net_->SetSiteDown(0);
+  CrossRecordingPort port(ports_[1].get());
+  SequencerClient client(&port, &sim_, /*home=*/0);
+  ports_[1]->AttachClient(&client);
+  std::vector<SequenceNumber> granted;
+  for (int i = 0; i < 3; ++i) {
+    client.RequestCross([&](SequenceNumber position, int64_t) {
+      granted.push_back(position);
+      if (granted.size() == 1) {
+        client.RequestCross([](SequenceNumber, int64_t) {});
+      }
+    });
+  }
+
+  auto standby = std::make_unique<SequencerServer>(
+      ports_[1].get(), &sim_, /*start_sealed=*/true);
+  ports_[1]->AttachServer(standby.get());
+  standby->BeginTakeover(/*durable_floor=*/1, /*peers=*/{});
+  EXPECT_EQ(client.home(), 1);
+  EXPECT_EQ(granted.size(), 1u);
+  // Ids 1-3 went to the old home, then once each to the new one; id 4,
+  // asked for by the first grant's callback, was sent once, by itself.
+  const std::vector<std::pair<int64_t, SiteId>> expected = {
+      {1, 0}, {2, 0}, {3, 0}, {1, 1}, {4, 1}, {2, 1}, {3, 1}};
+  EXPECT_EQ(port.cross_sends, expected);
+  EXPECT_EQ(client.PendingCount(), 3);
+
+  net_->SetSiteUp(0);  // let the queued requests and announce drain
+  sim_.Run();
+}
+
 TEST_F(SequencerTest, SurvivesMessageLoss) {
   sim::NetworkConfig net;
   net.loss_probability = 0.4;

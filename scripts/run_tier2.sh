@@ -1,8 +1,9 @@
 #!/usr/bin/env bash
 # Tier-2 gate: the full tier-1 suite rebuilt under ASan + UBSan
-# (-DESR_SANITIZE=ON, separate build dir: build-asan). Run this before
-# merging anything that touches src/; it is the recurring home for the
-# sanitizer coverage ROADMAP.md calls for.
+# (-DESR_SANITIZE=ON, separate build dir: build-asan), libstdc++ debug-mode
+# and TSan passes over chosen suites, and the simulator gates. Run this
+# before merging anything that touches src/; it is the recurring home for
+# the sanitizer coverage ROADMAP.md calls for.
 #
 # Usage:
 #   scripts/run_tier2.sh
@@ -56,6 +57,21 @@ scripts/run_tier1.sh --sanitize
   ctest --output-on-failure \
     -R 'recovery|failure|http_exporter|hop_trace|critical_path|quantile|sequencer|shard|runtime|mv_store|total_order_buffer|stable_queue|persistent_pipe|ordup|compe|apply_ledger|obs|stability_tracker|network|mailbox|two_phase_commit|quorum|replicated_system|metrics_exposition' \
     --repeat until-fail:2 -j "$(nproc)"
+)
+
+# libstdc++ debug-mode pass (-D_GLIBCXX_DEBUG, separate build dir:
+# build-glibcxx-debug) over the sequencer, shard and recovery suites. Its
+# checked iterators abort on any use of an invalidated iterator, the class
+# of bug behind the sharded amnesia runaway (an entry erased under a
+# range-for over a std::map), which the ASan pass cannot see: the map's
+# increment runs inside the uninstrumented libstdc++.
+cmake -B build-glibcxx-debug -S . -DCMAKE_CXX_FLAGS=-D_GLIBCXX_DEBUG
+cmake --build build-glibcxx-debug -j "$(nproc)" --target sequencer_test \
+  sequencer_failover_test shard_test sharding_integration_test \
+  recovery_test recovery_integration_test
+(
+  cd build-glibcxx-debug
+  ctest --output-on-failure -R 'sequencer|shard|recovery' -j "$(nproc)"
 )
 
 # ThreadSanitizer pass (separate build dir: TSan and ASan cannot share a

@@ -51,14 +51,19 @@ void Encoder::Varint(uint64_t v) {
   out_.push_back(static_cast<char>(v));
 }
 
+void Encoder::Zigzag(int64_t v) {
+  const auto u = static_cast<uint64_t>(v);
+  Varint((u << 1) ^ (v < 0 ? UINT64_MAX : 0));
+}
+
 void Encoder::Str(std::string_view s) {
-  U32(static_cast<uint32_t>(s.size()));
+  Varint(s.size());
   out_.append(s);
 }
 
 void Encoder::Ts(const LamportTimestamp& ts) {
-  I64(ts.counter);
-  U32(static_cast<uint32_t>(ts.site));
+  Zigzag(ts.counter);
+  Varint32(ts.site);
 }
 
 bool Decoder::Need(size_t n) {
@@ -111,8 +116,13 @@ uint64_t Decoder::Varint(uint64_t max) {
   return 0;
 }
 
+int64_t Decoder::Zigzag() {
+  const uint64_t u = Varint();
+  return static_cast<int64_t>((u >> 1) ^ (0 - (u & 1)));
+}
+
 std::string Decoder::Str() {
-  uint32_t len = U32();
+  const uint64_t len = Varint();
   if (!Need(len)) return {};
   std::string s(in_.substr(pos_, len));
   pos_ += len;
@@ -121,8 +131,8 @@ std::string Decoder::Str() {
 
 LamportTimestamp Decoder::Ts() {
   LamportTimestamp ts;
-  ts.counter = I64();
-  ts.site = static_cast<SiteId>(U32());
+  ts.counter = Zigzag();
+  ts.site = Varint32();
   return ts;
 }
 

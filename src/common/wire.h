@@ -28,7 +28,16 @@ class Encoder {
   /// 2^63). A signed field passes through its unsigned cast, so a negative
   /// value costs the full width.
   void Varint(uint64_t v);
+  /// A 32-bit field (a count, a site or shard id) as the varint of its
+  /// unsigned cast: 1 byte below 128, 5 for -1, and it round-trips.
+  void Varint32(int32_t v) { Varint(static_cast<uint32_t>(v)); }
+  /// A signed field that may sit on either side of zero (an object id, an
+  /// operand, a Lamport counter): zigzag-mapped (0, -1, 1, -2, ... to
+  /// 0, 1, 2, 3, ...), then a varint, so a small negative value is short.
+  void Zigzag(int64_t v);
+  /// Varint length, then the bytes.
   void Str(std::string_view s);
+  /// Zigzag counter, then Varint32 site.
   void Ts(const LamportTimestamp& ts);
   void Raw(std::string_view bytes) { out_.append(bytes); }
 
@@ -54,6 +63,11 @@ class Decoder {
   /// one longer than 10 bytes or above 2^64-1, and on a value above `max`,
   /// the field's width (UINT32_MAX for a 32-bit field).
   uint64_t Varint(uint64_t max = UINT64_MAX);
+  /// Reads Encoder::Varint32's field; fails above 2^32-1.
+  int32_t Varint32() {
+    return static_cast<int32_t>(static_cast<uint32_t>(Varint(UINT32_MAX)));
+  }
+  int64_t Zigzag();
   std::string Str();
   LamportTimestamp Ts();
 

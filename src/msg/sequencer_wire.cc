@@ -7,13 +7,7 @@ namespace esr::msg {
 namespace {
 
 // Signed fields ride as their unsigned casts: a 32-bit one (a count or a
-// site id) through uint32_t, so -1 costs 5 bytes and still round-trips.
-void Put32(wire::Encoder& e, int32_t v) { e.Varint(static_cast<uint32_t>(v)); }
-
-int32_t Get32(wire::Decoder& d) {
-  return static_cast<int32_t>(static_cast<uint32_t>(d.Varint(UINT32_MAX)));
-}
-
+// site id) as Varint32, so -1 costs 5 bytes and still round-trips.
 void Put64(wire::Encoder& e, int64_t v) { e.Varint(static_cast<uint64_t>(v)); }
 
 int64_t Get64(wire::Decoder& d) { return static_cast<int64_t>(d.Varint()); }
@@ -23,7 +17,7 @@ int64_t Get64(wire::Decoder& d) { return static_cast<int64_t>(d.Varint()); }
 std::string EncodeSeqBatchRequest(const SeqBatchRequest& r) {
   wire::Encoder e;
   e.I64(r.request_id);
-  Put32(e, r.count);
+  e.Varint32(r.count);
   Put64(e, r.epoch);
   e.I64(r.incarnation);
   return e.Take();
@@ -33,7 +27,7 @@ std::optional<SeqBatchRequest> DecodeSeqBatchRequest(std::string_view bytes) {
   wire::Decoder d(bytes);
   SeqBatchRequest r;
   r.request_id = d.I64();
-  r.count = Get32(d);
+  r.count = d.Varint32();
   r.epoch = Get64(d);
   r.incarnation = d.I64();
   if (!d.ok()) return std::nullopt;
@@ -44,7 +38,7 @@ std::string EncodeSeqBatchGrant(const SeqBatchGrant& g) {
   wire::Encoder e;
   e.I64(g.request_id);
   Put64(e, g.first);
-  Put32(e, g.count);
+  e.Varint32(g.count);
   Put64(e, g.epoch);
   return e.Take();
 }
@@ -54,7 +48,7 @@ std::optional<SeqBatchGrant> DecodeSeqBatchGrant(std::string_view bytes) {
   SeqBatchGrant g;
   g.request_id = d.I64();
   g.first = Get64(d);
-  g.count = Get32(d);
+  g.count = d.Varint32();
   g.epoch = Get64(d);
   if (!d.ok()) return std::nullopt;
   return g;
@@ -63,7 +57,7 @@ std::optional<SeqBatchGrant> DecodeSeqBatchGrant(std::string_view bytes) {
 std::string EncodeSeqProbeRequest(const SeqProbeRequest& p) {
   wire::Encoder e;
   e.I64(p.probe_id);
-  Put32(e, p.from);
+  e.Varint32(p.from);
   return e.Take();
 }
 
@@ -71,7 +65,7 @@ std::optional<SeqProbeRequest> DecodeSeqProbeRequest(std::string_view bytes) {
   wire::Decoder d(bytes);
   SeqProbeRequest p;
   p.probe_id = d.I64();
-  p.from = Get32(d);
+  p.from = d.Varint32();
   if (!d.ok()) return std::nullopt;
   return p;
 }
@@ -79,7 +73,7 @@ std::optional<SeqProbeRequest> DecodeSeqProbeRequest(std::string_view bytes) {
 std::string EncodeSeqProbeResponse(const SeqProbeResponse& p) {
   wire::Encoder e;
   e.I64(p.probe_id);
-  Put32(e, p.from);
+  e.Varint32(p.from);
   Put64(e, p.max_seen);
   Put64(e, p.epoch);
   return e.Take();
@@ -90,7 +84,7 @@ std::optional<SeqProbeResponse> DecodeSeqProbeResponse(
   wire::Decoder d(bytes);
   SeqProbeResponse p;
   p.probe_id = d.I64();
-  p.from = Get32(d);
+  p.from = d.Varint32();
   p.max_seen = Get64(d);
   p.epoch = Get64(d);
   if (!d.ok()) return std::nullopt;
@@ -100,7 +94,7 @@ std::optional<SeqProbeResponse> DecodeSeqProbeResponse(
 std::string EncodeSeqEpochAnnounce(const SeqEpochAnnounce& a) {
   wire::Encoder e;
   Put64(e, a.epoch);
-  Put32(e, a.home);
+  e.Varint32(a.home);
   Put64(e, a.first);
   return e.Take();
 }
@@ -110,7 +104,7 @@ std::optional<SeqEpochAnnounce> DecodeSeqEpochAnnounce(
   wire::Decoder d(bytes);
   SeqEpochAnnounce a;
   a.epoch = Get64(d);
-  a.home = Get32(d);
+  a.home = d.Varint32();
   a.first = Get64(d);
   if (!d.ok()) return std::nullopt;
   return a;

@@ -7,49 +7,47 @@ namespace esr::recovery {
 namespace {
 
 constexpr uint32_t kCheckpointMagic = 0x45535243u;  // "ESRC"
-/// Only this version decodes. A checkpoint of any other version is
-/// rejected like a torn one, and recovery falls back to WAL replay plus
-/// catch-up; nothing reads a checkpoint written by another build.
-constexpr uint32_t kCheckpointVersion = 6;
 
 }  // namespace
 
 std::string EncodeCheckpoint(const CheckpointData& data) {
   Encoder enc;
-  // Each list is its length, then its items.
+  // Each list is its length, then its items. Positions, LSNs, epochs and
+  // counts are non-negative varints; object ids and the clock zigzag ones.
   auto list = [&enc](const auto& items, auto put) {
-    enc.U32(static_cast<uint32_t>(items.size()));
+    enc.Varint(items.size());
     for (const auto& item : items) put(item);
   };
+  auto position = [&enc](int64_t v) { enc.Varint(static_cast<uint64_t>(v)); };
   auto ts = [&enc](const LamportTimestamp& t) { enc.Ts(t); };
   auto et = [&enc](EtId id) { enc.I64(id); };
-  auto site = [&enc](SiteId s) { enc.U32(static_cast<uint32_t>(s)); };
+  auto site = [&enc](SiteId s) { enc.Varint32(s); };
 
   enc.U32(kCheckpointMagic);
-  enc.U32(kCheckpointVersion);
-  enc.I64(data.last_lsn);
-  enc.I64(data.clock_counter);
-  enc.I64(data.cut.order_watermark);
+  enc.U32(kFormatVersion);
+  position(data.last_lsn);
+  enc.Zigzag(data.clock_counter);
+  position(data.cut.order_watermark);
   list(data.cut.applied, ts);
-  list(data.cut.shard_watermarks, [&enc](const auto& entry) {
-    enc.U32(static_cast<uint32_t>(entry.first));
-    enc.I64(entry.second);
+  list(data.cut.shard_watermarks, [&](const auto& entry) {
+    enc.Varint32(entry.first);
+    position(entry.second);
   });
-  list(data.seq_floors, [&enc](const auto& floor) {
+  list(data.seq_floors, [&](const auto& floor) {
     const auto& [service, next, epoch] = floor;
-    enc.U32(static_cast<uint32_t>(service));
-    enc.I64(next);
-    enc.I64(epoch);
+    enc.Varint32(service);
+    position(next);
+    position(epoch);
   });
   list(data.store_entries, [&enc](const auto& entry) {
     const auto& [object, value, write_ts] = entry;
-    enc.I64(object);
+    enc.Zigzag(object);
     enc.Val(value);
     enc.Ts(write_ts);
   });
   list(data.versions, [&enc](const auto& version) {
     const auto& [object, version_ts, value] = version;
-    enc.I64(object);
+    enc.Zigzag(object);
     enc.Ts(version_ts);
     enc.Val(value);
   });
@@ -58,11 +56,11 @@ std::string EncodeCheckpoint(const CheckpointData& data) {
     enc.I64(record.mset_id);
     list(record.ops, [&enc](const store::Operation& op) { enc.Op(op); });
     list(record.before_images, [&enc](const auto& image) {
-      enc.I64(image.first);
+      enc.Zigzag(image.first);
       enc.Val(image.second);
     });
   });
-  enc.I64(data.apply_count);
+  position(data.apply_count);
   list(data.decided_commit, et);
   list(data.abort_before_apply, et);
   const StabilitySnapshot& stability = data.stability;
@@ -90,39 +88,42 @@ bool DecodeCheckpoint(std::string_view bytes, CheckpointData* out) {
   if (!wire::FrameNext(bytes, &pos, &payload)) return false;
   Decoder dec(payload);
   if (dec.U32() != kCheckpointMagic) return false;
-  if (dec.U32() != kCheckpointVersion) return false;
+  // Another version is refused like a torn checkpoint: recovery falls back
+  // to WAL replay plus catch-up.
+  if (dec.U32() != kFormatVersion) return false;
   // Reads a length, then that many items; stops early once the decoder
   // latches a failure.
   auto list = [&dec](auto& items, auto get) {
-    for (uint32_t i = 0, n = dec.U32(); i < n && dec.ok(); ++i) {
+    for (uint64_t i = 0, n = dec.Varint(); i < n && dec.ok(); ++i) {
       items.insert(items.end(), get());
     }
   };
+  auto position = [&dec] { return static_cast<int64_t>(dec.Varint()); };
   auto ts = [&dec] { return dec.Ts(); };
   auto et = [&dec]() -> EtId { return dec.I64(); };
-  auto site = [&dec] { return static_cast<SiteId>(dec.U32()); };
+  auto site = [&dec]() -> SiteId { return dec.Varint32(); };
 
   CheckpointData data;
-  data.last_lsn = dec.I64();
-  data.clock_counter = dec.I64();
-  data.cut.order_watermark = dec.I64();
+  data.last_lsn = position();
+  data.clock_counter = dec.Zigzag();
+  data.cut.order_watermark = position();
   list(data.cut.applied, ts);
-  list(data.cut.shard_watermarks, [&dec] {
-    const ShardId shard = static_cast<ShardId>(dec.U32());
-    return std::make_pair(shard, dec.I64());
+  list(data.cut.shard_watermarks, [&] {
+    const ShardId shard = dec.Varint32();
+    return std::make_pair(shard, position());
   });
-  list(data.seq_floors, [&dec] {
-    const ShardId service = static_cast<ShardId>(dec.U32());
-    const SequenceNumber next = dec.I64();
-    return std::make_tuple(service, next, dec.I64());
+  list(data.seq_floors, [&] {
+    const ShardId service = dec.Varint32();
+    const SequenceNumber next = position();
+    return std::make_tuple(service, next, position());
   });
   list(data.store_entries, [&dec] {
-    const ObjectId object = dec.I64();
+    const ObjectId object = dec.Zigzag();
     Value value = dec.Val();
     return std::make_tuple(object, std::move(value), dec.Ts());
   });
   list(data.versions, [&dec] {
-    const ObjectId object = dec.I64();
+    const ObjectId object = dec.Zigzag();
     const LamportTimestamp version_ts = dec.Ts();
     return std::make_tuple(object, version_ts, dec.Val());
   });
@@ -132,12 +133,12 @@ bool DecodeCheckpoint(std::string_view bytes, CheckpointData* out) {
     record.mset_id = dec.I64();
     list(record.ops, [&dec] { return dec.Op(); });
     list(record.before_images, [&dec] {
-      const ObjectId object = dec.I64();
+      const ObjectId object = dec.Zigzag();
       return std::make_pair(object, dec.Val());
     });
     return record;
   });
-  data.apply_count = dec.I64();
+  data.apply_count = position();
   list(data.decided_commit, et);
   list(data.abort_before_apply, et);
   StabilitySnapshot& stability = data.stability;
@@ -155,7 +156,7 @@ bool DecodeCheckpoint(std::string_view bytes, CheckpointData* out) {
     return std::make_pair(id, std::move(record));
   });
   list(stability.watermark, ts);
-  if (!dec.ok()) return false;
+  if (!dec.ok() || !dec.AtEnd()) return false;
   *out = std::move(data);
   return true;
 }

@@ -14,12 +14,21 @@
 
 namespace esr::recovery {
 
-/// WAL/checkpoint encoder: the generic little-endian byte layer lives in
+/// The version of the record layout below. A checkpoint carries it in its
+/// header and every WAL record in its tag byte; bytes of any other version
+/// are refused, never decoded (there is one accepted format).
+inline constexpr uint8_t kFormatVersion = 7;
+
+/// WAL/checkpoint encoder: the generic byte layer lives in
 /// esr::wire::Encoder; this subclass adds the protocol-value composites
-/// (Value, Operation, Mset) that depend on store/esr types.
+/// (Value, Operation, Mset) that depend on store/esr types. `OrdupNode`
+/// sends the same MSet record on the wire.
 ///
-/// The format is private to this subsystem: records are only ever read back
-/// by the matching Decoder, never exchanged between heterogeneous builds.
+/// Every field is kept, so every operation round-trips exactly. Counts, site
+/// and shard ids and positions are varints, the signed object, operand,
+/// integer value and Lamport counter zigzag varints, and the ET id a fixed
+/// I64 (a daemon's ids start at its boot time in µs). Records are only ever
+/// read back by the matching Decoder of the same version.
 class Encoder : public wire::Encoder {
  public:
   void Val(const Value& v);

@@ -3,6 +3,7 @@
 
 #include <functional>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "common/types.h"
@@ -37,6 +38,16 @@ struct WalRecord {
   LamportTimestamp ts;
 };
 
+/// One record's payload, the bytes inside its frame: a tag byte (the
+/// format version in the high nibble, the type in the low one), the varint
+/// LSN, then the type's fields.
+std::string EncodeWalRecord(const WalRecord& record);
+
+/// Decodes EncodeWalRecord's bytes into `out`. False for a record of
+/// another format version, an unknown type, or malformed or trailing
+/// bytes.
+bool DecodeWalRecord(std::string_view payload, WalRecord* out);
+
 /// Per-site write-ahead log with group-commit batching.
 ///
 /// Appends buffer in volatile memory and reach stable storage on Flush():
@@ -46,7 +57,8 @@ struct WalRecord {
 /// models the crash, ReadAll never sees those records.
 ///
 /// Records are length+CRC framed (codec.h); ReadAll stops at the first torn
-/// or corrupt frame. LSNs are assigned at append time and preserved across
+/// or corrupt frame and at the first record of another format version
+/// (kFormatVersion). LSNs are assigned at append time and preserved across
 /// truncation, so `next_lsn` always moves forward even after a restart.
 class Wal {
  public:
@@ -85,7 +97,6 @@ class Wal {
   int64_t StorageBytes() const;
 
  private:
-  std::string EncodeRecord(const WalRecord& record) const;
   int64_t Append(WalRecord record);
   void ArmTimer();
 

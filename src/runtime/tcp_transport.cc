@@ -64,11 +64,11 @@ bool ParseHostPort(const std::string& host_port, std::string* host,
 std::string EncodeMessageFrame(const Message& msg) {
   wire::Encoder e;
   e.U8(kFrameMessage);
-  e.Varint(static_cast<uint32_t>(msg.type));
+  e.Varint32(msg.type);
   e.I64(msg.trace.et);
   e.Varint(static_cast<uint64_t>(msg.trace.parent_span));
-  e.Varint(static_cast<uint32_t>(msg.trace.origin));
-  e.Varint(static_cast<uint32_t>(msg.trace.msg_type));
+  e.Varint32(msg.trace.origin);
+  e.Varint32(msg.trace.msg_type);
   e.Raw(msg.payload);
   std::string framed;
   wire::FrameAppend(framed, e.bytes());
@@ -78,13 +78,11 @@ std::string EncodeMessageFrame(const Message& msg) {
 bool DecodeMessageFrame(std::string_view payload, Message* msg) {
   wire::Decoder d(payload);
   if (d.U8() != kFrameMessage) return false;
-  msg->type = static_cast<int>(static_cast<uint32_t>(d.Varint(UINT32_MAX)));
+  msg->type = d.Varint32();
   msg->trace.et = d.I64();
   msg->trace.parent_span = static_cast<int64_t>(d.Varint());
-  msg->trace.origin =
-      static_cast<SiteId>(static_cast<uint32_t>(d.Varint(UINT32_MAX)));
-  msg->trace.msg_type =
-      static_cast<int32_t>(static_cast<uint32_t>(d.Varint(UINT32_MAX)));
+  msg->trace.origin = d.Varint32();
+  msg->trace.msg_type = d.Varint32();
   if (!d.ok()) return false;
   msg->payload.assign(payload.substr(payload.size() - d.Remaining()));
   return true;

@@ -207,6 +207,27 @@ TEST_F(WalTest, AllRecordTypesRoundtrip) {
   EXPECT_EQ(records[3].ts.counter, 5);
 }
 
+TEST_F(WalTest, ReadsNoRecordFromAnOldLayoutMsetRecord) {
+  // One kMset record as the fixed-width layout before format version 7
+  // wrote it: tag byte 1, I64 LSN 1, then an I64/U32 MSet of ET 11 from
+  // site 1 with one increment. Its frame and CRC are valid.
+  const std::string old_record(
+      "\x58\x00\x00\x00\x38\xc1\x43\x69\x01\x01\x00\x00\x00\x00\x00\x00"
+      "\x00\x0b\x00\x00\x00\x00\x00\x00\x00\x01\x00\x00\x00\x07\x00\x00"
+      "\x00\x00\x00\x00\x00\x2a\x00\x00\x00\x00\x00\x00\x00\x01\x00\x00"
+      "\x00\x00\x01\x00\x00\x00\x02\x03\x00\x00\x00\x00\x00\x00\x00\x05"
+      "\x00\x00\x00\x00\x00\x00\x00\x00\x00\x00\x00\x00\x00\x00\x00\x00"
+      "\x00\x00\x00\x00\x00\x00\x00\x00\x00\x00\x00\x00\x00\x00\x00\x00",
+      96);
+  size_t pos = 0;
+  std::string_view payload;
+  ASSERT_TRUE(wire::FrameNext(old_record, &pos, &payload));
+  storage_.AppendWal(0, old_record);
+  Wal wal(&sim_, &storage_, 0, Config(1, 1'000'000), &metrics_);
+  EXPECT_TRUE(wal.ReadAll().empty());
+  EXPECT_EQ(wal.next_lsn(), 1);
+}
+
 TEST(StorageTest, MemoryBackendIsolatesSites) {
   MemoryStorage storage;
   storage.AppendWal(0, "aa");
@@ -338,7 +359,7 @@ TEST(CheckpointTest, RejectsAWellFramedCheckpointOfAnotherVersion) {
   ASSERT_TRUE(wire::FrameNext(bytes, &pos, &payload));
   CheckpointData out;
   ASSERT_TRUE(DecodeCheckpoint(bytes, &out));
-  for (uint32_t version : {5u, 7u}) {
+  for (uint32_t version : {kFormatVersion - 1u, kFormatVersion + 1u}) {
     SCOPED_TRACE(version);
     // The version is the little-endian u32 after the magic; re-frame the
     // edited payload so only the version is wrong.
@@ -353,6 +374,32 @@ TEST(CheckpointTest, RejectsAWellFramedCheckpointOfAnotherVersion) {
     EXPECT_FALSE(DecodeCheckpoint(framed, &rejected));
     EXPECT_EQ(rejected.last_lsn, -1) << "a rejected decode leaves out alone";
   }
+}
+
+TEST(CheckpointTest, RefusesAVersion6Checkpoint) {
+  // A whole, CRC-valid checkpoint of format version 6 (fixed-width
+  // fields): last LSN 17, clock 99, order watermark 6, two applied
+  // timestamps, one store entry and an apply count of 6.
+  const std::string v6(
+      "\x99\x00\x00\x00\xaf\x06\x04\x46\x43\x52\x53\x45\x06\x00\x00\x00"
+      "\x11\x00\x00\x00\x00\x00\x00\x00\x63\x00\x00\x00\x00\x00\x00\x00"
+      "\x06\x00\x00\x00\x00\x00\x00\x00\x02\x00\x00\x00\x04\x00\x00\x00"
+      "\x00\x00\x00\x00\x00\x00\x00\x00\x09\x00\x00\x00\x00\x00\x00\x00"
+      "\x01\x00\x00\x00\x00\x00\x00\x00\x00\x00\x00\x00\x01\x00\x00\x00"
+      "\x01\x00\x00\x00\x00\x00\x00\x00\x00\x0a\x00\x00\x00\x00\x00\x00"
+      "\x00\x03\x00\x00\x00\x00\x00\x00\x00\x00\x00\x00\x00\x00\x00\x00"
+      "\x00\x00\x00\x00\x00\x00\x00\x00\x00\x00\x00\x00\x00\x00\x00\x00"
+      "\x00\x06\x00\x00\x00\x00\x00\x00\x00\x00\x00\x00\x00\x00\x00\x00"
+      "\x00\x00\x00\x00\x00\x00\x00\x00\x00\x00\x00\x00\x00\x00\x00\x00"
+      "\x00",
+      161);
+  size_t pos = 0;
+  std::string_view payload;
+  ASSERT_TRUE(wire::FrameNext(v6, &pos, &payload));
+  CheckpointData out;
+  out.last_lsn = -1;
+  EXPECT_FALSE(DecodeCheckpoint(v6, &out));
+  EXPECT_EQ(out.last_lsn, -1);
 }
 
 core::Mset TimestampedMset(SiteId origin, int64_t counter) {

@@ -44,7 +44,7 @@ inline constexpr MessageType kShardSeqTypeStride = 16;
 struct Envelope {
   MessageType type = 0;
   std::any body;
-  TraceContext trace;
+  TraceContext trace{};
 };
 
 /// Per-site message dispatcher. Components register one handler per message

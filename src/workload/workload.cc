@@ -147,6 +147,8 @@ void WorkloadRunner::IssueUpdate(std::shared_ptr<Client> client) {
         }
         break;
       }
+      case WorkloadSpec::UpdateKind::kTransfer:
+        break;  // built whole above; the loop never runs for it
     }
   }
   const SimTime begin = system_->simulator().Now();

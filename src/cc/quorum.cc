@@ -65,21 +65,11 @@ void QuorumEngine::BroadcastRead(int64_t req) {
   PendingRead& pr = it->second;
   for (SiteId s = 0; s < num_sites_; ++s) {
     if (pr.responses.count(s)) continue;
-    if (s == mailbox_->self()) {
-      // Answer locally without a network hop.
-      const Versioned local = replica_.count(pr.object)
-                                  ? replica_.at(pr.object)
-                                  : Versioned{};
-      pr.responses.emplace(s, local);
-      continue;
-    }
     mailbox_->Send(s, msg::Envelope{kQvReadReq, ReadReq{req, pr.object}},
                    /*size_bytes=*/64);
   }
   pr.retry_event = simulator_->Schedule(config_.retry_interval_us,
                                         [this, req]() { BroadcastRead(req); });
-  // The local self-answer may already complete the quorum.
-  OnReadResp(mailbox_->self(), std::any());
 }
 
 void QuorumEngine::ReadQuorum(ObjectId object, ReadCallback done) {
@@ -111,35 +101,24 @@ void QuorumEngine::OnReadReq(SiteId source, const std::any& body) {
 }
 
 void QuorumEngine::OnReadResp(SiteId source, const std::any& body) {
-  // Two entry points reach here: a real ReadResp from a peer, or the
-  // empty-`any` poke from BroadcastRead after self-answering.
-  if (const auto* resp = std::any_cast<ReadResp>(&body)) {
-    // Find the pending read this response belongs to.
-    auto it = pending_reads_.find(resp->req);
-    if (it == pending_reads_.end()) return;
-    it->second.responses.emplace(source,
-                                 Versioned{resp->value, resp->version});
-    source = mailbox_->self();  // fall through to quorum check below
+  const auto* resp = std::any_cast<ReadResp>(&body);
+  assert(resp != nullptr);
+  auto it = pending_reads_.find(resp->req);
+  if (it == pending_reads_.end()) return;
+  PendingRead& pr = it->second;
+  pr.responses.emplace(source, Versioned{resp->value, resp->version});
+  if (static_cast<int>(pr.responses.size()) < read_quorum_) return;
+  // Freshest value wins.
+  Versioned best;
+  best.version = -1;
+  for (const auto& [_, v] : pr.responses) {
+    if (v.version > best.version) best = v;
   }
-  // Check every pending read for quorum completion (cheap: few in flight).
-  for (auto it = pending_reads_.begin(); it != pending_reads_.end();) {
-    PendingRead& pr = it->second;
-    if (static_cast<int>(pr.responses.size()) < read_quorum_) {
-      ++it;
-      continue;
-    }
-    // Freshest value wins.
-    Versioned best;
-    best.version = -1;
-    for (const auto& [_, v] : pr.responses) {
-      if (v.version > best.version) best = v;
-    }
-    if (pr.retry_event != 0) simulator_->Cancel(pr.retry_event);
-    VersionedReadCallback done = std::move(pr.done);
-    events_.Increment("quorum.read_done");
-    it = pending_reads_.erase(it);
-    if (done) done(best.value, best.version);
-  }
+  if (pr.retry_event != 0) simulator_->Cancel(pr.retry_event);
+  VersionedReadCallback done = std::move(pr.done);
+  events_.Increment("quorum.read_done");
+  pending_reads_.erase(it);
+  if (done) done(best.value, best.version);
 }
 
 void QuorumEngine::StartWrite(ObjectId object, Value value, int64_t version,
@@ -160,15 +139,6 @@ void QuorumEngine::BroadcastWrite(int64_t req) {
   PendingWrite& pw = it->second;
   for (SiteId s = 0; s < num_sites_; ++s) {
     if (pw.acks.count(s)) continue;
-    if (s == mailbox_->self()) {
-      Versioned& local = replica_[pw.object];
-      if (pw.version > local.version) {
-        local.value = pw.value;
-        local.version = pw.version;
-      }
-      pw.acks.insert(s);
-      continue;
-    }
     mailbox_->Send(
         s,
         msg::Envelope{kQvWriteReq,
@@ -177,7 +147,6 @@ void QuorumEngine::BroadcastWrite(int64_t req) {
   }
   pw.retry_event = simulator_->Schedule(
       config_.retry_interval_us, [this, req]() { BroadcastWrite(req); });
-  OnWriteAck(mailbox_->self(), std::any());
 }
 
 void QuorumEngine::OnWriteReq(SiteId source, const std::any& body) {
@@ -193,23 +162,18 @@ void QuorumEngine::OnWriteReq(SiteId source, const std::any& body) {
 }
 
 void QuorumEngine::OnWriteAck(SiteId source, const std::any& body) {
-  if (const auto* ack = std::any_cast<WriteAck>(&body)) {
-    auto it = pending_writes_.find(ack->req);
-    if (it == pending_writes_.end()) return;
-    it->second.acks.insert(source);
-  }
-  for (auto it = pending_writes_.begin(); it != pending_writes_.end();) {
-    PendingWrite& pw = it->second;
-    if (static_cast<int>(pw.acks.size()) < write_quorum_) {
-      ++it;
-      continue;
-    }
-    if (pw.retry_event != 0) simulator_->Cancel(pw.retry_event);
-    std::function<void()> done = std::move(pw.done);
-    events_.Increment("quorum.write_done");
-    it = pending_writes_.erase(it);
-    if (done) done();
-  }
+  const auto* ack = std::any_cast<WriteAck>(&body);
+  assert(ack != nullptr);
+  auto it = pending_writes_.find(ack->req);
+  if (it == pending_writes_.end()) return;
+  PendingWrite& pw = it->second;
+  pw.acks.insert(source);
+  if (static_cast<int>(pw.acks.size()) < write_quorum_) return;
+  if (pw.retry_event != 0) simulator_->Cancel(pw.retry_event);
+  std::function<void()> done = std::move(pw.done);
+  events_.Increment("quorum.write_done");
+  pending_writes_.erase(it);
+  if (done) done();
 }
 
 void QuorumEngine::UpdateQuorum(std::vector<store::Operation> ops,

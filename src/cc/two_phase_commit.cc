@@ -55,16 +55,6 @@ TwoPhaseCommitEngine::TwoPhaseCommitEngine(msg::Mailbox* mailbox,
       [this](SiteId src, const std::any& body) { OnAck(src, body); });
 }
 
-void TwoPhaseCommitEngine::SendReliable(SiteId destination,
-                                        msg::Envelope envelope) {
-  if (destination == mailbox_->self()) {
-    // Local participation: dispatch synchronously, no network round trip.
-    mailbox_->Dispatch(destination, envelope);
-  } else {
-    queues_->Send(destination, std::move(envelope), /*size_bytes=*/256);
-  }
-}
-
 void TwoPhaseCommitEngine::ExecuteUpdate(std::vector<store::Operation> ops,
                                          CommitCallback done) {
   const int64_t txn = MakeTxnId(mailbox_->self(), ++next_txn_seq_);
@@ -72,15 +62,9 @@ void TwoPhaseCommitEngine::ExecuteUpdate(std::vector<store::Operation> ops,
   c.ops = ops;
   c.done = std::move(done);
   events_.Increment("tpc.begin");
-  // Self-dispatch last: the local prepare can fail synchronously (wait-die
-  // victim) and trigger the abort decision; remote PREPAREs must already be
-  // in their FIFO queues so no site sees the DECIDE before its PREPARE.
   for (SiteId s = 0; s < num_sites_; ++s) {
-    if (s == mailbox_->self()) continue;
-    SendReliable(s, msg::Envelope{kTpcPrepare, PrepareMsg{txn, ops}});
+    queues_->Send(s, msg::Envelope{kTpcPrepare, PrepareMsg{txn, ops}});
   }
-  SendReliable(mailbox_->self(),
-               msg::Envelope{kTpcPrepare, PrepareMsg{txn, ops}});
 }
 
 void TwoPhaseCommitEngine::OnPrepare(SiteId coordinator,
@@ -131,10 +115,10 @@ void TwoPhaseCommitEngine::OnPrepare(SiteId coordinator,
       events_.Increment("tpc.deadlock_abort");
       locks_.ReleaseAll(txn);
       prepared_.erase(txn);
-      SendReliable(coordinator, msg::Envelope{kTpcVote, VoteMsg{txn, false}});
+      queues_->Send(coordinator, msg::Envelope{kTpcVote, VoteMsg{txn, false}});
       return;
     }
-    SendReliable(coordinator, msg::Envelope{kTpcVote, VoteMsg{txn, true}});
+    queues_->Send(coordinator, msg::Envelope{kTpcVote, VoteMsg{txn, true}});
   };
   (*step)();
 }
@@ -160,7 +144,7 @@ void TwoPhaseCommitEngine::Decide(int64_t txn, Coordination& c) {
   c.committed = c.no_votes == 0;
   events_.Increment(c.committed ? "tpc.commit" : "tpc.abort");
   for (SiteId s = 0; s < num_sites_; ++s) {
-    SendReliable(s, msg::Envelope{kTpcDecide, DecideMsg{txn, c.committed}});
+    queues_->Send(s, msg::Envelope{kTpcDecide, DecideMsg{txn, c.committed}});
   }
 }
 
@@ -180,7 +164,7 @@ void TwoPhaseCommitEngine::OnDecide(SiteId coordinator, const std::any& body) {
   }
   // A participant that voted no already dropped its prepared state but must
   // still acknowledge so the coordinator can complete.
-  SendReliable(coordinator, msg::Envelope{kTpcAck, AckMsg{decide->txn}});
+  queues_->Send(coordinator, msg::Envelope{kTpcAck, AckMsg{decide->txn}});
 }
 
 void TwoPhaseCommitEngine::OnAck(SiteId /*participant*/,

@@ -35,8 +35,8 @@ inline constexpr msg::MessageType kTpcAck = 23;
 /// local queries block behind in-doubt transactions, the behaviour the
 /// async-vs-sync benchmark (E1) quantifies.
 ///
-/// All 2PC traffic travels over stable queues, so lost messages delay but
-/// never wedge the protocol; a network partition stalls every in-flight
+/// All 2PC traffic travels over stable queues, the coordinator's messages
+/// to itself included, so lost messages delay but never wedge the protocol; a network partition stalls every in-flight
 /// transaction that spans it until the partition heals (1SR is preserved,
 /// availability is not — Davidson et al.'s "pessimistic" regime).
 class TwoPhaseCommitEngine {
@@ -75,10 +75,6 @@ class TwoPhaseCommitEngine {
   void OnDecide(SiteId coordinator, const std::any& body);
   void OnAck(SiteId participant, const std::any& body);
   void Decide(int64_t txn, Coordination& c);
-
-  /// Stable-queue send that also works for self-addressed messages (the
-  /// coordinator is a participant of its own transactions).
-  void SendReliable(SiteId destination, msg::Envelope envelope);
 
   msg::Mailbox* mailbox_;
   msg::ReliableTransport* queues_;

@@ -41,19 +41,14 @@ void MailboxSequencerPort::AttachClient(SequencerClient* client) {
 void MailboxSequencerPort::Send(SiteId to, MessageType type, std::any body,
                                 const TraceContext& trace,
                                 int64_t size_bytes) {
-  Envelope envelope{type_offset_ + type, std::move(body), trace};
-  // ReliableTransport does not loop back.
-  if (to == mailbox_->self()) {
-    mailbox_->Dispatch(to, envelope);
-  } else {
-    queues_->Send(to, std::move(envelope), size_bytes);
-  }
+  queues_->Send(to, Envelope{type_offset_ + type, std::move(body), trace},
+                size_bytes);
 }
 
 void MailboxSequencerPort::AnnounceEpoch(const SeqEpochAnnounce& announce) {
   const Envelope envelope{type_offset_ + kSeqEpochAnnounce, announce, {}};
   queues_->Broadcast(envelope, kBytes);
-  mailbox_->Dispatch(mailbox_->self(), envelope);
+  queues_->Send(self(), envelope, kBytes);
 }
 
 }  // namespace esr::msg

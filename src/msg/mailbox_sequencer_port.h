@@ -10,9 +10,11 @@ namespace esr::msg {
 /// Simulator binding of SequencerPort: typed envelopes over one site's
 /// mailbox and stable queues, so a lossy network or a crashed sequencer
 /// site delays but never loses an ordering request. A message to the
-/// port's own site is dispatched at once. One port serves one order service
-/// at one site and outlives its server and client; `type_offset` shifts the
-/// message types so per-shard services share a mailbox (kShardSeqTypeBase).
+/// port's own site rides a stable queue like any other (the network loops
+/// it back at zero delay), so no input runs inside the call that sent it.
+/// One port serves one order service at one site and outlives its server
+/// and client; `type_offset` shifts the message types so per-shard
+/// services share a mailbox (kShardSeqTypeBase).
 class MailboxSequencerPort final : public SequencerPort {
  public:
   MailboxSequencerPort(Mailbox* mailbox, ReliableTransport* queues,

@@ -283,19 +283,16 @@ void SequencerClient::Request(Callback done, TraceContext trace) {
 void SequencerClient::Flush() {
   if (queue_.empty()) return;
   linger_scheduled_ = false;
-  // Taken out first: a grant delivered synchronously runs callbacks that
-  // may queue (and flush) more requests.
-  std::vector<Entry> pending = std::move(queue_);
-  queue_.clear();
   const auto max_count = static_cast<size_t>(kMaxSeqBatchCount);
-  for (size_t begin = 0; begin < pending.size(); begin += max_count) {
-    const size_t end = std::min(pending.size(), begin + max_count);
+  for (size_t begin = 0; begin < queue_.size(); begin += max_count) {
+    const size_t end = std::min(queue_.size(), begin + max_count);
     const int64_t id = next_request_id_++;
     std::vector<Entry>& batch = inflight_[id];
-    batch.assign(std::make_move_iterator(pending.begin() + begin),
-                 std::make_move_iterator(pending.begin() + end));
+    batch.assign(std::make_move_iterator(queue_.begin() + begin),
+                 std::make_move_iterator(queue_.begin() + end));
     port_->SendRequest(home_, BatchRequest(id, batch));
   }
+  queue_.clear();
 }
 
 SeqBatchRequest SequencerClient::BatchRequest(
@@ -307,14 +304,10 @@ SeqBatchRequest SequencerClient::BatchRequest(
 }
 
 int64_t SequencerClient::ResendInflight() {
-  std::vector<SeqBatchRequest> requests;
   for (const auto& [id, entries] : inflight_) {
-    requests.push_back(BatchRequest(id, entries));
+    port_->SendRequest(home_, BatchRequest(id, entries));
   }
-  for (const SeqBatchRequest& request : requests) {
-    port_->SendRequest(home_, request);
-  }
-  return static_cast<int64_t>(requests.size());
+  return static_cast<int64_t>(inflight_.size());
 }
 
 void SequencerClient::RequestCross(CrossCallback done, TraceContext trace) {
@@ -477,14 +470,10 @@ void SequencerClient::OnEpochAnnounce(SiteId /*from*/,
   }
   Flush();
   // Cross requests re-send individually (they are never batched), oldest
-  // first, stamped for the new epoch and aimed at the new home. Taken out
-  // first: when the new home is this site, a grant arrives synchronously,
-  // erases its entry and runs a callback that may request again.
-  std::vector<std::pair<int64_t, TraceContext>> cross;
+  // first, stamped for the new epoch and aimed at the new home.
   for (const auto& [id, entry] : cross_inflight_) {
-    cross.emplace_back(id, entry.trace);
+    SendCrossRequest(id, entry.trace);
   }
-  for (const auto& [id, trace] : cross) SendCrossRequest(id, trace);
 }
 
 void SequencerClient::OnProbe(SiteId from, const SeqProbeRequest& probe) {

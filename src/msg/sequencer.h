@@ -98,8 +98,12 @@ struct SeqCrossRelease {
 /// How the order service reaches other sites: one call per message the
 /// server and client send. An implementation hands each message to site
 /// `to`'s input of the same name (OnRequest, OnGrant, ...), with the site it
-/// came from. MailboxSequencerPort binds it to the simulator's mailboxes;
-/// runtime::OrdupNode binds it to runtime::Transport.
+/// came from, and never from inside the call that sent it, even when `to`
+/// is its own site: server and client do not guard against re-entry.
+/// MailboxSequencerPort binds it to the simulator's mailboxes;
+/// runtime::OrdupNode binds it to runtime::Transport, and hands its own
+/// epoch announce to its client directly (safe: that client's sends are
+/// posted, so nothing re-enters the announcing server).
 class SequencerPort {
  public:
   virtual ~SequencerPort() = default;
@@ -203,7 +207,7 @@ class SequencerServer {
   /// Models the server's per-request-message processing cost: grant
   /// responses are serialized through a busy-until horizon, so under load
   /// the sequencer becomes the queueing bottleneck batching exists to
-  /// relieve. 0 (default) responds synchronously — the original behavior.
+  /// relieve. 0 (default) grants each request as it arrives.
   void set_service_time_us(SimDuration us) { service_time_us_ = us; }
 
   /// How this site's own high watermark is read during a takeover probe
@@ -267,9 +271,9 @@ class SequencerClient {
   SequencerClient& operator=(const SequencerClient&) = delete;
 
   /// Requests the next global sequence number; `done` fires when the grant
-  /// arrives (immediately when the port delivers to a co-located server
-  /// synchronously). `trace` (optional) ties the round trip to an ET for
-  /// hop tracing. Concurrent requests coalesce per the batching knobs.
+  /// arrives, a later event even when the server is co-located. `trace`
+  /// (optional) ties the round trip to an ET for hop tracing. Concurrent
+  /// requests coalesce per the batching knobs.
   void Request(Callback done, TraceContext trace = {});
 
   /// Cross-shard commit rule: requests one position *and* this shard's

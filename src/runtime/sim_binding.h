@@ -13,9 +13,11 @@ namespace esr::runtime {
 /// simulated network. The simulated network is *unreliable and unordered*
 /// (loss, jitter reordering, partitions) — strictly weaker than the TCP
 /// binding's per-connection FIFO — so protocol code that converges under
-/// this binding converges a fortiori under the real one. Everything runs on
-/// the simulator thread; the transport contract's "on the owner's strand"
-/// degenerates to "in simulator events", preserving determinism.
+/// this binding converges a fortiori under the real one. A message to its
+/// own site is a zero-delay, lossless network hop, delivered in a later
+/// event as TcpTransport posts its loopback to the strand. Everything runs
+/// on the simulator thread; the transport contract's "on the owner's
+/// strand" degenerates to "in simulator events", preserving determinism.
 class SimTransport : public Transport {
  public:
   SimTransport(sim::Network* network, SiteId self)

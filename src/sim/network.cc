@@ -50,16 +50,20 @@ void Network::Send(SiteId source, SiteId destination, std::any payload,
     events_.Increment("net.dropped_sender_down");
     return;
   }
+  // A loopback draws nothing from rng_, so the loss and jitter draws of
+  // messages between sites do not depend on how many self-sends ran.
+  const bool loopback = source == destination;
   if (Partitioned(source, destination)) {
     events_.Increment("net.dropped_partition");
     return;
   }
-  if (config_.loss_probability > 0 &&
+  if (!loopback && config_.loss_probability > 0 &&
       rng_.Bernoulli(config_.loss_probability)) {
     events_.Increment("net.dropped_loss");
     return;
   }
-  const SimDuration latency = SampleLatency(source, destination, size_bytes);
+  const SimDuration latency =
+      loopback ? 0 : SampleLatency(source, destination, size_bytes);
   const SimTime sent_at = simulator_->Now();
   ++in_flight_;
   simulator_->Schedule(

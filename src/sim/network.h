@@ -36,6 +36,12 @@ struct NetworkConfig {
 /// msg::StableQueue, mirroring the paper's assumption that "stable queues
 /// persistently retry message delivery until successful" while the
 /// underlying network stays weak.
+///
+/// A site's message to itself takes the same path as any other, as a
+/// zero-delay hop that is never lost: it arrives in a later event at the
+/// send instant, never inside Send(). Only a down sender or receiver drops
+/// it, so the stable queues' retry carries it across a crash as it carries
+/// a message to a peer. No component needs a self path of its own.
 class Network {
  public:
   /// Handler invoked at the receiving site when a message arrives. The
@@ -64,7 +70,8 @@ class Network {
 
   /// Sends `payload` from `source` to `destination`. Delivery is scheduled
   /// on the simulator unless the message is lost, a partition separates the
-  /// sites, or either endpoint is down at send/delivery time.
+  /// sites, or either endpoint is down at send/delivery time. A loopback
+  /// (`source == destination`) is scheduled with zero delay and no loss.
   /// `size_bytes` feeds the bandwidth term of the latency model. `trace`
   /// (optional, POD) attributes the datagram to an ET for hop tracing.
   void Send(SiteId source, SiteId destination, std::any payload,

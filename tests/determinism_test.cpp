@@ -123,7 +123,7 @@ uint64_t PinnedDigest(Method method, Transport transport) {
     case Method::kRituMulti: return 0x818699f88aa79ce8ull;
     case Method::kRituSingle: return 0xaf88741a8eec8ae1ull;
     case Method::kCompe: return 0xfcdfad56e5338a14ull;
-    case Method::kSync2pc: return 0xc89c90d389ace01eull;
+    case Method::kSync2pc: return 0x836d619280f83c1full;
     case Method::kSyncQuorum: return 0x14650fb0739d0383ull;
     case Method::kQuasiCopy: return 0x2eebd27a6d45e831ull;
     default: return 0;
@@ -152,7 +152,7 @@ uint64_t PinnedReadsDigest(Method method, Transport transport) {
     case Method::kRituMulti: return 0xa8099c6747b47d52ull;
     case Method::kRituSingle: return 0xdecb5e9eb03a5159ull;
     case Method::kCompe: return 0x592ec62fdd2191e2ull;
-    case Method::kSync2pc: return 0x69ba4ebe3429a300ull;
+    case Method::kSync2pc: return 0x783a48c019a4715dull;
     case Method::kSyncQuorum: return 0x75552fd25519636eull;
     case Method::kQuasiCopy: return 0x251f76782fc51f4dull;
     default: return 0;

@@ -141,13 +141,13 @@ EventCounts PinnedCounts(Method method) {
               "esr.query_restarts=5\n"
               "esr.stable=35\n"
               "esr.updates_committed=35\n",
-              "net.delivered=1191\n"
+              "net.delivered=1259\n"
               "net.dropped_loss=202\n"
-              "net.sent=1393\n",
-              {"queue.delivered=178\n"
+              "net.sent=1461\n",
+              {"queue.delivered=212\n"
                "queue.duplicate=29\n"
                "queue.retransmit=104\n"
-               "queue.sent=194\n",
+               "queue.sent=228\n",
                "queue.delivered=169\n"
                "queue.duplicate=59\n"
                "queue.retransmit=51\n"
@@ -296,72 +296,72 @@ EventCounts PinnedCounts(Method method) {
                "queue.sent=140\n"},
               {"", "", ""}};
     case Method::kCompeOrdered:
-      return {"esr.compe_aborts=15\n"
-              "esr.compe_commits=54\n"
-              "esr.compensations=15\n"
+      return {"esr.compe_aborts=18\n"
+              "esr.compe_commits=51\n"
+              "esr.compensations=18\n"
               "esr.msets_applied=69\n"
               "esr.msets_propagated=46\n"
-              "esr.queries_begun=32\n"
-              "esr.queries_completed=32\n"
-              "esr.query_blocked=49\n"
-              "esr.query_compensation_hits=11\n"
-              "esr.stable=18\n"
+              "esr.queries_begun=33\n"
+              "esr.queries_completed=33\n"
+              "esr.query_blocked=45\n"
+              "esr.query_compensation_hits=12\n"
+              "esr.stable=17\n"
               "esr.updates_committed=23\n",
-              "net.delivered=1010\n"
-              "net.sent=1010\n",
-              {"queue.delivered=162\n"
-               "queue.duplicate=10\n"
-               "queue.retransmit=11\n"
-               "queue.sent=166\n",
-               "queue.delivered=156\n"
-               "queue.duplicate=10\n"
-               "queue.retransmit=16\n"
+              "net.delivered=1046\n"
+              "net.sent=1046\n",
+              {"queue.delivered=178\n"
+               "queue.duplicate=18\n"
+               "queue.retransmit=7\n"
+               "queue.sent=180\n",
+               "queue.delivered=155\n"
+               "queue.duplicate=8\n"
+               "queue.retransmit=25\n"
                "queue.sent=175\n",
-               "queue.delivered=156\n"
-               "queue.duplicate=11\n"
-               "queue.retransmit=4\n"
+               "queue.delivered=155\n"
+               "queue.duplicate=9\n"
+               "queue.retransmit=3\n"
                "queue.sent=133\n"},
               {"", "", ""}};
     case Method::kSync2pc:
       return {"esr.queries_begun=22\n"
               "esr.queries_completed=22\n",
-              "net.delivered=488\n"
-              "net.sent=488\n",
-              {"queue.delivered=68\n"
-               "queue.duplicate=17\n"
-               "queue.retransmit=8\n"
-               "queue.sent=68\n",
-               "queue.delivered=70\n"
-               "queue.duplicate=5\n"
-               "queue.retransmit=18\n"
-               "queue.sent=70\n",
-               "queue.delivered=70\n"
-               "queue.duplicate=14\n"
+              "net.delivered=716\n"
+              "net.sent=716\n",
+              {"queue.delivered=102\n"
+               "queue.duplicate=13\n"
+               "queue.retransmit=9\n"
+               "queue.sent=102\n",
+               "queue.delivered=114\n"
+               "queue.duplicate=11\n"
                "queue.retransmit=10\n"
-               "queue.sent=70\n"},
+               "queue.sent=114\n",
+               "queue.delivered=108\n"
+               "queue.duplicate=10\n"
+               "queue.retransmit=15\n"
+               "queue.sent=108\n"},
               {"tpc.abort=2\n"
                "tpc.begin=8\n"
                "tpc.commit=6\n"
-               "tpc.deadlock_abort=7\n"
+               "tpc.deadlock_abort=5\n"
                "tpc.lock_wait=1\n"
                "tpc.read_wait=4\n",
                "tpc.abort=3\n"
+               "tpc.begin=10\n"
+               "tpc.commit=7\n"
+               "tpc.deadlock_abort=5\n"
+               "tpc.lock_wait=1\n"
+               "tpc.read_wait=6\n",
+               "tpc.abort=3\n"
                "tpc.begin=9\n"
                "tpc.commit=6\n"
-               "tpc.deadlock_abort=6\n"
-               "tpc.lock_wait=3\n"
-               "tpc.read_wait=4\n",
-               "tpc.abort=6\n"
-               "tpc.begin=9\n"
-               "tpc.commit=3\n"
-               "tpc.deadlock_abort=6\n"
+               "tpc.deadlock_abort=4\n"
                "tpc.lock_wait=4\n"
-               "tpc.read_wait=3\n"}};
+               "tpc.read_wait=5\n"}};
     case Method::kSyncQuorum:
       return {"esr.queries_begun=14\n"
               "esr.queries_completed=14\n",
-              "net.delivered=576\n"
-              "net.sent=576\n",
+              "net.delivered=864\n"
+              "net.sent=864\n",
               {"", "", ""},
               {"quorum.read_begin=34\n"
                "quorum.read_done=34\n"

@@ -175,13 +175,13 @@ TEST(HopTraceTest, PinnedDigests) {
            << fp.dropped_ets << " dropped_hops=" << fp.dropped_hops
            << " aborted=" << fp.aborted;
   };
-  EXPECT_EQ(ordup, (HopFingerprint{0x00c6caac3c29039dull, 70, 0, 0, 0}))
+  EXPECT_EQ(ordup, (HopFingerprint{0xb02ddff2f65cf0b2ull, 70, 0, 0, 0}))
       << print("ordup", ordup);
   EXPECT_EQ(compe, (HopFingerprint{0x16209f95b378adb3ull, 49, 0, 0, 10}))
       << print("compe", compe);
   EXPECT_EQ(commu, (HopFingerprint{0x3f2ed4ff703f44f8ull, 47, 0, 0, 0}))
       << print("commu", commu);
-  EXPECT_EQ(amnesia, (HopFingerprint{0x67688bc2c91578a1ull, 66, 0, 0, 0}))
+  EXPECT_EQ(amnesia, (HopFingerprint{0x772d2f9e3896c652ull, 66, 0, 0, 0}))
       << print("amnesia", amnesia);
 }
 

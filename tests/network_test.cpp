@@ -52,6 +52,50 @@ TEST_F(NetworkTest, SelfSendWorks) {
   ASSERT_EQ(inbox_[2].size(), 1u);
 }
 
+TEST_F(NetworkTest, LoopbackIsZeroDelayAndLossless) {
+  NetworkConfig config;
+  config.base_latency_us = 5'000;
+  config.loss_probability = 1.0;
+  Network lossy(&sim_, 2, config, 1, metrics_);
+  std::vector<SimTime> arrivals;
+  lossy.RegisterReceiver(
+      1, [&](SiteId, const std::any&) { arrivals.push_back(sim_.Now()); });
+  sim_.RunUntil(700);
+  lossy.Send(1, 1, std::string("self"));
+  lossy.Send(0, 1, std::string("peer"));
+  // Delivered in a later event, never inside Send().
+  EXPECT_TRUE(arrivals.empty());
+  sim_.Run();
+  EXPECT_EQ(arrivals, std::vector<SimTime>{700});
+  EXPECT_EQ(Events("net.dropped_loss"), 1);
+}
+
+TEST_F(NetworkTest, LoopbackDrawsNoRandomNumber) {
+  // The same peer traffic lands at the same instants whether or not
+  // self-sends are interleaved with it.
+  auto peer_arrivals = [this](bool with_loopback) {
+    NetworkConfig config;
+    config.jitter_us = 5'000;
+    config.loss_probability = 0.3;
+    Network net(&sim_, 2, config, /*seed=*/9, metrics_);
+    std::vector<SimTime> arrivals;
+    net.RegisterReceiver(1, [&](SiteId from, const std::any&) {
+      if (from == 0) arrivals.push_back(sim_.Now());
+    });
+    const SimTime start = sim_.Now();
+    for (int i = 0; i < 20; ++i) {
+      if (with_loopback) net.Send(1, 1, std::string("self"));
+      net.Send(0, 1, std::string("peer"));
+    }
+    sim_.Run();
+    for (SimTime& t : arrivals) t -= start;
+    return arrivals;
+  };
+  const std::vector<SimTime> plain = peer_arrivals(false);
+  EXPECT_FALSE(plain.empty());
+  EXPECT_EQ(peer_arrivals(true), plain);
+}
+
 TEST_F(NetworkTest, LossDropsMessages) {
   NetworkConfig config;
   config.loss_probability = 1.0;

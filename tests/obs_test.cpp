@@ -279,8 +279,10 @@ TEST(ObsIntegrationTest, QuiescentRunHoldsNoPerEtState) {
 
 TEST(ObsIntegrationTest, QueueDepthDrainsAfterOrderedCompeAbortBeforeRelease) {
   // Each abort outruns the ordered release, so every replica skips the
-  // MSet instead of applying it. The skip must still drain the backlog
-  // that the enqueue counted toward that replica.
+  // MSet instead of applying it: all six ETs at all three sites, the
+  // sequencer home's own included, whose grant is a loopback that arrives
+  // after the Decide. The skip must still drain the backlog that the
+  // enqueue counted toward that replica.
   core::ReplicatedSystem system(Config(Method::kCompeOrdered, 3, 11));
   for (int i = 0; i < 6; ++i) {
     const EtId et = MustSubmit(system, static_cast<SiteId>(i % 3),
@@ -289,7 +291,8 @@ TEST(ObsIntegrationTest, QueueDepthDrainsAfterOrderedCompeAbortBeforeRelease) {
   }
   system.RunUntilQuiescent();
   ASSERT_TRUE(system.Converged());
-  EXPECT_EQ(test::EventCount(system, "esr.compe_apply_skipped"), 12);
+  EXPECT_EQ(test::EventCount(system, "esr.compe_apply_skipped"), 18);
+  EXPECT_EQ(test::EventCount(system, "esr.compensations"), 0);
   EXPECT_EQ(system.tracer().InFlightEts(), 0);
   for (SiteId s = 0; s < 3; ++s) {
     EXPECT_EQ(system.tracer().QueueDepth(s), 0) << "site " << s;

@@ -388,12 +388,12 @@ TEST(OrdupTest, SequencedQueriesUnderChurnPinnedDigests) {
   test::ExpectPinnedRun(
       test::CapturePinnedRun(system),
       {{0x6f991d24f24a7d82ull, 0x6f991d24f24a7d82ull, 0x6f991d24f24a7d82ull},
-       {1, 3, 2, 5, 7, 6, 9, 11, 10, 13, 16, 14},
-       {"queue.delivered=42 queue.duplicate=11 queue.retransmit=12 "
-        "queue.sent=46",
-        "queue.delivered=39 queue.duplicate=10 queue.retransmit=7 "
+       {1, 2, 3, 5, 6, 7, 9, 11, 10, 13, 16, 14},
+       {"queue.delivered=54 queue.duplicate=10 queue.retransmit=7 "
+        "queue.sent=58",
+        "queue.delivered=39 queue.duplicate=7 queue.retransmit=7 "
         "queue.sent=37",
-        "queue.delivered=39 queue.duplicate=9 queue.retransmit=11 "
+        "queue.delivered=39 queue.duplicate=9 queue.retransmit=12 "
         "queue.sent=37"}});
 }
 
@@ -429,8 +429,8 @@ TEST(OrdupTest, AmnesiaCrashOfNonSequencerSitePinnedDigests) {
       run,
       {{0xd39b36de9c4e0b90ull, 0xd39b36de9c4e0b90ull, 0xd39b36de9c4e0b90ull},
        {1, 2, 3, 4, 5, 6, 8, 9, 10, 11, 12, 13},
-       {"queue.delivered=53 queue.duplicate=3 queue.retransmit=26 "
-        "queue.sent=46",
+       {"queue.delivered=57 queue.duplicate=3 queue.retransmit=26 "
+        "queue.sent=50",
         "queue.delivered=47 queue.duplicate=1 queue.retransmit=36 "
         "queue.sent=56",
         "queue.delivered=49 queue.duplicate=1 queue.retransmit=8 "
@@ -457,17 +457,17 @@ TEST(OrdupTest, EpsilonZeroQueriesPauseApplierPinnedDigests) {
   }
   system.RunUntilQuiescent();
   ASSERT_TRUE(system.Converged());
-  EXPECT_EQ(reads, (std::vector<int64_t>{1, 1, 1, 1, 1, 1, 1, 1, 3, 2,
-                                         3, 2, 3, 2, 3, 2, 6, 7, 6, 7}));
+  EXPECT_EQ(reads, (std::vector<int64_t>{1, 1, 1, 1, 2, 2, 2, 2, 1, 1,
+                                         1, 1, 4, 4, 4, 4, 4, 5, 4, 5}));
   test::ExpectPinnedRun(
       test::CapturePinnedRun(system),
       {{0xb97e37e8cc86d7efull, 0xb97e37e8cc86d7efull, 0xb97e37e8cc86d7efull},
-       {1, 2, 4, 5, 9, 10, 3, 12, 13, 7, 8, 6, 11, 15, 16, 14, 17, 18, 20, 19},
-       {"queue.delivered=56 queue.duplicate=18 queue.retransmit=15 "
-        "queue.sent=66",
-        "queue.delivered=51 queue.duplicate=11 queue.retransmit=10 "
+       {1, 2, 4, 5, 3, 7, 8, 6, 11, 12, 10, 15, 16, 13, 9, 14, 18, 19, 17, 20},
+       {"queue.delivered=76 queue.duplicate=19 queue.retransmit=20 "
+        "queue.sent=86",
+        "queue.delivered=51 queue.duplicate=15 queue.retransmit=16 "
         "queue.sent=46",
-        "queue.delivered=51 queue.duplicate=11 queue.retransmit=15 "
+        "queue.delivered=51 queue.duplicate=15 queue.retransmit=13 "
         "queue.sent=46"}});
 }
 

@@ -214,8 +214,8 @@ TEST(SequencerFailoverTest, StandbyTakeoverPinnedDigests) {
        {"queue.delivered=60 queue.retransmit=115 queue.sent=38",
         "queue.delivered=66 queue.duplicate=7 queue.retransmit=168 "
         "queue.sent=76",
-        "queue.delivered=65 queue.duplicate=1 queue.retransmit=209 "
-        "queue.sent=77"}});
+        "queue.delivered=82 queue.duplicate=1 queue.retransmit=209 "
+        "queue.sent=94"}});
 }
 
 TEST(SequencerFailoverTest, AmnesiaCrashOfHomePinnedDigests) {
@@ -233,8 +233,8 @@ TEST(SequencerFailoverTest, AmnesiaCrashOfHomePinnedDigests) {
       test::CapturePinnedRun(system),
       {{0x81847577464b36cdull, 0x81847577464b36cdull, 0x81847577464b36cdull},
        {1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 11, 12, 13, 14, 15, 16, 17, 18},
-       {"queue.delivered=72 queue.duplicate=2 queue.retransmit=37 "
-        "queue.sent=49",
+       {"queue.delivered=73 queue.duplicate=2 queue.retransmit=37 "
+        "queue.sent=50",
         "queue.delivered=57 queue.retransmit=34 queue.sent=69",
         "queue.delivered=58 queue.duplicate=1 queue.retransmit=42 "
         "queue.sent=69"}});
@@ -258,8 +258,8 @@ TEST(SequencerFailoverTest, DeposedHomeAmnesiaPinnedDigests) {
        {"queue.delivered=53 queue.retransmit=50 queue.sent=36",
         "queue.delivered=56 queue.duplicate=2 queue.retransmit=60 "
         "queue.sent=62",
-        "queue.delivered=53 queue.duplicate=6 queue.retransmit=78 "
-        "queue.sent=64"}});
+        "queue.delivered=66 queue.duplicate=6 queue.retransmit=78 "
+        "queue.sent=77"}});
 }
 
 TEST(SequencerFailoverTest, BatchedGrantsPinnedDigests) {
@@ -282,8 +282,8 @@ TEST(SequencerFailoverTest, BatchedGrantsPinnedDigests) {
        {"queue.delivered=85 queue.retransmit=72 queue.sent=48",
         "queue.delivered=81 queue.duplicate=2 queue.retransmit=219 "
         "queue.sent=98",
-        "queue.delivered=80 queue.duplicate=2 queue.retransmit=225 "
-        "queue.sent=100"}});
+        "queue.delivered=87 queue.duplicate=2 queue.retransmit=225 "
+        "queue.sent=107"}});
 }
 
 }  // namespace

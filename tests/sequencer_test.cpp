@@ -74,7 +74,7 @@ TEST_F(SequencerTest, NumbersAreGloballyUnique) {
   EXPECT_EQ(*unique.rbegin(), 30);
 }
 
-TEST_F(SequencerTest, SelfHostedClientShortCircuits) {
+TEST_F(SequencerTest, SelfHostedClientIsGrantedOverLoopback) {
   Build(sim::NetworkConfig{});
   SequenceNumber got = 0;
   clients_[0]->Request([&](SequenceNumber n) { got = n; });
@@ -83,17 +83,46 @@ TEST_F(SequencerTest, SelfHostedClientShortCircuits) {
 }
 
 TEST_F(SequencerTest, SelfHostedGrantCallbackMayRequestAgain) {
-  // The co-located server answers synchronously, so each callback runs
-  // inside the Request() that asked and requests the next number there.
+  // The co-located server's grant is a zero-delay loopback: it arrives in a
+  // later event at the same instant, and its callback requests again there.
   Build(sim::NetworkConfig{});
   std::vector<SequenceNumber> got;
+  std::vector<SimTime> got_at;
   std::function<void(SequenceNumber)> next = [&](SequenceNumber n) {
     got.push_back(n);
+    got_at.push_back(sim_.Now());
     if (got.size() < 3) clients_[0]->Request(next);
   };
+  sim_.RunUntil(500);
   clients_[0]->Request(next);
+  EXPECT_TRUE(got.empty());
+  EXPECT_EQ(clients_[0]->PendingCount(), 1);
+  sim_.Run();
   EXPECT_EQ(got, (std::vector<SequenceNumber>{1, 2, 3}));
+  EXPECT_EQ(got_at, (std::vector<SimTime>{500, 500, 500}));
   EXPECT_EQ(clients_[0]->PendingCount(), 0);
+}
+
+TEST_F(SequencerTest, SelfRequestAcrossFailStopIsGrantedOnceAfterRestart) {
+  // The home site's request to its own server is queued, and the site
+  // fail-stops before the loopback is delivered. Its stable queue carries
+  // the request across the crash as it would carry one to a peer.
+  Build(sim::NetworkConfig{});
+  std::vector<SequenceNumber> got;
+  std::vector<SimTime> got_at;
+  clients_[0]->Request([&](SequenceNumber n) {
+    got.push_back(n);
+    got_at.push_back(sim_.Now());
+  });
+  net_->SetSiteDown(0);
+  sim_.RunUntil(50'000);
+  EXPECT_TRUE(got.empty());
+  net_->SetSiteUp(0);
+  sim_.Run();
+  EXPECT_EQ(got, std::vector<SequenceNumber>{1});
+  ASSERT_EQ(got_at.size(), 1u);
+  EXPECT_GT(got_at[0], 50'000);
+  EXPECT_EQ(server_->LastIssued(), 1);
 }
 
 /// Forwards to a site's MailboxSequencerPort and records the id and target
@@ -137,9 +166,8 @@ class CrossRecordingPort final : public SequencerPort {
 TEST_F(SequencerTest, TakeoverAtOwnSiteResendsEachCrossRequestOnce) {
   // Three cross requests from site 1 are in flight to home 0 when a
   // standby at site 1 takes over. The epoch announce re-sends them to the
-  // local server, which grants the first at once; that grant erases its
-  // in-flight entry, and its callback requests again, while the re-send
-  // loop is still running.
+  // local server, which grants the first; that grant's callback requests
+  // again. Each id goes once to each home.
   Build(sim::NetworkConfig{});
   net_->SetSiteDown(0);
   CrossRecordingPort port(ports_[1].get());
@@ -159,17 +187,19 @@ TEST_F(SequencerTest, TakeoverAtOwnSiteResendsEachCrossRequestOnce) {
       ports_[1].get(), &sim_, /*start_sealed=*/true);
   ports_[1]->AttachServer(standby.get());
   standby->BeginTakeover(/*durable_floor=*/1, /*peers=*/{});
+  // The announce reaches the local client in a later event.
+  EXPECT_EQ(client.home(), 0);
+  net_->SetSiteUp(0);  // let the queued requests and announce drain
+  sim_.Run();
   EXPECT_EQ(client.home(), 1);
+  // The first grant holds the cross-lock; nothing releases it.
   EXPECT_EQ(granted.size(), 1u);
   // Ids 1-3 went to the old home, then once each to the new one; id 4,
   // asked for by the first grant's callback, was sent once, by itself.
   const std::vector<std::pair<int64_t, SiteId>> expected = {
-      {1, 0}, {2, 0}, {3, 0}, {1, 1}, {4, 1}, {2, 1}, {3, 1}};
+      {1, 0}, {2, 0}, {3, 0}, {1, 1}, {2, 1}, {3, 1}, {4, 1}};
   EXPECT_EQ(port.cross_sends, expected);
   EXPECT_EQ(client.PendingCount(), 3);
-
-  net_->SetSiteUp(0);  // let the queued requests and announce drain
-  sim_.Run();
 }
 
 TEST_F(SequencerTest, SurvivesMessageLoss) {

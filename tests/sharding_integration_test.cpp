@@ -457,14 +457,14 @@ TEST(ShardingIntegrationTest, ShardHomeFailStopPinnedDigests) {
        {1, 2, 3, 1, 4, 2, 3, 5, 5, 1, 6, 2, 7, 8, 9, 3, 10, 4, 9, 11, 11, 3,
         12, 4, 13, 14, 15, 5, 16, 6, 15, 17, 17, 5, 18, 6, 19, 20, 21, 7, 22, 8,
         21, 23, 23},
-       {"queue.delivered=172 queue.retransmit=74 queue.sent=145",
+       {"queue.delivered=180 queue.retransmit=74 queue.sent=153",
         "queue.delivered=94 queue.duplicate=2 queue.retransmit=343 "
         "queue.sent=79",
         "queue.delivered=95 queue.retransmit=80 queue.sent=119",
-        "queue.delivered=157 queue.retransmit=60 queue.sent=138",
+        "queue.delivered=165 queue.retransmit=60 queue.sent=146",
         "queue.delivered=87 queue.retransmit=43 queue.sent=104",
         "queue.delivered=137 queue.retransmit=57 queue.sent=123",
-        "queue.delivered=103 queue.retransmit=103 queue.sent=120",
+        "queue.delivered=108 queue.retransmit=103 queue.sent=125",
         "queue.delivered=87 queue.retransmit=60 queue.sent=104"}});
 }
 
@@ -488,14 +488,14 @@ TEST(ShardingIntegrationTest, ShardHomeAmnesiaPinnedDigests) {
        {1, 2, 3, 1, 4, 2, 3, 5, 5, 1, 6, 2, 7, 8, 9, 3, 10, 4, 9, 11, 11, 3,
         12, 4, 13, 14, 15, 5, 16, 6, 15, 17, 17, 5, 18, 6, 19, 20, 21, 7, 22, 8,
         21, 23, 23},
-       {"queue.delivered=173 queue.retransmit=29 queue.sent=146",
+       {"queue.delivered=181 queue.retransmit=29 queue.sent=154",
         "queue.delivered=96 queue.duplicate=2 queue.retransmit=203 "
         "queue.sent=82",
         "queue.delivered=95 queue.retransmit=50 queue.sent=119",
-        "queue.delivered=157 queue.retransmit=32 queue.sent=138",
+        "queue.delivered=165 queue.retransmit=32 queue.sent=146",
         "queue.delivered=87 queue.retransmit=23 queue.sent=104",
         "queue.delivered=138 queue.retransmit=35 queue.sent=123",
-        "queue.delivered=104 queue.retransmit=44 queue.sent=121",
+        "queue.delivered=109 queue.retransmit=44 queue.sent=126",
         "queue.delivered=87 queue.retransmit=18 queue.sent=104"}});
 }
 
@@ -520,11 +520,11 @@ TEST(ShardingIntegrationTest, ShardHomeAmnesiaReseedPinnedDigests) {
        {1, 2, 3, 1, 4, 2, 3, 5, 5, 1, 6, 2, 7, 8, 9, 10, 9, 11, 11, 3, 12, 4,
         13, 14, 15, 16, 15, 17, 17, 3, 4, 5, 6, 5, 18, 6, 19, 20, 21, 7, 22, 8,
         21, 23, 23},
-       {"queue.delivered=173 queue.retransmit=17 queue.sent=146",
-        "queue.delivered=111 queue.duplicate=6 queue.retransmit=98 "
-        "queue.sent=100",
+       {"queue.delivered=181 queue.retransmit=17 queue.sent=154",
+        "queue.delivered=112 queue.duplicate=6 queue.retransmit=98 "
+        "queue.sent=101",
         "queue.delivered=95 queue.retransmit=22 queue.sent=119",
-        "queue.delivered=157 queue.retransmit=19 queue.sent=138",
+        "queue.delivered=165 queue.retransmit=19 queue.sent=146",
         "queue.delivered=87 queue.retransmit=10 queue.sent=104",
         "queue.delivered=137 queue.retransmit=19 queue.sent=124",
         "queue.delivered=97 queue.retransmit=35 queue.sent=108",
@@ -592,7 +592,7 @@ TEST(ShardingIntegrationTest, ForwardedBoundedQueriesUnderChurnPinnedDigests) {
         75, 76, 77, 78, 79, 80, 82, 81, 83, 84, 85, 86, 87, 88, 90, 89, 91, 92,
         93, 94, 95, 96, 98, 97, 99, 100},
        {"queue.delivered=93 queue.retransmit=1 queue.sent=124",
-        "queue.delivered=436 queue.duplicate=6 queue.sent=339",
+        "queue.delivered=462 queue.duplicate=6 queue.sent=365",
         "queue.delivered=93 queue.retransmit=2 queue.sent=124",
         "queue.delivered=90 queue.retransmit=1 queue.sent=121",
         "queue.delivered=88 queue.retransmit=1 queue.sent=117",

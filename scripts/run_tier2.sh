@@ -64,14 +64,20 @@ scripts/run_tier1.sh --sanitize
 # checked iterators abort on any use of an invalidated iterator, the class
 # of bug behind the sharded amnesia runaway (an entry erased under a
 # range-for over a std::map), which the ASan pass cannot see: the map's
-# increment runs inside the uninstrumented libstdc++.
+# increment runs inside the uninstrumented libstdc++. The network, 2PC and
+# quorum suites join because a site's messages to itself now take the
+# network's zero-delay loopback instead of a synchronous call, which moved
+# every handler that used to run inside its sender's loop.
 cmake -B build-glibcxx-debug -S . -DCMAKE_CXX_FLAGS=-D_GLIBCXX_DEBUG
 cmake --build build-glibcxx-debug -j "$(nproc)" --target sequencer_test \
   sequencer_failover_test shard_test sharding_integration_test \
-  recovery_test recovery_integration_test
+  recovery_test recovery_integration_test network_test \
+  two_phase_commit_test quorum_test
 (
   cd build-glibcxx-debug
-  ctest --output-on-failure -R 'sequencer|shard|recovery' -j "$(nproc)"
+  ctest --output-on-failure \
+    -R 'sequencer|shard|recovery|network|two_phase_commit|quorum' \
+    -j "$(nproc)"
 )
 
 # ThreadSanitizer pass (separate build dir: TSan and ASan cannot share a

@@ -89,8 +89,7 @@ Cell Run(int num_shards, double update_fraction) {
     cell.store_objects_per_site +=
         static_cast<double>(system.site_store(s).ObjectCount());
     cell.delivered_per_site += static_cast<double>(
-        bench::TransportEventCount(system, s, "queue.delivered") +
-        bench::TransportEventCount(system, s, "pipe.delivered"));
+        bench::TransportEventCount(system, s, "queue.delivered"));
     cell.digests.push_back(system.SiteDigest(s));
   }
   cell.wal_bytes_per_site /= kSites;

@@ -8,6 +8,10 @@
 #                                     # (separate build dir: build-asan);
 #                                     # scripts/run_tier2.sh is the gate
 #                                     # wrapper for this mode
+#
+# The sanitized build keeps RelWithDebInfo's optimisation but drops its
+# -DNDEBUG, so every assert in src/ (the facade's config guards among
+# them) runs there; the plain tier-1 build compiles them out.
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
@@ -15,7 +19,7 @@ BUILD_DIR=build
 CMAKE_ARGS=()
 if [[ "${1:-}" == "--sanitize" ]]; then
   BUILD_DIR=build-asan
-  CMAKE_ARGS+=(-DESR_SANITIZE=ON)
+  CMAKE_ARGS+=(-DESR_SANITIZE=ON "-DCMAKE_CXX_FLAGS_RELWITHDEBINFO=-O2 -g")
 fi
 
 cmake -B "$BUILD_DIR" -S . "${CMAKE_ARGS[@]}"

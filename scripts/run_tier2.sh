@@ -1,7 +1,8 @@
 #!/usr/bin/env bash
-# Tier-2 gate: the full tier-1 suite rebuilt under ASan + UBSan
-# (-DESR_SANITIZE=ON, separate build dir: build-asan), libstdc++ debug-mode
-# and TSan passes over chosen suites, and the simulator gates. Run this
+# Tier-2 gate: the full tier-1 suite rebuilt under ASan + UBSan with its
+# asserts on (-DESR_SANITIZE=ON without -DNDEBUG, separate build dir:
+# build-asan), libstdc++ debug-mode and TSan passes over chosen suites, and
+# the simulator gates. Run this
 # before merging anything that touches src/; it is the recurring home for
 # the sanitizer coverage ROADMAP.md calls for.
 #
@@ -36,9 +37,8 @@ scripts/run_tier1.sh --sanitize
 # from exact-size heap buffers, so ASan reports any over-read.
 # The mv_store suites join for the concurrent store: striped-lock
 # partitioning and GC's erase-range pruning are pointer-heavy paths worth
-# the double run. The hold-back buffer and its five users (ORDUP, the
-# runtime's OrdupNode, ordered COMPE, stable queues and persistent pipes)
-# join because all of them release through the buffer's pop-then-deliver
+# the double run. The hold-back buffer and its four users (ORDUP, the
+# runtime's OrdupNode, ordered COMPE and the stable queues) join because all of them release through the buffer's pop-then-deliver
 # path: the payload leaves the buffer before a delivery callback runs,
 # and that callback may re-enter its owner. The apply ledger joins with
 # ORDUP and ORDUP-TS (both matched by 'ordup'): its trim pops two deques
@@ -55,7 +55,7 @@ scripts/run_tier1.sh --sanitize
 (
   cd build-asan
   ctest --output-on-failure \
-    -R 'recovery|failure|http_exporter|hop_trace|critical_path|quantile|sequencer|shard|runtime|mv_store|total_order_buffer|stable_queue|persistent_pipe|ordup|compe|apply_ledger|obs|stability_tracker|network|mailbox|two_phase_commit|quorum|replicated_system|metrics_exposition' \
+    -R 'recovery|failure|http_exporter|hop_trace|critical_path|quantile|sequencer|shard|runtime|mv_store|total_order_buffer|stable_queue|ordup|compe|apply_ledger|obs|stability_tracker|network|mailbox|two_phase_commit|quorum|replicated_system|metrics_exposition' \
     --repeat until-fail:2 -j "$(nproc)"
 )
 

@@ -34,9 +34,6 @@
 #   - stdout and .metrics.prom of bench_table1_methods, bench_sharding,
 #     bench_ordup_ordering_ablation, bench_epsilon_bound, bench_convergence
 #     and bench_async_vs_sync
-#   - stdout, .metrics.prom and .bench.json of bench_transport_ablation, the
-#     one deterministic output that runs stable queues and persistent pipes
-#     under loss
 #   - stdout and .metrics.prom of bench_adaptive_epsilon, the one output
 #     that runs the admission-sampling timer; its google-benchmark BM_
 #     lines are wall-clock timings and are left out
@@ -65,7 +62,7 @@ BENCHES="bench_table1_methods bench_sharding bench_ordup_ordering_ablation
 cmake -B "$BUILD_DIR" -S . >&2
 # shellcheck disable=SC2086
 cmake --build "$BUILD_DIR" -j "$(nproc)" --target esrsim $BENCHES \
-  bench_transport_ablation bench_adaptive_epsilon >&2
+  bench_adaptive_epsilon >&2
 BUILD_DIR=$(cd "$BUILD_DIR" && pwd)
 
 WORK=$(mktemp -d)
@@ -171,13 +168,6 @@ for bench in $BENCHES; do
   "$BUILD_DIR/bench/$bench" > "$bench.out"
   echo "$(hash "$bench.out")  $bench: stdout"
   echo "$(hash "$bench.metrics.prom")  $bench: $bench.metrics.prom"
-done
-
-bench=bench_transport_ablation
-"$BUILD_DIR/bench/$bench" > "$bench.out"
-echo "$(hash "$bench.out")  $bench: stdout"
-for file in "$bench.metrics.prom" "$bench.bench.json"; do
-  echo "$(hash "$file")  $bench: $file"
 done
 
 bench=bench_adaptive_epsilon

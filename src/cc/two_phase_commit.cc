@@ -31,7 +31,7 @@ int64_t MakeTxnId(SiteId site, int64_t seq) {
 }  // namespace
 
 TwoPhaseCommitEngine::TwoPhaseCommitEngine(msg::Mailbox* mailbox,
-                                           msg::ReliableTransport* queues,
+                                           msg::StableQueueManager* queues,
                                            store::MvStore* store,
                                            int num_sites)
     : mailbox_(mailbox),

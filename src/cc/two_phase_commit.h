@@ -10,7 +10,7 @@
 #include "common/types.h"
 #include "cc/lock_manager.h"
 #include "msg/mailbox.h"
-#include "msg/reliable_transport.h"
+#include "msg/stable_queue.h"
 #include "store/mv_store.h"
 #include "store/operation.h"
 
@@ -44,7 +44,7 @@ class TwoPhaseCommitEngine {
   using CommitCallback = std::function<void(Status)>;
   using ReadCallback = std::function<void(Result<Value>)>;
 
-  TwoPhaseCommitEngine(msg::Mailbox* mailbox, msg::ReliableTransport* queues,
+  TwoPhaseCommitEngine(msg::Mailbox* mailbox, msg::StableQueueManager* queues,
                        store::MvStore* store, int num_sites);
 
   /// Coordinates a write-all transaction applying `ops` at every site.
@@ -77,7 +77,7 @@ class TwoPhaseCommitEngine {
   void Decide(int64_t txn, Coordination& c);
 
   msg::Mailbox* mailbox_;
-  msg::ReliableTransport* queues_;
+  msg::StableQueueManager* queues_;
   store::MvStore* store_;
   /// Wait-die: participant lock waits span coordinators on different
   /// sites, where local cycle detection cannot see distributed deadlocks.

@@ -4,8 +4,6 @@
 #include <cstdint>
 #include <string>
 
-#include "msg/persistent_pipe.h"
-#include "msg/stable_queue.h"
 #include "recovery/recovery_config.h"
 #include "shard/placement_map.h"
 #include "sim/network.h"
@@ -54,17 +52,6 @@ enum class Method {
 
 std::string_view MethodToString(Method method);
 
-/// Which reliable messaging substrate the sites use (paper section 2.2:
-/// "stable queues [5] and persistent pipes [17]").
-enum class Transport {
-  /// Per-message acks, selective retransmission, optional unordered mode.
-  kStableQueue,
-  /// Sliding-window pipe with cumulative acks and go-back-N; always FIFO.
-  kPersistentPipe,
-};
-
-std::string_view TransportToString(Transport transport);
-
 /// Closed-loop adaptive epsilon admission (paper section 3.2: limiting the
 /// inconsistency budget gives queries "a better chance of completion" —
 /// here the budget is tuned from observed divergence instead of fixed).
@@ -110,9 +97,6 @@ struct SystemConfig {
   uint64_t seed = 42;
 
   sim::NetworkConfig network;
-  Transport transport = Transport::kStableQueue;
-  msg::StableQueueConfig queue;
-  msg::PersistentPipeConfig pipe;
 
   /// Site hosting the centralized order server (ORDUP, COMPE-ordered).
   SiteId sequencer_site = 0;
@@ -183,9 +167,9 @@ struct SystemConfig {
   bool record_history = true;
 
   /// Hop-level causal tracing (the EtTracer's hop side): record
-  /// per-message hop spans — transport deliveries, sequencer round trips,
-  /// total-order waits, catch-up exchanges — for the critical-path
-  /// waterfall analyzer. Off by default; when off the transports and
+  /// per-message hop spans — stable-queue deliveries, sequencer round
+  /// trips, total-order waits, catch-up exchanges — for the critical-path
+  /// waterfall analyzer. Off by default; when off the stable queues and
   /// sequencer clients get no tracer, so the per-message hot path is
   /// untouched.
   bool record_hops = false;

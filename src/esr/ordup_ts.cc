@@ -6,8 +6,6 @@ namespace esr::core {
 
 OrdupTsMethod::OrdupTsMethod(const MethodContext& ctx)
     : ReplicaControlMethod(ctx) {
-  assert(ctx_.config->queue.fifo &&
-         "ORDUP-TS watermarks require FIFO stable queues");
   assert(ctx_.config->heartbeat_interval_us > 0 &&
          "ORDUP-TS release progress requires clock heartbeats");
 }

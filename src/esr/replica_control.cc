@@ -15,16 +15,6 @@
 
 namespace esr::core {
 
-std::string_view TransportToString(Transport transport) {
-  switch (transport) {
-    case Transport::kStableQueue:
-      return "stable-queue";
-    case Transport::kPersistentPipe:
-      return "persistent-pipe";
-  }
-  return "?";
-}
-
 std::string_view MethodToString(Method method) {
   switch (method) {
     case Method::kOrdup:

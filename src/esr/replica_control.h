@@ -21,7 +21,7 @@
 #include "obs/metric_registry.h"
 #include "recovery/checkpointer.h"
 #include "msg/sequencer.h"
-#include "msg/reliable_transport.h"
+#include "msg/stable_queue.h"
 #include "runtime/interfaces.h"
 #include "store/mset_log.h"
 #include "store/mv_store.h"
@@ -45,7 +45,7 @@ struct MethodContext {
   /// under the sim facade).
   runtime::Clock* simulator = nullptr;
   msg::Mailbox* mailbox = nullptr;
-  msg::ReliableTransport* queues = nullptr;
+  msg::StableQueueManager* queues = nullptr;
   msg::LamportClock* clock = nullptr;
   msg::SequencerClient* sequencer = nullptr;
   StabilityTracker* stability = nullptr;

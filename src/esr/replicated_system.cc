@@ -24,7 +24,7 @@ struct ReplicatedSystem::SiteRuntime {
   SiteId id;
   msg::LamportClock clock;
   std::unique_ptr<msg::Mailbox> mailbox;
-  std::unique_ptr<msg::ReliableTransport> queues;
+  std::unique_ptr<msg::StableQueueManager> queues;
   /// Indexed like order_services_, and empty for the sync baselines. Every
   /// site holds every service's port (its mailbox binding, which outlives
   /// the server and client it routes to) and client; it holds service i's
@@ -62,14 +62,12 @@ ReplicatedSystem::ReplicatedSystem(const SystemConfig& config)
   metrics_.Describe("esr_network_events_total",
                     "Network, mailbox and failure-injector events");
   metrics_.Describe("esr_transport_events_total",
-                    "Stable-queue or persistent-pipe events, by site");
+                    "Stable-queue events, by site");
   metrics_.Describe("esr_sync_events_total",
                     "2PC or quorum engine events, by site");
   metrics_
       .GetGauge("esr_info",
                 {{"method", std::string(MethodToString(config_.method))},
-                 {"transport",
-                  std::string(TransportToString(config_.transport))},
                  {"sites", std::to_string(config_.num_sites)}})
       .Set(1);
   network_ = std::make_unique<sim::Network>(&simulator_, config_.num_sites,
@@ -127,13 +125,8 @@ ReplicatedSystem::ReplicatedSystem(const SystemConfig& config)
   for (SiteId s = 0; s < config_.num_sites; ++s) {
     SiteRuntime& site = *sites_[s];
     site.mailbox = std::make_unique<msg::Mailbox>(network_.get(), s);
-    if (config_.transport == Transport::kPersistentPipe) {
-      site.queues = std::make_unique<msg::PersistentPipeManager>(
-          &simulator_, site.mailbox.get(), config_.pipe);
-    } else {
-      site.queues = std::make_unique<msg::StableQueueManager>(
-          &simulator_, site.mailbox.get(), config_.queue);
-    }
+    site.queues = std::make_unique<msg::StableQueueManager>(
+        &simulator_, site.mailbox.get());
     if (config_.record_hops) site.queues->set_tracer(&tracer_);
     site.stability =
         std::make_unique<StabilityTracker>(s, config_.num_sites);
@@ -1548,7 +1541,7 @@ store::MvStore& ReplicatedSystem::site_store(SiteId site) {
 store::MsetLog& ReplicatedSystem::site_mset_log(SiteId site) {
   return sites_[site]->mset_log;
 }
-msg::ReliableTransport& ReplicatedSystem::site_queues(SiteId site) {
+msg::StableQueueManager& ReplicatedSystem::site_queues(SiteId site) {
   return *sites_[site]->queues;
 }
 ReplicaControlMethod* ReplicatedSystem::site_method(SiteId site) {

@@ -212,7 +212,7 @@ class ReplicatedSystem {
 
   store::MvStore& site_store(SiteId site);
   store::MsetLog& site_mset_log(SiteId site);
-  msg::ReliableTransport& site_queues(SiteId site);
+  msg::StableQueueManager& site_queues(SiteId site);
   ReplicaControlMethod* site_method(SiteId site);
   cc::TwoPhaseCommitEngine* site_tpc(SiteId site);
   cc::QuorumEngine* site_quorum(SiteId site);
@@ -319,7 +319,7 @@ class ReplicatedSystem {
   ObjectClassRegistry registry_;
   analysis::HistoryRecorder history_;
   /// Shared by every site's method instance; with config.record_hops also
-  /// installed in every transport and sequencer client.
+  /// installed in every site's stable queues and sequencer client.
   obs::EtTracer tracer_;
   std::vector<std::unique_ptr<SiteRuntime>> sites_;
   /// Partial replication (config_.shard.num_shards > 1, ORDUP only): the

@@ -20,8 +20,6 @@ inline constexpr MessageType kQueueData = 1;
 inline constexpr MessageType kQueueAck = 2;
 inline constexpr MessageType kSeqRequest = 3;
 inline constexpr MessageType kSeqResponse = 4;
-inline constexpr MessageType kPipeData = 5;
-inline constexpr MessageType kPipeAck = 6;
 inline constexpr MessageType kSeqProbeRequest = 7;
 inline constexpr MessageType kSeqProbeResponse = 8;
 inline constexpr MessageType kSeqEpochAnnounce = 9;
@@ -49,7 +47,7 @@ struct Envelope {
 
 /// Per-site message dispatcher. Components register one handler per message
 /// type; the mailbox installs itself as the site's network receiver and
-/// routes incoming envelopes. Reliable transports (StableQueueManager)
+/// routes incoming envelopes. The stable queues (StableQueueManager)
 /// re-dispatch their delivered payloads through the same mailbox, so a
 /// component's handler sees a message the same way whether it arrived raw or
 /// via a stable queue.

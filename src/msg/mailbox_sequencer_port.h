@@ -2,8 +2,8 @@
 #define ESR_MSG_MAILBOX_SEQUENCER_PORT_H_
 
 #include "msg/mailbox.h"
-#include "msg/reliable_transport.h"
 #include "msg/sequencer.h"
+#include "msg/stable_queue.h"
 
 namespace esr::msg {
 
@@ -17,7 +17,7 @@ namespace esr::msg {
 /// services share a mailbox (kShardSeqTypeBase).
 class MailboxSequencerPort final : public SequencerPort {
  public:
-  MailboxSequencerPort(Mailbox* mailbox, ReliableTransport* queues,
+  MailboxSequencerPort(Mailbox* mailbox, StableQueueManager* queues,
                        MessageType type_offset = 0)
       : mailbox_(mailbox), queues_(queues), type_offset_(type_offset) {}
   MailboxSequencerPort(const MailboxSequencerPort&) = delete;
@@ -70,7 +70,7 @@ class MailboxSequencerPort final : public SequencerPort {
              void (Component::*input)(SiteId, const T&));
 
   Mailbox* mailbox_;
-  ReliableTransport* queues_;
+  StableQueueManager* queues_;
   MessageType type_offset_;
 };
 

@@ -26,9 +26,8 @@ struct QueueAck {
 }  // namespace
 
 StableQueueManager::StableQueueManager(sim::Simulator* simulator,
-                                       Mailbox* mailbox,
-                                       StableQueueConfig config)
-    : simulator_(simulator), mailbox_(mailbox), config_(config) {
+                                       Mailbox* mailbox)
+    : simulator_(simulator), mailbox_(mailbox) {
   assert(simulator != nullptr && mailbox != nullptr);
   // Default delivery: payloads that are themselves Envelopes are re-routed
   // through the mailbox, so components receive queue-carried messages via
@@ -116,19 +115,6 @@ void StableQueueManager::ArmRetryTimer(SiteId destination) {
       });
 }
 
-bool StableQueueManager::AlreadyDelivered(Inbound& in,
-                                          SequenceNumber seq) const {
-  return seq <= in.delivered_upto || in.delivered_sparse.count(seq) > 0;
-}
-
-void StableQueueManager::MarkDelivered(Inbound& in, SequenceNumber seq) {
-  in.delivered_sparse.insert(seq);
-  while (in.delivered_sparse.count(in.delivered_upto + 1)) {
-    in.delivered_sparse.erase(in.delivered_upto + 1);
-    ++in.delivered_upto;
-  }
-}
-
 void StableQueueManager::OnData(SiteId source, const std::any& body) {
   const auto* data = std::any_cast<QueueData>(&body);
   assert(data != nullptr);
@@ -136,26 +122,15 @@ void StableQueueManager::OnData(SiteId source, const std::any& body) {
   mailbox_->Send(source, Envelope{kQueueAck, QueueAck{data->seq}},
                  /*size_bytes=*/32);
   Inbound& in = inbound_[source];
-  if (config_.fifo) {
-    if (!in.fifo.Offer(data->seq, std::any(data->payload))) {
-      events_.Increment("queue.duplicate");
-      return;
-    }
-    while (in.fifo.Head() != nullptr) {
-      std::any payload = in.fifo.Pop();
-      events_.Increment("queue.delivered");
-      RecordDeliverHop(source, payload);
-      if (deliver_) deliver_(source, payload);
-    }
-  } else {
-    if (AlreadyDelivered(in, data->seq)) {
-      events_.Increment("queue.duplicate");
-      return;
-    }
-    MarkDelivered(in, data->seq);
+  if (!in.Offer(data->seq, std::any(data->payload))) {
+    events_.Increment("queue.duplicate");
+    return;
+  }
+  while (in.Head() != nullptr) {
+    std::any payload = in.Pop();
     events_.Increment("queue.delivered");
-    RecordDeliverHop(source, data->payload);
-    if (deliver_) deliver_(source, data->payload);
+    RecordDeliverHop(source, payload);
+    if (deliver_) deliver_(source, payload);
   }
 }
 

@@ -5,59 +5,63 @@
 #include <functional>
 #include <map>
 #include <unordered_map>
-#include <unordered_set>
 
 #include "common/types.h"
 #include "msg/mailbox.h"
-#include "msg/reliable_transport.h"
 #include "msg/total_order_buffer.h"
 #include "sim/simulator.h"
 
+namespace esr::obs {
+class EtTracer;
+}  // namespace esr::obs
+
 namespace esr::msg {
 
-/// Configuration of a site's stable queues.
-struct StableQueueConfig {
-  /// When true, deliver entries from each sender in send (FIFO) order,
-  /// holding back gaps; when false, deliver on first arrival (dedup only).
-  /// Replica control methods that sort at update time (ORDUP) bring their
-  /// own total-order buffer, so they run fine over either mode; COMMU/RITU
-  /// exploit unordered mode for extra asynchrony.
-  bool fifo = true;
-};
-
-/// Reliable exactly-once message delivery over the lossy network: the
+/// Reliable exactly-once FIFO message delivery over the lossy network: the
 /// paper's "stable queues [5] which persistently retry message delivery
-/// until successful".
+/// until successful", and the only reliable channel the simulator uses.
 ///
 /// Each site owns one StableQueueManager handling its outbound queues (one
 /// per destination). Entries persist (in the stable-storage sense: they
 /// survive simulated site crashes, which only silence the network) and are
-/// retransmitted until acknowledged. The receiver side deduplicates by
-/// (sender, sequence), so each payload is handed to the deliver handler
-/// exactly once.
-class StableQueueManager : public ReliableTransport {
+/// retransmitted until acknowledged. The receiver deduplicates by (sender,
+/// sequence) and holds back gaps, so each payload is handed to the deliver
+/// handler exactly once and in send order per sender. Recovery depends on
+/// that order: a site's applied cut records one watermark per origin, which
+/// is exact only because an origin's MSets arrive in the order it sent them.
+/// Events are counted in the network's registry as
+/// `esr_transport_events_total{event,site}`.
+class StableQueueManager {
  public:
-  StableQueueManager(sim::Simulator* simulator, Mailbox* mailbox,
-                     StableQueueConfig config);
+  using DeliverHandler =
+      std::function<void(SiteId source, const std::any& payload)>;
 
-  void SetDeliverHandler(DeliverHandler handler) override {
+  StableQueueManager(sim::Simulator* simulator, Mailbox* mailbox);
+
+  /// Replaces the delivery handler (default: dispatch Envelope payloads
+  /// through the site's mailbox).
+  void SetDeliverHandler(DeliverHandler handler) {
     deliver_ = std::move(handler);
   }
 
   /// Enqueues `payload` for reliable delivery to `destination`.
   void Send(SiteId destination, std::any payload,
-            int64_t size_bytes = 256) override;
+            int64_t size_bytes = 256);
 
   /// Enqueues `payload` to every site except self.
-  void Broadcast(std::any payload, int64_t size_bytes = 256) override;
+  void Broadcast(std::any payload, int64_t size_bytes = 256);
 
   /// Number of entries awaiting acknowledgment (all destinations).
-  int64_t UnackedCount() const override;
+  int64_t UnackedCount() const;
 
-  /// Entries awaiting acknowledgment toward `destination`.
-  int64_t UnackedCount(SiteId destination) const override;
+  /// Entries awaiting acknowledgment toward `destination` (per-site
+  /// propagation backlog, surfaced as the esr_transport_unacked gauge).
+  int64_t UnackedCount(SiteId destination) const;
 
-  void set_tracer(obs::EtTracer* tracer) override { tracer_ = tracer; }
+  /// Installs the ET tracer for hop recording (null = tracing off, the
+  /// default). The queues then record a kQueue hop per (ET, message type,
+  /// destination): opened at first transmission, closed at hand-off.
+  void set_tracer(obs::EtTracer* tracer) { tracer_ = tracer; }
 
  private:
   struct Outbound {
@@ -65,19 +69,13 @@ class StableQueueManager : public ReliableTransport {
     std::map<SequenceNumber, std::pair<std::any, int64_t>> unacked;
     sim::EventId retry_event = 0;  // 0 when no timer pending
   };
-  struct Inbound {
-    TotalOrderBuffer<std::any> fifo;  // fifo mode
-    // Unordered mode: contiguous watermark + sparse set above it.
-    SequenceNumber delivered_upto = 0;
-    std::unordered_set<SequenceNumber> delivered_sparse;
-  };
+  /// Per-sender receive side: holds back entries above a gap.
+  using Inbound = TotalOrderBuffer<std::any>;
 
   void TransmitAll(SiteId destination);
   void ArmRetryTimer(SiteId destination);
   void OnData(SiteId source, const std::any& body);
   void OnAck(SiteId source, const std::any& body);
-  bool AlreadyDelivered(Inbound& in, SequenceNumber seq) const;
-  void MarkDelivered(Inbound& in, SequenceNumber seq);
 
   /// Builds the outgoing wire envelope for an entry, stamping the inner
   /// envelope's trace context (plus msg_type) onto it when tracing is on.
@@ -86,7 +84,6 @@ class StableQueueManager : public ReliableTransport {
 
   sim::Simulator* simulator_;
   Mailbox* mailbox_;
-  StableQueueConfig config_;
   DeliverHandler deliver_;
   std::unordered_map<SiteId, Outbound> outbound_;
   std::unordered_map<SiteId, Inbound> inbound_;

@@ -16,7 +16,7 @@ namespace esr::msg {
 /// for the next MSet in the execution sequence to show up before running
 /// other MSets". Payloads may arrive in any order; the buffer holds them
 /// until the gap below closes. The same rule gives the paper's stable
-/// queues and persistent pipes (section 2.2) their per-sender FIFO order.
+/// queues (section 2.2) their per-sender FIFO order.
 ///
 /// The caller drives release, so it can stop early or check other streams
 /// first:

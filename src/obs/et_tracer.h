@@ -35,7 +35,7 @@ std::string_view EtPhaseToString(EtPhase phase);
 
 /// What a hop span measures.
 enum class HopKind {
-  /// One reliable-transport delivery: begin = transport send, arrive =
+  /// One stable-queue delivery: begin = first send, arrive =
   /// first raw-datagram arrival at the destination (before hold-back
   /// reordering), end = hand-off to the destination component.
   kQueue,

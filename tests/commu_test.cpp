@@ -29,8 +29,9 @@ TEST(CommuTest, LocalCommitIsImmediate) {
 
 TEST(CommuTest, ConcurrentIncrementsFromAllSitesConverge) {
   auto config = Config(Method::kCommu, 5, 3);
+  // Jitter interleaves the five origins' MSets differently at each site;
+  // commuting increments converge in any interleaving.
   config.network.jitter_us = 4'000;
-  config.queue.fifo = false;  // COMMU tolerates unordered delivery
   ReplicatedSystem system(config);
   for (int i = 0; i < 40; ++i) {
     MustSubmit(system, i % 5, {Operation::Increment(0, 1)});
@@ -136,8 +137,9 @@ TEST(CommuTest, UpdateThrottleLimitsInFlightUpdates) {
 
 TEST(CommuTest, UpdateSubhistorySerializableDespiteReordering) {
   auto config = Config(Method::kCommu, 4, 23);
+  // Jitter reorders datagrams; each origin's MSets still arrive in send
+  // order, but different origins interleave differently at each site.
   config.network.jitter_us = 8'000;
-  config.queue.fifo = false;
   ReplicatedSystem system(config);
   for (int i = 0; i < 30; ++i) {
     MustSubmit(system, i % 4,

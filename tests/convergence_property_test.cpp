@@ -3,7 +3,8 @@
 // to an identical state at quiescence, (2) the update subhistory is
 // serializable, and (3) the converged state equals the serial oracle — the
 // paper's central convergence claim ("replicas always converge to global
-// serializability").
+// serializability"). The recovery cases add durable logging and an
+// amnesia crash, which relies on the stable queues' per-origin FIFO order.
 
 #include <gtest/gtest.h>
 
@@ -22,8 +23,8 @@ struct Case {
   uint64_t seed;
   double loss;
   SimDuration jitter_us;
-  bool fifo;
-  Transport transport = Transport::kStableQueue;
+  /// Durable recovery on, and site 2 amnesia-crashed from 100 to 300 ms.
+  bool recovery = false;
 };
 
 std::string CaseName(const ::testing::TestParamInfo<Case>& info) {
@@ -34,8 +35,7 @@ std::string CaseName(const ::testing::TestParamInfo<Case>& info) {
   return name + "_seed" + std::to_string(info.param.seed) + "_loss" +
          std::to_string(static_cast<int>(info.param.loss * 100)) + "_j" +
          std::to_string(info.param.jitter_us) +
-         (info.param.fifo ? "_fifo" : "_unord") +
-         (info.param.transport == Transport::kPersistentPipe ? "_pipe" : "");
+         (info.param.recovery ? "_amnesia" : "");
 }
 
 class ConvergenceProperty : public ::testing::TestWithParam<Case> {};
@@ -48,9 +48,13 @@ TEST_P(ConvergenceProperty, ReplicasConvergeToSerialOracle) {
   config.seed = c.seed;
   config.network.loss_probability = c.loss;
   config.network.jitter_us = c.jitter_us;
-  config.queue.fifo = c.fifo;
-  config.transport = c.transport;
+  config.recovery.enabled = c.recovery;
   ReplicatedSystem system(config);
+  if (c.recovery) {
+    system.failures().ScheduleCrash(sim::CrashSpec{
+        /*site=*/2, /*crash_at=*/100'000, /*restart_at=*/300'000,
+        /*amnesia=*/true});
+  }
 
   Rng rng(c.seed * 31 + 7);
   std::vector<EtId> tentative;
@@ -110,47 +114,46 @@ INSTANTIATE_TEST_SUITE_P(
     AllMethods, ConvergenceProperty,
     ::testing::Values(
         // Clean network.
-        Case{Method::kOrdup, 1, 0.0, 200, true},
-        Case{Method::kOrdupTs, 1, 0.0, 200, true},
-        Case{Method::kCommu, 1, 0.0, 200, true},
-        Case{Method::kRituMulti, 1, 0.0, 200, true},
-        Case{Method::kRituSingle, 1, 0.0, 200, true},
-        Case{Method::kCompe, 1, 0.0, 200, true},
-        Case{Method::kCompeOrdered, 1, 0.0, 200, true},
+        Case{Method::kOrdup, 1, 0.0, 200},
+        Case{Method::kOrdupTs, 1, 0.0, 200},
+        Case{Method::kCommu, 1, 0.0, 200},
+        Case{Method::kRituMulti, 1, 0.0, 200},
+        Case{Method::kRituSingle, 1, 0.0, 200},
+        Case{Method::kCompe, 1, 0.0, 200},
+        Case{Method::kCompeOrdered, 1, 0.0, 200},
         // Lossy network.
-        Case{Method::kOrdup, 2, 0.25, 200, true},
-        Case{Method::kOrdupTs, 2, 0.25, 200, true},
-        Case{Method::kCommu, 2, 0.25, 200, true},
-        Case{Method::kRituMulti, 2, 0.25, 200, true},
-        Case{Method::kRituSingle, 2, 0.25, 200, true},
-        Case{Method::kCompe, 2, 0.25, 200, true},
-        Case{Method::kCompeOrdered, 2, 0.25, 200, true},
-        // Heavy reordering; unordered queues where the method permits.
-        Case{Method::kOrdup, 3, 0.0, 8'000, true},
-        Case{Method::kOrdupTs, 3, 0.0, 8'000, true},
-        Case{Method::kCommu, 3, 0.0, 8'000, false},
-        Case{Method::kRituMulti, 3, 0.0, 8'000, true},
-        Case{Method::kRituSingle, 3, 0.0, 8'000, false},
-        Case{Method::kCompe, 3, 0.0, 8'000, false},
-        Case{Method::kCompeOrdered, 3, 0.0, 8'000, true},
+        Case{Method::kOrdup, 2, 0.25, 200},
+        Case{Method::kOrdupTs, 2, 0.25, 200},
+        Case{Method::kCommu, 2, 0.25, 200},
+        Case{Method::kRituMulti, 2, 0.25, 200},
+        Case{Method::kRituSingle, 2, 0.25, 200},
+        Case{Method::kCompe, 2, 0.25, 200},
+        Case{Method::kCompeOrdered, 2, 0.25, 200},
+        // Heavy reordering.
+        Case{Method::kOrdup, 3, 0.0, 8'000},
+        Case{Method::kOrdupTs, 3, 0.0, 8'000},
+        Case{Method::kCommu, 3, 0.0, 8'000},
+        Case{Method::kRituMulti, 3, 0.0, 8'000},
+        Case{Method::kRituSingle, 3, 0.0, 8'000},
+        Case{Method::kCompe, 3, 0.0, 8'000},
+        Case{Method::kCompeOrdered, 3, 0.0, 8'000},
         // Loss + reordering, different seeds.
-        Case{Method::kOrdup, 4, 0.15, 4'000, true},
-        Case{Method::kCommu, 5, 0.15, 4'000, true},
-        Case{Method::kRituMulti, 6, 0.15, 4'000, true},
-        Case{Method::kRituSingle, 7, 0.15, 4'000, true},
-        Case{Method::kCompe, 8, 0.15, 4'000, true},
-        Case{Method::kCompeOrdered, 9, 0.15, 4'000, true},
-        // Persistent-pipe transport, lossy + reordering.
-        Case{Method::kOrdup, 10, 0.15, 4'000, true,
-             Transport::kPersistentPipe},
-        Case{Method::kOrdupTs, 11, 0.15, 4'000, true,
-             Transport::kPersistentPipe},
-        Case{Method::kCommu, 12, 0.15, 4'000, true,
-             Transport::kPersistentPipe},
-        Case{Method::kRituMulti, 13, 0.15, 4'000, true,
-             Transport::kPersistentPipe},
-        Case{Method::kCompe, 14, 0.15, 4'000, true,
-             Transport::kPersistentPipe}),
+        Case{Method::kOrdup, 4, 0.15, 4'000},
+        Case{Method::kCommu, 5, 0.15, 4'000},
+        Case{Method::kRituMulti, 6, 0.15, 4'000},
+        Case{Method::kRituSingle, 7, 0.15, 4'000},
+        Case{Method::kCompe, 8, 0.15, 4'000},
+        Case{Method::kCompeOrdered, 9, 0.15, 4'000},
+        Case{Method::kOrdup, 10, 0.15, 4'000},
+        Case{Method::kOrdupTs, 11, 0.15, 4'000},
+        Case{Method::kCommu, 12, 0.15, 4'000},
+        Case{Method::kRituMulti, 13, 0.15, 4'000},
+        Case{Method::kCompe, 14, 0.15, 4'000},
+        // Heavy reordering with an amnesia crash: recovery drops an MSet
+        // its applied cut covers, which is exact only over FIFO queues.
+        Case{Method::kCommu, 15, 0.0, 8'000, true},
+        Case{Method::kRituSingle, 16, 0.0, 8'000, true},
+        Case{Method::kCompe, 17, 0.0, 8'000, true}),
     CaseName);
 
 }  // namespace

@@ -1,6 +1,6 @@
 // Determinism regression: a (configuration, seed) pair must fully
 // determine an execution — identical final state digests, histories and
-// protocol counters across repeated runs, for every method and transport.
+// protocol counters across repeated runs, for every method.
 // This is the property all the benchmark tables and property sweeps rest
 // on; accidental nondeterminism (e.g., iteration-order-dependent protocol
 // decisions) shows up here first.
@@ -48,11 +48,10 @@ uint64_t DigestReads(const std::vector<analysis::ReadRecord>& reads) {
   return h;
 }
 
-Fingerprint RunOnce(Method method, Transport transport, uint64_t seed,
+Fingerprint RunOnce(Method method, uint64_t seed,
                     bool adaptive_admission = false) {
   SystemConfig config;
   config.method = method;
-  config.transport = transport;
   config.num_sites = 3;
   config.seed = seed;
   config.network.loss_probability = 0.15;
@@ -96,30 +95,27 @@ Fingerprint RunOnce(Method method, Transport transport, uint64_t seed,
   return fp;
 }
 
-class Determinism
-    : public ::testing::TestWithParam<std::pair<Method, Transport>> {};
+class Determinism : public ::testing::TestWithParam<Method> {};
 
 TEST_P(Determinism, IdenticalRunsProduceIdenticalFingerprints) {
-  const auto& [method, transport] = GetParam();
-  const Fingerprint a = RunOnce(method, transport, 777);
-  const Fingerprint b = RunOnce(method, transport, 777);
+  const Method method = GetParam();
+  const Fingerprint a = RunOnce(method, 777);
+  const Fingerprint b = RunOnce(method, 777);
   EXPECT_EQ(a, b);
   // And a different seed genuinely changes the execution.
-  const Fingerprint c = RunOnce(method, transport, 778);
+  const Fingerprint c = RunOnce(method, 778);
   EXPECT_FALSE(a == c) << "seed must matter";
 }
 
-// Final-state digest of every site after RunOnce(method, transport, 777).
+// Final-state digest of every site after RunOnce(method, 777).
 // The runs converge, so all three sites share one value. A change to any
 // store, codec or protocol that moves a digest fails here, not just one
 // that makes two runs disagree.
-uint64_t PinnedDigest(Method method, Transport transport) {
+uint64_t PinnedDigest(Method method) {
   switch (method) {
     case Method::kOrdup: return 0xe00c52a89a7a8e75ull;
     case Method::kOrdupTs: return 0x3867254f9d9529daull;
-    case Method::kCommu:
-      return transport == Transport::kPersistentPipe ? 0x086ce9b5a0b98b05ull
-                                                     : 0xe66131ba06ec337cull;
+    case Method::kCommu: return 0xe66131ba06ec337cull;
     case Method::kRituMulti: return 0x818699f88aa79ce8ull;
     case Method::kRituSingle: return 0xaf88741a8eec8ae1ull;
     case Method::kCompe: return 0xfcdfad56e5338a14ull;
@@ -131,24 +127,22 @@ uint64_t PinnedDigest(Method method, Transport transport) {
 }
 
 TEST_P(Determinism, DigestsMatchPinnedValues) {
-  const auto& [method, transport] = GetParam();
-  const uint64_t pinned = PinnedDigest(method, transport);
+  const Method method = GetParam();
+  const uint64_t pinned = PinnedDigest(method);
   ASSERT_NE(pinned, 0u) << "no pinned digest for this parameter";
-  const Fingerprint fp = RunOnce(method, transport, 777);
+  const Fingerprint fp = RunOnce(method, 777);
   EXPECT_EQ(fp.digests, std::vector<uint64_t>(3, pinned));
 }
 
-// Every recorded read of RunOnce(method, transport, 777): query, site,
+// Every recorded read of RunOnce(method, 777): query, site,
 // object, value, time, charge, pin and the site's apply index, hashed in
 // record order. A change to how a method builds its read records must
 // leave this unchanged.
-uint64_t PinnedReadsDigest(Method method, Transport transport) {
+uint64_t PinnedReadsDigest(Method method) {
   switch (method) {
     case Method::kOrdup: return 0x510656f8d226ab96ull;
     case Method::kOrdupTs: return 0x8233440928bd67c4ull;
-    case Method::kCommu:
-      return transport == Transport::kPersistentPipe ? 0xde3613cb0b9d9710ull
-                                                     : 0x0602250fe4621039ull;
+    case Method::kCommu: return 0x0602250fe4621039ull;
     case Method::kRituMulti: return 0xa8099c6747b47d52ull;
     case Method::kRituSingle: return 0xdecb5e9eb03a5159ull;
     case Method::kCompe: return 0x592ec62fdd2191e2ull;
@@ -160,10 +154,10 @@ uint64_t PinnedReadsDigest(Method method, Transport transport) {
 }
 
 TEST_P(Determinism, ReadRecordsMatchPinnedValues) {
-  const auto& [method, transport] = GetParam();
-  const uint64_t pinned = PinnedReadsDigest(method, transport);
+  const Method method = GetParam();
+  const uint64_t pinned = PinnedReadsDigest(method);
   ASSERT_NE(pinned, 0u) << "no pinned read digest for this parameter";
-  const Fingerprint fp = RunOnce(method, transport, 777);
+  const Fingerprint fp = RunOnce(method, 777);
   EXPECT_GT(fp.reads_recorded, 0);
   EXPECT_EQ(fp.reads_digest, pinned)
       << "actual: 0x" << std::hex << fp.reads_digest << "ull";
@@ -175,15 +169,12 @@ TEST(AdmissionDeterminism, AdaptiveControllerPreservesDeterminism) {
   for (Method method :
        {Method::kOrdup, Method::kOrdupTs, Method::kCommu,
         Method::kRituSingle}) {
-    const Fingerprint a =
-        RunOnce(method, Transport::kStableQueue, 991, /*adaptive=*/true);
-    const Fingerprint b =
-        RunOnce(method, Transport::kStableQueue, 991, /*adaptive=*/true);
+    const Fingerprint a = RunOnce(method, 991, /*adaptive=*/true);
+    const Fingerprint b = RunOnce(method, 991, /*adaptive=*/true);
     EXPECT_EQ(a, b) << "method " << MethodToString(method);
     // And the controller genuinely changes the execution relative to
     // static admission (it grants different effective budgets).
-    const Fingerprint c =
-        RunOnce(method, Transport::kStableQueue, 991, /*adaptive=*/false);
+    const Fingerprint c = RunOnce(method, 991, /*adaptive=*/false);
     EXPECT_FALSE(a == c)
         << "adaptive admission had no effect for " << MethodToString(method);
   }
@@ -236,23 +227,15 @@ TEST(BatchingDeterminism, BatchedMatchesUnbatchedFinalState) {
 
 INSTANTIATE_TEST_SUITE_P(
     AllMethods, Determinism,
-    ::testing::Values(
-        std::make_pair(Method::kOrdup, Transport::kStableQueue),
-        std::make_pair(Method::kOrdupTs, Transport::kStableQueue),
-        std::make_pair(Method::kCommu, Transport::kStableQueue),
-        std::make_pair(Method::kCommu, Transport::kPersistentPipe),
-        std::make_pair(Method::kRituMulti, Transport::kStableQueue),
-        std::make_pair(Method::kRituSingle, Transport::kStableQueue),
-        std::make_pair(Method::kCompe, Transport::kStableQueue),
-        std::make_pair(Method::kSync2pc, Transport::kStableQueue),
-        std::make_pair(Method::kSyncQuorum, Transport::kStableQueue),
-        std::make_pair(Method::kQuasiCopy, Transport::kStableQueue)),
-    [](const ::testing::TestParamInfo<std::pair<Method, Transport>>& info) {
-      std::string name(MethodToString(info.param.first));
+    ::testing::Values(Method::kOrdup, Method::kOrdupTs, Method::kCommu,
+                      Method::kRituMulti, Method::kRituSingle, Method::kCompe,
+                      Method::kSync2pc, Method::kSyncQuorum,
+                      Method::kQuasiCopy),
+    [](const ::testing::TestParamInfo<Method>& info) {
+      std::string name(MethodToString(info.param));
       for (char& c : name) {
         if (c == '-') c = '_';
       }
-      if (info.param.second == Transport::kPersistentPipe) name += "_pipe";
       return name;
     });
 

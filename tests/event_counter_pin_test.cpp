@@ -1,7 +1,7 @@
 // Event-counter pin: every protocol event count of one seeded run per
 // replica control method, compared with literal strings captured at a
 // known-good commit. Covers the facade and methods, the network (with the
-// failure injector and mailboxes), each site's reliable transport, and each
+// failure injector and mailboxes), each site's stable queues, and each
 // site's 2PC or quorum engine. A change that moves, drops or renames any
 // count fails here with the run's actual strings printed as initializers.
 
@@ -65,8 +65,8 @@ EventCounts CaptureEvents(ReplicatedSystem& system) {
 }
 
 /// The seeded run of one method. ORDUP and COMPE run over a lossy network,
-/// COMPE and COMPE-ORD abort a fifth of their updates, ORDUP-TS runs over
-/// persistent pipes, COMMU crashes and restarts a site, and RITU-MV
+/// COMPE and COMPE-ORD abort a fifth of their updates, ORDUP-TS runs over a
+/// network with 10 % loss, COMMU crashes and restarts a site, and RITU-MV
 /// partitions one site away for a while.
 SystemConfig PinConfig(Method method) {
   SystemConfig config = test::Config(method, /*num_sites=*/3, /*seed=*/11);
@@ -74,10 +74,7 @@ SystemConfig PinConfig(Method method) {
   if (method == Method::kOrdup || method == Method::kCompe) {
     config.network.loss_probability = 0.15;
   }
-  if (method == Method::kOrdupTs) {
-    config.transport = Transport::kPersistentPipe;
-    config.network.loss_probability = 0.1;
-  }
+  if (method == Method::kOrdupTs) config.network.loss_probability = 0.1;
   return config;
 }
 
@@ -162,34 +159,25 @@ EventCounts PinnedCounts(Method method) {
               "esr.msets_propagated=80\n"
               "esr.queries_begun=43\n"
               "esr.queries_completed=43\n"
-              "esr.query_limit_hits=8\n"
-              "esr.query_restarts=8\n"
+              "esr.query_limit_hits=2\n"
+              "esr.query_restarts=2\n"
               "esr.stable=40\n"
               "esr.updates_committed=40\n",
-              "net.delivered=1301\n"
-              "net.dropped_loss=131\n"
-              "net.sent=1432\n",
-              {"pipe.buffered_out_of_order=38\n"
-               "pipe.delivered=170\n"
-               "pipe.dropped_out_of_order=56\n"
-               "pipe.fast_retransmit=15\n"
-               "pipe.retransmit=97\n"
-               "pipe.sent=181\n"
-               "pipe.timeouts=12\n",
-               "pipe.buffered_out_of_order=43\n"
-               "pipe.delivered=170\n"
-               "pipe.dropped_out_of_order=51\n"
-               "pipe.fast_retransmit=8\n"
-               "pipe.retransmit=72\n"
-               "pipe.sent=169\n"
-               "pipe.timeouts=22\n",
-               "pipe.buffered_out_of_order=43\n"
-               "pipe.delivered=170\n"
-               "pipe.dropped_out_of_order=63\n"
-               "pipe.fast_retransmit=9\n"
-               "pipe.retransmit=73\n"
-               "pipe.sent=160\n"
-               "pipe.timeouts=15\n"},
+              "net.delivered=1121\n"
+              "net.dropped_loss=112\n"
+              "net.sent=1233\n",
+              {"queue.delivered=170\n"
+               "queue.duplicate=26\n"
+               "queue.retransmit=58\n"
+               "queue.sent=181\n",
+               "queue.delivered=170\n"
+               "queue.duplicate=21\n"
+               "queue.retransmit=50\n"
+               "queue.sent=169\n",
+               "queue.delivered=170\n"
+               "queue.duplicate=28\n"
+               "queue.retransmit=30\n"
+               "queue.sent=160\n"},
               {"", "", ""}};
     case Method::kCommu:
       return {"esr.msets_applied=87\n"

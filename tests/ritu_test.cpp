@@ -40,8 +40,8 @@ TEST(RituTest, MultiVersionAppendsVersions) {
 
 TEST(RituTest, SingleVersionConvergesViaThomasRule) {
   auto config = Config(Method::kRituSingle, 4, 31);
+  // Jitter interleaves the four origins' writes differently at each site.
   config.network.jitter_us = 6'000;
-  config.queue.fifo = false;
   ReplicatedSystem system(config);
   for (int i = 0; i < 20; ++i) {
     MustSubmit(system, i % 4, {Tsw(0, 100 + i)});

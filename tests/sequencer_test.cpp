@@ -23,7 +23,7 @@ class SequencerTest : public ::testing::Test {
     for (SiteId s = 0; s < num_sites; ++s) {
       mailboxes_.push_back(std::make_unique<Mailbox>(net_.get(), s));
       queues_.push_back(std::make_unique<StableQueueManager>(
-          &sim_, mailboxes_.back().get(), StableQueueConfig{}));
+          &sim_, mailboxes_.back().get()));
       ports_.push_back(std::make_unique<MailboxSequencerPort>(
           mailboxes_.back().get(), queues_.back().get()));
     }

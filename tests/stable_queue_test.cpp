@@ -12,13 +12,13 @@ namespace {
 
 class StableQueueTest : public ::testing::Test {
  protected:
-  void Build(sim::NetworkConfig net_config, StableQueueConfig queue_config) {
+  void Build(sim::NetworkConfig net_config) {
     net_ = std::make_unique<sim::Network>(&sim_, 3, net_config, /*seed=*/5,
                                           metrics_);
     for (SiteId s = 0; s < 3; ++s) {
       mailboxes_.push_back(std::make_unique<Mailbox>(net_.get(), s));
       queues_.push_back(std::make_unique<StableQueueManager>(
-          &sim_, mailboxes_.back().get(), queue_config));
+          &sim_, mailboxes_.back().get()));
       SiteId site = s;
       queues_.back()->SetDeliverHandler(
           [this, site](SiteId src, const std::any& payload) {
@@ -43,7 +43,7 @@ class StableQueueTest : public ::testing::Test {
 };
 
 TEST_F(StableQueueTest, DeliversExactlyOnceOnCleanNetwork) {
-  Build(sim::NetworkConfig{}, StableQueueConfig{});
+  Build(sim::NetworkConfig{});
   for (int i = 0; i < 5; ++i) queues_[0]->Send(1, i);
   sim_.Run();
   ASSERT_EQ(delivered_[1].size(), 5u);
@@ -54,7 +54,7 @@ TEST_F(StableQueueTest, DeliversExactlyOnceOnCleanNetwork) {
 TEST_F(StableQueueTest, SurvivesHeavyLoss) {
   sim::NetworkConfig net;
   net.loss_probability = 0.5;
-  Build(net, StableQueueConfig{});
+  Build(net);
   for (int i = 0; i < 20; ++i) queues_[0]->Send(1, i);
   sim_.Run();
   ASSERT_EQ(delivered_[1].size(), 20u);
@@ -67,30 +67,15 @@ TEST_F(StableQueueTest, SurvivesHeavyLoss) {
 TEST_F(StableQueueTest, FifoHoldsBackGaps) {
   sim::NetworkConfig net;
   net.jitter_us = 5'000;  // heavy reordering
-  Build(net, StableQueueConfig{});
+  Build(net);
   for (int i = 0; i < 30; ++i) queues_[0]->Send(1, i);
   sim_.Run();
   ASSERT_EQ(delivered_[1].size(), 30u);
   for (int i = 0; i < 30; ++i) EXPECT_EQ(delivered_[1][i].second, i);
 }
 
-TEST_F(StableQueueTest, UnorderedModeDeliversOnArrival) {
-  sim::NetworkConfig net;
-  net.jitter_us = 5'000;
-  StableQueueConfig qc;
-  qc.fifo = false;
-  Build(net, qc);
-  for (int i = 0; i < 30; ++i) queues_[0]->Send(1, i);
-  sim_.Run();
-  ASSERT_EQ(delivered_[1].size(), 30u);
-  std::vector<int> values;
-  for (auto& [_, v] : delivered_[1]) values.push_back(v);
-  std::sort(values.begin(), values.end());
-  for (int i = 0; i < 30; ++i) EXPECT_EQ(values[i], i);  // each exactly once
-}
-
 TEST_F(StableQueueTest, ReceiverCrashDelaysButDeliversAfterRestart) {
-  Build(sim::NetworkConfig{}, StableQueueConfig{});
+  Build(sim::NetworkConfig{});
   net_->SetSiteDown(1);
   queues_[0]->Send(1, 7);
   sim_.RunUntil(100'000);
@@ -103,7 +88,7 @@ TEST_F(StableQueueTest, ReceiverCrashDelaysButDeliversAfterRestart) {
 }
 
 TEST_F(StableQueueTest, PartitionHealsAndDeliveryResumes) {
-  Build(sim::NetworkConfig{}, StableQueueConfig{});
+  Build(sim::NetworkConfig{});
   net_->SetPartition({{0}, {1, 2}});
   queues_[0]->Send(2, 99);
   sim_.RunUntil(200'000);
@@ -114,7 +99,7 @@ TEST_F(StableQueueTest, PartitionHealsAndDeliveryResumes) {
 }
 
 TEST_F(StableQueueTest, BroadcastReachesAllOthers) {
-  Build(sim::NetworkConfig{}, StableQueueConfig{});
+  Build(sim::NetworkConfig{});
   queues_[1]->Broadcast(5);
   sim_.Run();
   EXPECT_EQ(delivered_[0].size(), 1u);
@@ -126,20 +111,20 @@ TEST_F(StableQueueTest, DuplicateDataIsAckedButNotRedelivered) {
   // Loss of acks forces retransmission; the receiver must dedup.
   sim::NetworkConfig net;
   net.loss_probability = 0.3;
-  Build(net, StableQueueConfig{});
+  Build(net);
   for (int i = 0; i < 10; ++i) queues_[0]->Send(1, i);
   sim_.Run();
   EXPECT_EQ(delivered_[1].size(), 10u);
 }
 
 TEST_F(StableQueueTest, EnvelopePayloadsRouteThroughMailbox) {
-  Build(sim::NetworkConfig{}, StableQueueConfig{});
+  Build(sim::NetworkConfig{});
   // Fresh manager without a custom deliver handler uses the default
   // mailbox dispatch.
   int got = 0;
   mailboxes_[2]->RegisterHandler(
       200, [&](SiteId, const std::any& body) { got = std::any_cast<int>(body); });
-  StableQueueManager fresh(&sim_, mailboxes_[2].get(), StableQueueConfig{});
+  StableQueueManager fresh(&sim_, mailboxes_[2].get());
   // Reuse site 0's queue to send an Envelope payload to site 2. Site 2's
   // *fresh* manager replaced the kQueueData handler, so it receives it.
   queues_[0]->Send(2, Envelope{200, 123});

@@ -150,7 +150,7 @@ TEST(StableQueueStress, ExactlyOnceInOrderUnderChaos) {
     for (SiteId s = 0; s < 3; ++s) {
       mailboxes.push_back(std::make_unique<msg::Mailbox>(&net, s));
       queues.push_back(std::make_unique<msg::StableQueueManager>(
-          &sim, mailboxes.back().get(), msg::StableQueueConfig{}));
+          &sim, mailboxes.back().get()));
       queues.back()->SetDeliverHandler(
           [&delivered, s](SiteId, const std::any& payload) {
             delivered[s].push_back(std::any_cast<int>(payload));

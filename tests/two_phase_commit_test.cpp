@@ -21,7 +21,7 @@ class TwoPhaseCommitTest : public ::testing::Test {
     for (SiteId s = 0; s < num_sites; ++s) {
       mailboxes_.push_back(std::make_unique<msg::Mailbox>(net_.get(), s));
       queues_.push_back(std::make_unique<msg::StableQueueManager>(
-          &sim_, mailboxes_.back().get(), msg::StableQueueConfig{}));
+          &sim_, mailboxes_.back().get()));
       stores_.push_back(std::make_unique<store::MvStore>());
       engines_.push_back(std::make_unique<TwoPhaseCommitEngine>(
           mailboxes_.back().get(), queues_.back().get(), stores_.back().get(),

@@ -251,6 +251,50 @@ TEST(MvStoreTest, RestoreEntryRoundTripsSnapshot) {
   EXPECT_EQ(b.WriteTimestamp(9), Ts(4));
 }
 
+// One object holding both roles pins the digest order: the id, then its
+// chain, then its current value. Around it sit a chain-only object that a
+// Thomas-ignored write materialized (its timestamp is below every real one)
+// and a current-only object whose write timestamp a zero-stamped
+// RestoreEntry cleared.
+TEST(MvStoreTest, MixedRoleStatePinned) {
+  const std::vector<std::tuple<ObjectId, Value, LamportTimestamp>> entries = {
+      {2, Value(int64_t{12}), kZeroTimestamp},
+      {5, Value(int64_t{7}), Ts(4, 2)},
+      {13, Value(), kZeroTimestamp}};
+  for (int parts : {1, 8, 64}) {
+    MvStore store(MvStoreOptions{.partitions = parts});
+    store.AppendVersion(5, Ts(2, 1), Value(int64_t{20}));
+    store.AppendVersion(5, Ts(6, 0), Value(std::string("y")));
+    ASSERT_TRUE(
+        store.Apply(Operation::TimestampedWrite(5, Value(int64_t{7}), Ts(4, 2)))
+            .ok());
+    ASSERT_TRUE(
+        store.Apply(Operation::TimestampedWrite(5, Value(int64_t{99}), Ts(3)))
+            .ok());
+    store.AppendVersion(13, Ts(1, 0), Value(int64_t{-3}));
+    ASSERT_TRUE(
+        store.Apply(Operation::TimestampedWrite(13, Value(int64_t{8}), Ts(-1)))
+            .ok());
+    store.RestoreEntry(2, Value(int64_t{11}), Ts(9, 1));
+    store.RestoreEntry(2, Value(int64_t{12}), kZeroTimestamp);
+
+    EXPECT_EQ(store.StateDigest(), 0x03fb3aa9b43548f3ull) << parts;
+    EXPECT_EQ(store.LatestDigest(), 0x53148aec0f0898dcull) << parts;
+    EXPECT_EQ(store.ObjectIds(), (std::vector<ObjectId>{2, 5, 13})) << parts;
+    EXPECT_EQ(store.ObjectCount(), 3) << parts;
+    EXPECT_EQ(store.SnapshotEntries(), entries) << parts;
+    EXPECT_EQ(store.Read(13), Value()) << parts;
+    EXPECT_EQ(store.WriteTimestamp(2), kZeroTimestamp) << parts;
+    EXPECT_EQ(store.WriteTimestamp(5), Ts(4, 2)) << parts;
+    EXPECT_EQ(store.MaxChainLength(), 2) << parts;
+
+    store.Clear();
+    EXPECT_EQ(store.StateDigest(), MvStore().StateDigest()) << parts;
+    EXPECT_EQ(store.WriteTimestamp(5), kZeroTimestamp) << parts;
+    EXPECT_EQ(store.MaxChainLength(), 0) << parts;
+  }
+}
+
 // --- Version GC -------------------------------------------------------------
 
 TEST(MvStoreTest, GcKeepsNewestVersionAtOrBelowWatermark) {

@@ -2,6 +2,7 @@
 // read/write mixes over a million-object MvStore, swept 1 -> 8 threads.
 //
 // What it shows:
+//   * the store's heap bytes per materialized single-version object,
 //   * read scaling of the striped-lock partitioned store (8 partitions)
 //     against the single-partition layout (one lock),
 //   * tail read latency (p99) under each concurrency level,
@@ -18,6 +19,7 @@
 #include <chrono>
 #include <cmath>
 #include <cstdint>
+#include <malloc.h>
 #include <thread>
 #include <vector>
 
@@ -89,6 +91,25 @@ void Preload(MvStore& store) {
   for (ObjectId id = 0; id < kObjects; ++id) {
     store.AppendVersion(id, LamportTimestamp{1, 0}, Value(id));
   }
+}
+
+/// Heap bytes in use (malloc arena plus mmapped chunks).
+size_t HeapInUse() {
+  const struct mallinfo2 info = mallinfo2();
+  return info.uordblks + info.hblkhd;
+}
+
+/// Heap growth per object over one Apply increment to each of kObjects
+/// ids in a fresh 8-partition store: the single-version role's footprint,
+/// with hash-node, bucket and allocator overhead included.
+double BytesPerObject() {
+  const size_t before = HeapInUse();
+  MvStore store(MvStoreOptions{.partitions = 8});
+  for (ObjectId id = 0; id < kObjects; ++id) {
+    (void)store.Apply(store::Operation::Increment(id, 1));
+  }
+  const double grown = static_cast<double>(HeapInUse() - before);
+  return grown / static_cast<double>(store.ObjectCount());
 }
 
 struct ReadRunResult {
@@ -213,6 +234,13 @@ int main() {
   const int hw = static_cast<int>(std::thread::hardware_concurrency());
   std::printf("bench_mvstore: %lld objects, Zipf(%.2f), %d hardware threads\n",
               static_cast<long long>(kObjects), kTheta, hw);
+
+  Banner("Footprint: 1M Apply increments into a fresh 8-partition store");
+  {
+    Table table({"objects", "heap bytes/object"});
+    table.AddRow({FmtInt(kObjects), Fmt(BytesPerObject(), 1)});
+    table.Print();
+  }
 
   const ZipfSampler zipf(kObjects, kTheta);
   const std::vector<int> sweep = {1, 2, 4, 8};

@@ -14,6 +14,22 @@ int RoundUpPow2(int n) {
   return p;
 }
 
+/// The write_ts table keeps only non-zero timestamps: an absent entry reads
+/// back as zero.
+LamportTimestamp WriteTimestampIn(const StorePartition& p, ObjectId object) {
+  auto it = p.write_ts.find(object);
+  return it == p.write_ts.end() ? kZeroTimestamp : it->second;
+}
+
+void SetWriteTimestamp(StorePartition& p, ObjectId object,
+                       LamportTimestamp ts) {
+  if (ts == kZeroTimestamp) {
+    p.write_ts.erase(object);
+  } else {
+    p.write_ts.insert_or_assign(object, ts);
+  }
+}
+
 }  // namespace
 
 MvStore::MvStore(MvStoreOptions options)
@@ -26,15 +42,15 @@ void MvStore::AppendVersion(ObjectId object, LamportTimestamp timestamp,
                             Value value) {
   StorePartition& p = partitions_[PartitionIndex(object)];
   std::unique_lock<std::shared_mutex> lock(p.mu);
-  p.slots[object].versions.insert_or_assign(timestamp, std::move(value));
+  p.chains[object].insert_or_assign(timestamp, std::move(value));
 }
 
 std::optional<Version> MvStore::ReadLatest(ObjectId object) const {
   const StorePartition& p = partitions_[PartitionIndex(object)];
   std::shared_lock<std::shared_mutex> lock(p.mu);
-  auto it = p.slots.find(object);
-  if (it == p.slots.end() || it->second.versions.empty()) return std::nullopt;
-  const auto& [ts, value] = *it->second.versions.rbegin();
+  auto it = p.chains.find(object);
+  if (it == p.chains.end() || it->second.empty()) return std::nullopt;
+  const auto& [ts, value] = *it->second.rbegin();
   return Version{ts, value};
 }
 
@@ -42,9 +58,9 @@ std::optional<Version> MvStore::ReadAtOrBefore(ObjectId object,
                                                LamportTimestamp at) const {
   const StorePartition& p = partitions_[PartitionIndex(object)];
   std::shared_lock<std::shared_mutex> lock(p.mu);
-  auto it = p.slots.find(object);
-  if (it == p.slots.end() || it->second.versions.empty()) return std::nullopt;
-  const auto& versions = it->second.versions;
+  auto it = p.chains.find(object);
+  if (it == p.chains.end() || it->second.empty()) return std::nullopt;
+  const auto& versions = it->second;
   auto vit = versions.upper_bound(at);
   if (vit == versions.begin()) return std::nullopt;
   --vit;
@@ -54,9 +70,9 @@ std::optional<Version> MvStore::ReadAtOrBefore(ObjectId object,
 int64_t MvStore::VersionCount(ObjectId object) const {
   const StorePartition& p = partitions_[PartitionIndex(object)];
   std::shared_lock<std::shared_mutex> lock(p.mu);
-  auto it = p.slots.find(object);
-  if (it == p.slots.end()) return 0;
-  return static_cast<int64_t>(it->second.versions.size());
+  auto it = p.chains.find(object);
+  if (it == p.chains.end()) return 0;
+  return static_cast<int64_t>(it->second.size());
 }
 
 Status MvStore::Apply(const Operation& op) {
@@ -67,19 +83,18 @@ Status MvStore::Apply(const Operation& op) {
   std::unique_lock<std::shared_mutex> lock(p.mu);
   // Materialize before the Thomas check: an ignored stale write still
   // creates the entry.
-  ObjectSlot& slot = p.slots[op.object];
-  slot.has_current = true;
+  Value& current = p.current[op.object];
   if (op.kind == OpKind::kTimestampedWrite) {
     // Thomas write rule: ignore writes older than the latest applied one.
     // This is exactly what makes RITU single-version updates
     // order-insensitive ("an RITU update trying to overwrite a newer
     // version is ignored", paper section 3.3).
-    if (op.timestamp < slot.write_timestamp) return Status::Ok();
-    slot.write_timestamp = op.timestamp;
-    slot.current = op.value;
+    if (op.timestamp < WriteTimestampIn(p, op.object)) return Status::Ok();
+    SetWriteTimestamp(p, op.object, op.timestamp);
+    current = op.value;
     return Status::Ok();
   }
-  return op.ApplyTo(slot.current);
+  return op.ApplyTo(current);
 }
 
 Status MvStore::ApplyAll(const std::vector<Operation>& ops) {
@@ -93,34 +108,28 @@ Status MvStore::ApplyAll(const std::vector<Operation>& ops) {
 Value MvStore::Read(ObjectId object) const {
   const StorePartition& p = partitions_[PartitionIndex(object)];
   std::shared_lock<std::shared_mutex> lock(p.mu);
-  auto it = p.slots.find(object);
-  if (it == p.slots.end()) return Value();
-  return it->second.current;
+  auto it = p.current.find(object);
+  if (it == p.current.end()) return Value();
+  return it->second;
 }
 
 void MvStore::Restore(ObjectId object, Value value) {
   StorePartition& p = partitions_[PartitionIndex(object)];
   std::unique_lock<std::shared_mutex> lock(p.mu);
-  ObjectSlot& slot = p.slots[object];
-  slot.has_current = true;
-  slot.current = std::move(value);
+  p.current.insert_or_assign(object, std::move(value));
 }
 
 LamportTimestamp MvStore::WriteTimestamp(ObjectId object) const {
   const StorePartition& p = partitions_[PartitionIndex(object)];
   std::shared_lock<std::shared_mutex> lock(p.mu);
-  auto it = p.slots.find(object);
-  if (it == p.slots.end()) return kZeroTimestamp;
-  return it->second.write_timestamp;
+  return WriteTimestampIn(p, object);
 }
 
 int64_t MvStore::ObjectCount() const {
   int64_t count = 0;
   for (const StorePartition& p : partitions_) {
     std::shared_lock<std::shared_mutex> lock(p.mu);
-    for (const auto& [id, slot] : p.slots) {
-      if (slot.has_current) ++count;
-    }
+    count += static_cast<int64_t>(p.current.size());
   }
   return count;
 }
@@ -129,27 +138,25 @@ void MvStore::RestoreEntry(ObjectId object, Value value,
                            LamportTimestamp write_timestamp) {
   StorePartition& p = partitions_[PartitionIndex(object)];
   std::unique_lock<std::shared_mutex> lock(p.mu);
-  ObjectSlot& slot = p.slots[object];
-  slot.has_current = true;
-  slot.current = std::move(value);
-  slot.write_timestamp = write_timestamp;
+  p.current.insert_or_assign(object, std::move(value));
+  SetWriteTimestamp(p, object, write_timestamp);
 }
 
 int64_t MvStore::GcBelow(LamportTimestamp watermark) {
   int64_t pruned = 0;
   for (StorePartition& p : partitions_) {
     std::unique_lock<std::shared_mutex> lock(p.mu);
-    for (auto& [id, slot] : p.slots) {
-      if (slot.versions.size() <= 1) continue;
+    for (auto& [id, versions] : p.chains) {
+      if (versions.size() <= 1) continue;
       // First version strictly above the watermark; the one before it (if
       // any) is the newest at-or-below version and must survive so
       // ReadAtOrBefore(watermark) stays servable.
-      auto keep = slot.versions.upper_bound(watermark);
-      if (keep == slot.versions.begin()) continue;
+      auto keep = versions.upper_bound(watermark);
+      if (keep == versions.begin()) continue;
       --keep;
-      const auto n = std::distance(slot.versions.begin(), keep);
+      const auto n = std::distance(versions.begin(), keep);
       if (n == 0) continue;
-      slot.versions.erase(slot.versions.begin(), keep);
+      versions.erase(versions.begin(), keep);
       pruned += static_cast<int64_t>(n);
     }
   }
@@ -192,19 +199,21 @@ uint64_t MvStore::Digest(bool latest_only) const {
   for (ObjectId id : ObjectIds()) {
     const StorePartition& p = partitions_[PartitionIndex(id)];
     std::shared_lock<std::shared_mutex> lock(p.mu);
-    auto it = p.slots.find(id);
-    if (it == p.slots.end()) continue;  // concurrently removed
-    const ObjectSlot& slot = it->second;
+    auto chain = p.chains.find(id);
+    auto current = p.current.find(id);
+    if (chain == p.chains.end() && current == p.current.end()) {
+      continue;  // concurrently removed
+    }
     mix(std::to_string(id));
-    auto first = slot.versions.begin();
-    if (latest_only && !slot.versions.empty()) {
-      first = std::prev(slot.versions.end());
+    if (chain != p.chains.end()) {
+      const auto& versions = chain->second;  // never empty
+      auto first = latest_only ? std::prev(versions.end()) : versions.begin();
+      for (auto v = first; v != versions.end(); ++v) {
+        mix(ToString(v->first));
+        mix(v->second.ToString());
+      }
     }
-    for (auto v = first; v != slot.versions.end(); ++v) {
-      mix(ToString(v->first));
-      mix(v->second.ToString());
-    }
-    if (slot.has_current) mix(slot.current.ToString());
+    if (current != p.current.end()) mix(current->second.ToString());
   }
   return h;
 }
@@ -213,9 +222,11 @@ std::vector<ObjectId> MvStore::ObjectIds() const {
   std::vector<ObjectId> ids;
   for (const StorePartition& p : partitions_) {
     std::shared_lock<std::shared_mutex> lock(p.mu);
-    for (const auto& [id, slot] : p.slots) ids.push_back(id);
+    for (const auto& [id, value] : p.current) ids.push_back(id);
+    for (const auto& [id, versions] : p.chains) ids.push_back(id);
   }
   std::sort(ids.begin(), ids.end());
+  ids.erase(std::unique(ids.begin(), ids.end()), ids.end());
   return ids;
 }
 
@@ -224,8 +235,8 @@ MvStore::SnapshotVersions() const {
   std::vector<std::tuple<ObjectId, LamportTimestamp, Value>> out;
   for (const StorePartition& p : partitions_) {
     std::shared_lock<std::shared_mutex> lock(p.mu);
-    for (const auto& [id, slot] : p.slots) {
-      for (const auto& [ts, value] : slot.versions) {
+    for (const auto& [id, versions] : p.chains) {
+      for (const auto& [ts, value] : versions) {
         out.emplace_back(id, ts, value);
       }
     }
@@ -245,9 +256,8 @@ MvStore::SnapshotEntries() const {
   std::vector<std::tuple<ObjectId, Value, LamportTimestamp>> out;
   for (const StorePartition& p : partitions_) {
     std::shared_lock<std::shared_mutex> lock(p.mu);
-    for (const auto& [id, slot] : p.slots) {
-      if (!slot.has_current) continue;
-      out.emplace_back(id, slot.current, slot.write_timestamp);
+    for (const auto& [id, value] : p.current) {
+      out.emplace_back(id, value, WriteTimestampIn(p, id));
     }
   }
   std::sort(out.begin(), out.end(), [](const auto& a, const auto& b) {
@@ -260,9 +270,8 @@ int64_t MvStore::MaxChainLength() const {
   int64_t max_len = 0;
   for (const StorePartition& p : partitions_) {
     std::shared_lock<std::shared_mutex> lock(p.mu);
-    for (const auto& [id, slot] : p.slots) {
-      max_len = std::max(max_len,
-                         static_cast<int64_t>(slot.versions.size()));
+    for (const auto& [id, versions] : p.chains) {
+      max_len = std::max(max_len, static_cast<int64_t>(versions.size()));
     }
   }
   return max_len;
@@ -271,7 +280,9 @@ int64_t MvStore::MaxChainLength() const {
 void MvStore::Clear() {
   for (StorePartition& p : partitions_) {
     std::unique_lock<std::shared_mutex> lock(p.mu);
-    p.slots.clear();
+    p.current.clear();
+    p.write_ts.clear();
+    p.chains.clear();
   }
   {
     std::lock_guard<std::mutex> lock(floor_mu_);

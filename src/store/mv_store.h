@@ -35,7 +35,7 @@ struct MvStoreOptions {
 };
 
 /// The object store of one replica site: concurrent, partitioned, and
-/// holding both the single current value of each object and, for RITU's
+/// holding the single current value of each object and, for RITU's
 /// multi-version mode, its timestamp-ordered version chain.
 ///
 /// The object space is hashed over N power-of-two partitions, each guarded
@@ -43,7 +43,8 @@ struct MvStoreOptions {
 /// side and never block each other, writers contend only within their
 /// partition, and scans (digests, snapshots, divergence gauges) proceed
 /// partition-at-a-time without any global lock. Each method uses one of
-/// two roles:
+/// two roles, and each partition keeps one table per role
+/// (StorePartition), so an object pays only for the role that touched it:
 ///
 ///  * Multi-version role (RITU-MV, paper section 3.3): AppendVersion /
 ///    ReadLatest / ReadAtOrBefore over timestamp-ordered immutable version
@@ -54,8 +55,10 @@ struct MvStoreOptions {
 ///    charges against the query's counter.
 ///  * Single-version role (ORDUP / COMMU / COMPE / RITU-SV / 2PC): Apply /
 ///    Read / Restore over one current value per object, with the Thomas
-///    write rule for timestamped writes. Objects spring into existence on
-///    first access with the default value (integer 0); there is no delete.
+///    write rule for timestamped writes; the write timestamp sits in a
+///    side table only objects that took a timestamped write enter. Objects
+///    spring into existence on first access with the default value
+///    (integer 0); there is no delete.
 ///
 /// *Version GC.* GcBelow(watermark) prunes versions strictly below the
 /// given stability watermark but always keeps the newest version at or

@@ -154,10 +154,14 @@ void P2Quantile::Observe(double v) {
 double P2Quantile::Value() const {
   if (count_ <= 0) return std::nan("");
   if (count_ >= 5) return heights_[2];
-  // Exact order statistic over the partial (unsorted until 5) prefix.
-  double sorted[5];
-  std::copy(heights_, heights_ + count_, sorted);
-  std::sort(sorted, sorted + count_);
+  // Exact order statistic over the partial (unsorted until 5) prefix of at
+  // most four samples: an insertion sort.
+  double sorted[4];
+  for (int64_t i = 0; i < count_; ++i) {
+    int64_t j = i;
+    for (; j > 0 && sorted[j - 1] > heights_[i]; --j) sorted[j] = sorted[j - 1];
+    sorted[j] = heights_[i];
+  }
   int64_t idx = static_cast<int64_t>(
       std::ceil(q_ * static_cast<double>(count_))) - 1;
   idx = std::max<int64_t>(0, std::min<int64_t>(idx, count_ - 1));

@@ -24,6 +24,24 @@ TEST(P2QuantileTest, ExactForSmallSampleSets) {
   EXPECT_DOUBLE_EQ(median.Value(), 20);
 }
 
+TEST(P2QuantileTest, ExactOrderStatisticsBeforeFiveSamples) {
+  // Samples arrive out of order; each estimate is the ceil(q * n)-th
+  // smallest of the n samples so far.
+  P2Quantile low(0.01), median(0.5), high(0.99);
+  const double samples[] = {4, 3, 1, 2};
+  const double want_low[] = {4, 3, 1, 1};
+  const double want_median[] = {4, 3, 3, 2};
+  const double want_high[] = {4, 4, 4, 4};
+  for (int i = 0; i < 4; ++i) {
+    low.Observe(samples[i]);
+    median.Observe(samples[i]);
+    high.Observe(samples[i]);
+    EXPECT_DOUBLE_EQ(low.Value(), want_low[i]) << i;
+    EXPECT_DOUBLE_EQ(median.Value(), want_median[i]) << i;
+    EXPECT_DOUBLE_EQ(high.Value(), want_high[i]) << i;
+  }
+}
+
 TEST(P2QuantileTest, TracksExactPercentilesOnSeededStreams) {
   // The regression the satellite asks for: P² estimates vs the exact
   // Summary percentiles on seeded pseudo-random data. P² error bounds are

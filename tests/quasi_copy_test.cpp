@@ -162,6 +162,20 @@ TEST(QuasiCopyTest, RefreshReorderingCannotRegressCaches) {
   // Timestamped refreshes: the newest value wins everywhere.
   EXPECT_TRUE(system.Converged());
   EXPECT_EQ(system.SiteValue(1, 0).AsInt(), 10);
+  // The queues never reorder, so hand cache 1 a refresh older than the
+  // newest one it applied: the store's Thomas rule must ignore it.
+  const LamportTimestamp newest = system.site_store(1).WriteTimestamp(0);
+  ASSERT_GT(newest, kZeroTimestamp);
+  Mset stale;
+  stale.et = -1'000;  // synthetic refresh id, like the primary's
+  stale.origin = 0;
+  stale.timestamp = LamportTimestamp{newest.counter - 1, newest.site};
+  stale.operations = {
+      Operation::TimestampedWrite(0, Value(int64_t{3}), stale.timestamp)};
+  system.site_method(1)->DeliverMset(stale);
+  EXPECT_EQ(system.SiteValue(1, 0).AsInt(), 10);
+  EXPECT_EQ(system.site_store(1).WriteTimestamp(0), newest);
+  EXPECT_TRUE(system.Converged());
 }
 
 TEST(QuasiCopyTest, RefreshTimerRunPinnedDigests) {

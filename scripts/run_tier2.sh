@@ -60,23 +60,26 @@ scripts/run_tier1.sh --sanitize
 )
 
 # libstdc++ debug-mode pass (-D_GLIBCXX_DEBUG, separate build dir:
-# build-glibcxx-debug) over the sequencer, shard and recovery suites. Its
-# checked iterators abort on any use of an invalidated iterator, the class
-# of bug behind the sharded amnesia runaway (an entry erased under a
-# range-for over a std::map), which the ASan pass cannot see: the map's
-# increment runs inside the uninstrumented libstdc++. The network, 2PC and
+# build-glibcxx-debug) over the sequencer, shard, recovery, network, 2PC,
+# quorum and mv_store suites. Its checked iterators abort on any use of an
+# invalidated iterator, the class of bug behind the sharded amnesia runaway
+# (an entry erased under a range-for over a std::map), which the ASan pass
+# cannot see: the map's increment runs inside the uninstrumented libstdc++. The network, 2PC and
 # quorum suites join because a site's messages to itself now take the
 # network's zero-delay loopback instead of a synchronous call, which moved
-# every handler that used to run inside its sender's loop.
+# every handler that used to run inside its sender's loop. The mv_store
+# suites join for the store's per-role tables: GcBelow erases a range of
+# each version chain, and digests and snapshots scan the current,
+# write-timestamp and chain tables side by side.
 cmake -B build-glibcxx-debug -S . -DCMAKE_CXX_FLAGS=-D_GLIBCXX_DEBUG
 cmake --build build-glibcxx-debug -j "$(nproc)" --target sequencer_test \
   sequencer_failover_test shard_test sharding_integration_test \
   recovery_test recovery_integration_test network_test \
-  two_phase_commit_test quorum_test
+  two_phase_commit_test quorum_test mv_store_test mv_store_stress_test
 (
   cd build-glibcxx-debug
   ctest --output-on-failure \
-    -R 'sequencer|shard|recovery|network|two_phase_commit|quorum' \
+    -R 'sequencer|shard|recovery|network|two_phase_commit|quorum|mv_store' \
     -j "$(nproc)"
 )
 
